@@ -4,7 +4,8 @@ No dependencies beyond ``http.server`` — the service must run anywhere
 the simulator does.  Endpoints (all JSON unless noted):
 
 ``GET  /healthz``
-    Liveness + job counts per state.
+    Liveness, job counts per state, and the worker pool's in-flight
+    keys and settle counters (``workers``; null without a pool).
 ``GET  /targets``
     Servable figure targets (``fig6`` ... ``chaos``).
 ``POST /jobs``
@@ -17,7 +18,8 @@ the simulator does.  Endpoints (all JSON unless noted):
     All jobs, newest first (without result bodies).
 ``GET  /jobs/<key>[?wait=SECONDS]``
     One job; with ``wait`` long-polls until the job reaches a terminal
-    state or the timeout elapses.
+    state or the timeout elapses (400 unless ``wait`` is a finite,
+    non-negative number of seconds).
 ``GET  /jobs/<key>/result``
     The finished job's :class:`~repro.experiments.engine.SweepResult`
     document (409 while queued/running, 500-ish payload for
@@ -33,17 +35,18 @@ the simulator does.  Endpoints (all JSON unless noted):
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import signal
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from ..experiments.engine import EngineError, SweepRequest, request_key, service_targets
 from .store import DONE, FAILED, QUARANTINED, JobStore
-from .worker import ChaosHook, WorkerPool
+from .worker import POLL_INTERVAL_S, ChaosHook, WorkerPool
 
 _JOB_PATH = re.compile(r"^/jobs/([0-9a-f]{16,64})(/result|/events)?$")
 
@@ -70,6 +73,9 @@ class ServiceServer(ThreadingHTTPServer):
         self.allow_shutdown = allow_shutdown
         self.quiet = quiet
         self.started_at = time.time()
+        #: Fallback re-check cadence of long-polls and SSE streams, for
+        #: jobs settled by another process (which raise no signal here).
+        self.poll_interval_s = pool.poll_interval_s if pool else POLL_INTERVAL_S
 
     @property
     def url(self) -> str:
@@ -132,6 +138,24 @@ class _Handler(BaseHTTPRequestHandler):
     def _route(self) -> str:
         return self.path.split("?", 1)[0]
 
+    def _watch(self, timeout_s: float) -> Iterator[float]:
+        """Yield the time left now and after each store change, until none.
+
+        The store generation is read before each yield, so a change that
+        commits while the caller inspects the store still ends the next
+        wait at once.  Each wait is capped at the poll interval, so
+        another process's writes are noticed too.
+        """
+        store = self.server.store
+        deadline = time.monotonic() + timeout_s
+        while True:
+            seen = store.generation()
+            remaining = deadline - time.monotonic()
+            yield remaining
+            if remaining <= 0:
+                return
+            store.wait_change(seen, min(remaining, self.server.poll_interval_s))
+
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         try:
@@ -142,14 +166,14 @@ class _Handler(BaseHTTPRequestHandler):
     def _get(self) -> None:
         route = self._route
         if route == "/healthz":
+            pool = self.server.pool
             self._send_json(
                 200,
                 {
                     "ok": True,
                     "jobs": self.server.store.counts(),
-                    "workers_alive": (
-                        self.server.pool.alive if self.server.pool else False
-                    ),
+                    "workers_alive": pool.alive if pool else False,
+                    "workers": pool.stats() if pool else None,
                     "uptime_s": round(time.time() - self.server.started_at, 3),
                 },
             )
@@ -190,14 +214,18 @@ class _Handler(BaseHTTPRequestHandler):
         raw_wait = self._query().get("wait")
         if raw_wait:
             try:
-                wait_s = min(float(raw_wait), MAX_WAIT_S)
+                wait_s = float(raw_wait)
             except ValueError:
+                wait_s = math.nan
+            # NaN would make every wait return at once: a busy loop.
+            if not (math.isfinite(wait_s) and wait_s >= 0):
                 self._error(400, f"bad wait value: {raw_wait!r}")
                 return
-        deadline = time.monotonic() + wait_s
-        while not job.terminal and time.monotonic() < deadline:
-            time.sleep(0.05)
-            job = self.server.store.get(key)
+        if not job.terminal:
+            for remaining in self._watch(min(wait_s, MAX_WAIT_S)):
+                job = self.server.store.get(key)
+                if job.terminal or remaining <= 0:
+                    break
         self._send_json(200, {"job": job.to_dict()})
 
     def _stream_events(self, key: str) -> None:
@@ -209,8 +237,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Connection", "close")
         self.end_headers()
         last_id = 0
-        deadline = time.monotonic() + MAX_WAIT_S
-        while True:
+        for remaining in self._watch(MAX_WAIT_S):
             for line_id, line in self.server.store.progress_since(key, last_id):
                 last_id = line_id
                 self.wfile.write(f"data: {line}\n\n".encode("utf-8"))
@@ -221,11 +248,10 @@ class _Handler(BaseHTTPRequestHandler):
                 self.wfile.write(f"event: end\ndata: {state}\n\n".encode("utf-8"))
                 self.wfile.flush()
                 return
-            if time.monotonic() > deadline:
+            if remaining <= 0:
                 self.wfile.write(b"event: timeout\ndata: reconnect\n\n")
                 self.wfile.flush()
                 return
-            time.sleep(0.1)
 
     # ------------------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 - http.server API

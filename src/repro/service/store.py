@@ -35,6 +35,15 @@ a live sibling: its open only reaps leases that actually expired.  Every
 transition is one ``BEGIN IMMEDIATE`` sqlite transaction, serialized
 through an in-process lock *and* sqlite's own file locking (WAL mode +
 ``busy_timeout``), so worker threads and sibling processes claim safely.
+
+Waiting is event-driven within a process: every committed transaction
+bumps a change *generation* and wakes the threads blocked in
+:meth:`JobStore.wait_change` — idle workers, long-polls, SSE streams —
+instead of each sleeping on its own timer.  Workers wait on a narrower
+generation that only moves when a job may have become claimable
+(submit, release, a requeueing lease expiry), so progress lines and
+heartbeats never cause empty claims.  Another process's writes raise no
+signal here; waiters pass a timeout to notice them.
 """
 
 from __future__ import annotations
@@ -191,6 +200,15 @@ class JobStore:
         self.max_attempts = int(max_attempts)
         self.backoff_base_s = float(backoff_base_s)
         self._lock = threading.RLock()
+        # Change signal.  Generations are bumped under ``_changed`` only
+        # after ``_lock`` is released, and waiters never take ``_lock``
+        # while holding ``_changed``: the two locks are never nested.
+        self._changed = threading.Condition(threading.Lock())
+        self._generation = 0
+        self._claimable_generation = 0
+        # Set inside a transaction (``_lock`` held) whose commit should
+        # wake idle workers; read and reset by ``_txn``.
+        self._wakes_workers = False
         # Autocommit at the sqlite level; every mutation goes through an
         # explicit BEGIN IMMEDIATE (see _txn) so the write lock is taken
         # up front — a SELECT-then-UPDATE claim can't race a sibling
@@ -231,9 +249,10 @@ class JobStore:
 
     @contextmanager
     def _txn(self) -> Iterator[sqlite3.Connection]:
-        """One mutation as a write-locked transaction."""
+        """One mutation as a write-locked transaction; signals on commit."""
         with self._lock:
             self._conn.execute("BEGIN IMMEDIATE")
+            self._wakes_workers = False
             try:
                 yield self._conn
             except BaseException:
@@ -241,6 +260,51 @@ class JobStore:
                 raise
             else:
                 self._conn.commit()
+            claimable = self._wakes_workers
+        with self._changed:
+            self._generation += 1
+            if claimable:
+                self._claimable_generation += 1
+            self._changed.notify_all()
+
+    # ------------------------------------------------------------------
+    def _current(self, claimable: bool) -> int:
+        return self._claimable_generation if claimable else self._generation
+
+    def generation(self, claimable: bool = False) -> int:
+        """The current change generation (with ``claimable``, the
+        generation of changes that may have made a job claimable).
+
+        Read it *before* inspecting the store, then hand it to
+        :meth:`wait_change`: a change committed in between is not missed.
+        """
+        with self._changed:
+            return self._current(claimable)
+
+    def wait_change(
+        self,
+        seen: int,
+        timeout_s: float,
+        claimable: bool = False,
+        cancel: Optional[threading.Event] = None,
+    ) -> None:
+        """Block until the generation moves past ``seen``.
+
+        Also returns when ``timeout_s`` elapses (the only way to notice
+        another process's writes) or once ``cancel`` is set and
+        :meth:`wake_waiters` is called.
+        """
+        with self._changed:
+            self._changed.wait_for(
+                lambda: self._current(claimable) != seen
+                or (cancel is not None and cancel.is_set()),
+                timeout_s,
+            )
+
+    def wake_waiters(self) -> None:
+        """Make every :meth:`wait_change` caller re-check its cancel event."""
+        with self._changed:
+            self._changed.notify_all()
 
     # ------------------------------------------------------------------
     def _row_to_record(self, row: sqlite3.Row) -> JobRecord:
@@ -286,6 +350,7 @@ class JobStore:
                     "VALUES (?, ?, ?, ?)",
                     (key, json.dumps(request), QUEUED, now),
                 )
+                self._wakes_workers = True
                 return self.get(key), False
             if row["state"] in (FAILED, QUARANTINED):
                 conn.execute(
@@ -294,6 +359,7 @@ class JobStore:
                     "lease_expires_at = NULL, submitted_at = ? WHERE key = ?",
                     (QUEUED, now, key),
                 )
+                self._wakes_workers = True
                 return self.get(key), False
             return self._row_to_record(row), True
 
@@ -426,6 +492,7 @@ class JobStore:
                 "WHERE key = ? AND state = ? AND owner = ?",
                 (QUEUED, key, RUNNING, owner),
             )
+            self._wakes_workers = cursor.rowcount > 0
             return cursor.rowcount > 0
 
     def expire_leases(self) -> int:
@@ -467,6 +534,7 @@ class JobStore:
                         "lease_expires_at = NULL, not_before = ? WHERE key = ?",
                         (QUEUED, chain, now + backoff, row["key"]),
                     )
+                    self._wakes_workers = True
                 reaped += 1
         return reaped
 

@@ -4,9 +4,12 @@ Each worker is a daemon thread that claims the oldest queued job under a
 **lease**, runs it via :func:`repro.experiments.engine.run_request` (which
 fans sweep cells over the spawn-safe *process* pool and the shared
 content-addressed result cache), streams per-cell progress lines back
-into the store, and settles the terminal state.  A run whose cells failed
-permanently marks the job ``failed`` with the cell errors — partial
-figures are stored but never silently served as complete.
+into the store, and settles the terminal state.  An idle worker blocks on
+the store's change signal and wakes as soon as a job becomes claimable;
+``poll_interval_s`` is only the fallback for changes made by other
+processes.  A run whose cells failed permanently marks the job
+``failed`` with the cell errors — partial figures are stored but never
+silently served as complete.
 
 Liveness is active, not assumed: a single heartbeat thread renews the
 lease of every in-flight job (and reaps other processes' expired leases)
@@ -39,6 +42,9 @@ Runner = Callable[[SweepRequest, Progress], SweepResult]
 #: outright (exercising the lease-expiry crash path).
 ChaosHook = Callable[[str, int], None]
 
+#: Default fallback cadence for noticing other processes' store writes.
+POLL_INTERVAL_S = 0.1
+
 
 class WorkerPool:
     """Threads that claim, execute, and settle jobs from a :class:`JobStore`.
@@ -54,7 +60,12 @@ class WorkerPool:
             (``workers``, ``cache``, ``cell_timeout_s``,
             ``checkpoint_every_s``).
         runner: Test seam replacing the engine call.
-        poll_interval_s: Idle sleep between claim attempts.
+        poll_interval_s: Fallback re-claim cadence for an idle worker.
+            Submissions, releases and lease requeues made through this
+            process's store wake idle workers at once; this timer only
+            catches what raises no signal here — jobs submitted by a
+            sibling process sharing the store file, and jobs whose
+            ``not_before`` retry backoff has just ended.
         chaos_hook: Fault-injection seam; see :data:`ChaosHook`.
     """
 
@@ -64,7 +75,7 @@ class WorkerPool:
         n_workers: int = 1,
         run_kwargs: Optional[Dict[str, object]] = None,
         runner: Optional[Runner] = None,
-        poll_interval_s: float = 0.1,
+        poll_interval_s: float = POLL_INTERVAL_S,
         chaos_hook: Optional[ChaosHook] = None,
     ) -> None:
         self.store = store
@@ -111,8 +122,10 @@ class WorkerPool:
         its attempt refunded — so a graceful shutdown never burns retry
         budget or strands work until a lease times out.  The zombie
         thread's eventual settle attempt is rejected by the owner guard.
+        Idle workers are woken, so stopping never waits out a poll.
         """
         self._stop.set()
+        self.store.wake_waiters()
         for thread in self._threads:
             thread.join(timeout=timeout_s)
         if self._heartbeat_thread is not None:
@@ -149,11 +162,14 @@ class WorkerPool:
     def _loop(self) -> None:
         while not self._stop.is_set():
             try:
+                seen = self.store.generation(claimable=True)
                 job = self.store.claim()
             except Exception:  # pragma: no cover - store torn down under us
                 return
             if job is None:
-                self._stop.wait(self.poll_interval_s)
+                self.store.wait_change(
+                    seen, self.poll_interval_s, claimable=True, cancel=self._stop
+                )
                 continue
             self._execute(job)
 
@@ -209,9 +225,19 @@ class WorkerPool:
                 self._inflight.discard(key)
 
     def _settle(self, settled: bool) -> None:
-        if settled:
-            self.completed += 1
-        else:
-            # Our lease expired mid-run and the job was requeued (and
-            # possibly re-leased): the guard kept us from clobbering it.
-            self.lease_losses += 1
+        with self._inflight_lock:
+            if settled:
+                self.completed += 1
+            else:
+                # Our lease expired mid-run and the job was requeued (and
+                # possibly re-leased): the guard kept us from clobbering it.
+                self.lease_losses += 1
+
+    def stats(self) -> Dict[str, object]:
+        """In-flight job keys and settle counters, for ``/healthz``."""
+        with self._inflight_lock:
+            return {
+                "inflight": sorted(self._inflight),
+                "completed": self.completed,
+                "lease_losses": self.lease_losses,
+            }

@@ -75,7 +75,9 @@ def service(tmp_path):
     def dispatch(request, progress):
         return holder["runner"](request, progress)
 
-    pool = WorkerPool(store, n_workers=1, runner=dispatch, poll_interval_s=0.01)
+    # A 30 s fallback poll: every prompt hand-off these tests see comes
+    # from the store's change signal, not from a timer.
+    pool = WorkerPool(store, n_workers=1, runner=dispatch, poll_interval_s=30.0)
     server = make_server(store, pool, port=0)
     pool.start()
     thread = threading.Thread(
@@ -121,12 +123,20 @@ def _wait_terminal(base, key, timeout_s=10.0):
     raise AssertionError(f"job {key} never finished")
 
 
+def _until(predicate, message, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, message
+        time.sleep(0.005)
+
+
 def test_healthz_and_targets(service):
     base, _, _ = service
     status, health = _get(f"{base}/healthz")
     assert status == 200
     assert health["ok"] is True
     assert health["workers_alive"] is True
+    assert health["workers"] == {"inflight": [], "completed": 0, "lease_losses": 0}
     assert set(health["jobs"]) == {
         "queued",
         "running",
@@ -276,3 +286,92 @@ def test_sse_replays_progress_of_finished_job(service):
     assert "data: cell 1/1" in body
     assert "data: done" in body
     assert "event: end" in body
+
+
+def test_healthz_reports_inflight_and_completed_jobs(service):
+    base, _, holder = service
+    release = threading.Event()
+
+    def gated(request, progress):
+        assert release.wait(timeout=10.0)
+        return _instant_runner(request, progress)
+
+    holder["runner"] = gated
+    _, submitted = _post(f"{base}/jobs", REQUEST_BODY)
+    key = submitted["job"]["key"]
+    try:
+        _until(
+            lambda: _get(f"{base}/healthz")[1]["workers"]["inflight"] == [key],
+            "job never showed as in flight",
+        )
+    finally:
+        release.set()
+    _wait_terminal(base, key)
+    _, health = _get(f"{base}/healthz")
+    assert health["workers"] == {"inflight": [], "completed": 1, "lease_losses": 0}
+
+
+@pytest.mark.parametrize("wait", ["nan", "inf", "-inf", "-1", "soon"])
+def test_bad_wait_values_are_400(service, wait):
+    base, _, _ = service
+    _, submitted = _post(f"{base}/jobs", REQUEST_BODY)
+    key = submitted["job"]["key"]
+    status, body = _get(f"{base}/jobs/{key}?wait={wait}")
+    assert status == 400
+    assert "bad wait value" in body["error"]
+
+
+def _gated_service_job(base, holder):
+    """Submit a job whose runner emits one line, then blocks on the gate."""
+    gate = threading.Event()
+
+    def gated(request, progress):
+        progress("cell 1/2")
+        assert gate.wait(timeout=10.0)
+        progress("cell 2/2")
+        return _instant_runner(request, progress)
+
+    holder["runner"] = gated
+    _, submitted = _post(f"{base}/jobs", REQUEST_BODY)
+    return submitted["job"]["key"], gate
+
+
+def test_sse_streams_progress_of_running_job_live(service):
+    base, store, holder = service
+    key, gate = _gated_service_job(base, holder)
+    try:
+        with urllib.request.urlopen(f"{base}/jobs/{key}/events", timeout=10) as response:
+            assert response.readline() == b"data: cell 1/2\n"
+            assert store.get(key).state == "running"  # streamed before it finished
+            gate.set()
+            rest = response.read().decode("utf-8")
+    finally:
+        gate.set()
+    assert "data: cell 2/2" in rest
+    assert rest.rstrip().endswith("event: end\ndata: done")
+
+
+def test_long_poll_returns_promptly_when_job_settles(service):
+    base, store, holder = service
+    key, gate = _gated_service_job(base, holder)
+    answered = {}
+
+    def long_poll():
+        answered["body"] = _get(f"{base}/jobs/{key}?wait=10")[1]
+        answered["at"] = time.monotonic()
+
+    poller = threading.Thread(target=long_poll)
+    try:
+        _until(lambda: store.get(key).state == "running", "job never started")
+        poller.start()
+        time.sleep(0.2)  # the long-poll is now parked on a running job
+        assert "at" not in answered
+        gate.set()
+        _until(lambda: store.get(key).state == "done", "job never settled")
+        settled = time.monotonic()
+        poller.join(timeout=10.0)
+        assert not poller.is_alive()
+    finally:
+        gate.set()
+    assert answered["body"]["job"]["state"] == "done"
+    assert answered["at"] - settled < 1.0

@@ -9,6 +9,7 @@ failure without wedging the queue.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -244,5 +245,152 @@ def test_pool_drains_queue(tmp_path, n_workers):
         )
         assert pool.completed == 3
     finally:
+        pool.stop()
+        store.close()
+
+
+class CountingStore(JobStore):
+    """A store that counts :meth:`claim` calls (empty ones included)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.claims = 0
+        self._claims_lock = threading.Lock()
+
+    def claim(self, *args, **kwargs):
+        with self._claims_lock:
+            self.claims += 1
+        return super().claim(*args, **kwargs)
+
+
+def _instant(request, progress):
+    return _result(request)
+
+
+def test_idle_pool_wakes_on_submit_not_on_poll(tmp_path):
+    """With a 30 s poll, only the store's change signal can claim in time."""
+    store = CountingStore(tmp_path / "jobs.sqlite")
+    pool = WorkerPool(store, runner=_instant, poll_interval_s=30.0)
+    pool.start()
+    try:
+        _wait(lambda: store.claims >= 1, message="worker never tried a claim")
+        time.sleep(0.1)  # let the worker settle into its idle wait
+        key = _submit(store)
+        _wait(lambda: store.get(key).state == DONE, timeout_s=1.0,
+              message="idle worker did not wake for the submission")
+    finally:
+        pool.stop()
+        store.close()
+
+
+def test_sibling_store_submission_is_claimed_by_fallback_poll(tmp_path):
+    """A second store on the same file raises no signal; the poll finds it."""
+    store = JobStore(tmp_path / "jobs.sqlite")
+    sibling = JobStore(tmp_path / "jobs.sqlite", requeue=False)
+    pool = WorkerPool(store, runner=_instant, poll_interval_s=0.05)
+    pool.start()
+    try:
+        time.sleep(0.1)
+        key = _submit(sibling)
+        _wait(lambda: sibling.get(key).state == DONE, timeout_s=5.0,
+              message="sibling's job never claimed")
+        assert pool.completed == 1
+    finally:
+        pool.stop()
+        sibling.close()
+        store.close()
+
+
+def test_stop_wakes_idle_workers_at_once(tmp_path):
+    store = JobStore(tmp_path / "jobs.sqlite")
+    pool = WorkerPool(store, n_workers=2, runner=_instant, poll_interval_s=30.0)
+    pool.start()
+    try:
+        time.sleep(0.1)  # both workers idle in their 30 s wait
+        started = time.monotonic()
+        pool.stop()
+        assert time.monotonic() - started < 1.0
+        assert not pool.alive
+    finally:
+        store.close()
+
+
+def test_progress_lines_do_not_wake_idle_workers(tmp_path):
+    """Only claimable changes wake workers: 50 progress lines, no empty claims."""
+    store = CountingStore(tmp_path / "jobs.sqlite")
+    streamed = threading.Event()
+
+    def chatty_runner(request, progress):
+        for index in range(50):
+            progress(f"line {index}")
+        streamed.set()
+        return _result(request)
+
+    pool = WorkerPool(store, n_workers=2, runner=chatty_runner, poll_interval_s=30.0)
+    pool.start()
+    try:
+        _wait(lambda: store.claims >= 2, message="workers never tried a claim")
+        time.sleep(0.1)
+        key = _submit(store)
+        assert streamed.wait(timeout=10.0)
+        _wait(lambda: store.get(key).state == DONE, message="never finished")
+        time.sleep(0.2)
+        # Two startup claims, two after the submission wakes both workers,
+        # one by the finishing worker before it idles again.
+        assert store.claims <= 5
+    finally:
+        pool.stop()
+        store.close()
+
+
+def test_concurrent_submitters_lose_no_wakeup(tmp_path):
+    """8 workers, 4 submitting threads, tiny switch interval, 30 s poll.
+
+    A lost wake-up would strand a job until the 30 s fallback poll and
+    blow the 15 s budget; a double claim would run a job twice.
+    """
+    store = JobStore(tmp_path / "jobs.sqlite")
+    executed = []
+    lock = threading.Lock()
+
+    def runner(request, progress):
+        progress("running")
+        with lock:
+            executed.append(request.seeds[0])
+        return _result(request)
+
+    pool = WorkerPool(store, n_workers=8, runner=runner, poll_interval_s=30.0)
+    keys = []
+
+    def submit_range(first):
+        for seed in range(first, first + 10):
+            request = SweepRequest.from_dict(dict(REQUEST_BODY, seeds=[seed]))
+            key = request_key(request)
+            with lock:
+                keys.append(key)
+            store.submit(key, request.to_dict())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    pool.start()
+    try:
+        submitters = [
+            threading.Thread(target=submit_range, args=(first,))
+            for first in (1, 11, 21, 31)
+        ]
+        for thread in submitters:
+            thread.start()
+        for thread in submitters:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        _wait(
+            lambda: all(store.get(k).state == DONE for k in keys),
+            timeout_s=15.0,
+            message="a job was stranded: lost wake-up",
+        )
+        assert sorted(executed) == list(range(1, 41))
+        assert pool.completed == 40
+    finally:
+        sys.setswitchinterval(interval)
         pool.stop()
         store.close()
