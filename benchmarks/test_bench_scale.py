@@ -1,12 +1,11 @@
 """Scale benchmark: one quick 300-node mobile cell of the scale sweep.
 
 Times the same tiled, constant-density deployment the ``repro-uasn scale``
-sweep runs at its quick upper node count, with every cull and the bulk
-fan-out enabled — the configuration whose wall time the spatial grid,
-delta-epoch bounds and batched arrival scheduling are supposed to protect.
-The run is also a liveness check on the new machinery: a mobile 300-node
-cell must actually exercise the in-reach skip and the bulk push path, not
-just tolerate them.
+sweep runs at its quick upper node count — the configuration whose wall
+time the spatial grid and the batched arrival scheduling are supposed to
+protect.  The run is also a liveness check on both: a mobile 300-node cell
+must actually cull each broadcast to a small candidate set and schedule
+its arrivals through the bulk push, not just tolerate them.
 """
 
 from repro.experiments.scale import QUICK_NODES, scale_config
@@ -20,15 +19,16 @@ def test_scale_quick_mobile_cell(one_shot):
     perf = result.perf
     assert perf is not None
     assert perf.events > 0
+    members = config.n_sensors + config.n_sinks
+    mean_candidates = perf.grid_candidates / perf.broadcasts
     print(
         f"\nscale n={n}: {perf.events:,} events, "
         f"{perf.events_per_second:,.0f} ev/s, "
         f"cache hit {perf.cache_hit_rate:.1%}, "
-        f"{perf.rows_skipped_delta:,} delta skips, "
-        f"{perf.rows_skipped_inreach:,} in-reach skips, "
+        f"{mean_candidates:,.1f} grid candidates/broadcast of {members - 1}, "
         f"{perf.bulk_pushes:,} bulk pushes ({perf.bulk_events:,} events)"
     )
-    # The mobile cell must drive the new fast paths, not merely allow them.
-    assert perf.rows_skipped_inreach > 0
+    # The mobile cell must drive both mechanisms, not merely allow them.
+    assert mean_candidates < (members - 1) / 2
     assert perf.bulk_pushes > 0
     assert perf.bulk_events >= perf.bulk_pushes

@@ -13,7 +13,7 @@ Run:
 """
 
 from repro.experiments import Scenario, table2_config
-from repro.experiments.sweeps import PAPER_PROTOCOLS, mean
+from repro.experiments.engine import PAPER_PROTOCOLS, mean
 
 
 def describe(n_sensors: int, seed: int = 9):

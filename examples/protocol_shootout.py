@@ -13,7 +13,7 @@ Run:
 import argparse
 
 from repro.experiments import run_scenario, table2_config
-from repro.experiments.sweeps import PAPER_PROTOCOLS, mean
+from repro.experiments.engine import PAPER_PROTOCOLS, mean
 
 
 def main() -> None:

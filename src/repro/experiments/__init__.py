@@ -4,17 +4,22 @@ from ..faults import FaultPlan, FaultReport
 from .cache import ResultCache, cell_key, code_version
 from .chaos import CHAOS_PROTOCOLS, ChaosSummary, chaos, chaos_figure_plan, chaos_plan
 from .engine import (
+    PAPER_PROTOCOLS,
     EngineError,
     FigurePlan,
     SweepObserver,
     SweepRequest,
     SweepResult,
+    SweepSpec,
+    aggregate,
+    aggregate_relative,
     apply_overrides,
     observe_sweeps,
     request_key,
     request_plan,
     run_plan,
     run_request,
+    run_sweep,
     service_targets,
 )
 from .config import TABLE2, ScenarioConfig, table2_config
@@ -23,7 +28,6 @@ from .parallel import CellFailure, ParallelSweepRunner, SweepCell, expand_cells
 from .report import format_figure, write_csv
 from .ablations import ALL_ABLATIONS
 from .scenario import Scenario, ScenarioResult, run_batch_scenario, run_scenario
-from .sweeps import PAPER_PROTOCOLS, SweepSpec, aggregate, aggregate_relative, run_sweep
 from .timeline import (
     TimelineEntry,
     extra_exploitation_summary,

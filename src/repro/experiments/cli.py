@@ -112,39 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
         "so every cell is computed, and profiled, in this process)",
     )
     parser.add_argument(
-        "--no-spatial-grid",
-        action="store_true",
-        help="scale target: disable the spatial-hash reach cull (A/B "
-        "profiling; results are bit-identical either way)",
-    )
-    parser.add_argument(
-        "--no-delta-epochs",
-        action="store_true",
-        help="scale target: disable movement-bounded delta-epoch skips "
-        "(A/B profiling; results are bit-identical either way)",
-    )
-    parser.add_argument(
-        "--no-inreach-delta",
-        action="store_true",
-        help="scale target: disable the symmetric in-reach delta bound "
-        "(A/B profiling; results are bit-identical either way)",
-    )
-    parser.add_argument(
-        "--no-bulk-schedule",
-        action="store_true",
-        help="scale target: disable the batched broadcast fan-out through "
-        "the DES core's push_bulk (A/B profiling; results are "
-        "bit-identical either way)",
-    )
-    parser.add_argument(
-        "--ab-check",
-        action="store_true",
-        help="scale target: before sweeping, run the smallest cell with "
-        "the grid/delta/in-reach/bulk-schedule mechanisms on and off and "
-        "fail unless every figure metric is bit-identical (the CI "
-        "equivalence gate)",
-    )
-    parser.add_argument(
         "--verbose", action="store_true", help="print per-run progress"
     )
     parser.add_argument(
@@ -370,24 +337,9 @@ def _dispatch(args: argparse.Namespace) -> int:
             return 1
         return 0
     if args.target == "scale":
-        from .scale import QUICK_NODES, SCALE_NODES, ab_check, scale
+        from .scale import scale
 
-        if args.ab_check:
-            smallest = (QUICK_NODES if args.quick else SCALE_NODES)[0]
-            try:
-                ab_check(smallest, seed=seeds[0] if seeds else 1, progress=progress)
-            except AssertionError as exc:
-                print(f"FAIL: {exc}", file=sys.stderr)
-                return 1
-        data = scale(
-            seeds=seeds,
-            quick=args.quick,
-            progress=progress,
-            spatial_grid=not args.no_spatial_grid,
-            delta_epochs=not args.no_delta_epochs,
-            inreach_delta=not args.no_inreach_delta,
-            bulk_schedule=not args.no_bulk_schedule,
-        )
+        data = scale(seeds=seeds, quick=args.quick, progress=progress)
         print(format_figure(data))
         if args.csv:
             path = write_csv(data, Path(args.csv) / "scale.csv")

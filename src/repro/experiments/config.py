@@ -7,6 +7,7 @@ sweep override its own axis (offered load, node count, packet size, ...).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
@@ -54,41 +55,6 @@ class ScenarioConfig:
     #: the region grow together; the scale sweep's shape).
     deployment: str = "column"
     mobility: bool = True
-    #: Route channel geometry through the epoch-invalidated link-state
-    #: cache.  Results are bit-identical either way (enforced by the
-    #: equivalence tests); disable only for A/B profiling.
-    link_cache: bool = True
-    #: Cull broadcast rows to the transmitter's 3x3x3 spatial-hash cell
-    #: neighborhood (cell side = reach), so per-broadcast cost tracks
-    #: plausible receivers instead of n.  Bit-identical either way
-    #: (enforced by the grid equivalence matrix); disable only for A/B
-    #: profiling.  No effect when ``link_cache`` is off.
-    spatial_grid: bool = True
-    #: Movement-bounded delta-epochs: skip recomputing a stale cached pair
-    #: when the endpoints' accumulated displacement provably cannot have
-    #: brought it back inside delivery reach.  Bit-identical either way;
-    #: disable only for A/B profiling.  No effect when ``link_cache`` is off.
-    delta_epochs: bool = True
-    #: The symmetric in-reach delta bound: a stale pair cached farther
-    #: *inside* a mask boundary than its accumulated displacement keeps its
-    #: masks without recompute, and its delay/level recompute is deferred
-    #: to the next broadcast fan-out build.  Bit-identical either way;
-    #: disable only for A/B profiling.  No effect when ``link_cache`` is off.
-    inreach_delta: bool = True
-    #: Schedule each broadcast's arrivals as one pre-sorted batch through
-    #: the DES core's ``push_bulk`` instead of one heap push per receiver.
-    #: Bit-identical either way (sequence numbers are assigned in the same
-    #: order); disable only for A/B profiling.
-    bulk_schedule: bool = True
-    #: Recycle Arrival objects through a channel-owned free-list instead of
-    #: allocating one per delivery (the top allocation site after events).
-    #: Safe here because the MAC layer never retains arrivals past the
-    #: receive callback; raw-channel users who do retain them get fresh
-    #: allocations by default (the channel-level default is off).
-    arrival_pool: bool = True
-    #: Upper bound on free-listed Arrival objects (memory guard for
-    #: pathological delivery bursts; irrelevant when ``arrival_pool`` is off).
-    arrival_pool_cap: int = 4096
     forwarding: bool = True
     queue_limit: int = 1000
     interference_range_factor: float = 2.0
@@ -110,10 +76,20 @@ class ScenarioConfig:
             raise ValueError(f"unknown deployment {self.deployment!r}")
         if self.data_packet_bits <= 0:
             raise ValueError("data packet size must be positive")
-        if self.sim_time_s <= 0:
-            raise ValueError("simulation time must be positive")
-        if self.arrival_pool_cap < 0:
-            raise ValueError("arrival_pool_cap must be >= 0")
+        # Checked here rather than only where each value is consumed, so a
+        # bad override fails before any cell is queued: an infinite or NaN
+        # window would otherwise never finish.
+        for name in ("sim_time_s", "bitrate_bps", "comm_range_m", "sound_speed_mps", "side_m"):
+            value = getattr(self, name)
+            if not (_finite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        for name in ("warmup_s", "offered_load_kbps"):
+            value = getattr(self, name)
+            if not (_finite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        factor = self.interference_range_factor
+        if not (_finite(factor) and factor >= 1):
+            raise ValueError(f"interference_range_factor must be finite and >= 1, got {factor!r}")
 
     def with_(self, **overrides: object) -> "ScenarioConfig":
         """Copy with field overrides (sweep helper)."""
@@ -130,6 +106,14 @@ class ScenarioConfig:
     @property
     def slot_s(self) -> float:
         return self.tau_max_s + self.omega_s
+
+
+def _finite(value: object) -> bool:
+    """True for a finite real number (False for NaN, infinities, non-numbers)."""
+    try:
+        return math.isfinite(value)  # type: ignore[arg-type]
+    except TypeError:
+        return False
 
 
 def table2_config(**overrides: object) -> ScenarioConfig:

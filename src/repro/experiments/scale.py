@@ -28,7 +28,6 @@ Two design choices keep the sweep honest as a scaling measurement:
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -59,10 +58,6 @@ def scale_config(
     seed: int = 1,
     protocol: str = "EW-MAC",
     mobility: bool = True,
-    spatial_grid: bool = True,
-    delta_epochs: bool = True,
-    inreach_delta: bool = True,
-    bulk_schedule: bool = True,
 ):
     """One scale-sweep cell config: tiled columns at the Table 2 density."""
     return table2_config(
@@ -74,62 +69,7 @@ def scale_config(
         side_m=scale_side_m(n_sensors),
         mobility=mobility,
         seed=seed,
-        spatial_grid=spatial_grid,
-        delta_epochs=delta_epochs,
-        inreach_delta=inreach_delta,
-        bulk_schedule=bulk_schedule,
     )
-
-
-def ab_check(
-    n_sensors: int,
-    sim_time_s: float = 8.0,
-    seed: int = 1,
-    protocol: str = "EW-MAC",
-    mobility: bool = True,
-    progress: Progress = None,
-) -> None:
-    """Online equivalence gate: all culls on vs off must be bit-identical.
-
-    Runs one cell twice — spatial grid, delta-epochs, the in-reach delta
-    bound and the bulk-schedule fan-out all enabled, then all disabled —
-    and compares the canonical JSON of every figure metric
-    (``result.to_dict()``, which excludes perf counters).  Raises
-    AssertionError on any divergence; the CI scale-smoke job runs this so
-    an equivalence break is caught on every push, not only when the full
-    test matrix runs.
-    """
-    base = scale_config(
-        n_sensors, sim_time_s, seed=seed, protocol=protocol, mobility=mobility
-    )
-    culled = run_scenario(
-        base.with_(
-            spatial_grid=True,
-            delta_epochs=True,
-            inreach_delta=True,
-            bulk_schedule=True,
-        )
-    )
-    full = run_scenario(
-        base.with_(
-            spatial_grid=False,
-            delta_epochs=False,
-            inreach_delta=False,
-            bulk_schedule=False,
-        )
-    )
-    flat_culled = json.dumps(culled.to_dict(), sort_keys=True)
-    flat_full = json.dumps(full.to_dict(), sort_keys=True)
-    if flat_culled != flat_full:
-        raise AssertionError(
-            f"scale A/B check failed at n={n_sensors}: grid/delta/bulk run "
-            "diverged from the scalar full-scan run"
-        )
-    if progress is not None:
-        progress(
-            f"A/B check n={n_sensors}: grid+delta+inreach+bulk on == off "
-            "(bit-identical)"
-        )
 
 
 def scale(
@@ -138,22 +78,16 @@ def scale(
     progress: Progress = None,
     protocol: str = "EW-MAC",
     mobility: bool = True,
-    spatial_grid: bool = True,
-    delta_epochs: bool = True,
-    inreach_delta: bool = True,
-    bulk_schedule: bool = True,
 ) -> FigureData:
     """Run the scale sweep and return perf series keyed by counter name.
 
     Unlike the figure runners the series are *metrics*, not protocols:
     ``wall_time_s``, ``kevents_per_s`` (thousands of simulator events per
     wall-clock second), ``cache_hit_pct`` and ``grid_candidates_mean``
-    (mean spatial-hash candidate-set size per broadcast — ``n - 1`` when
-    the grid is off).  Only the first seed is used — replication averages
+    (mean spatial-hash candidate-set size per broadcast, versus ``n - 1``
+    for a full scan).  Only the first seed is used — replication averages
     wall-clock noise into the signal instead of out of it, and the
-    determinism suite already pins the metrics.  ``spatial_grid`` /
-    ``delta_epochs`` / ``inreach_delta`` / ``bulk_schedule`` expose the
-    culls and the batched fan-out for A/B scaling comparisons.
+    determinism suite already pins the metrics.
     """
     nodes = QUICK_NODES if quick else SCALE_NODES
     sim_time_s = 8.0 if quick else 30.0
@@ -163,17 +97,7 @@ def scale(
     hit_pct: list = []
     cand_mean: list = []
     for n in nodes:
-        config = scale_config(
-            n,
-            sim_time_s,
-            seed=seed,
-            protocol=protocol,
-            mobility=mobility,
-            spatial_grid=spatial_grid,
-            delta_epochs=delta_epochs,
-            inreach_delta=inreach_delta,
-            bulk_schedule=bulk_schedule,
-        )
+        config = scale_config(n, sim_time_s, seed=seed, protocol=protocol, mobility=mobility)
         start = time.perf_counter()
         result = run_scenario(config)
         elapsed = time.perf_counter() - start

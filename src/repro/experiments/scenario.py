@@ -170,13 +170,6 @@ class Scenario:
             bitrate_bps=config.bitrate_bps,
             max_range_m=config.comm_range_m,
             interference_range_factor=config.interference_range_factor,
-            use_link_cache=config.link_cache,
-            use_spatial_grid=config.spatial_grid,
-            use_delta_epochs=config.delta_epochs,
-            use_inreach_delta=config.inreach_delta,
-            use_bulk_schedule=config.bulk_schedule,
-            pool_arrivals=config.arrival_pool,
-            arrival_pool_cap=config.arrival_pool_cap,
         )
         self.timing = make_slot_timing(
             bitrate_bps=config.bitrate_bps,

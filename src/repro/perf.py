@@ -38,14 +38,10 @@ class PerfReport:
         rows_refreshed: Stale link-state rows partially recomputed (0 on a
             fully static run — every row is built once and stays warm).
         grid_candidates: Summed spatial-hash candidate-set sizes across
-            broadcasts (divide by ``broadcasts`` for the mean scan width;
-            equals ``broadcasts * (n - 1)`` with the grid disabled).
-        rows_skipped_delta: Stale pair recomputes skipped by the
-            movement-bounded delta-epoch test.
-        rows_skipped_inreach: Stale pair recomputes skipped (or deferred)
-            by the symmetric in-reach delta bound.
+            broadcasts (divide by ``broadcasts`` for the mean scan width,
+            versus ``n - 1`` for a full scan).
         bulk_pushes: Batched fan-out calls into the DES core's
-            ``push_bulk`` (one per broadcast on the bulk path).
+            ``push_bulk`` (one per broadcast that reached anyone).
         bulk_events: Arrival events scheduled through those batches.
         grid_cells: Occupied spatial-hash cells at capture time (gauge;
             accumulated via max, not sum).
@@ -66,9 +62,7 @@ class PerfReport:
     vector_batches: int = 0
     rows_refreshed: int = 0
     grid_candidates: int = 0
-    rows_skipped_delta: int = 0
     grid_cells: int = 0
-    rows_skipped_inreach: int = 0
     bulk_pushes: int = 0
     bulk_events: int = 0
     checkpoints_taken: int = 0
@@ -119,9 +113,7 @@ class PerfReport:
             vector_batches=channel_stats.vector_batches,
             rows_refreshed=channel_stats.rows_refreshed,
             grid_candidates=channel_stats.grid_candidates,
-            rows_skipped_delta=channel_stats.rows_skipped_delta,
             grid_cells=channel_stats.grid_cells,
-            rows_skipped_inreach=channel_stats.rows_skipped_inreach,
             bulk_pushes=channel_stats.bulk_pushes,
             bulk_events=channel_stats.bulk_events,
         )
@@ -143,8 +135,6 @@ class PerfReport:
             "vector_batches": self.vector_batches,
             "rows_refreshed": self.rows_refreshed,
             "grid_candidates": self.grid_candidates,
-            "rows_skipped_delta": self.rows_skipped_delta,
-            "rows_skipped_inreach": self.rows_skipped_inreach,
             "bulk_pushes": self.bulk_pushes,
             "bulk_events": self.bulk_events,
             "grid_cells": self.grid_cells,
@@ -168,9 +158,7 @@ class PerfReport:
             f"{self.rows_refreshed:,} rows refreshed",
             f"spatial grid: {self.grid_cells:,} cells, "
             f"{self.grid_candidates / self.broadcasts if self.broadcasts else 0.0:,.1f} "
-            f"mean candidates/broadcast, "
-            f"{self.rows_skipped_delta:,} delta-epoch skips, "
-            f"{self.rows_skipped_inreach:,} in-reach skips",
+            f"mean candidates/broadcast",
             f"bulk schedule: {self.bulk_pushes:,} pushes, "
             f"{self.bulk_events:,} events "
             f"({self.bulk_events / self.bulk_pushes if self.bulk_pushes else 0.0:,.1f} "
@@ -205,8 +193,6 @@ class PerfAccumulator:
             "vector_batches",
             "rows_refreshed",
             "grid_candidates",
-            "rows_skipped_delta",
-            "rows_skipped_inreach",
             "bulk_pushes",
             "bulk_events",
             "checkpoints_taken",
@@ -233,9 +219,7 @@ class PerfAccumulator:
             vector_batches=int(totals.get("vector_batches", 0)),
             rows_refreshed=int(totals.get("rows_refreshed", 0)),
             grid_candidates=int(totals.get("grid_candidates", 0)),
-            rows_skipped_delta=int(totals.get("rows_skipped_delta", 0)),
             grid_cells=int(totals.get("grid_cells", 0)),
-            rows_skipped_inreach=int(totals.get("rows_skipped_inreach", 0)),
             bulk_pushes=int(totals.get("bulk_pushes", 0)),
             bulk_events=int(totals.get("bulk_events", 0)),
             checkpoints_taken=int(totals.get("checkpoints_taken", 0)),

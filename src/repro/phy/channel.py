@@ -27,8 +27,8 @@ from ..acoustic.sinr import LinkBudget
 from ..des.events import PRIORITY_HIGH
 from ..des.simulator import Simulator
 from .frame import Frame
-from .linkcache import LinkStateCache
-from .modem import ARRIVAL_POOL_CAP, AcousticModem, Arrival
+from .modem import AcousticModem, Arrival
+from .vectorized import RowState, VectorLinkKernel
 
 #: Paper Table 2 defaults.
 DEFAULT_BITRATE_BPS = 12_000.0
@@ -39,10 +39,10 @@ DEFAULT_RANGE_M = 1500.0
 class ChannelStats:
     """Aggregate channel counters.
 
-    ``cache_hits`` / ``cache_misses`` count link-state pair lookups (both
-    stay 0 when the cache is disabled); their ratio is the headline number
-    of the perf instrumentation layer.  ``vector_batches`` counts vectorized
-    kernel passes (row builds plus partial refreshes) and ``rows_refreshed``
+    ``cache_hits`` / ``cache_misses`` count link-state pair lookups; their
+    ratio is the headline number of the perf instrumentation layer.
+    ``vector_batches`` counts vectorized kernel passes (row builds, partial
+    refreshes and on-demand point-query recomputes) and ``rows_refreshed``
     counts stale rows brought back up to date — a static cell shows builds
     only (``rows_refreshed == 0``) while a mobile cell accumulates refreshes
     every mobility tick.
@@ -51,15 +51,10 @@ class ChannelStats:
     accumulates the candidate-set size (3x3x3 cell neighborhood, excluding
     self) per broadcast — divide by ``broadcasts`` for the mean scan width,
     versus ``n - 1`` for the full scan — and ``grid_cells`` is a gauge of
-    currently occupied cells.  ``rows_skipped_delta`` counts stale pair
-    recomputes skipped by the movement-bounded delta-epoch test (the pair
-    was cached so deep out of reach that the endpoints' accumulated motion
-    could not have brought it back in reach); ``rows_skipped_inreach`` is
-    the symmetric inside-the-boundary count (masks provably unchanged,
-    scalar recompute deferred to the next fan-out build).
+    currently occupied cells.
 
-    ``bulk_pushes`` / ``bulk_events`` describe the batched fan-out path:
-    one bulk push schedules every arrival of a broadcast through
+    ``bulk_pushes`` / ``bulk_events`` describe the batched fan-out: one
+    bulk push schedules every arrival of a broadcast through
     :meth:`EventQueue.push_bulk`, so their ratio is the mean scheduled
     fan-out per transmission.
     """
@@ -73,8 +68,6 @@ class ChannelStats:
     rows_refreshed: int = 0
     grid_candidates: int = 0
     grid_cells: int = 0
-    rows_skipped_delta: int = 0
-    rows_skipped_inreach: int = 0
     bulk_pushes: int = 0
     bulk_events: int = 0
 
@@ -88,6 +81,13 @@ class ChannelStats:
 class AcousticChannel:
     """Broadcast medium binding modems, propagation and the link budget.
 
+    All geometry — broadcast fan-out, point queries and neighbour sets — is
+    served by one :class:`~repro.phy.vectorized.VectorLinkKernel`
+    (:attr:`kernel`): per-node position epochs keep un-moved pairs warm and
+    a spatial hash culls each broadcast to the transmitter's cell
+    neighborhood.  Every broadcast's arrivals are scheduled as one
+    pre-sorted batch through :meth:`Simulator.push_bulk`.
+
     Args:
         sim: The simulation kernel.
         bitrate_bps: Channel bitrate (paper: 12 kbps).
@@ -97,34 +97,8 @@ class AcousticChannel:
         per_model: Packet error model (defaults to NS-3-style threshold).
         interference_range_factor: Deliver (as interference) up to
             ``factor * max_range_m``; 1.0 reproduces the paper's model.
-        use_link_cache: Route geometry queries through the epoch-invalidated
-            :class:`LinkStateCache` (bit-identical results either way; the
-            flag exists for the equivalence tests and A/B profiling).
-        use_spatial_grid: Cull broadcast rows to the 3x3x3 spatial-hash
-            neighborhood of the transmitter (bit-identical; A/B flag).
-            Ignored when the link cache is off.
-        use_delta_epochs: Skip recomputing stale pairs whose accumulated
-            endpoint motion provably cannot have brought them back in
-            reach (bit-identical; A/B flag).  Ignored without the cache.
-        use_inreach_delta: The symmetric inside-the-boundary bound: pairs
-            cached farther inside a mask boundary than their accumulated
-            motion keep their masks without recompute, and their scalar
-            recompute is deferred to the next fan-out build
-            (bit-identical; A/B flag).  Ignored without the cache.
-        use_bulk_schedule: Schedule each broadcast's arrivals as one
-            pre-sorted batch through :meth:`Simulator.push_bulk` instead
-            of one ``push_at`` per receiver (bit-identical; A/B flag).
-            Falls back to the scalar loop when fading is active or the
-            link cache is off.
-        pool_arrivals: Recycle :class:`Arrival` objects through a
-            free-list (repopulated at modem prune time) instead of
-            allocating one per delivery.  Off by default because external
-            callers may legitimately retain Arrival references past the
-            receive callback; the scenario layer — whose MACs never do —
-            turns it on via ``ScenarioConfig.arrival_pool``.
-        arrival_pool_cap: Upper bound on free-listed Arrivals, so
-            pathological delivery bursts cannot pin memory
-            (``ScenarioConfig.arrival_pool_cap``).
+        fading: Time-varying per-link fade added to each delivered level
+            (defaults to none).
     """
 
     def __init__(
@@ -137,13 +111,6 @@ class AcousticChannel:
         per_model: Optional[PerModel] = None,
         interference_range_factor: float = 1.0,
         fading: Optional[FadingProcess] = None,
-        use_link_cache: bool = True,
-        use_spatial_grid: bool = True,
-        use_delta_epochs: bool = True,
-        use_inreach_delta: bool = True,
-        use_bulk_schedule: bool = True,
-        pool_arrivals: bool = False,
-        arrival_pool_cap: int = ARRIVAL_POOL_CAP,
     ) -> None:
         if bitrate_bps <= 0:
             raise ValueError("bitrate must be positive")
@@ -151,8 +118,6 @@ class AcousticChannel:
             raise ValueError("range must be positive")
         if interference_range_factor < 1.0:
             raise ValueError("interference_range_factor must be >= 1")
-        if arrival_pool_cap < 0:
-            raise ValueError("arrival_pool_cap must be >= 0")
         self.sim = sim
         self.bitrate_bps = bitrate_bps
         self.max_range_m = max_range_m
@@ -182,31 +147,14 @@ class AcousticChannel:
         self.extra_noise_db = 0.0
         self.stats = ChannelStats()
         self._members: Dict[int, Tuple[AcousticModem, Callable[[], Position]]] = {}
-        #: Shared Arrival free-list (None = pooling disabled).  Modems
-        #: return pruned arrivals here; ``_fan_out`` reuses them in place
-        #: of fresh allocations.  Bounded so pathological bursts cannot
-        #: pin memory.
-        self.arrival_pool: Optional[list] = [] if pool_arrivals else None
-        self.arrival_pool_cap = arrival_pool_cap
-        # Batched fan-out needs the cached per-row delay vector and bound
-        # callbacks, and per-pair fading would reintroduce a scalar loop
-        # anyway — so the bulk path is active only with the cache on and
-        # fading off; everything else falls back to the scalar loop.
-        self._bulk = use_bulk_schedule and use_link_cache and not self._fading_active
-        self.link_cache: Optional[LinkStateCache] = None
-        if use_link_cache:
-            self.link_cache = LinkStateCache(
-                self._members,
-                self.propagation,
-                self.link_budget,
-                self.max_range_m,
-                self.max_range_m * self.interference_range_factor,
-                self.stats,
-                use_spatial_grid=use_spatial_grid,
-                use_delta_epochs=use_delta_epochs,
-                use_inreach_delta=use_inreach_delta,
-                build_bulk_products=self._bulk,
-            )
+        self.kernel = VectorLinkKernel(
+            self._members,
+            self.propagation,
+            self.link_budget,
+            self.max_range_m,
+            self.max_range_m * self.interference_range_factor,
+            self.stats,
+        )
 
     # ------------------------------------------------------------------
     def create_modem(self, node_id: int, position_fn: Callable[[], Position]) -> AcousticModem:
@@ -215,8 +163,7 @@ class AcousticChannel:
             raise ValueError(f"node id {node_id} already registered")
         modem = AcousticModem(self.sim, node_id, self)
         self._members[node_id] = (modem, position_fn)
-        if self.link_cache is not None:
-            self.link_cache.add_node(node_id)
+        self.kernel.add_node(node_id)
         return modem
 
     def note_position_change(self, node_id: Optional[int] = None) -> None:
@@ -227,8 +174,7 @@ class AcousticChannel:
         every epoch bumps and all positions are re-read — the conservative
         form for callers that mutated positions out-of-band.
         """
-        if self.link_cache is not None:
-            self.link_cache.invalidate(node_id)
+        self.kernel.invalidate(node_id)
 
     def position_of(self, node_id: int) -> Position:
         """Current position of a registered node."""
@@ -241,161 +187,80 @@ class AcousticChannel:
     def node_ids(self) -> Tuple[int, ...]:
         return tuple(self._members.keys())
 
+    def _pair(self, a: int, b: int) -> Tuple[RowState, int]:
+        """Transmitter ``a``'s fresh row and ``b``'s index, entry validated."""
+        kernel = self.kernel
+        row = kernel.row(a)
+        j = kernel.index_of(b)
+        kernel.ensure_pair(row, j)
+        return row, j
+
     def distance_m(self, a: int, b: int) -> float:
         """Current geometric distance between two registered nodes."""
-        if self.link_cache is not None:
-            return self.link_cache.link(a, b).distance_m
-        return self.position_of(a).distance_to(self.position_of(b))
+        row, j = self._pair(a, b)
+        return float(row.distance_m[j])
 
     def propagation_delay_s(self, a: int, b: int) -> float:
         """Ground-truth propagation delay between two registered nodes."""
-        if self.link_cache is not None:
-            return self.link_cache.link(a, b).delay_s
-        return self.propagation.delay_s(
-            self.position_of(a), self.position_of(b), pair=(a, b)
-        )
+        row, j = self._pair(a, b)
+        return float(row.delay_s[j])
 
     def neighbors_of(self, node_id: int) -> Tuple[int, ...]:
         """Ground-truth one-hop neighbours (in decode range, alive) now."""
-        if self.link_cache is not None:
-            # Geometry comes from the cache; liveness is read fresh so
-            # failure injection is reflected without an epoch bump.
-            members = self._members
-            return tuple(
-                other
-                for other in self.link_cache.in_range_ids(node_id)
-                if members[other][0].enabled
-            )
-        origin = self.position_of(node_id)
+        # Geometry comes from the kernel; liveness is read fresh so failure
+        # injection is reflected without an epoch bump.
+        kernel = self.kernel
+        members = self._members
         return tuple(
             other
-            for other, (modem, pos_fn) in self._members.items()
-            if other != node_id
-            and modem.enabled
-            and origin.distance_to(pos_fn()) <= self.max_range_m
+            for other in kernel.decode_ids(kernel.row(node_id))
+            if members[other][0].enabled
         )
 
     # ------------------------------------------------------------------
     def broadcast(self, tx_modem: AcousticModem, frame: Frame, duration_s: float) -> None:
-        """Deliver ``frame`` to every modem in range, after propagation.
+        """Deliver ``frame`` to every modem in reach, after propagation.
 
-        Both paths produce an identical in-reach target list — the cached
-        one from the vector kernel's precomputed per-row fan-out, the
-        uncached one from a fresh scalar scan — and hand it to the shared
-        :meth:`_fan_out`, so Arrival construction and scheduling cannot
-        diverge between them.
+        The in-reach targets come from the kernel's cached per-row fan-out
+        list, in registration order.  Arrival times are one vectorized add
+        over the row's cached delay vector (IEEE-identical to a scalar
+        ``now + delay``), and the whole batch is heap-inserted by one
+        :meth:`Simulator.push_bulk` with sequence numbers in target order —
+        so pop order, and every downstream RNG draw, matches one
+        ``push_at`` per target.  Fading, when active, is drawn per target
+        in that same order.
         """
-        self.stats.broadcasts += 1
-        tx_id = tx_modem.node_id
-        cache = self.link_cache
-        if cache is not None:
-            row = cache.broadcast_row(tx_id)
-            targets = cache.deliveries(row)
-            self.stats.out_of_range_skips += row.skips
-            self.stats.grid_candidates += row.candidate_count
-            if self._bulk and targets:
-                self._fan_out_bulk(tx_id, frame, duration_s, targets, row)
-            else:
-                self._fan_out(tx_id, frame, duration_s, targets)
-            return
-        tx_pos = self.position_of(tx_id)
-        reach = self.max_range_m * self.interference_range_factor
-        targets = []
-        skips = 0
-        for node_id, (modem, pos_fn) in self._members.items():
-            if node_id == tx_id:
-                continue
-            rx_pos = pos_fn()
-            distance = tx_pos.distance_to(rx_pos)
-            if distance > reach:
-                skips += 1
-                continue
-            targets.append(
-                (
-                    node_id,
-                    modem,
-                    self.propagation.delay_s(tx_pos, rx_pos, pair=(tx_id, node_id)),
-                    self.link_budget.received_level_db(distance),
-                )
-            )
-        self.stats.out_of_range_skips += skips
-        self._fan_out(tx_id, frame, duration_s, targets)
-
-    def _fan_out(
-        self,
-        tx_id: int,
-        frame: Frame,
-        duration_s: float,
-        targets: "list[Tuple[int, AcousticModem, float, float]]",
-    ) -> None:
-        """Schedule one Arrival per in-reach target ``(id, modem, delay, level)``."""
-        now = self.sim.now
         stats = self.stats
-        push_at = self.sim.push_at
-        fading_active = self._fading_active
-        pool = self.arrival_pool
-        for node_id, modem, delay, level in targets:
-            if fading_active:
-                level += self.fading.fade_db((tx_id, node_id), now)
-            start = now + delay
-            if pool:
-                # Recycle a pruned Arrival: every field is overwritten, and
-                # pruning only returns arrivals whose finish event already
-                # fired, so no live reference can observe the reuse.
-                arrival = pool.pop()
-                arrival.frame = frame
-                arrival.src = tx_id
-                arrival.start = start
-                arrival.end = start + duration_s
-                arrival.level_db = level
-                arrival.delay_s = delay
-            else:
-                arrival = Arrival(frame, tx_id, start, start + duration_s, level, delay)
-            # High priority so arrivals register before same-instant MAC logic.
-            push_at(start, modem.begin_arrival, (arrival,), PRIORITY_HIGH)
-        stats.deliveries += len(targets)
-
-    def _fan_out_bulk(
-        self,
-        tx_id: int,
-        frame: Frame,
-        duration_s: float,
-        targets: "list[Tuple[int, AcousticModem, float, float]]",
-        row,
-    ) -> None:
-        """Batched fan-out: one :meth:`Simulator.push_bulk` per broadcast.
-
-        Arrival times come from one vectorized add over the row's cached
-        delay vector (IEEE-identical to the scalar ``now + delay``), and
-        the whole batch is heap-inserted in a single pass with sequence
-        numbers in target order — so pop order, and therefore every
-        downstream RNG draw, matches the scalar loop bit for bit.
-        """
+        stats.broadcasts += 1
+        tx_id = tx_modem.node_id
+        kernel = self.kernel
+        row = kernel.row(tx_id)
+        targets = kernel.deliveries(row)
+        stats.out_of_range_skips += row.skips
+        stats.grid_candidates += row.candidate_count
+        if not targets:
+            return
         now = self.sim.now
         starts = now + row.delivery_delays
         ends = starts + duration_s
         starts_l = starts.tolist()
         ends_l = ends.tolist()
-        pool = self.arrival_pool
-        arrivals = []
-        append = arrivals.append
-        for target, start, end in zip(targets, starts_l, ends_l):
-            if pool:
-                arrival = pool.pop()
-                arrival.frame = frame
-                arrival.src = tx_id
-                arrival.start = start
-                arrival.end = end
-                arrival.level_db = target[3]
-                arrival.delay_s = target[2]
-            else:
-                arrival = Arrival(frame, tx_id, start, end, target[3], target[2])
-            append(arrival)
+        if self._fading_active:
+            fade_db = self.fading.fade_db
+            arrivals = [
+                Arrival(frame, tx_id, start, end, level + fade_db((tx_id, rx_id), now), delay)
+                for (rx_id, _, delay, level), start, end in zip(targets, starts_l, ends_l)
+            ]
+        else:
+            arrivals = [
+                Arrival(frame, tx_id, start, end, level, delay)
+                for (_, _, delay, level), start, end in zip(targets, starts_l, ends_l)
+            ]
+        # High priority so arrivals register before same-instant MAC logic;
         # zip(arrivals) builds the per-event 1-tuple args at C speed.
         self.sim.push_bulk(
             starts_l, row.delivery_callbacks, list(zip(arrivals)), PRIORITY_HIGH
         )
-        stats = self.stats
         stats.deliveries += len(targets)
         stats.bulk_pushes += 1
         stats.bulk_events += len(targets)

@@ -34,12 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: level values, same order), so the threshold is purely a speed knob.
 VECTOR_SCAN_MIN = 16
 
-#: Default cap on the shared Arrival free-list (see
-#: ``AcousticChannel.arrival_pool``); per-channel via the
-#: ``arrival_pool_cap`` constructor argument / ``ScenarioConfig`` field.
-ARRIVAL_POOL_CAP = 4096
-
-
 class RxOutcome(Enum):
     """Why an arrival was or was not decoded."""
 
@@ -154,7 +148,6 @@ class AcousticModem:
         self._per_model = channel.per_model
         self._per_rng = channel.per_rng
         self._push_at = sim.push_at
-        self._pool_cap = channel.arrival_pool_cap
         self.on_receive: Optional[Callable[[Frame, Arrival], None]] = None
         self.on_rx_failure: Optional[Callable[[Arrival, RxOutcome], None]] = None
         self._tx_intervals: List[_TxInterval] = []
@@ -246,11 +239,6 @@ class AcousticModem:
             return
         if not self.rx_enabled:
             self.stats.rx_outage += 1
-            # No finish event will ever fire for this arrival, so it can go
-            # straight back to the free-list when pooling is on.
-            pool = self.channel.arrival_pool
-            if pool is not None and len(pool) < self._pool_cap:
-                pool.append(arrival)
             return
         slot = len(self._arrivals)
         if slot == len(self._arr_start):
@@ -376,14 +364,9 @@ class AcousticModem:
         if not arrivals or arrivals[0].end >= horizon:
             return
         # Compact list and parallel arrays in lock-step, reassigning slots.
-        # Pruned arrivals' finish events have already fired (they end before
-        # the horizon, which trails now), so with pooling on they can be
-        # recycled — no MAC retains arrivals past its receive callback.
         starts = self._arr_start
         ends = self._arr_end
         levels = self._arr_level
-        pool = self.channel.arrival_pool
-        cap = self._pool_cap
         kept: List[Arrival] = []
         for a in arrivals:
             if a.end >= horizon:
@@ -393,6 +376,4 @@ class AcousticModem:
                 ends[slot] = a.end
                 levels[slot] = a.level_db
                 kept.append(a)
-            elif pool is not None and len(pool) < cap:
-                pool.append(a)
         self._arrivals = kept

@@ -14,8 +14,8 @@ a single vectorized pass, and replaces the global position epoch with
 Per-node epochs alone still hit an O(n²) wall when the mobility model moves
 *every* node each tick: each broadcast then refreshes a full O(n) row even
 though acoustic reach is bounded and only a handful of receivers matter.
-Two coordinated mechanisms make broadcast cost proportional to *plausible
-receivers* instead:
+The spatial hash grid makes broadcast cost proportional to *plausible
+receivers* instead.
 
 Spatial hash grid
 -----------------
@@ -28,44 +28,17 @@ computes/refreshes exactly them.  Non-candidates are provably out of reach
 candidate set is finished with an *exact* distance mask, so results stay
 bit-identical to the full scan.  Cell membership only changes when a node
 crosses a cell boundary (rare at drift speeds), and candidate gathers are
-reused until some node changes cell (``cells_epoch``).
-
-Movement-bounded delta-epochs
------------------------------
-Every node accumulates its total displacement (``disp``) as it moves.
-Each cached pair stamps ``disp[tx] + disp[rx]`` at compute time, so at
-refresh time ``(disp[tx] + disp[rx]) - disp_stamp`` bounds from above how
-far the pair's distance can have drifted since its entry was computed
-(triangle inequality).  A stale pair whose cached distance exceeds
-``reach_m`` by more than that bound *cannot* have re-entered reach, so its
-recompute is skipped outright: the masks it would recompute are provably
-still ``False``, and its scalar fields are never read by the broadcast
-path while out of reach (point queries validate per-pair stamps and
-recompute on demand, see :meth:`ensure_pair`).  The bound is conservative,
-so skipping is bit-identical by construction.
-
-The bound works symmetrically on the *inside* of the boundaries
-(``use_inreach_delta``): a pair cached deeper inside the decode range than
-its accumulated motion cannot have left it (both masks provably stay
-``True``), and with an interference annulus (``reach_m > max_range_m``) a
-pair cached farther from both boundaries than its motion stays
-interference-only (``in_reach`` ``True``, ``in_decode`` ``False``).  Unlike
-the out-of-reach skip, an in-reach pair's *scalars* (delay, level) feed
-delivered arrivals, so an in-reach skip defers rather than discards that
-work: the row is flagged ``scalars_stale`` and :meth:`deliveries` lazily
-recomputes exactly the stale in-reach entries before building a fan-out
-list.  Mask-only consumers — neighbour sets, decode-range queries — never
-pay for the deferred scalars at all, and repeated movement between
-fan-outs collapses several recomputes into one.
+reused until some node changes cell (``cells_epoch``).  A point query for a
+non-candidate pair recomputes that one entry on demand
+(:meth:`ensure_pair`).
 
 Layout
 ------
 :class:`VectorLinkKernel` keeps, in registration order (which is also the
-member-dict iteration order the scalar path used):
+member-dict iteration order of the full scan):
 
 * ``xs / ys / zs`` — node coordinates as float64 arrays;
 * ``epoch`` — one int64 counter per node, bumped when *that* node moves;
-* ``disp`` — cumulative displacement (m) per node, the delta-epoch bound;
 * ``total_epoch`` — the sum of all bumps, used as an O(1) "did anything
   move since this row was refreshed?" check per broadcast;
 * a cell hash (``dict[(cx, cy, cz)] -> [indices]``) for reach culling;
@@ -81,7 +54,7 @@ from the candidate neighborhood before ever being computed).
 
 Bit-identity
 ------------
-Results are bit-identical with the scalar uncached path (gated by the
+Results are bit-identical with the scalar full-scan reference (gated by the
 equivalence matrix and property tests): subtraction, multiplication,
 ``sqrt`` and division round identically in NumPy and CPython, distances are
 squared with explicit multiplies on both paths (see
@@ -90,15 +63,13 @@ are allowed to round differently — ``log10`` — stays on libm inside
 :meth:`PathLossModel.path_loss_db_batch`.  Propagation models whose delay
 is not a pure function of geometry fall back to a scalar per-pair loop in
 :meth:`PropagationModel.delay_s_batch`, which is bit-identical by
-construction.  The grid and delta-epoch culls never change a computed
-value — they only skip computing entries whose masks are provably
-``False`` — and both are A/B-gated by ``ScenarioConfig.spatial_grid`` /
-``ScenarioConfig.delta_epochs``.
+construction.  The grid cull never changes a computed value — it only
+skips computing entries whose masks are provably ``False``.
 
 Memory
 ------
 Row storage is bounded: at most ``row_budget_entries`` cached pair entries
-(~``budget * 42`` bytes).  Beyond that — thousand-node ``scale`` sweeps —
+(~``budget * 34`` bytes).  Beyond that — thousand-node ``scale`` sweeps —
 rows are evicted least-recently-used; recomputing an evicted row is one
 vectorized pass over the candidate set, not a per-pair scalar walk.
 """
@@ -132,49 +103,32 @@ class RowState:
     Attributes:
         n: Member count the row was sized for (a membership change makes
             the row unusable and it is rebuilt from scratch).
-        idx: The transmitter's member index (epoch lookups for the lazy
-            in-reach scalar fix-up in :meth:`VectorLinkKernel.deliveries`).
+        idx: The transmitter's member index.
         total_epoch: Kernel ``total_epoch`` at the last freshness check —
             when it still matches, nothing anywhere moved and the row is
             served without touching any array.
         stamp: Per-pair epoch sums at compute time (staleness detector);
             ``-1`` marks entries never computed (grid-culled).
-        disp_stamp: Per-pair ``disp[tx] + disp[rx]`` at compute time —
-            the baseline the movement-bounded skip measures drift against.
         distance_m / delay_s / level_db: Pair scalars, aligned with the
-            registration order (only candidate entries are ever valid
-            when the spatial grid is active).
+            registration order (only candidate entries are kept fresh).
         in_reach: Delivery reach mask (decode range × interference factor).
         in_decode: Hard communication-range mask (neighbour relation).
         candidates: Sorted member indices in the transmitter's 3x3x3 cell
-            neighborhood (``None`` when the grid is disabled: every index
-            is a candidate).
+            neighborhood.
         cands_epoch: Kernel ``cells_epoch`` when ``candidates`` was
             gathered; a mismatch forces a re-gather.
-        candidate_count: Candidates excluding self (``n - 1`` without the
-            grid) — the per-broadcast figure behind ``grid_candidates``.
+        candidate_count: Candidates excluding self — the per-broadcast
+            figure behind ``grid_candidates``.
         deliveries: Lazily built broadcast fan-out list of
             ``(rx_id, modem, delay_s, level_db)`` for in-reach receivers,
             in registration order; invalidated by any refresh.
         skips: Out-of-reach receiver count backing the channel's
             ``out_of_range_skips`` counter (valid once ``deliveries`` is).
         decode_ids: Lazily built tuple of in-decode-range node ids.
-        scalars_stale: True while some in-reach entry's scalars were
-            skipped by the in-reach delta bound; cleared by the lazy
-            fix-up when :meth:`VectorLinkKernel.deliveries` next runs.
-        stale_mask: Per-member flags marking exactly the in-reach entries
-            the bound skipped (allocated on first skip).  The skip proof
-            guarantees those entries' masks did not change, so the cached
-            ``deliveries`` list survives the skip and the fix-up patches
-            only the flagged positions instead of rebuilding the row's
-            fan-out products from scratch.
-        delivery_js: Member indices backing ``deliveries``, in order —
-            the fix-up's map from flagged entries to list positions.
-        delivery_delays: Bulk-schedule product (when enabled): the
-            in-reach entries' delays as a contiguous float64 vector,
-            aligned with ``deliveries``.
-        delivery_callbacks: Bulk-schedule product: the in-reach modems'
-            bound ``begin_arrival`` methods, aligned with ``deliveries``.
+        delivery_delays: The in-reach entries' delays as a contiguous
+            float64 vector, aligned with ``deliveries`` (bulk fan-out).
+        delivery_callbacks: The in-reach modems' bound ``begin_arrival``
+            methods, aligned with ``deliveries`` (bulk fan-out).
     """
 
     __slots__ = (
@@ -182,7 +136,6 @@ class RowState:
         "idx",
         "total_epoch",
         "stamp",
-        "disp_stamp",
         "distance_m",
         "delay_s",
         "level_db",
@@ -194,39 +147,49 @@ class RowState:
         "deliveries",
         "skips",
         "decode_ids",
-        "scalars_stale",
-        "stale_mask",
-        "delivery_js",
         "delivery_delays",
         "delivery_callbacks",
     )
 
-    def __init__(self, n: int, idx: int = -1) -> None:
+    def __init__(self, n: int, idx: int) -> None:
         self.n = n
         self.idx = idx
         self.total_epoch = -1
         self.stamp = np.full(n, _NEVER, dtype=np.int64)
-        self.disp_stamp = np.zeros(n, dtype=np.float64)
         self.distance_m = np.empty(n, dtype=np.float64)
         self.delay_s = np.empty(n, dtype=np.float64)
         self.level_db = np.empty(n, dtype=np.float64)
         self.in_reach = np.zeros(n, dtype=bool)
         self.in_decode = np.zeros(n, dtype=bool)
-        self.candidates: Optional[np.ndarray] = None
+        self.candidates = np.empty(0, dtype=np.intp)
         self.cands_epoch = -1
-        self.candidate_count = n - 1
+        self.candidate_count = 0
         self.deliveries: Optional[List[Tuple[int, "AcousticModem", float, float]]] = None
         self.skips = 0
         self.decode_ids: Optional[Tuple[int, ...]] = None
-        self.scalars_stale = False
-        self.stale_mask: Optional[np.ndarray] = None
-        self.delivery_js: Optional[np.ndarray] = None
         self.delivery_delays: Optional[np.ndarray] = None
         self.delivery_callbacks: Optional[List[Callable]] = None
 
+    def drop_products(self) -> None:
+        """Forget the mask-derived products after the masks may have changed."""
+        self.deliveries = None
+        self.decode_ids = None
+        self.delivery_delays = None
+        self.delivery_callbacks = None
+
 
 class VectorLinkKernel:
-    """Struct-of-arrays link-state store with spatial-hash reach culling."""
+    """Struct-of-arrays link-state store with spatial-hash reach culling.
+
+    The kernel shares the channel's live member registry (``node_id ->
+    (modem, position_fn)``); the channel reports movement through
+    :meth:`invalidate` (per node, or globally with ``None``) and
+    registration through :meth:`add_node`.  Hits and misses are counted
+    into the owning channel's :class:`~repro.phy.channel.ChannelStats`
+    with whole-row granularity: a broadcast whose row is warm counts
+    ``n - 1`` hits, a refresh counts one miss per stale pair and one hit
+    per still-warm pair.
+    """
 
     __slots__ = (
         "_members",
@@ -241,7 +204,6 @@ class VectorLinkKernel:
         "_ys",
         "_zs",
         "_epoch",
-        "_disp",
         "_ids_arr",
         "_n",
         "total_epoch",
@@ -249,10 +211,6 @@ class VectorLinkKernel:
         "_row_budget",
         "_max_rows",
         "_lru_active",
-        "_use_grid",
-        "_use_delta",
-        "_use_delta_in",
-        "_bulk",
         "_cell_m",
         "_cells",
         "_cell_key",
@@ -268,10 +226,6 @@ class VectorLinkKernel:
         reach_m: float,
         stats: "ChannelStats",
         row_budget_entries: int = DEFAULT_ROW_BUDGET_ENTRIES,
-        use_spatial_grid: bool = True,
-        use_delta_epochs: bool = True,
-        use_inreach_delta: bool = True,
-        build_bulk_products: bool = False,
     ) -> None:
         self._members = members
         self._propagation = propagation
@@ -286,7 +240,6 @@ class VectorLinkKernel:
         self._ys = np.empty(capacity, dtype=np.float64)
         self._zs = np.empty(capacity, dtype=np.float64)
         self._epoch = np.zeros(capacity, dtype=np.int64)
-        self._disp = np.zeros(capacity, dtype=np.float64)
         self._ids_arr = np.empty(capacity, dtype=np.int64)
         self._n = 0
         #: Monotonic sum of every per-node epoch bump (plus registrations);
@@ -296,14 +249,6 @@ class VectorLinkKernel:
         self._row_budget = row_budget_entries
         self._max_rows = row_budget_entries
         self._lru_active = False
-        self._use_grid = use_spatial_grid
-        self._use_delta = use_delta_epochs
-        self._use_delta_in = use_inreach_delta
-        #: Cache the bulk-schedule fan-out products (delay vector + bound
-        #: ``begin_arrival`` callbacks) alongside each row's delivery list.
-        #: Off unless the owning channel's bulk path can actually use them,
-        #: so A/B off-runs do not pay for building them.
-        self._bulk = build_bulk_products
         #: Cell side: one reach radius, so a 3x3x3 neighborhood is a strict
         #: superset of the in-reach ball from anywhere inside the center cell.
         self._cell_m = reach_m
@@ -332,8 +277,7 @@ class VectorLinkKernel:
 
         Bumps :attr:`total_epoch` so cached neighbour sets recompute, and
         existing rows (sized for the old member count) rebuild on next use
-        — matching the uncached path, where a freshly registered modem is
-        visible to the very next query.
+        — so a freshly registered modem is visible to the very next query.
         """
         if node_id in self._index:
             return
@@ -345,66 +289,57 @@ class VectorLinkKernel:
         self._ys[idx] = pos.y
         self._zs[idx] = pos.z
         self._epoch[idx] = 0
-        self._disp[idx] = 0.0
         self._ids_arr[idx] = node_id
         self._ids.append(node_id)
         self._index[node_id] = idx
         self._n = idx + 1
         self.total_epoch += 1
-        if self._use_grid:
-            key = self._cell_of(pos.x, pos.y, pos.z)
-            self._cell_key.append(key)
-            self._cells.setdefault(key, []).append(idx)
-            self.cells_epoch += 1
-            self._stats.grid_cells = len(self._cells)
+        key = self._cell_of(pos.x, pos.y, pos.z)
+        self._cell_key.append(key)
+        self._cells.setdefault(key, []).append(idx)
+        self.cells_epoch += 1
+        self._stats.grid_cells = len(self._cells)
         self._max_rows = max(16, self._row_budget // self._n)
         self._lru_active = self._n > self._max_rows
 
     def _grow(self) -> None:
         capacity = len(self._xs) * 2
-        for name in ("_xs", "_ys", "_zs", "_epoch", "_disp", "_ids_arr"):
+        for name in ("_xs", "_ys", "_zs", "_epoch", "_ids_arr"):
             old = getattr(self, name)
             fresh = np.empty(capacity, dtype=old.dtype)
             fresh[: self._n] = old[: self._n]
-            if name in ("_epoch", "_disp"):
+            if name == "_epoch":
                 fresh[self._n :] = 0
             setattr(self, name, fresh)
 
     def _move_node(self, idx: int, pos: Position) -> None:
-        """Update one node's coordinates, displacement bound and cell."""
-        dx = pos.x - self._xs[idx]
-        dy = pos.y - self._ys[idx]
-        dz = pos.z - self._zs[idx]
-        self._disp[idx] += math.sqrt(dx * dx + dy * dy + dz * dz)
+        """Update one node's coordinates, epoch and cell."""
         self._xs[idx] = pos.x
         self._ys[idx] = pos.y
         self._zs[idx] = pos.z
         self._epoch[idx] += 1
-        if self._use_grid:
-            key = self._cell_of(pos.x, pos.y, pos.z)
-            old = self._cell_key[idx]
-            if key != old:
-                bucket = self._cells[old]
-                bucket.remove(idx)
-                if not bucket:
-                    del self._cells[old]
-                self._cells.setdefault(key, []).append(idx)
-                self._cell_key[idx] = key
-                self.cells_epoch += 1
-                self._stats.grid_cells = len(self._cells)
+        key = self._cell_of(pos.x, pos.y, pos.z)
+        old = self._cell_key[idx]
+        if key != old:
+            bucket = self._cells[old]
+            bucket.remove(idx)
+            if not bucket:
+                del self._cells[old]
+            self._cells.setdefault(key, []).append(idx)
+            self._cell_key[idx] = key
+            self.cells_epoch += 1
+            self._stats.grid_cells = len(self._cells)
 
     def invalidate(self, node_id: Optional[int] = None) -> None:
         """Note that ``node_id`` moved (or, with ``None``, that anything
         may have: every epoch bumps and every position is re-read)."""
         if node_id is None:
-            n = self._n
             members = self._members
             ids = self._ids
-            for idx in range(n):
+            # Bumps every epoch unconditionally, which is exactly the
+            # conservative contract of a global invalidation.
+            for idx in range(self._n):
                 self._move_node(idx, members[ids[idx]][1]())
-            # _move_node bumps only genuinely moved epochs via coordinates?
-            # No: it bumps unconditionally, which is exactly the conservative
-            # contract of a global invalidation.
             self.total_epoch += 1
             return
         idx = self._index[node_id]
@@ -420,7 +355,7 @@ class VectorLinkKernel:
         Fast path — nothing anywhere moved since the last check — is two
         integer comparisons.  Otherwise stale pairs are recomputed in one
         vectorized pass over exactly the dirty entries of the candidate
-        set (every entry, when the spatial grid is disabled).
+        set.
         """
         idx = self._index[node_id]
         rows = self._rows
@@ -468,26 +403,14 @@ class VectorLinkKernel:
         cands.sort()
         return cands
 
-    def _compute(
-        self,
-        idx: int,
-        row: RowState,
-        targets: np.ndarray,
-        keep_products: bool = False,
-    ) -> None:
+    def _compute(self, idx: int, row: RowState, targets: np.ndarray) -> None:
         """Vectorized pass filling ``row`` at ``targets`` (member indices).
 
-        Also stamps the computed pairs' epoch sums and displacement
-        baselines, so every compute path (build, refresh, on-demand point
-        query) maintains the staleness detectors identically.
-
-        ``keep_products`` is for callers holding a masks-stable proof —
-        the lazy in-reach fix-up and point queries on a fresh row, where
-        every recomputed entry is either a skip (masks proven unchanged)
-        or provably out of reach (grid cull / out-of-reach bound).  The
-        derived products (``deliveries``, ``decode_ids``, the bulk
-        vectors) are membership functions of the masks, so they survive
-        such a recompute; the caller patches any stale scalar copies.
+        Also stamps the computed pairs' epoch sums, so every compute path
+        (build, refresh, on-demand point query) maintains the staleness
+        detector identically.  The derived products are the caller's to
+        drop: a point query recomputes only pairs whose masks are provably
+        unchanged, so it keeps them.
         """
         xs, ys, zs = self._xs, self._ys, self._zs
         x0, y0, z0 = xs[idx], ys[idx], zs[idx]
@@ -510,120 +433,47 @@ class VectorLinkKernel:
         row.in_reach[targets] = dist <= self._reach_m
         row.in_decode[targets] = dist <= self._max_range_m
         row.stamp[targets] = self._epoch[idx] + self._epoch[targets]
-        row.disp_stamp[targets] = self._disp[idx] + self._disp[targets]
         # The self pair is never delivered to and never queried.
         row.in_reach[idx] = False
         row.in_decode[idx] = False
-        if not keep_products:
-            row.deliveries = None
-            row.decode_ids = None
-            row.delivery_js = None
-            row.delivery_delays = None
-            row.delivery_callbacks = None
         self._stats.vector_batches += 1
 
     def _build(self, idx: int) -> RowState:
-        n = self._n
-        row = RowState(n, idx)
-        if self._use_grid:
-            cands = self._candidates_for(idx)
-            row.candidates = cands
-            row.cands_epoch = self.cells_epoch
-            row.candidate_count = len(cands) - 1
-            self._compute(idx, row, cands)
-            self._stats.cache_misses += len(cands) - 1
-        else:
-            self._compute(idx, row, np.arange(n))
-            self._stats.cache_misses += n - 1
+        row = RowState(self._n, idx)
+        cands = self._candidates_for(idx)
+        row.candidates = cands
+        row.cands_epoch = self.cells_epoch
+        row.candidate_count = len(cands) - 1
+        self._compute(idx, row, cands)
+        self._stats.cache_misses += len(cands) - 1
         row.total_epoch = self.total_epoch
         return row
 
     def _refresh(self, idx: int, row: RowState) -> None:
         n = self._n
         stats = self._stats
-        if self._use_grid:
-            cands = row.candidates
-            if row.cands_epoch != self.cells_epoch:
-                cands = self._candidates_for(idx)
-                departed = np.setdiff1d(row.candidates, cands, assume_unique=True)
-                if departed.size:
-                    # A node that left the neighborhood is provably out of
-                    # reach; clear its (possibly stale-True) masks and mark
-                    # its entry never-computed so re-entry recomputes.
-                    row.in_reach[departed] = False
-                    row.in_decode[departed] = False
-                    row.stamp[departed] = _NEVER
-                    row.deliveries = None
-                    row.decode_ids = None
-                    row.delivery_js = None
-                    row.delivery_delays = None
-                    row.delivery_callbacks = None
-                row.candidates = cands
-                row.cands_epoch = self.cells_epoch
-                row.candidate_count = len(cands) - 1
-            expected = self._epoch[idx] + self._epoch[cands]
-            stale = row.stamp[cands] != expected
-            stale[np.searchsorted(cands, idx)] = False
-            dirty = cands[stale]
-        else:
-            expected = self._epoch[idx] + self._epoch[:n]
-            stale = row.stamp != expected
-            stale[idx] = False
-            dirty = np.nonzero(stale)[0]
-        if dirty.size and (self._use_delta or self._use_delta_in):
-            # Movement-bounded skips: the accumulated motion of both
-            # endpoints since a pair's compute bounds |d_now - d_cached|
-            # (triangle inequality), so a pair cached farther from a mask
-            # boundary than that bound cannot have crossed it.
-            motion = (self._disp[idx] + self._disp[dirty]) - row.disp_stamp[dirty]
-            dist = row.distance_m[dirty]
-            known = row.stamp[dirty] != _NEVER
-            skip: Optional[np.ndarray] = None
-            if self._use_delta:
-                # Outside delivery reach by more than the motion bound:
-                # both masks are provably still False and nothing else of
-                # the entry is read while it stays out of reach.
-                skip = known & (dist - self._reach_m > motion)
-                skipped = int(np.count_nonzero(skip))
-                if skipped:
-                    stats.rows_skipped_delta += skipped
-            if self._use_delta_in:
-                max_r = self._max_range_m
-                # Deeper inside the decode range than the motion bound:
-                # both masks provably stay True.  With an interference
-                # annulus (reach > decode range), an entry farther from
-                # *both* boundaries than the bound stays interference-only
-                # (in_reach True, in_decode False).
-                skip_in = known & (max_r - dist > motion)
-                if self._reach_m > max_r:
-                    skip_in |= (
-                        known
-                        & (dist - max_r > motion)
-                        & (self._reach_m - dist > motion)
-                    )
-                skipped_in = int(np.count_nonzero(skip_in))
-                if skipped_in:
-                    stats.rows_skipped_inreach += skipped_in
-                    # Masks are proven stable but the deferred entries'
-                    # delay/level scalars are now stale; flag exactly
-                    # those entries so the lazy fix-up in deliveries()
-                    # patches them in place.  Mask-only products and the
-                    # cached fan-out list itself stay live — membership
-                    # cannot have changed, only the flagged scalars.
-                    # Deferral pays off when the row is refreshed again
-                    # before its next broadcast (several refreshes' worth
-                    # of deferred entries collapse into one fix-up batch)
-                    # or when the row is never broadcast again at all.
-                    mask = row.stale_mask
-                    if mask is None:
-                        mask = row.stale_mask = np.zeros(n, dtype=bool)
-                    mask[dirty[skip_in]] = True
-                    row.scalars_stale = True
-                    skip = skip_in if skip is None else skip | skip_in
-            if skip is not None and skip.any():
-                dirty = dirty[~skip]
+        cands = row.candidates
+        if row.cands_epoch != self.cells_epoch:
+            cands = self._candidates_for(idx)
+            departed = np.setdiff1d(row.candidates, cands, assume_unique=True)
+            if departed.size:
+                # A node that left the neighborhood is provably out of
+                # reach; clear its (possibly stale-True) masks and mark
+                # its entry never-computed so re-entry recomputes.
+                row.in_reach[departed] = False
+                row.in_decode[departed] = False
+                row.stamp[departed] = _NEVER
+                row.drop_products()
+            row.candidates = cands
+            row.cands_epoch = self.cells_epoch
+            row.candidate_count = len(cands) - 1
+        expected = self._epoch[idx] + self._epoch[cands]
+        stale = row.stamp[cands] != expected
+        stale[np.searchsorted(cands, idx)] = False
+        dirty = cands[stale]
         if dirty.size:
             self._compute(idx, row, dirty)
+            row.drop_products()
             stats.rows_refreshed += 1
             stats.cache_misses += int(dirty.size)
             stats.cache_hits += n - 1 - int(dirty.size)
@@ -631,27 +481,22 @@ class VectorLinkKernel:
             stats.cache_hits += n - 1
         row.total_epoch = self.total_epoch
 
-    def ensure_pair(self, row: RowState, tx_idx: int, rx_idx: int) -> None:
+    def ensure_pair(self, row: RowState, rx_idx: int) -> None:
         """Validate one pair entry for a point query, recomputing on demand.
 
-        Whole-row freshness (:meth:`row`) guarantees masks, but with the
-        spatial grid or delta-epoch culls active an out-of-reach pair's
-        scalar fields (distance, delay, level) may be stale or never
-        computed.  Point queries (``link()``/``distance_m``) call this to
-        recompute exactly that entry — one single-element vectorized pass,
-        bit-identical with the batch path by construction.
+        Whole-row freshness (:meth:`row`) guarantees masks, but a grid-culled
+        pair's scalar fields (distance, delay, level) may be stale or never
+        computed.  Point queries (``distance_m``/``propagation_delay_s``)
+        call this to recompute exactly that entry — one single-element
+        vectorized pass, bit-identical with the batch path by construction.
 
         Only rows fresh from :meth:`row` reach here, so a stale entry is
-        always a proven-stable-mask skip (grid cull, out-of-reach bound or
-        in-reach bound) — the derived products survive the recompute.  An
-        in-reach-skipped entry stays flagged in ``stale_mask``, so a
-        cached fan-out list still holding its old scalars is patched by
-        the next :meth:`deliveries` fix-up, not served stale.
+        always a non-candidate: provably out of reach, its masks stay
+        ``False`` and the row's derived products survive the recompute.
         """
+        tx_idx = row.idx
         if row.stamp[rx_idx] != self._epoch[tx_idx] + self._epoch[rx_idx]:
-            self._compute(
-                tx_idx, row, np.array([rx_idx], dtype=np.intp), keep_products=True
-            )
+            self._compute(tx_idx, row, np.array([rx_idx], dtype=np.intp))
             self._stats.cache_misses += 1
 
     # ------------------------------------------------------------------
@@ -663,36 +508,15 @@ class VectorLinkKernel:
         """Broadcast fan-out list for a fresh row (built once per refresh).
 
         Entries are ``(rx_id, modem, delay_s, level_db)`` python scalars in
-        registration order — exactly the values and order the scalar loop
-        produced — so the hot loop does no NumPy access per delivery.
-
-        If the in-reach delta bound deferred any in-reach recomputes
-        (``scalars_stale``), they are fixed up here first: exactly the
-        deferred entries get one vectorized recompute, restoring
-        bit-identity before any scalar is read.  The skip proof guarantees
-        the recompute cannot change either mask, so membership — and with
-        it the cached list, ``decode_ids`` and the bulk products — all
-        survive: a cached list is *patched* at the flagged positions
-        rather than rebuilt.
-
-        When bulk-schedule products are enabled, the in-reach delay vector
-        and the bound ``begin_arrival`` callbacks are cached alongside the
-        list for the channel's batched fan-out.
+        registration order — exactly the values and order the full scan
+        produces — so the hot loop does no NumPy access per delivery.  The
+        in-reach delay vector and the bound ``begin_arrival`` callbacks are
+        cached alongside the list for the channel's batched fan-out.
         """
         built = row.deliveries
         if built is not None:
-            if row.scalars_stale:
-                self._patch_deliveries(row, built)
             return built
         js = np.nonzero(row.in_reach)[0]
-        if row.scalars_stale:
-            stale = js[row.stamp[js] != self._epoch[row.idx] + self._epoch[js]]
-            if stale.size:
-                self._compute(row.idx, row, stale, keep_products=True)
-                self._stats.cache_misses += int(stale.size)
-            if row.stale_mask is not None:
-                row.stale_mask.fill(False)
-            row.scalars_stale = False
         members = self._members
         ids = self._ids
         delays = row.delay_s
@@ -702,44 +526,10 @@ class VectorLinkKernel:
             for j in js.tolist()
         ]
         row.deliveries = built
-        row.delivery_js = js
         row.skips = row.n - 1 - len(built)
-        if self._bulk:
-            row.delivery_delays = delays[js]
-            row.delivery_callbacks = [t[1].begin_arrival for t in built]
+        row.delivery_delays = delays[js]
+        row.delivery_callbacks = [t[1].begin_arrival for t in built]
         return built
-
-    def _patch_deliveries(
-        self, row: RowState, built: List[Tuple[int, "AcousticModem", float, float]]
-    ) -> None:
-        """In-place fix-up of a cached fan-out list after in-reach skips.
-
-        Membership is proven unchanged, so only the flagged positions'
-        scalars can be stale: recompute whichever flagged entries still
-        carry stale stamps (a point query may have refreshed some
-        already), then rewrite exactly those list entries — and their
-        bulk delay slots — from the now-current arrays.
-        """
-        js = row.delivery_js
-        mask = row.stale_mask
-        pos = np.nonzero(mask[js])[0]
-        if pos.size:
-            stale_js = js[pos]
-            need = stale_js[
-                row.stamp[stale_js] != self._epoch[row.idx] + self._epoch[stale_js]
-            ]
-            if need.size:
-                self._compute(row.idx, row, need, keep_products=True)
-                self._stats.cache_misses += int(need.size)
-            delays = row.delay_s
-            levels = row.level_db
-            for p, j in zip(pos.tolist(), stale_js.tolist()):
-                old = built[p]
-                built[p] = (old[0], old[1], float(delays[j]), float(levels[j]))
-            if row.delivery_delays is not None:
-                row.delivery_delays[pos] = delays[stale_js]
-            mask[stale_js] = False
-        row.scalars_stale = False
 
     def decode_ids(self, row: RowState) -> Tuple[int, ...]:
         """Ids within hard decode range, in registration order."""

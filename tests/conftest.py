@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+import repro.experiments.scenario as scenario_module
 from repro.acoustic.geometry import Position
 from repro.des.simulator import Simulator
 from repro.des.trace import Tracer
 from repro.mac.slots import SlotTiming, make_slot_timing
 from repro.phy.channel import AcousticChannel
+from tests.reference_channel import ReferenceChannel
 
 
 @pytest.fixture
@@ -29,6 +31,23 @@ def timing() -> SlotTiming:
 def channel(sim: Simulator) -> AcousticChannel:
     """A Table 2 channel on the fresh simulator."""
     return AcousticChannel(sim)
+
+
+@pytest.fixture
+def reference_run(monkeypatch):
+    """Call a scenario entry point with the scalar reference channel.
+
+    ``reference_run(run_scenario, config)`` builds every channel of the
+    call as a :class:`~tests.reference_channel.ReferenceChannel`, the
+    oracle the production channel's results must match bit for bit.
+    """
+
+    def run(entry, *args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(scenario_module, "AcousticChannel", ReferenceChannel)
+            return entry(*args, **kwargs)
+
+    return run
 
 
 def make_line_positions(spacing_m: float, count: int, depth_step_m: float = 0.0):

@@ -30,7 +30,7 @@ from repro.experiments.checkpoint import (
 from repro.experiments.config import table2_config
 from repro.experiments.parallel import execute_cell, expand_cells
 from repro.experiments.scenario import Scenario
-from repro.experiments.sweeps import SweepSpec
+from repro.experiments.engine import SweepSpec
 from repro.net.node import sample_request_uid_floor
 from repro.phy.frame import sample_frame_uid_floor
 

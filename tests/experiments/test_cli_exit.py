@@ -37,6 +37,14 @@ def test_invalid_override_value_exits_2(tmp_path):
     assert "at least one sensor" in result.stderr
 
 
+def test_infinite_sim_time_override_exits_2(tmp_path):
+    result = _run_cli(
+        "fig6", "--quick", "--override", "sim_time_s=1e999", cwd=tmp_path
+    )
+    assert result.returncode == 2
+    assert "sim_time_s must be finite and positive" in result.stderr
+
+
 def test_unknown_override_field_exits_2(tmp_path):
     result = _run_cli(
         "fig6", "--quick", "--no-cache", "--override", "bogus_field=1", cwd=tmp_path

@@ -137,6 +137,38 @@ def test_apply_overrides_validates_fields():
         apply_overrides(base, {"n_sensors": -5})
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("sim_time_s", float("inf")),
+        ("sim_time_s", float("nan")),
+        ("sim_time_s", 0.0),
+        ("bitrate_bps", 0),
+        ("bitrate_bps", float("inf")),
+        ("comm_range_m", -1),
+        ("comm_range_m", float("nan")),
+        ("sound_speed_mps", 0.0),
+        ("sound_speed_mps", float("inf")),
+        ("side_m", -10.0),
+        ("side_m", float("inf")),
+        ("warmup_s", -1.0),
+        ("warmup_s", float("inf")),
+        ("offered_load_kbps", -0.1),
+        ("offered_load_kbps", float("nan")),
+        ("interference_range_factor", 0.5),
+        ("interference_range_factor", float("inf")),
+        ("interference_range_factor", float("nan")),
+    ],
+)
+def test_apply_overrides_rejects_values_that_break_a_run(name, value):
+    # An infinite or NaN window never finishes, and channel-level values
+    # would only fail once each queued cell builds its channel.
+    from repro.experiments.config import table2_config
+
+    with pytest.raises(EngineError, match=f"bad config override: {name}"):
+        apply_overrides(table2_config(), {name: value})
+
+
 def test_run_request_matches_direct_figure_call():
     """The service path must be bit-identical to calling the runner directly."""
     request = SweepRequest.from_dict(

@@ -5,7 +5,7 @@ import pytest
 from repro.experiments.config import table2_config
 from repro.experiments.figures import ALL_FIGURES, PAPER_EXPECTATIONS, FigureData
 from repro.experiments.report import format_figure, write_csv
-from repro.experiments.sweeps import (
+from repro.experiments.engine import (
     PAPER_PROTOCOLS,
     SweepSpec,
     aggregate,

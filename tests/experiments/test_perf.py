@@ -60,16 +60,14 @@ class TestPerfReport:
         assert perf.broadcasts > 0
         assert perf.cache_hits + perf.cache_misses > 0
 
-    def test_bulk_and_inreach_counters_surface(self):
-        report = make_report(
-            rows_skipped_inreach=7, bulk_pushes=3, bulk_events=42
-        )
+    def test_bulk_and_grid_counters_surface(self):
+        report = make_report(grid_candidates=12_000, bulk_pushes=3, bulk_events=42)
         data = report.to_dict()
-        assert data["rows_skipped_inreach"] == 7
+        assert data["grid_candidates"] == 12_000
         assert data["bulk_pushes"] == 3
         assert data["bulk_events"] == 42
         text = "\n".join(report.summary_lines())
-        assert "7 in-reach skips" in text
+        assert "3.0 mean candidates/broadcast" in text
         assert "bulk schedule: 3 pushes, 42 events (14.0 per push)" in text
 
     def test_capture_counts_bulk_fanout_on_mobile_run(self):
@@ -79,7 +77,6 @@ class TestPerfReport:
         perf = result.perf
         assert perf.bulk_pushes > 0
         assert perf.bulk_events >= perf.bulk_pushes
-        assert perf.rows_skipped_inreach > 0
 
     def test_perf_excluded_from_to_dict(self):
         # Figure metrics must stay machine-independent and identical with
@@ -91,14 +88,14 @@ class TestPerfReport:
 class TestPerfAccumulator:
     def test_merge_adds_counters_and_recomputes_rates(self):
         acc = PerfAccumulator()
-        acc.add(make_report(bulk_pushes=2, bulk_events=10, rows_skipped_inreach=5))
+        acc.add(make_report(bulk_pushes=2, bulk_events=10, grid_candidates=5))
         acc.add(
             make_report(
                 wall_time_s=6.0,
                 events=300_000,
                 bulk_pushes=3,
                 bulk_events=20,
-                rows_skipped_inreach=7,
+                grid_candidates=7,
             )
         )
         merged = acc.merged()
@@ -108,7 +105,7 @@ class TestPerfAccumulator:
         assert merged.events_per_second == pytest.approx(50_000.0)
         assert merged.bulk_pushes == 5
         assert merged.bulk_events == 30
-        assert merged.rows_skipped_inreach == 12
+        assert merged.grid_candidates == 12
 
     def test_empty_accumulator_merges_to_zeros(self):
         merged = PerfAccumulator().merged()

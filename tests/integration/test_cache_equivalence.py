@@ -1,9 +1,11 @@
-"""Link-state cache equivalence: cached and uncached runs are bit-identical.
+"""Link-state cache equivalence: cached runs match the uncached reference.
 
-The cache is a pure memoization layer, so every figure metric must come out
-*exactly* equal — not approximately — with ``link_cache`` on or off.  Runs
-with mobility enabled exercise epoch invalidation on every position-update
-tick; the static run exercises the compute-each-pair-exactly-once path.
+The kernel's link-state cache is a pure memoization layer, so every figure
+metric must come out *exactly* equal — not approximately — to a run on the
+scalar :class:`~tests.reference_channel.ReferenceChannel`, which caches
+nothing.  Runs with mobility enabled exercise epoch invalidation on every
+position-update tick; the static run exercises the
+compute-each-pair-exactly-once path.
 """
 
 import json
@@ -13,6 +15,7 @@ import pytest
 from repro.experiments.chaos import chaos_plan
 from repro.experiments.config import table2_config
 from repro.experiments.scenario import run_batch_scenario, run_scenario
+from tests.reference_channel import ReferenceChannel
 
 
 def _flat(result):
@@ -20,15 +23,17 @@ def _flat(result):
     return json.dumps(result.to_dict(), sort_keys=True)
 
 
-def _pair(config):
-    cached = run_scenario(config.with_(link_cache=True))
-    uncached = run_scenario(config.with_(link_cache=False))
-    return cached, uncached
+@pytest.fixture
+def run_pair(reference_run):
+    def pair(config):
+        return run_scenario(config), reference_run(run_scenario, config)
+
+    return pair
 
 
 class TestSteadyStateEquivalence:
     @pytest.mark.parametrize("protocol", ["EW-MAC", "S-FAMA", "ROPA", "CS-MAC", "ALOHA"])
-    def test_mobile_scenario_identical(self, protocol):
+    def test_mobile_scenario_identical(self, run_pair, protocol):
         # Mobility forces an epoch bump every update period; identical
         # results prove invalidation never serves stale geometry.
         config = table2_config(
@@ -38,12 +43,12 @@ class TestSteadyStateEquivalence:
             seed=11,
             mobility=True,
         )
-        cached, uncached = _pair(config)
+        cached, uncached = run_pair(config)
         assert _flat(cached) == _flat(uncached)
 
-    def test_static_scenario_identical(self):
+    def test_static_scenario_identical(self, run_pair):
         config = table2_config(sim_time_s=40.0, seed=12, mobility=False)
-        cached, uncached = _pair(config)
+        cached, uncached = run_pair(config)
         assert _flat(cached) == _flat(uncached)
         # Static deployments compute each queried pair exactly once.
         perf = cached.perf
@@ -66,7 +71,7 @@ class TestVariantEquivalence:
     """Knobs that reshape the geometry pipeline must not break identity."""
 
     @pytest.mark.parametrize("factor", [1.0, 3.0])
-    def test_interference_range_factor_identical(self, factor):
+    def test_interference_range_factor_identical(self, run_pair, factor):
         # The factor scales the delivery-reach mask inside the vector
         # kernel; both extremes must agree with the scalar scan.
         config = table2_config(
@@ -76,11 +81,11 @@ class TestVariantEquivalence:
             mobility=True,
             interference_range_factor=factor,
         )
-        cached, uncached = _pair(config)
+        cached, uncached = run_pair(config)
         assert _flat(cached) == _flat(uncached)
 
     @pytest.mark.parametrize("mobility", [True, False])
-    def test_chaos_plan_identical(self, mobility):
+    def test_chaos_plan_identical(self, run_pair, mobility):
         # Fault injection moves nothing but flips modem liveness, jumps
         # clocks and raises the noise floor mid-run — none of which is
         # cached state, so identity must survive a full chaos plan.
@@ -92,7 +97,7 @@ class TestVariantEquivalence:
             mobility=mobility,
             faults=plan,
         )
-        cached, uncached = _pair(config)
+        cached, uncached = run_pair(config)
         assert _flat(cached) == _flat(uncached)
 
 
@@ -113,11 +118,10 @@ class TestFadingEquivalence:
         from repro.phy.frame import FrameType, control_frame
 
         captured = {}
-        for use_cache in (True, False):
+        for use_cache, channel_cls in ((True, AcousticChannel), (False, ReferenceChannel)):
             sim = Simulator()
-            channel = AcousticChannel(
+            channel = channel_cls(
                 sim,
-                use_link_cache=use_cache,
                 fading=RayleighBlockFading(coherence_s=2.0, seed=5),
                 interference_range_factor=2.0,
             )
@@ -155,14 +159,12 @@ class TestFadingEquivalence:
 
 
 class TestBatchEquivalence:
-    def test_batch_drain_identical(self):
+    def test_batch_drain_identical(self, reference_run):
         config = table2_config(
             sim_time_s=40.0, seed=7, offered_load_kbps=0.4, max_retries=100
         )
-        cached = run_batch_scenario(
-            config.with_(link_cache=True), n_packets=6, max_time_s=1200.0
-        )
-        uncached = run_batch_scenario(
-            config.with_(link_cache=False), n_packets=6, max_time_s=1200.0
+        cached = run_batch_scenario(config, n_packets=6, max_time_s=1200.0)
+        uncached = reference_run(
+            run_batch_scenario, config, n_packets=6, max_time_s=1200.0
         )
         assert _flat(cached) == _flat(uncached)

@@ -1,9 +1,10 @@
-"""Grid / delta-epoch / arrival-pool equivalence across the full MAC matrix.
+"""Grid and bulk fan-out equivalence across the full MAC matrix.
 
-Mirrors ``test_cache_equivalence.py``: the spatial-hash reach cull, the
-movement-bounded delta-epoch skip and the Arrival free-list are pure
-mechanics — every figure metric must come out *exactly* equal with them on
-or off, across all five MACs, with and without mobility, under chaos
+Mirrors ``test_cache_equivalence.py``: the spatial-hash reach cull and the
+batched ``push_bulk`` fan-out are pure mechanics — every figure metric
+must come out *exactly* equal to the scalar full-scan
+:class:`~tests.reference_channel.ReferenceChannel` (one ``push_at`` per
+arrival), across all five MACs, with and without mobility, under chaos
 plans, and composed with block fading at the channel level.
 """
 
@@ -13,24 +14,34 @@ import pytest
 
 from repro.experiments.chaos import chaos_plan
 from repro.experiments.config import table2_config
+from repro.experiments.scale import QUICK_NODES, scale_config
 from repro.experiments.scenario import run_scenario
+from tests.reference_channel import ReferenceChannel
+
+#: Production/reference result pairs by config: the grid and the bulk
+#: classes check different counters on the same runs.
+_RUNS: dict = {}
 
 
 def _flat(result):
     return json.dumps(result.to_dict(), sort_keys=True)
 
 
-def _pair(config):
-    culled = run_scenario(config.with_(spatial_grid=True, delta_epochs=True))
-    full = run_scenario(config.with_(spatial_grid=False, delta_epochs=False))
-    return culled, full
+@pytest.fixture
+def run_pair(reference_run):
+    def pair(config):
+        if config not in _RUNS:
+            _RUNS[config] = (run_scenario(config), reference_run(run_scenario, config))
+        return _RUNS[config]
+
+    return pair
 
 
 class TestGridEquivalence:
     @pytest.mark.parametrize("protocol", ["EW-MAC", "S-FAMA", "ROPA", "CS-MAC", "ALOHA"])
-    def test_mobile_scenario_identical(self, protocol):
-        # Mobility exercises displacement accumulation, cell re-binning and
-        # candidate re-gathers on every update tick.
+    def test_mobile_scenario_identical(self, run_pair, protocol):
+        # Mobility exercises epoch bumps, cell re-binning and candidate
+        # re-gathers on every update tick.
         config = table2_config(
             protocol=protocol,
             sim_time_s=40.0,
@@ -38,15 +49,15 @@ class TestGridEquivalence:
             seed=11,
             mobility=True,
         )
-        culled, full = _pair(config)
+        culled, full = run_pair(config)
         assert _flat(culled) == _flat(full)
 
-    def test_static_scenario_identical(self):
+    def test_static_scenario_identical(self, run_pair):
         config = table2_config(sim_time_s=40.0, seed=12, mobility=False)
-        culled, full = _pair(config)
+        culled, full = run_pair(config)
         assert _flat(culled) == _flat(full)
 
-    def test_tiled_deployment_identical(self):
+    def test_tiled_deployment_identical(self, run_pair):
         # The scale sweep's shape: columns spread far beyond one cell
         # neighborhood, so the cull actually drops most of the row.
         config = table2_config(
@@ -58,12 +69,13 @@ class TestGridEquivalence:
             seed=5,
             mobility=True,
         )
-        culled, full = _pair(config)
+        culled, full = run_pair(config)
         assert _flat(culled) == _flat(full)
-        assert culled.perf.grid_candidates < full.perf.grid_candidates
+        n = config.n_sensors + config.n_sinks
+        assert culled.perf.grid_candidates < culled.perf.broadcasts * (n - 1) / 2
 
     @pytest.mark.parametrize("factor", [1.0, 3.0])
-    def test_interference_range_factor_identical(self, factor):
+    def test_interference_range_factor_identical(self, run_pair, factor):
         # The factor scales the reach mask *and* the grid cell side.
         config = table2_config(
             sim_time_s=30.0,
@@ -72,11 +84,11 @@ class TestGridEquivalence:
             mobility=True,
             interference_range_factor=factor,
         )
-        culled, full = _pair(config)
+        culled, full = run_pair(config)
         assert _flat(culled) == _flat(full)
 
     @pytest.mark.parametrize("mobility", [True, False])
-    def test_chaos_plan_identical(self, mobility):
+    def test_chaos_plan_identical(self, run_pair, mobility):
         plan = chaos_plan(fraction=0.2, warmup_s=10.0, sim_time_s=30.0, n_sensors=60)
         config = table2_config(
             sim_time_s=30.0,
@@ -85,26 +97,19 @@ class TestGridEquivalence:
             mobility=mobility,
             faults=plan,
         )
-        culled, full = _pair(config)
+        culled, full = run_pair(config)
         assert _flat(culled) == _flat(full)
 
 
 class TestBulkScheduleEquivalence:
-    """Bulk fan-out + in-reach bound vs scalar scheduling: bit-identical.
+    """Bulk fan-out vs one ``push_at`` per arrival: bit-identical.
 
-    The batched ``push_bulk`` arrival path and the symmetric in-reach
-    displacement bound are the other two pure mechanics: same matrix
-    coverage as the grid — all five MACs, mobility on/off, chaos plans.
+    Same matrix coverage as the grid — all five MACs, mobility on/off,
+    chaos plans — checking the fan-out counters on the same runs.
     """
 
-    @staticmethod
-    def _bulk_pair(config):
-        bulk = run_scenario(config.with_(bulk_schedule=True, inreach_delta=True))
-        scalar = run_scenario(config.with_(bulk_schedule=False, inreach_delta=False))
-        return bulk, scalar
-
     @pytest.mark.parametrize("protocol", ["EW-MAC", "S-FAMA", "ROPA", "CS-MAC", "ALOHA"])
-    def test_mobile_scenario_identical(self, protocol):
+    def test_mobile_scenario_identical(self, run_pair, protocol):
         config = table2_config(
             protocol=protocol,
             sim_time_s=40.0,
@@ -112,18 +117,18 @@ class TestBulkScheduleEquivalence:
             seed=11,
             mobility=True,
         )
-        bulk, scalar = self._bulk_pair(config)
+        bulk, scalar = run_pair(config)
         assert _flat(bulk) == _flat(scalar)
         assert bulk.perf.bulk_pushes > 0
         assert scalar.perf.bulk_pushes == 0
 
-    def test_static_scenario_identical(self):
+    def test_static_scenario_identical(self, run_pair):
         config = table2_config(sim_time_s=40.0, seed=12, mobility=False)
-        bulk, scalar = self._bulk_pair(config)
+        bulk, scalar = run_pair(config)
         assert _flat(bulk) == _flat(scalar)
 
     @pytest.mark.parametrize("mobility", [True, False])
-    def test_chaos_plan_identical(self, mobility):
+    def test_chaos_plan_identical(self, run_pair, mobility):
         plan = chaos_plan(fraction=0.2, warmup_s=10.0, sim_time_s=30.0, n_sensors=60)
         config = table2_config(
             sim_time_s=30.0,
@@ -132,30 +137,8 @@ class TestBulkScheduleEquivalence:
             mobility=mobility,
             faults=plan,
         )
-        bulk, scalar = self._bulk_pair(config)
+        bulk, scalar = run_pair(config)
         assert _flat(bulk) == _flat(scalar)
-
-    def test_mobile_run_exercises_inreach_skip(self):
-        config = table2_config(
-            sim_time_s=40.0, offered_load_kbps=0.8, seed=11, mobility=True
-        )
-        bulk, _ = self._bulk_pair(config)
-        assert bulk.perf.rows_skipped_inreach > 0
-
-
-class TestArrivalPoolEquivalence:
-    @pytest.mark.parametrize("protocol", ["EW-MAC", "ALOHA"])
-    def test_pool_identical(self, protocol):
-        config = table2_config(
-            protocol=protocol,
-            sim_time_s=40.0,
-            offered_load_kbps=0.8,
-            seed=23,
-            mobility=True,
-        )
-        pooled = run_scenario(config.with_(arrival_pool=True))
-        fresh = run_scenario(config.with_(arrival_pool=False))
-        assert _flat(pooled) == _flat(fresh)
 
 
 class TestFadingEquivalence:
@@ -170,20 +153,13 @@ class TestFadingEquivalence:
         from repro.phy.frame import FrameType, control_frame
 
         captured = {}
-        for culled in (True, False):
+        for culled, channel_cls in ((True, AcousticChannel), (False, ReferenceChannel)):
             sim = Simulator()
-            channel = AcousticChannel(
+            channel = channel_cls(
                 sim,
-                use_spatial_grid=culled,
-                use_delta_epochs=culled,
-                use_inreach_delta=culled,
-                use_bulk_schedule=culled,
                 fading=RayleighBlockFading(coherence_s=2.0, seed=5),
                 interference_range_factor=2.0,
             )
-            # Per-arrival fading draws need the scalar fan-out: the bulk
-            # path must disable itself rather than batch around the RNG.
-            assert channel._bulk is False
             holder = [
                 Position(0, 0, 0),
                 Position(1200, 0, 0),
@@ -214,4 +190,18 @@ class TestFadingEquivalence:
                 channel.stats.deliveries,
                 channel.stats.out_of_range_skips,
             )
+            # Fading draws fold into the bulk arrival loop, in target order.
+            assert (channel.stats.bulk_pushes > 0) == culled
         assert captured[True] == captured[False]
+
+
+class TestScaleSmokeCell:
+    """The smallest cell of ``repro-uasn scale --quick`` (tiled, 150 nodes,
+    8 s, seed 1), the sweep the CI scale smoke runs."""
+
+    def test_quick_scale_cell_identical(self, run_pair):
+        config = scale_config(QUICK_NODES[0], sim_time_s=8.0, seed=1)
+        culled, full = run_pair(config)
+        assert _flat(culled) == _flat(full)
+        assert culled.perf.bulk_pushes > 0
+        assert full.perf.bulk_pushes == 0

@@ -1,4 +1,4 @@
-"""Unit tests for the epoch-invalidated link-state cache."""
+"""Unit tests for the channel's epoch-invalidated link-state cache."""
 
 import pytest
 
@@ -7,11 +7,12 @@ from repro.des.simulator import Simulator
 from repro.net.node import Node
 from repro.phy.channel import AcousticChannel
 from repro.phy.frame import FrameType, control_frame
+from tests.reference_channel import ReferenceChannel
 
 
-def build_channel(positions, **channel_kwargs):
+def build_channel(positions, channel_cls=AcousticChannel):
     sim = Simulator()
-    channel = AcousticChannel(sim, **channel_kwargs)
+    channel = channel_cls(sim)
     holder = list(positions)
     for node_id in range(len(holder)):
         channel.create_modem(node_id, lambda i=node_id: holder[i])
@@ -44,16 +45,6 @@ class TestCacheCounters:
         channel.propagation_delay_s(1, 0)
         assert channel.stats.cache_misses == 2
 
-    def test_disabled_cache_counts_nothing(self):
-        _, channel, _ = build_channel(
-            [Position(0, 0, 0), Position(1000, 0, 0)], use_link_cache=False
-        )
-        assert channel.link_cache is None
-        channel.distance_m(0, 1)
-        channel.neighbors_of(0)
-        assert channel.stats.cache_hits == 0
-        assert channel.stats.cache_misses == 0
-
 
 class TestEpochInvalidation:
     def test_position_change_is_seen_on_next_query(self):
@@ -70,9 +61,9 @@ class TestEpochInvalidation:
         channel = AcousticChannel(sim)
         node = Node(sim, 0, Position(0, 0, 0), channel)
         other = Node(sim, 1, Position(1000, 0, 0), channel)
-        epoch = channel.link_cache.epoch
+        epoch = channel.kernel.total_epoch
         node.position = Position(0, 0, 100)
-        assert channel.link_cache.epoch == epoch + 1
+        assert channel.kernel.total_epoch == epoch + 1
         assert channel.distance_m(0, 1) == pytest.approx(
             node.position.distance_to(other.position)
         )
@@ -83,9 +74,9 @@ class TestEpochInvalidation:
         node = Node(sim, 0, Position(0, 0, 0), channel)
         Node(sim, 1, Position(1000, 0, 0), channel)
         channel.distance_m(0, 1)
-        epoch = channel.link_cache.epoch
+        epoch = channel.kernel.total_epoch
         node.position = Position(0, 0, 0)
-        assert channel.link_cache.epoch == epoch
+        assert channel.kernel.total_epoch == epoch
         channel.distance_m(0, 1)
         assert channel.stats.cache_hits == 1
 
@@ -103,10 +94,10 @@ class TestNeighborSemantics:
             [Position(0, 0, 0), Position(1000, 0, 0), Position(0, 1000, 0)]
         )
         assert channel.neighbors_of(0) == (1, 2)
-        epoch = channel.link_cache.epoch
+        epoch = channel.kernel.total_epoch
         channel.modem_of(1).enabled = False
         # Liveness is read fresh: no invalidation needed, no stale neighbour.
-        assert channel.link_cache.epoch == epoch
+        assert channel.kernel.total_epoch == epoch
         assert channel.neighbors_of(0) == (2,)
         channel.modem_of(1).enabled = True
         assert channel.neighbors_of(0) == (1, 2)
@@ -119,7 +110,7 @@ class TestNeighborSemantics:
             Position(900, 900, 0),
         ]
         _, cached, _ = build_channel(positions)
-        _, uncached, _ = build_channel(positions, use_link_cache=False)
+        _, uncached, _ = build_channel(positions, ReferenceChannel)
         for node_id in range(len(positions)):
             assert cached.neighbors_of(node_id) == uncached.neighbors_of(node_id)
 
@@ -128,8 +119,8 @@ class TestBroadcastThroughCache:
     def test_broadcast_delivery_identical_to_uncached(self):
         positions = [Position(0, 0, 0), Position(1500, 0, 0), Position(0, 4000, 0)]
         arrivals = {}
-        for flag in (True, False):
-            sim, channel, _ = build_channel(positions, use_link_cache=flag)
+        for flag, channel_cls in ((True, AcousticChannel), (False, ReferenceChannel)):
+            sim, channel, _ = build_channel(positions, channel_cls)
             seen = []
             channel.modem_of(1).on_receive = lambda f, arr: seen.append(
                 (arr.start, arr.end, arr.level_db, arr.delay_s)

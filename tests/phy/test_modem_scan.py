@@ -1,10 +1,9 @@
-"""Vectorized interferer scan and Arrival free-list behavior.
+"""Vectorized interferer scan behavior.
 
 ``_decode_outcome`` switches from a Python comprehension to a NumPy
 overlap-window scan once the live-arrival list reaches ``VECTOR_SCAN_MIN``.
 Both paths must pick exactly the same interferer levels — the scan is an
-implementation detail, not a model change — and the channel-owned Arrival
-pool must recycle records without perturbing any delivered frame.
+implementation detail, not a model change.
 """
 
 import json
@@ -46,87 +45,3 @@ class TestVectorScanEquivalence:
         # The run is only a meaningful scan test if lists actually crossed
         # the threshold; collisions prove overlapping arrivals existed.
         assert result.collisions > 0
-
-
-class TestArrivalPool:
-    def test_pool_fills_after_prune(self):
-        from repro.acoustic.geometry import Position
-        from repro.des.simulator import Simulator
-        from repro.phy.channel import AcousticChannel
-        from repro.phy.frame import FrameType, control_frame
-
-        sim = Simulator()
-        channel = AcousticChannel(sim, pool_arrivals=True)
-        positions = [Position(0, 0, 0), Position(900, 0, 0), Position(0, 900, 0)]
-        for node_id in range(len(positions)):
-            channel.create_modem(node_id, lambda i=node_id: positions[i])
-        for k in range(6):
-            sim.schedule(
-                3.0 * k,
-                channel.modem_of(k % 3).transmit,
-                control_frame(FrameType.RTS, k % 3, (k + 1) % 3, timestamp=3.0 * k),
-            )
-        sim.run()
-        # Widely spaced transmissions: every arrival ends long before the
-        # next begins, so prune recycles each record into the pool.
-        assert channel.arrival_pool is not None
-        assert len(channel.arrival_pool) > 0
-        assert len(channel.arrival_pool) <= modem_mod.ARRIVAL_POOL_CAP
-
-    def test_pool_capacity_is_bounded(self):
-        from repro.acoustic.geometry import Position
-        from repro.des.simulator import Simulator
-        from repro.phy.channel import AcousticChannel
-        from repro.phy.frame import FrameType, control_frame
-
-        # The cap is a channel-level knob now (surfaced as
-        # ScenarioConfig.arrival_pool_cap), not a module constant patch.
-        sim = Simulator()
-        channel = AcousticChannel(sim, pool_arrivals=True, arrival_pool_cap=2)
-        positions = [Position(0, 0, 0), Position(900, 0, 0), Position(0, 900, 0)]
-        for node_id in range(len(positions)):
-            channel.create_modem(node_id, lambda i=node_id: positions[i])
-        for k in range(12):
-            sim.schedule(
-                3.0 * k,
-                channel.modem_of(k % 3).transmit,
-                control_frame(FrameType.RTS, k % 3, (k + 1) % 3, timestamp=3.0 * k),
-            )
-        sim.run()
-        assert 0 < len(channel.arrival_pool) <= 2
-
-    @pytest.mark.parametrize("seed", [7, 31])
-    def test_pooled_run_identical_to_fresh_allocation(self, seed):
-        config = _config(seed)
-        pooled = run_scenario(config.with_(arrival_pool=True))
-        fresh = run_scenario(config.with_(arrival_pool=False))
-        assert _flat(pooled) == _flat(fresh)
-
-    def test_config_cap_bounds_live_recycled_objects(self):
-        from repro.experiments.scenario import Scenario
-
-        # End-to-end through ScenarioConfig: a tiny cap must bound the
-        # free list for the whole run without changing any figure metric.
-        config = _config(seed=7).with_(arrival_pool=True, arrival_pool_cap=3)
-        scenario = Scenario(config)
-        assert scenario.channel.arrival_pool_cap == 3
-        capped = scenario.run_steady_state()
-        assert scenario.channel.arrival_pool is not None
-        assert len(scenario.channel.arrival_pool) <= 3
-        default = run_scenario(_config(seed=7).with_(arrival_pool=True))
-        assert _flat(capped) == _flat(default)
-
-    def test_cap_zero_disables_recycling(self):
-        config = _config(seed=7).with_(arrival_pool=True, arrival_pool_cap=0)
-        from repro.experiments.scenario import Scenario
-
-        scenario = Scenario(config)
-        result = scenario.run_steady_state()
-        assert len(scenario.channel.arrival_pool) == 0
-        assert _flat(result) == _flat(
-            run_scenario(_config(seed=7).with_(arrival_pool=False))
-        )
-
-    def test_negative_cap_rejected(self):
-        with pytest.raises(ValueError):
-            _config(seed=7).with_(arrival_pool_cap=-1)

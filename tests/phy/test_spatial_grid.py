@@ -1,11 +1,12 @@
-"""Spatial-hash reach culling and delta-epoch edge cases.
+"""Spatial-hash reach culling edge cases.
 
-The grid and the movement-bounded skip are pure *culls*: they may only
-avoid computing entries whose masks are provably ``False``, never change a
-computed value.  These tests pin the edges where that proof has to hold —
-cell boundaries, nodes outside the nominal deployment volume, membership
-changes (registration, cell crossings, neighborhood departures) — plus the
-on-demand point-query path and the new counters.
+The grid is a pure *cull*: it may only avoid computing entries whose masks
+are provably ``False``, never change a computed value.  These tests pin the
+edges where that proof has to hold — cell boundaries, nodes outside the
+nominal deployment volume, membership changes (registration, cell
+crossings, neighborhood departures) — plus the on-demand point-query path
+and the grid counters.  Each geometry is also checked against the scalar
+full-scan :class:`~tests.reference_channel.ReferenceChannel`.
 """
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from repro.acoustic.geometry import Position
 from repro.des.simulator import Simulator
 from repro.phy.channel import AcousticChannel
+from tests.reference_channel import ReferenceChannel, fan_out, kernel_link
 
 
 def build_channel(positions, **channel_kwargs):
@@ -25,9 +27,22 @@ def build_channel(positions, **channel_kwargs):
 
 
 def delivered_ids(channel, tx_id):
-    cache = channel.link_cache
-    row = cache.broadcast_row(tx_id)
-    return [t[0] for t in cache.deliveries(row)]
+    """Receivers of a broadcast from ``tx_id``, checked against the oracle.
+
+    The reference reads the same position holder as ``channel``, so it
+    sees every move the test makes.
+    """
+    reference = ReferenceChannel(
+        Simulator(), interference_range_factor=channel.interference_range_factor
+    )
+    for node_id in channel.node_ids:
+        reference.create_modem(node_id, lambda i=node_id: channel.position_of(i))
+    targets = fan_out(channel, tx_id)
+    assert targets == fan_out(reference, tx_id)
+    for rx in channel.node_ids:
+        if rx != tx_id:
+            assert kernel_link(channel, tx_id, rx) == reference.link(tx_id, rx)
+    return [rx for rx, _, _ in targets]
 
 
 class TestCellBoundaries:
@@ -44,7 +59,7 @@ class TestCellBoundaries:
         past = math.nextafter(1500.0, 2000.0)
         _, channel, _ = build_channel([Position(0, 0, 0), Position(past, 0, 0)])
         assert delivered_ids(channel, 0) == []
-        assert channel.link_cache.link(0, 1).in_reach is False
+        assert kernel_link(channel, 0, 1)[3] is False
 
     def test_node_on_cell_corner_is_binned_once(self):
         # (1500, 1500, 0) sits on a corner shared by four cells; floor
@@ -53,7 +68,7 @@ class TestCellBoundaries:
         _, channel, _ = build_channel(
             [Position(1499.0, 1499.0, 0), Position(1500.0, 1500.0, 0)]
         )
-        kernel = channel.link_cache._kernel
+        kernel = channel.kernel
         assert sum(len(v) for v in kernel._cells.values()) == 2
         assert delivered_ids(channel, 0) == [1]
 
@@ -79,7 +94,7 @@ class TestMembershipChanges:
         holder.append(Position(0, 900, 0))
         channel.create_modem(2, lambda: holder[2])
         assert delivered_ids(channel, 0) == [1, 2]
-        kernel = channel.link_cache._kernel
+        kernel = channel.kernel
         assert sum(len(v) for v in kernel._cells.values()) == 3
 
     def test_departure_from_neighborhood_clears_reach(self):
@@ -121,138 +136,6 @@ class TestMembershipChanges:
         assert channel.distance_m(0, 2) == pytest.approx(1100.0)
 
 
-class TestDeltaEpochs:
-    def build(self, positions):
-        # Grid off isolates the delta-epoch skip: with the grid on, far
-        # nodes leave the candidate set entirely and the skip never fires.
-        return build_channel(
-            positions, use_spatial_grid=False, use_delta_epochs=True
-        )
-
-    def test_small_motion_of_far_pair_is_skipped(self):
-        _, channel, holder = self.build([Position(0, 0, 0), Position(5000.0, 0, 0)])
-        assert delivered_ids(channel, 0) == []
-        misses = channel.stats.cache_misses
-        holder[1] = Position(5010.0, 0, 0)  # 10 m of motion, 3500 m margin
-        channel.note_position_change(1)
-        assert delivered_ids(channel, 0) == []
-        assert channel.stats.rows_skipped_delta == 1
-        assert channel.stats.cache_misses == misses  # no recompute happened
-
-    def test_point_query_after_skip_recomputes_on_demand(self):
-        _, channel, holder = self.build([Position(0, 0, 0), Position(5000.0, 0, 0)])
-        delivered_ids(channel, 0)
-        holder[1] = Position(5010.0, 0, 0)
-        channel.note_position_change(1)
-        delivered_ids(channel, 0)  # skip leaves the pair's scalars stale
-        assert channel.distance_m(0, 1) == pytest.approx(5010.0)
-        assert channel.propagation_delay_s(0, 1) == pytest.approx(5010.0 / 1500.0)
-
-    def test_accumulated_motion_forces_recompute(self):
-        _, channel, holder = self.build([Position(0, 0, 0), Position(5000.0, 0, 0)])
-        delivered_ids(channel, 0)
-        # Many small hops: each individually under the margin, the sum not.
-        for step in range(1, 40):
-            holder[1] = Position(5000.0 - step * 100.0, 0, 0)
-            channel.note_position_change(1)
-            assert (delivered_ids(channel, 0) == [1]) == (
-                holder[1].x <= 1500.0
-            )
-        assert channel.distance_m(0, 1) == pytest.approx(1100.0)
-
-    def test_in_reach_pairs_never_skipped(self):
-        _, channel, holder = self.build([Position(0, 0, 0), Position(1000.0, 0, 0)])
-        delivered_ids(channel, 0)
-        holder[1] = Position(1001.0, 0, 0)
-        channel.note_position_change(1)
-        assert delivered_ids(channel, 0) == [1]
-        assert channel.stats.rows_skipped_delta == 0
-        assert channel.distance_m(0, 1) == pytest.approx(1001.0)
-
-
-class TestInReachDelta:
-    """Symmetric in-reach bound: near pairs whose motion cannot cross the
-    reach boundary skip the refresh recompute, deferring scalars until
-    :meth:`deliveries` (or a point query) needs them."""
-
-    def test_small_motion_of_near_pair_is_skipped(self):
-        _, channel, holder = build_channel([Position(0, 0, 0), Position(500.0, 0, 0)])
-        assert delivered_ids(channel, 0) == [1]
-        holder[1] = Position(510.0, 0, 0)  # 10 m motion, ~1000 m of margin
-        channel.note_position_change(1)
-        assert delivered_ids(channel, 0) == [1]
-        assert channel.stats.rows_skipped_inreach >= 1
-        assert channel.stats.rows_skipped_delta == 0
-
-    def test_skip_defers_but_never_discards_the_recompute(self):
-        _, channel, holder = build_channel([Position(0, 0, 0), Position(500.0, 0, 0)])
-        cache = channel.link_cache
-        cache.deliveries(cache.broadcast_row(0))
-        misses = channel.stats.cache_misses
-        holder[1] = Position(510.0, 0, 0)
-        channel.note_position_change(1)
-        # The refresh itself skips: masks are proven stable, no recompute.
-        row = cache.broadcast_row(0)
-        assert channel.stats.rows_skipped_inreach == 1
-        assert channel.stats.cache_misses == misses
-        # Building the fan-out list fixes up exactly the stale scalar.
-        targets = cache.deliveries(row)
-        assert [t[0] for t in targets] == [1]
-        assert channel.stats.cache_misses == misses + 1
-        assert targets[0][2] == pytest.approx(510.0 / 1500.0)  # exact delay
-
-    def test_point_query_after_skip_is_exact(self):
-        _, channel, holder = build_channel([Position(0, 0, 0), Position(800.0, 0, 0)])
-        delivered_ids(channel, 0)
-        holder[1] = Position(790.0, 0, 0)
-        channel.note_position_change(1)
-        assert channel.distance_m(0, 1) == pytest.approx(790.0)
-        assert channel.propagation_delay_s(0, 1) == pytest.approx(790.0 / 1500.0)
-
-    def test_annulus_skip_with_interference_range(self):
-        # reach = 2 x 1500 = 3000: a pair at 2000 m is in interference reach
-        # but not decodable.  Small motion cannot cross either boundary, so
-        # the annulus arm of the bound skips while both masks hold.
-        _, channel, holder = build_channel(
-            [Position(0, 0, 0), Position(2000.0, 0, 0)],
-            interference_range_factor=2.0,
-        )
-        assert delivered_ids(channel, 0) == [1]  # interference-only target
-        assert channel.link_cache.link(0, 1).in_decode_range is False
-        holder[1] = Position(2010.0, 0, 0)
-        channel.note_position_change(1)
-        assert delivered_ids(channel, 0) == [1]
-        assert channel.stats.rows_skipped_inreach >= 1
-        assert channel.link_cache.link(0, 1).in_decode_range is False
-        assert channel.distance_m(0, 1) == pytest.approx(2010.0)
-
-    def test_boundary_crossing_forces_recompute(self):
-        _, channel, holder = build_channel([Position(0, 0, 0), Position(1400.0, 0, 0)])
-        assert delivered_ids(channel, 0) == [1]
-        # 300 m of motion against 100 m of margin: the bound cannot prove
-        # the masks stable, so the pair recomputes and leaves reach.
-        holder[1] = Position(1700.0, 0, 0)
-        channel.note_position_change(1)
-        assert delivered_ids(channel, 0) == []
-        # And crossing back in recomputes again (margin 200 < motion 300).
-        holder[1] = Position(1450.0, 0, 0)
-        channel.note_position_change(1)
-        assert delivered_ids(channel, 0) == [1]
-        assert channel.distance_m(0, 1) == pytest.approx(1450.0)
-
-    def test_disabled_flag_restores_eager_recompute(self):
-        _, channel, holder = build_channel(
-            [Position(0, 0, 0), Position(500.0, 0, 0)], use_inreach_delta=False
-        )
-        delivered_ids(channel, 0)
-        misses = channel.stats.cache_misses
-        holder[1] = Position(510.0, 0, 0)
-        channel.note_position_change(1)
-        channel.link_cache.broadcast_row(0)
-        assert channel.stats.rows_skipped_inreach == 0
-        assert channel.stats.cache_misses == misses + 1
-
-
 class TestGridCounters:
     def test_grid_candidates_accumulates_per_broadcast(self):
         from repro.phy.frame import FrameType, control_frame
@@ -268,15 +151,3 @@ class TestGridCounters:
         assert channel.stats.broadcasts == 1
         assert channel.stats.grid_candidates == 1
         assert channel.stats.grid_cells == 2
-
-    def test_grid_disabled_counts_full_scan_width(self):
-        from repro.phy.frame import FrameType, control_frame
-
-        positions = [Position(0, 0, 0), Position(1000, 0, 0), Position(40_000, 0, 0)]
-        sim, channel, _ = build_channel(positions, use_spatial_grid=False)
-        sim.schedule(
-            0.0, channel.modem_of(0).transmit, control_frame(FrameType.RTS, 0, 1, timestamp=0.0)
-        )
-        sim.run()
-        assert channel.stats.grid_candidates == len(positions) - 1
-        assert channel.stats.grid_cells == 0

@@ -1,9 +1,10 @@
 """Unit tests for the vectorized kernel's per-node epoch semantics.
 
-Complements ``test_linkcache.py`` (which covers the facade API): these
-tests pin the *granularity* of invalidation — moving one node must dirty
-exactly that node's row and column, a static deployment must compute each
-pair exactly once, and mid-run registration must match the uncached path.
+Complements ``test_linkcache.py`` (which covers the channel's cached
+queries): these tests pin the *granularity* of invalidation — moving one
+node must dirty exactly that node's row and column, a static deployment
+must compute each pair exactly once, and mid-run registration must match
+the uncached reference channel.
 """
 
 import numpy as np
@@ -12,11 +13,12 @@ import pytest
 from repro.acoustic.geometry import Position
 from repro.des.simulator import Simulator
 from repro.phy.channel import AcousticChannel
+from tests.reference_channel import ReferenceChannel
 
 
-def build_channel(positions, **channel_kwargs):
+def build_channel(positions, channel_cls=AcousticChannel):
     sim = Simulator()
-    channel = AcousticChannel(sim, **channel_kwargs)
+    channel = channel_cls(sim)
     holder = list(positions)
     for node_id in range(len(holder)):
         channel.create_modem(node_id, lambda i=node_id: holder[i])
@@ -25,13 +27,10 @@ def build_channel(positions, **channel_kwargs):
 
 def warm_all_rows(channel):
     for node_id in channel.node_ids:
-        channel.link_cache.broadcast_row(node_id)
+        channel.kernel.row(node_id)
 
 
 class TestPerNodeEpochs:
-    # The in-reach delta bound is disabled here: these tests pin the exact
-    # per-pair recompute arithmetic of the epoch machinery, which the
-    # in-reach skip deliberately defers (covered in test_spatial_grid.py).
     def test_moving_one_node_dirties_exactly_its_row_and_column(self):
         positions = [
             Position(0, 0, 0),
@@ -39,7 +38,7 @@ class TestPerNodeEpochs:
             Position(0, 1000, 0),
             Position(700, 700, 0),
         ]
-        _, channel, holder = build_channel(positions, use_inreach_delta=False)
+        _, channel, holder = build_channel(positions)
         warm_all_rows(channel)
         stats = channel.stats
         n = len(positions)
@@ -52,21 +51,21 @@ class TestPerNodeEpochs:
 
         # Row 0: only the (0, 2) pair is stale -> one miss, n-2 hits.
         misses0, hits0 = stats.cache_misses, stats.cache_hits
-        channel.link_cache.broadcast_row(0)
+        channel.kernel.row(0)
         assert stats.cache_misses == misses0 + 1
         assert stats.cache_hits == hits0 + (n - 2)
         assert stats.rows_refreshed == 1
 
         # Row 2 (the moved node): every pair is stale -> n-1 misses.
         misses2 = stats.cache_misses
-        channel.link_cache.broadcast_row(2)
+        channel.kernel.row(2)
         assert stats.cache_misses == misses2 + (n - 1)
         assert stats.rows_refreshed == 2
 
         # Second query of row 0 with nothing moved: pure fast-path hits.
         hits_before = stats.cache_hits
         misses_before = stats.cache_misses
-        channel.link_cache.broadcast_row(0)
+        channel.kernel.row(0)
         assert stats.cache_hits == hits_before + (n - 1)
         assert stats.cache_misses == misses_before
         assert stats.rows_refreshed == 2
@@ -78,15 +77,15 @@ class TestPerNodeEpochs:
             Position(100, 1100, 0),
             Position(650, 720, 10),
         ]
-        _, channel, holder = build_channel(positions, use_inreach_delta=False)
-        row = channel.link_cache.broadcast_row(0)
+        _, channel, holder = build_channel(positions)
+        row = channel.kernel.row(0)
         before_dist = row.distance_m.copy()
         before_delay = row.delay_s.copy()
         before_level = row.level_db.copy()
 
         holder[2] = Position(100, 1300, 0)
         channel.note_position_change(2)
-        row = channel.link_cache.broadcast_row(0)
+        row = channel.kernel.row(0)
 
         for j in (1, 3):  # pairs not touching the moved node: exact reuse
             assert row.distance_m[j] == before_dist[j]
@@ -111,7 +110,7 @@ class TestPerNodeEpochs:
 
     def test_global_invalidate_dirties_everything(self):
         positions = [Position(0, 0, 0), Position(1000, 0, 0), Position(0, 500, 0)]
-        _, channel, holder = build_channel(positions, use_inreach_delta=False)
+        _, channel, holder = build_channel(positions)
         warm_all_rows(channel)
         holder[0] = Position(10, 0, 0)
         holder[1] = Position(990, 0, 0)
@@ -127,19 +126,19 @@ class TestMidRunRegistration:
     def test_new_modem_visible_on_next_broadcast(self):
         positions = [Position(0, 0, 0), Position(1000, 0, 0)]
         _, channel, holder = build_channel(positions)
-        row = channel.link_cache.broadcast_row(0)
+        row = channel.kernel.row(0)
         assert row.n == 2
 
         holder.append(Position(0, 700, 0))
         channel.create_modem(2, lambda: holder[2])
-        row = channel.link_cache.broadcast_row(0)
+        row = channel.kernel.row(0)
         assert row.n == 3
         assert channel.neighbors_of(0) == (1, 2)
 
     def test_registration_matches_uncached_channel(self):
         positions = [Position(0, 0, 0), Position(1200, 0, 0)]
         _, cached, cached_holder = build_channel(positions)
-        _, uncached, uncached_holder = build_channel(positions, use_link_cache=False)
+        _, uncached, uncached_holder = build_channel(positions, ReferenceChannel)
         warm_all_rows(cached)
 
         late = Position(300, 800, 40)
@@ -162,7 +161,7 @@ class TestKernelGrowth:
         # preserve coordinates and epochs across the array doubling.
         positions = [Position(float(i), 0, 0) for i in range(100)]
         _, channel, _ = build_channel(positions)
-        kernel = channel.link_cache._kernel
+        kernel = channel.kernel
         assert kernel._n == 100
         assert channel.distance_m(0, 99) == pytest.approx(99.0)
         np.testing.assert_array_equal(kernel._epoch[:100], np.zeros(100))
@@ -170,8 +169,8 @@ class TestKernelGrowth:
     def test_self_pair_never_delivered(self):
         positions = [Position(0, 0, 0), Position(100, 0, 0)]
         _, channel, _ = build_channel(positions)
-        row = channel.link_cache.broadcast_row(0)
-        targets = channel.link_cache.deliveries(row)
+        row = channel.kernel.row(0)
+        targets = channel.kernel.deliveries(row)
         assert [t[0] for t in targets] == [1]
         assert not row.in_reach[0]
         assert not row.in_decode[0]

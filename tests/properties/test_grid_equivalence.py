@@ -1,12 +1,12 @@
 """Property tests: grid-culled results are *bit-identical* to the full scan.
 
-The spatial hash and the movement-bounded delta-epoch skip are allowed to
-avoid work, never to change answers: a culled broadcast must fan out to
-exactly the receivers the full O(n) scan would have picked, with exactly
-the same delays and levels, for any geometry — including nodes spread far
-outside each other's 3x3x3 cell neighborhoods (where the cull actually
-bites) and after arbitrary interleaved moves (where the skip's
-displacement bound has to stay conservative).
+The spatial hash is allowed to avoid work, never to change answers: a
+culled broadcast must fan out to exactly the receivers the scalar full
+O(n) scan of :class:`~tests.reference_channel.ReferenceChannel` picks, with
+exactly the same delays and levels, for any geometry — including nodes
+spread far outside each other's 3x3x3 cell neighborhoods (where the cull
+actually bites) and after arbitrary interleaved moves (where epochs,
+cell re-binning and candidate re-gathers must keep every entry fresh).
 """
 
 from hypothesis import given, settings
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.acoustic.geometry import Position
 from repro.des.simulator import Simulator
 from repro.phy.channel import AcousticChannel
+from tests.reference_channel import ReferenceChannel, fan_out, kernel_link
 
 # Wide spread (many cells at the 1500 m cell side) so candidate sets are
 # real subsets; depth includes 0 so surface sinks are represented.
@@ -34,32 +35,18 @@ moves_st = st.lists(
 
 
 def build_pair(positions):
-    """Grid+delta channel and full-scan channel over shared mutable geometry."""
+    """Production channel and reference channel over shared mutable geometry."""
     channels = []
     holders = []
-    for culled in (True, False):
+    for channel_cls in (AcousticChannel, ReferenceChannel):
         sim = Simulator()
-        channel = AcousticChannel(
-            sim,
-            use_link_cache=True,
-            use_spatial_grid=culled,
-            use_delta_epochs=culled,
-            use_inreach_delta=culled,
-            interference_range_factor=2.0,
-        )
+        channel = channel_cls(sim, interference_range_factor=2.0)
         holder = list(positions)
         for node_id in range(len(holder)):
             channel.create_modem(node_id, lambda i=node_id, h=holder: h[i])
         channels.append(channel)
         holders.append(holder)
     return channels[0], channels[1], holders[0], holders[1]
-
-
-def fan_out(channel, tx_id):
-    """(rx_id, delay, level) triples the broadcast path would schedule."""
-    cache = channel.link_cache
-    row = cache.broadcast_row(tx_id)
-    return [(rx, delay, level) for rx, _, delay, level in cache.deliveries(row)]
 
 
 def assert_identical(culled, full, n):
@@ -69,14 +56,7 @@ def assert_identical(culled, full, n):
         for rx in range(n):
             if tx == rx:
                 continue
-            a = culled.link_cache.link(tx, rx)
-            b = full.link_cache.link(tx, rx)
-            assert (a.distance_m, a.delay_s, a.level_db) == (
-                b.distance_m,
-                b.delay_s,
-                b.level_db,
-            )
-            assert (a.in_reach, a.in_decode_range) == (b.in_reach, b.in_decode_range)
+            assert kernel_link(culled, tx, rx) == full.link(tx, rx)
 
 
 @given(positions=positions_st)
@@ -104,9 +84,8 @@ def test_grid_identical_through_interleaved_moves(positions, moves):
 
 # Geometry concentrated around the decode (1500 m) and interference
 # (3000 m at factor 2) boundaries, with step sizes that routinely carry a
-# pair across them in either direction — the regime where the in-reach and
-# out-of-reach displacement bounds must hand pairs back to the recompute
-# path instead of skipping.
+# pair across them in either direction, so refreshes must flip masks both
+# ways and fan-out lists must be rebuilt on every crossing.
 near_coord = st.floats(min_value=-2500.0, max_value=2500.0, allow_nan=False)
 near_positions_st = st.lists(
     st.builds(
@@ -131,65 +110,17 @@ boundary_moves_st = st.lists(
 
 @given(positions=near_positions_st, moves=boundary_moves_st)
 @settings(max_examples=60, deadline=None)
-def test_inreach_and_delta_skips_identical_across_reach_boundary(positions, moves):
-    """Both displacement bounds vs eager recompute, pairs crossing reach.
-
-    Isolates the two delta-epoch bounds (grid off on both sides): small
-    hops accumulate until a pair drifts out of decode range, out of
-    interference reach, and back in — every crossing must recompute, every
-    provably-stable hop may skip, and the fan-out must never differ.
-    """
+def test_identical_across_reach_boundary(positions, moves):
+    """Small hops accumulate until a pair drifts out of decode range, out
+    of interference reach, and back in; the fan-out must never differ."""
+    culled, full, holder_c, holder_f = build_pair(positions)
     n = len(positions)
-    channels = []
-    holders = []
-    for skips in (True, False):
-        sim = Simulator()
-        channel = AcousticChannel(
-            sim,
-            use_spatial_grid=False,
-            use_delta_epochs=skips,
-            use_inreach_delta=skips,
-            interference_range_factor=2.0,
-        )
-        holder = list(positions)
-        for node_id in range(n):
-            channel.create_modem(node_id, lambda i=node_id, h=holder: h[i])
-        channels.append(channel)
-        holders.append(holder)
-    assert_identical(channels[0], channels[1], n)
+    assert_identical(culled, full, n)
     for raw_idx, dx, dy in moves:
         idx = raw_idx % n
-        old = holders[0][idx]
+        old = holder_c[idx]
         new = Position(old.x + dx, old.y + dy, old.z)
-        for channel, holder in zip(channels, holders):
+        for channel, holder in ((culled, holder_c), (full, holder_f)):
             holder[idx] = new
             channel.note_position_change(idx)
-        assert_identical(channels[0], channels[1], n)
-
-
-@given(positions=positions_st, moves=moves_st)
-@settings(max_examples=40, deadline=None)
-def test_delta_epochs_alone_identical_through_moves(positions, moves):
-    """Isolate the displacement-bound skip from the grid cull."""
-    n = len(positions)
-    channels = []
-    holders = []
-    for delta in (True, False):
-        sim = Simulator()
-        channel = AcousticChannel(
-            sim, use_spatial_grid=False, use_delta_epochs=delta
-        )
-        holder = list(positions)
-        for node_id in range(n):
-            channel.create_modem(node_id, lambda i=node_id, h=holder: h[i])
-        channels.append(channel)
-        holders.append(holder)
-    assert_identical(channels[0], channels[1], n)
-    for raw_idx, dx, dy in moves:
-        idx = raw_idx % n
-        old = holders[0][idx]
-        new = Position(old.x + dx, old.y + dy, old.z)
-        for channel, holder in zip(channels, holders):
-            holder[idx] = new
-            channel.note_position_change(idx)
-        assert_identical(channels[0], channels[1], n)
+        assert_identical(culled, full, n)

@@ -4,8 +4,9 @@ The whole design contract of :mod:`repro.phy.vectorized` is that routing
 geometry through NumPy changes nothing — not "agrees to 1e-9", but equal
 to the last bit, so cached and uncached simulations produce identical
 event streams.  These properties drive random geometries (including nodes
-exactly at the communication-range boundary) through a cached and an
-uncached channel and compare with ``==``.
+exactly at the communication-range boundary) through the production channel
+and the uncached :class:`~tests.reference_channel.ReferenceChannel` and
+compare with ``==``.
 """
 
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from repro.acoustic.geometry import Position
 from repro.des.simulator import Simulator
 from repro.phy.channel import AcousticChannel
+from tests.reference_channel import ReferenceChannel, kernel_link
 
 coord = st.floats(min_value=-6000.0, max_value=6000.0, allow_nan=False)
 depth = st.floats(min_value=0.0, max_value=4000.0, allow_nan=False)
@@ -25,9 +27,9 @@ positions_st = st.lists(
 def build_pair(positions, **kwargs):
     """A cached and an uncached channel over the same frozen geometry."""
     channels = []
-    for use_cache in (True, False):
+    for channel_cls in (AcousticChannel, ReferenceChannel):
         sim = Simulator()
-        channel = AcousticChannel(sim, use_link_cache=use_cache, **kwargs)
+        channel = channel_cls(sim, **kwargs)
         for node_id, pos in enumerate(positions):
             channel.create_modem(node_id, lambda p=pos: p)
         channels.append(channel)
@@ -35,19 +37,14 @@ def build_pair(positions, **kwargs):
 
 
 def assert_bit_identical(cached, uncached, n):
-    reach = uncached.max_range_m * uncached.interference_range_factor
     for a in range(n):
         assert cached.neighbors_of(a) == uncached.neighbors_of(a)
         for b in range(n):
             if a == b:
                 continue
-            dist = uncached.distance_m(a, b)
-            assert cached.distance_m(a, b) == dist
+            assert cached.distance_m(a, b) == uncached.distance_m(a, b)
             assert cached.propagation_delay_s(a, b) == uncached.propagation_delay_s(a, b)
-            link = cached.link_cache.link(a, b)
-            assert link.level_db == uncached.link_budget.received_level_db(dist)
-            assert link.in_reach == (dist <= reach)
-            assert link.in_decode_range == (dist <= uncached.max_range_m)
+            assert kernel_link(cached, a, b) == uncached.link(a, b)
 
 
 @given(positions=positions_st)
@@ -71,18 +68,18 @@ def test_bit_identical_after_partial_moves(positions, mover):
     mover %= len(positions)
     holder = list(positions)
     sim = Simulator()
-    cached = AcousticChannel(sim, use_link_cache=True)
+    cached = AcousticChannel(sim)
     for node_id in range(len(holder)):
         cached.create_modem(node_id, lambda i=node_id: holder[i])
     for node_id in range(len(holder)):  # warm every row pre-move
-        cached.link_cache.broadcast_row(node_id)
+        cached.kernel.row(node_id)
 
     moved = holder[mover]
     holder[mover] = Position(moved.x + 123.25, moved.y - 77.5, max(0.0, moved.z))
     cached.note_position_change(mover)
 
     sim2 = Simulator()
-    uncached = AcousticChannel(sim2, use_link_cache=False)
+    uncached = ReferenceChannel(sim2)
     for node_id in range(len(holder)):
         uncached.create_modem(node_id, lambda i=node_id: holder[i])
     assert_bit_identical(cached, uncached, len(holder))
@@ -95,9 +92,10 @@ def test_node_exactly_at_max_range_is_a_neighbor():
     for channel in (cached, uncached):
         assert channel.distance_m(0, 1) == 1500.0
         assert channel.neighbors_of(0) == (1,)
-    link = cached.link_cache.link(0, 1)
-    assert link.in_decode_range
-    assert link.in_reach
+    *_, in_reach, in_decode_range = kernel_link(cached, 0, 1)
+    assert in_decode_range
+    assert in_reach
+    assert_bit_identical(cached, uncached, len(positions))
 
 
 def test_node_one_ulp_past_max_range_is_not_a_neighbor():
@@ -108,7 +106,8 @@ def test_node_one_ulp_past_max_range_is_not_a_neighbor():
     cached, uncached = build_pair(positions)
     for channel in (cached, uncached):
         assert channel.neighbors_of(0) == ()
-    assert not cached.link_cache.link(0, 1).in_decode_range
+    assert not kernel_link(cached, 0, 1)[4]
+    assert_bit_identical(cached, uncached, len(positions))
 
 
 @given(

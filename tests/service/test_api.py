@@ -212,6 +212,18 @@ def test_bad_requests_are_400(service):
     assert status == 403  # allow_shutdown off by default
 
 
+def test_non_finite_override_is_400(service):
+    # JSON Infinity/NaN parse to floats; a job with an endless window would
+    # wedge a worker while its heartbeat kept renewing the lease.
+    base, _, _ = service
+    for value in (float("inf"), float("nan")):
+        payload = {"target": "fig6", "quick": True, "seeds": [1],
+                   "overrides": {"sim_time_s": value}}
+        status, body = _post(f"{base}/jobs", payload)
+        assert status == 400, value
+        assert "sim_time_s" in body["error"]
+
+
 def test_worker_crash_surfaces_error_via_api(service):
     base, _, holder = service
     holder["runner"] = _crashing_runner
