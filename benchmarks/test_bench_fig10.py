@@ -7,7 +7,8 @@ EW-MAC's overhead growing flattest with node count.
 
 from conftest import check_figure, emit
 
-from repro.experiments.figures import fig10a, fig10b
+from repro.experiments.engine import run_plan
+from repro.experiments.figures import fig10a_plan, fig10b_plan
 
 
 def _check_ordering(data):
@@ -19,14 +20,14 @@ def _check_ordering(data):
 
 
 def test_fig10a_overhead_vs_node_count(one_shot):
-    data = one_shot(fig10a, quick=True)
+    data = one_shot(run_plan, fig10a_plan(quick=True))
     emit(data)
     check_figure(data, "fig10a")
     _check_ordering(data)
 
 
 def test_fig10b_overhead_vs_load(one_shot):
-    data = one_shot(fig10b, quick=True)
+    data = one_shot(run_plan, fig10b_plan(quick=True))
     emit(data)
     check_figure(data, "fig10b")
     _check_ordering(data)

@@ -7,11 +7,12 @@ exploitable waiting time — the opportunistic protocols decline toward the
 
 from conftest import check_figure, emit
 
-from repro.experiments.figures import fig7
+from repro.experiments.engine import run_plan
+from repro.experiments.figures import fig7_plan
 
 
 def test_fig7_throughput_vs_density(one_shot):
-    data = one_shot(fig7, quick=True)
+    data = one_shot(run_plan, fig7_plan(quick=True))
     emit(data)
     check_figure(data, "fig7")
     # every series stays within the paper's qualitative band: positive

@@ -7,11 +7,12 @@ insignificant below ~20 packets per 300 s.
 
 from conftest import check_figure, emit
 
-from repro.experiments.figures import fig8
+from repro.experiments.engine import run_plan
+from repro.experiments.figures import fig8_plan
 
 
 def test_fig8_execution_time_vs_load(one_shot):
-    data = one_shot(fig8, quick=True)
+    data = one_shot(run_plan, fig8_plan(quick=True))
     emit(data)
     check_figure(data, "fig8")
     for protocol, series in data.series.items():

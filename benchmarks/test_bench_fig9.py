@@ -7,11 +7,12 @@ neighbour information, increasingly so as the network densifies.
 
 from conftest import check_figure, emit
 
-from repro.experiments.figures import fig9a, fig9b
+from repro.experiments.engine import run_plan
+from repro.experiments.figures import fig9a_plan, fig9b_plan
 
 
 def test_fig9a_power_vs_load(one_shot):
-    data = one_shot(fig9a, quick=True)
+    data = one_shot(run_plan, fig9a_plan(quick=True))
     emit(data)
     check_figure(data, "fig9a")
     for protocol, series in data.series.items():
@@ -23,7 +24,7 @@ def test_fig9a_power_vs_load(one_shot):
 
 
 def test_fig9b_power_vs_node_count(one_shot):
-    data = one_shot(fig9b, quick=True)
+    data = one_shot(run_plan, fig9b_plan(quick=True))
     emit(data)
     check_figure(data, "fig9b")
     # power grows with node count for every protocol...

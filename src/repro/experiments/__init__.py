@@ -1,8 +1,8 @@
-"""Experiment harness: Table 2 configs, scenarios, sweeps, figure runners."""
+"""Experiment harness: Table 2 configs, scenarios, sweeps, figure plans."""
 
 from ..faults import FaultPlan, FaultReport
 from .cache import ResultCache, cell_key, code_version
-from .chaos import CHAOS_PROTOCOLS, ChaosSummary, chaos, chaos_figure_plan, chaos_plan
+from .chaos import CHAOS_PROTOCOLS, ChaosSummary, chaos_figure_plan, chaos_plan
 from .engine import (
     PAPER_PROTOCOLS,
     EngineError,
@@ -23,7 +23,7 @@ from .engine import (
     service_targets,
 )
 from .config import TABLE2, ScenarioConfig, table2_config
-from .figures import ALL_FIGURES, ALL_PLANS, PAPER_EXPECTATIONS, FigureData
+from .figures import ALL_PLANS, PAPER_EXPECTATIONS, FigureData
 from .parallel import CellFailure, ParallelSweepRunner, SweepCell, expand_cells
 from .report import format_figure, write_csv
 from .ablations import ALL_ABLATIONS
@@ -37,7 +37,6 @@ from .timeline import (
 
 __all__ = [
     "ALL_ABLATIONS",
-    "ALL_FIGURES",
     "ALL_PLANS",
     "CHAOS_PROTOCOLS",
     "CellFailure",
@@ -47,7 +46,6 @@ __all__ = [
     "FaultReport",
     "FigureData",
     "FigurePlan",
-    "chaos",
     "chaos_figure_plan",
     "chaos_plan",
     "TimelineEntry",

@@ -26,9 +26,8 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .config import ScenarioConfig, table2_config
-from .figures import FigureData, Progress
+from .engine import PAPER_PROTOCOLS, FigureData, Progress, mean
 from .scenario import Scenario
-from .engine import PAPER_PROTOCOLS, mean
 
 
 def _run_cells(

@@ -19,9 +19,7 @@ left wedged by a dead peer — the smoke job's assertion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
-
-from typing import Mapping
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from ..faults.plan import ClockFault, CrashWave, FaultPlan, ModemOutage, NoiseBurst
 from .config import ScenarioConfig, table2_config
@@ -33,7 +31,6 @@ from .engine import (
     SweepSpec,
     aggregate,
     apply_overrides,
-    run_sweep,
 )
 from .scenario import ScenarioResult
 
@@ -222,26 +219,3 @@ def summarize_grid(results: GridResults) -> ChaosSummary:
             summary.add(result)
     return summary
 
-
-def chaos(
-    seeds: Sequence[int] = (1, 2, 3),
-    quick: bool = False,
-    progress: Optional[Callable[[str], None]] = None,
-    workers: Optional[int] = 1,
-    cache: object = None,
-    cell_timeout_s: Optional[float] = None,
-    overrides: Optional[Mapping[str, object]] = None,
-) -> Tuple[FigureData, ChaosSummary]:
-    """Delivery ratio vs crash fraction for all five protocols."""
-    plan = chaos_figure_plan(seeds, quick, overrides)
-    results = run_sweep(
-        plan.spec,
-        plan.base,
-        protocols=plan.protocols,
-        seeds=plan.seeds,
-        progress=progress,
-        workers=workers,
-        cache=cache,
-        cell_timeout_s=cell_timeout_s,
-    )
-    return plan.build(results), summarize_grid(results)

@@ -17,18 +17,18 @@ from __future__ import annotations
 
 import argparse
 import ast
-import inspect
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from .ablations import ALL_ABLATIONS
+from .chaos import chaos_figure_plan, summarize_grid
 from .config import TABLE2
-from .engine import EngineError, observe_sweeps
-from .figures import ALL_FIGURES
+from .engine import EngineError, observe_sweeps, run_plan, run_sweep
+from .figures import ALL_PLANS
 from .report import format_figure, write_csv
 
-_RUNNERS = {**ALL_FIGURES, **ALL_ABLATIONS}
+_RUNNERS = {**ALL_PLANS, **ALL_ABLATIONS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,27 +203,34 @@ def parse_overrides(pairs: List[str]) -> Dict[str, object]:
     return overrides
 
 
-def _engine_kwargs(runner, args: argparse.Namespace) -> Dict[str, object]:
-    """Sweep-engine kwargs for runners that support them.
+def _run_kwargs(args: argparse.Namespace) -> Dict[str, object]:
+    """Sweep-execution kwargs shared by plan targets and ``serve``."""
+    return {
+        "workers": None if args.workers == 0 else args.workers,
+        "cache": not args.no_cache,
+        "cell_timeout_s": args.cell_timeout,
+        "checkpoint_every_s": args.checkpoint_every,
+    }
 
-    The figure runners route through the parallel engine; the ablation
-    runners drive scenarios directly (their tweaks are closures) and take
-    no engine arguments, so only the parameters a runner declares are
-    passed.
+
+def _reject_sweep_flags(args: argparse.Namespace) -> None:
+    """Refuse sweep-engine flags on targets that would silently ignore them.
+
+    Ablations and ``scale`` run their scenarios directly (their tweaks are
+    closures), not through the sweep engine.
     """
-    supported = inspect.signature(runner).parameters
-    kwargs: Dict[str, object] = {}
-    if "workers" in supported:
-        kwargs["workers"] = None if args.workers == 0 else args.workers
-    if "cache" in supported:
-        kwargs["cache"] = not args.no_cache
-    if "cell_timeout_s" in supported and args.cell_timeout is not None:
-        kwargs["cell_timeout_s"] = args.cell_timeout
-    if "checkpoint_every_s" in supported and args.checkpoint_every is not None:
-        kwargs["checkpoint_every_s"] = args.checkpoint_every
-    if "overrides" in supported and args.override:
-        kwargs["overrides"] = parse_overrides(args.override)
-    return kwargs
+    given = [
+        ("--override", bool(args.override)),
+        ("--cell-timeout", args.cell_timeout is not None),
+        ("--checkpoint-every", args.checkpoint_every is not None),
+        ("--workers", args.workers != 1),
+    ]
+    for flag, present in given:
+        if present:
+            raise EngineError(
+                f"{flag} is not supported by target {args.target!r}: "
+                "ablations and scale run in-process without the sweep engine"
+            )
 
 
 def _print_table2() -> None:
@@ -232,10 +239,15 @@ def _print_table2() -> None:
         print(f"  {key:28s} {value}")
 
 
-def _finish_observed(observer, cache_enabled: bool) -> int:
-    """Shared epilogue: cache accounting and the failure exit code."""
-    if cache_enabled:
+def _finish_observed(observer, args: argparse.Namespace) -> int:
+    """Shared epilogue: cache/checkpoint accounting and the failure exit code."""
+    if not args.no_cache:
         print(f"  {observer.cache_line()}")
+    if args.checkpoint_every is not None:
+        print(
+            f"  checkpoints: {observer.checkpoints_taken} taken, "
+            f"{observer.cells_resumed} cell(s) resumed"
+        )
     if observer.failures:
         for failure in observer.failures:
             print(
@@ -250,20 +262,12 @@ def _finish_observed(observer, cache_enabled: bool) -> int:
 def _serve(args: argparse.Namespace) -> int:
     from ..service.api import serve
 
-    run_kwargs: Dict[str, object] = {
-        "workers": None if args.workers == 0 else args.workers,
-        "cache": not args.no_cache,
-    }
-    if args.cell_timeout is not None:
-        run_kwargs["cell_timeout_s"] = args.cell_timeout
-    if args.checkpoint_every is not None:
-        run_kwargs["checkpoint_every_s"] = args.checkpoint_every
     return serve(
         host=args.host,
         port=args.port,
         store_path=args.store,
         n_service_workers=args.service_workers,
-        run_kwargs=run_kwargs,
+        run_kwargs=_run_kwargs(args),
         allow_shutdown=args.allow_shutdown,
         quiet=not args.http_log,
         lease_s=args.lease_s,
@@ -304,38 +308,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
     progress = (lambda msg: print(f"  .. {msg}", file=sys.stderr)) if args.verbose else None
     seeds = tuple(range(1, args.seeds + 1))
-    if args.target == "chaos":
-        from .chaos import chaos
-
-        kwargs = _engine_kwargs(chaos, args)
-        with observe_sweeps() as observer:
-            data, summary = chaos(
-                seeds=seeds, quick=args.quick, progress=progress, **kwargs
-            )
-        print(format_figure(data))
-        for line in summary.lines():
-            print(f"  {line}")
-        if args.csv:
-            path = write_csv(data, Path(args.csv) / "chaos.csv")
-            print(f"  csv: {path}")
-        status = _finish_observed(observer, not args.no_cache)
-        if status:
-            return status
-        if summary.wedged_handshakes > 0:
-            print(
-                f"FAIL: {summary.wedged_handshakes} wedged handshake(s) "
-                "survived the post-run audit",
-                file=sys.stderr,
-            )
-            return 1
-        if summary.faulted_cells > 0 and summary.recoveries == 0:
-            print(
-                "FAIL: faulted cells ran but no node ever recovered — "
-                "the recovery path is not being exercised",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
+    if args.target in ("ablations", "scale") or args.target in ALL_ABLATIONS:
+        _reject_sweep_flags(args)
     if args.target == "scale":
         from .scale import scale
 
@@ -346,11 +320,12 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(f"  csv: {path}")
         return 0
     if args.target == "all":
-        targets = sorted(ALL_FIGURES)
+        targets = sorted(ALL_PLANS)
     elif args.target == "ablations":
         targets = sorted(ALL_ABLATIONS)
     else:
         targets = [args.target]
+    overrides = parse_overrides(args.override) or None
     profiler = None
     if args.profile:
         # Child processes would escape the profiler and the in-process perf
@@ -364,13 +339,35 @@ def _dispatch(args: argparse.Namespace) -> int:
 
         profiler = cProfile.Profile()
         profiler.enable()
+    run_kwargs = _run_kwargs(args)
+    chaos_summary = None
     try:
         with observe_sweeps() as observer:
             for target in targets:
-                runner = _RUNNERS[target]
-                kwargs = _engine_kwargs(runner, args)
-                data = runner(seeds=seeds, quick=args.quick, progress=progress, **kwargs)
+                if target in ALL_ABLATIONS:
+                    data = ALL_ABLATIONS[target](
+                        seeds=seeds, quick=args.quick, progress=progress
+                    )
+                elif target == "chaos":
+                    # The raw grid, not just the figure: the exit code
+                    # depends on the audit counters.
+                    plan = chaos_figure_plan(seeds, args.quick, overrides)
+                    grid = run_sweep(
+                        plan.spec,
+                        plan.base,
+                        plan.protocols,
+                        plan.seeds,
+                        progress=progress,
+                        **run_kwargs,
+                    )
+                    data, chaos_summary = plan.build(grid), summarize_grid(grid)
+                else:
+                    plan = ALL_PLANS[target](seeds, args.quick, overrides)
+                    data = run_plan(plan, progress=progress, **run_kwargs)
                 print(format_figure(data))
+                if chaos_summary is not None:
+                    for line in chaos_summary.lines():
+                        print(f"  {line}")
                 if args.chart:
                     from ..analysis.charts import figure_chart
 
@@ -382,7 +379,24 @@ def _dispatch(args: argparse.Namespace) -> int:
         if profiler is not None:
             profiler.disable()
             _print_profile(profiler)
-    return _finish_observed(observer, not args.no_cache)
+    status = _finish_observed(observer, args)
+    if status or chaos_summary is None:
+        return status
+    if chaos_summary.wedged_handshakes > 0:
+        print(
+            f"FAIL: {chaos_summary.wedged_handshakes} wedged handshake(s) "
+            "survived the post-run audit",
+            file=sys.stderr,
+        )
+        return 1
+    if chaos_summary.faulted_cells > 0 and chaos_summary.recoveries == 0:
+        print(
+            "FAIL: faulted cells ran but no node ever recovered — "
+            "the recovery path is not being exercised",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
 
 
 def _print_profile(profiler: "cProfile.Profile") -> None:

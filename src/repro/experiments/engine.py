@@ -14,8 +14,9 @@ Three layers, lowest first:
 
 ``run_sweep``
     Grid executor: a :class:`SweepSpec` (x axis + config closure) is
-    expanded into (x, protocol, seed) cells and run serially or through
-    the spawn-safe process pool (:mod:`repro.experiments.parallel`),
+    expanded into (x, protocol, seed) cells and handed to the one cell
+    executor, :class:`~repro.experiments.parallel.ParallelSweepRunner`
+    (in-process for ``workers=1``, a spawn-safe process pool otherwise),
     optionally memoized through the content-addressed
     :mod:`~repro.experiments.cache`.
 
@@ -40,7 +41,7 @@ Three layers, lowest first:
 Observability is ambient rather than threaded through every signature:
 wrap engine calls in :func:`observe_sweeps` to collect permanent cell
 failures, requeue counts, and cache hit/miss totals without changing any
-runner's interface.
+sweep call's signature.
 """
 
 from __future__ import annotations
@@ -61,8 +62,10 @@ from typing import (
     Tuple,
 )
 
+from .cache import cell_key, code_version
 from .config import ScenarioConfig
-from .scenario import Scenario, ScenarioResult
+from .parallel import ParallelSweepRunner, expand_cells
+from .scenario import ScenarioResult
 
 #: The paper's protocol set, in its legend order.
 PAPER_PROTOCOLS: Tuple[str, ...] = ("S-FAMA", "ROPA", "CS-MAC", "EW-MAC")
@@ -139,12 +142,12 @@ class SweepObserver:
     #: Checkpoints taken across all finished cells.
     checkpoints_taken: int = 0
 
-    def record_runner(self, runner: object) -> None:
+    def record_runner(self, runner: ParallelSweepRunner) -> None:
         """Fold one finished ``ParallelSweepRunner`` into the totals."""
         self.failures.extend(runner.failures)
         self.requeued += len(runner.requeued)
-        self.cells_resumed += getattr(runner, "cells_resumed", 0)
-        self.checkpoints_taken += getattr(runner, "checkpoints_taken", 0)
+        self.cells_resumed += runner.cells_resumed
+        self.checkpoints_taken += runner.checkpoints_taken
         cache = runner.cache
         if cache is not None:
             self.cache_hits += cache.stats.hits
@@ -180,7 +183,7 @@ def observe_sweeps() -> Iterator[SweepObserver]:
 
     Front-ends (CLI exit codes, the service's failed-job detection, CI
     cache accounting) use this instead of threading reporting hooks
-    through every figure runner's signature.  Blocks nest: an inner
+    through every sweep call's signature.  Blocks nest: an inner
     block's totals fold into the enclosing observer when it exits, so
     :func:`run_request` (which observes its own sweep) stays visible to
     a caller that is also observing.
@@ -209,16 +212,20 @@ def run_sweep(
     cache: object = None,
     cell_timeout_s: Optional[float] = None,
     checkpoint_every_s: Optional[float] = None,
-    checkpoint_dir: Optional[str] = None,
 ) -> GridResults:
     """Run every (x, protocol, seed) cell of a sweep.
 
+    Every sweep goes through one
+    :class:`~repro.experiments.parallel.ParallelSweepRunner`, so every
+    front-end shares one failure model: a cell that raises becomes a
+    :class:`~repro.experiments.parallel.CellFailure` (collected by
+    :func:`observe_sweeps`) and the rest of the grid still runs.
+
     Args:
-        workers: ``1`` (default) runs the classic in-process loop;
-            ``N > 1`` (or ``None``/``0`` for the CPU count) fans cells out
-            over a spawn-safe process pool via
-            :class:`~repro.experiments.parallel.ParallelSweepRunner`.
-            Cell order, seed pairing, and results are identical either way.
+        workers: ``1`` (default) runs the cells in this process, one after
+            another; ``N > 1`` (or ``None``/``0`` for the CPU count) fans
+            them out over a spawn-safe process pool.  Cell order, seed
+            pairing, and results are identical either way.
         cache: ``None`` (off), ``True`` (default on-disk location), a
             directory path, or a
             :class:`~repro.experiments.cache.ResultCache` — previously
@@ -229,49 +236,19 @@ def run_sweep(
         checkpoint_every_s: Simulated seconds between per-cell scenario
             checkpoints (off by default; resumed cells are bit-identical,
             see :mod:`~repro.experiments.checkpoint`).
-        checkpoint_dir: Directory for checkpoint files; ``None`` uses a
-            temporary directory scoped to the sweep.
     """
-    from .cache import resolve_cache
-
-    resolved = resolve_cache(cache)  # type: ignore[arg-type]
-    if (
-        (workers is None or workers != 1)
-        or resolved is not None
-        or checkpoint_every_s is not None
-    ):
-        from .parallel import ParallelSweepRunner
-
-        runner = ParallelSweepRunner(
-            workers=workers,
-            cache=resolved,
-            cell_timeout_s=cell_timeout_s,
-            progress=progress,
-            checkpoint_every_s=checkpoint_every_s,
-            checkpoint_dir=checkpoint_dir,
-        )
-        grid = runner.run(spec, base, protocols=protocols, seeds=seeds)
-        observer = _OBSERVER.get()
-        if observer is not None:
-            observer.record_runner(runner)
-        return grid
-    results: GridResults = {}
-    for x in spec.x_values:
-        for protocol in protocols:
-            cell: List[ScenarioResult] = []
-            for seed in seeds:
-                config = spec.configure(base, x, protocol, seed)
-                scenario = Scenario(config)
-                if spec.batch is not None:
-                    n_packets, max_time = spec.batch(x, config)
-                    result = scenario.run_batch(n_packets, max_time)
-                else:
-                    result = scenario.run_steady_state()
-                cell.append(result)
-                if progress is not None:
-                    progress(f"{protocol} x={x} seed={seed} done")
-            results[(x, protocol)] = cell
-    return results
+    runner = ParallelSweepRunner(
+        workers=workers,
+        cache=cache,
+        cell_timeout_s=cell_timeout_s,
+        progress=progress,
+        checkpoint_every_s=checkpoint_every_s,
+    )
+    grid = runner.run(spec, base, protocols=protocols, seeds=seeds)
+    observer = _OBSERVER.get()
+    if observer is not None:
+        observer.record_runner(runner)
+    return grid
 
 
 def aggregate(
@@ -356,7 +333,6 @@ def run_plan(
     cache: object = None,
     cell_timeout_s: Optional[float] = None,
     checkpoint_every_s: Optional[float] = None,
-    checkpoint_dir: Optional[str] = None,
 ) -> FigureData:
     """Execute a plan's sweep and build its figure."""
     grid = run_sweep(
@@ -369,7 +345,6 @@ def run_plan(
         cache=cache,
         cell_timeout_s=cell_timeout_s,
         checkpoint_every_s=checkpoint_every_s,
-        checkpoint_dir=checkpoint_dir,
     )
     return plan.build(grid)
 
@@ -523,9 +498,6 @@ def request_key(request: SweepRequest) -> str:
     submissions always map to the same key; any source edit re-keys
     every job.
     """
-    from .cache import cell_key, code_version
-    from .parallel import expand_cells
-
     plan = request_plan(request)
     cells = expand_cells(plan.spec, plan.base, plan.protocols, plan.seeds)
     version = code_version()
@@ -573,12 +545,11 @@ def run_request(
     cache: object = None,
     cell_timeout_s: Optional[float] = None,
     checkpoint_every_s: Optional[float] = None,
-    checkpoint_dir: Optional[str] = None,
 ) -> SweepResult:
     """Execute a request end to end and return its :class:`SweepResult`.
 
     Deterministic for a given request and source tree: the figure dict is
-    bit-identical to the corresponding direct figure-runner call (the CI
+    bit-identical to :func:`run_plan` on the same plan (the CI
     service smoke asserts this over HTTP).
     """
     plan = request_plan(request)
@@ -593,7 +564,6 @@ def run_request(
             cache=cache,
             cell_timeout_s=cell_timeout_s,
             checkpoint_every_s=checkpoint_every_s,
-            checkpoint_dir=checkpoint_dir,
         )
     figure = plan.build(grid)
     summary = plan.summarize(grid) if plan.summarize is not None else []

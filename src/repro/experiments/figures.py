@@ -1,4 +1,4 @@
-"""Per-figure experiment plans and runners (paper Sec. 5, Figs. 6-11).
+"""Per-figure experiment plans (paper Sec. 5, Figs. 6-11).
 
 Each figure is described *declaratively* by a plan factory
 (``fig6_plan`` ...): axes, base config, protocol set, seeds, and the
@@ -8,12 +8,11 @@ execute anything — the pure engine does
 (:func:`~repro.experiments.engine.run_plan`), so the same plan can be
 run by the CLI, keyed and queued by the job service, or benchmarked.
 
-The classic ``figN(...)`` runners remain as thin callers over their
-plans with unchanged signatures.  Every runner accepts ``quick=True``
-for a scaled-down run (shorter window, single seed, coarser axis) used
-by the benchmark suite, ``seeds`` for replication control, and
-``overrides`` for ad-hoc base-config tweaks (the CLI's ``--override``
-and the service's request overrides).
+Run a figure with ``run_plan(ALL_PLANS["fig6"](quick=True))``.  Every
+factory accepts ``quick=True`` for a scaled-down run (shorter window,
+single seed, coarser axis) used by the benchmark suite, ``seeds`` for
+replication control, and ``overrides`` for ad-hoc base-config tweaks
+(the CLI's ``--override`` and the service's request overrides).
 
 :data:`PAPER_EXPECTATIONS` records what the original figure shows, so the
 reports (and EXPERIMENTS.md) can place measured series next to the paper's
@@ -34,10 +33,8 @@ from .engine import (
     aggregate,
     aggregate_relative,
     apply_overrides,
-    run_plan,
 )
 
-Progress = Optional[Callable[[str], None]]
 Overrides = Optional[Mapping[str, object]]
 
 
@@ -136,27 +133,6 @@ def fig6_plan(
     )
 
 
-def fig6(
-    seeds: Sequence[int] = (1, 2, 3),
-    quick: bool = False,
-    progress: Progress = None,
-    workers: Optional[int] = 1,
-    cache: object = None,
-    cell_timeout_s: Optional[float] = None,
-    overrides: Overrides = None,
-    checkpoint_every_s: Optional[float] = None,
-) -> FigureData:
-    """Paper Fig. 6: throughput at different offered loads (60 sensors)."""
-    return run_plan(
-        fig6_plan(seeds, quick, overrides),
-        progress=progress,
-        workers=workers,
-        cache=cache,
-        cell_timeout_s=cell_timeout_s,
-        checkpoint_every_s=checkpoint_every_s,
-    )
-
-
 # ----------------------------------------------------------------------
 # Fig. 7 — throughput vs node density
 # ----------------------------------------------------------------------
@@ -191,27 +167,6 @@ def fig7_plan(
         protocols=PAPER_PROTOCOLS,
         seeds=_plan_seeds(seeds, quick),
         build=build,
-    )
-
-
-def fig7(
-    seeds: Sequence[int] = (1, 2, 3),
-    quick: bool = False,
-    progress: Progress = None,
-    workers: Optional[int] = 1,
-    cache: object = None,
-    cell_timeout_s: Optional[float] = None,
-    overrides: Overrides = None,
-    checkpoint_every_s: Optional[float] = None,
-) -> FigureData:
-    """Paper Fig. 7: throughput at different sensor densities (0.8 kbps)."""
-    return run_plan(
-        fig7_plan(seeds, quick, overrides),
-        progress=progress,
-        workers=workers,
-        cache=cache,
-        cell_timeout_s=cell_timeout_s,
-        checkpoint_every_s=checkpoint_every_s,
     )
 
 
@@ -267,27 +222,6 @@ def fig8_plan(
         protocols=PAPER_PROTOCOLS,
         seeds=_plan_seeds(seeds, quick),
         build=build,
-    )
-
-
-def fig8(
-    seeds: Sequence[int] = (1, 2, 3),
-    quick: bool = False,
-    progress: Progress = None,
-    workers: Optional[int] = 1,
-    cache: object = None,
-    cell_timeout_s: Optional[float] = None,
-    overrides: Overrides = None,
-    checkpoint_every_s: Optional[float] = None,
-) -> FigureData:
-    """Paper Fig. 8: time to complete a fixed batch of transmissions."""
-    return run_plan(
-        fig8_plan(seeds, quick, overrides),
-        progress=progress,
-        workers=workers,
-        cache=cache,
-        cell_timeout_s=cell_timeout_s,
-        checkpoint_every_s=checkpoint_every_s,
     )
 
 
@@ -356,27 +290,6 @@ def fig9a_plan(
     )
 
 
-def fig9a(
-    seeds: Sequence[int] = (1, 2, 3),
-    quick: bool = False,
-    progress: Progress = None,
-    workers: Optional[int] = 1,
-    cache: object = None,
-    cell_timeout_s: Optional[float] = None,
-    overrides: Overrides = None,
-    checkpoint_every_s: Optional[float] = None,
-) -> FigureData:
-    """Paper Fig. 9a: energy to deliver the offered information, 80 sensors."""
-    return run_plan(
-        fig9a_plan(seeds, quick, overrides),
-        progress=progress,
-        workers=workers,
-        cache=cache,
-        cell_timeout_s=cell_timeout_s,
-        checkpoint_every_s=checkpoint_every_s,
-    )
-
-
 def fig9b_plan(
     seeds: Sequence[int] = (1, 2, 3),
     quick: bool = False,
@@ -418,27 +331,6 @@ def fig9b_plan(
     )
 
 
-def fig9b(
-    seeds: Sequence[int] = (1, 2, 3),
-    quick: bool = False,
-    progress: Progress = None,
-    workers: Optional[int] = 1,
-    cache: object = None,
-    cell_timeout_s: Optional[float] = None,
-    overrides: Overrides = None,
-    checkpoint_every_s: Optional[float] = None,
-) -> FigureData:
-    """Paper Fig. 9b: drain energy vs number of sensors at 0.3 kbps."""
-    return run_plan(
-        fig9b_plan(seeds, quick, overrides),
-        progress=progress,
-        workers=workers,
-        cache=cache,
-        cell_timeout_s=cell_timeout_s,
-        checkpoint_every_s=checkpoint_every_s,
-    )
-
-
 # ----------------------------------------------------------------------
 # Fig. 10 — overhead
 # ----------------------------------------------------------------------
@@ -475,27 +367,6 @@ def fig10a_plan(
         protocols=PAPER_PROTOCOLS,
         seeds=_plan_seeds(seeds, quick),
         build=build,
-    )
-
-
-def fig10a(
-    seeds: Sequence[int] = (1, 2, 3),
-    quick: bool = False,
-    progress: Progress = None,
-    workers: Optional[int] = 1,
-    cache: object = None,
-    cell_timeout_s: Optional[float] = None,
-    overrides: Overrides = None,
-    checkpoint_every_s: Optional[float] = None,
-) -> FigureData:
-    """Paper Fig. 10a: overhead ratio vs node count at 0.5 kbps."""
-    return run_plan(
-        fig10a_plan(seeds, quick, overrides),
-        progress=progress,
-        workers=workers,
-        cache=cache,
-        cell_timeout_s=cell_timeout_s,
-        checkpoint_every_s=checkpoint_every_s,
     )
 
 
@@ -541,27 +412,6 @@ def fig10b_plan(
     )
 
 
-def fig10b(
-    seeds: Sequence[int] = (1, 2, 3),
-    quick: bool = False,
-    progress: Progress = None,
-    workers: Optional[int] = 1,
-    cache: object = None,
-    cell_timeout_s: Optional[float] = None,
-    overrides: Overrides = None,
-    checkpoint_every_s: Optional[float] = None,
-) -> FigureData:
-    """Paper Fig. 10b: overhead ratio vs offered load (dense network)."""
-    return run_plan(
-        fig10b_plan(seeds, quick, overrides),
-        progress=progress,
-        workers=workers,
-        cache=cache,
-        cell_timeout_s=cell_timeout_s,
-        checkpoint_every_s=checkpoint_every_s,
-    )
-
-
 # ----------------------------------------------------------------------
 # Fig. 11 — efficiency index
 # ----------------------------------------------------------------------
@@ -600,40 +450,8 @@ def fig11_plan(
     )
 
 
-def fig11(
-    seeds: Sequence[int] = (1, 2, 3),
-    quick: bool = False,
-    progress: Progress = None,
-    workers: Optional[int] = 1,
-    cache: object = None,
-    cell_timeout_s: Optional[float] = None,
-    overrides: Overrides = None,
-    checkpoint_every_s: Optional[float] = None,
-) -> FigureData:
-    """Paper Fig. 11: Eq. (4) efficiency index, S-FAMA normalized to 1."""
-    return run_plan(
-        fig11_plan(seeds, quick, overrides),
-        progress=progress,
-        workers=workers,
-        cache=cache,
-        cell_timeout_s=cell_timeout_s,
-        checkpoint_every_s=checkpoint_every_s,
-    )
-
-
-#: Every figure runner by id, for the CLI and benchmarks.
-ALL_FIGURES: Dict[str, Callable[..., FigureData]] = {
-    "fig6": fig6,
-    "fig7": fig7,
-    "fig8": fig8,
-    "fig9a": fig9a,
-    "fig9b": fig9b,
-    "fig10a": fig10a,
-    "fig10b": fig10b,
-    "fig11": fig11,
-}
-
-#: Every figure plan factory by id, for the engine's request layer.
+#: Every figure plan factory by id, for the CLI, the engine's request
+#: layer and the benchmarks.
 ALL_PLANS: Dict[str, Callable[..., FigurePlan]] = {
     "fig6": fig6_plan,
     "fig7": fig7_plan,

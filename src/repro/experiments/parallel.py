@@ -7,9 +7,11 @@ process pool wants.  :class:`ParallelSweepRunner` expands a
 :class:`SweepCell` work items **in the parent** (so the spec's closures
 never cross a process boundary), fans the items over a spawn-safe worker
 pool, and reassembles results in the exact order the serial loop would
-have produced them — ``run_sweep(..., workers=4)`` is bit-identical to
-``workers=1`` because every cell derives all randomness from its own
-config seed (see :mod:`repro.des.rng`).
+have produced them — ``workers=4`` is bit-identical to ``workers=1``
+because every cell derives all randomness from its own config seed (see
+:mod:`repro.des.rng`).  It is the only code that runs sweep cells:
+:func:`~repro.experiments.engine.run_sweep` and every front-end above it
+go through it, ``workers=1`` included.
 
 Failure handling is three-layered:
 
@@ -20,10 +22,10 @@ Failure handling is three-layered:
   event loop.
 * **Crashed-worker recovery** — a cell whose worker raises or dies
   (``BrokenProcessPool``) is requeued and re-run *serially* in the
-  parent.  The recovery path is bounded: at most ``max_serial_attempts``
-  tries per cell, each under a wall-clock budget derived from
-  ``cell_timeout_s``, so a truly wedged cell fails permanently instead of
-  blocking the sweep forever.
+  parent.  The recovery path is bounded: at most
+  :data:`MAX_SERIAL_ATTEMPTS` tries per cell, each under twice
+  ``cell_timeout_s`` of wall clock, so a truly wedged cell fails
+  permanently instead of blocking the sweep forever.
 * **Checkpoint/resume** — with ``checkpoint_every_s`` set, each cell
   periodically snapshots its scenario (:mod:`~repro.experiments.checkpoint`)
   to a per-cell file; a requeued or retried cell restores from its last
@@ -59,6 +61,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
     from .engine import GridResults, SweepSpec
 
 Progress = Optional[Callable[[str], None]]
+
+#: ``multiprocessing`` start method for the pool.  ``spawn`` is safe
+#: everywhere and matches what macOS/Windows force; tests that install
+#: module-level fakes switch it to ``fork`` so children see them.
+MP_CONTEXT = "spawn"
+
+#: Attempt cap per cell on the serial recovery path: a requeued cell
+#: that keeps failing is recorded in ``failures`` instead of retrying
+#: forever.
+MAX_SERIAL_ATTEMPTS = 3
+
+#: Floor, in seconds, of the parent-side hung-pool guard window, which
+#: is ``max(2 * cell_timeout_s, POOL_GUARD_S)`` (no guard without a
+#: cell timeout).
+POOL_GUARD_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -188,22 +205,12 @@ def execute_cell(
 def _pool_worker(
     cell: SweepCell,
     wall_budget_s: Optional[float],
-    checkpoint_path: Union[str, Path, None] = None,
-    checkpoint_every_s: Optional[float] = None,
+    checkpoint_path: Union[str, Path, None],
+    checkpoint_every_s: Optional[float],
 ) -> Tuple[int, float, ScenarioResult]:
     """Pool entry point: returns (cell index, wall-clock seconds, result)."""
     started = time.perf_counter()
-    # Checkpoint kwargs are only passed when checkpointing is on: tests
-    # monkeypatch ``execute_cell`` with the classic two-argument signature.
-    if checkpoint_path is not None:
-        result = execute_cell(
-            cell,
-            wall_budget_s,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every_s=checkpoint_every_s,
-        )
-    else:
-        result = execute_cell(cell, wall_budget_s)
+    result = execute_cell(cell, wall_budget_s, checkpoint_path, checkpoint_every_s)
     return cell.index, time.perf_counter() - started, result
 
 
@@ -218,10 +225,8 @@ class ParallelSweepRunner:
         cell_timeout_s: Cooperative wall-clock budget per cell.  A cell
             that exceeds it is requeued and re-run serially (resuming
             from its checkpoint when checkpointing is on).
-        progress: Same callback contract as :func:`run_sweep`; receives a
-            line per cell with its wall-clock cost (or ``cached``).
-        mp_context: ``multiprocessing`` start method; ``spawn`` (default)
-            is safe everywhere and matches what macOS/Windows force.
+        progress: Receives a line per cell with its wall-clock cost (or
+            ``cached``), plus requeue and failure notices.
         checkpoint_every_s: Simulated seconds between per-cell
             checkpoints.  ``None`` (default) disables checkpointing
             entirely — cells run exactly as before, zero hot-path cost.
@@ -230,18 +235,10 @@ class ParallelSweepRunner:
             directory, removed when :meth:`run_cells` finishes; passing a
             path keeps checkpoints across runner instances (a crashed
             *sweep* can then resume its in-flight cells too).
-        max_serial_attempts: Attempt cap for the serial recovery path (a
-            requeued cell that keeps failing is recorded in
-            :attr:`failures` instead of retrying forever).
-        recovery_timeout_s: Per-attempt wall-clock budget for recovery
-            re-runs.  ``None`` derives ``2 * cell_timeout_s`` (recovery
-            gets more room than the pooled attempt, but stays bounded);
-            with no ``cell_timeout_s`` either, recovery runs unbounded
-            like before.  The primary ``workers=1`` serial path is never
-            budgeted — only recovery re-runs are.
-        pool_guard_s: Override for the parent-side hung-pool guard window
-            (default ``max(2 * cell_timeout_s, 30.0)``).  Exposed mainly
-            so tests can exercise the hung branch quickly.
+
+    Recovery re-runs get ``2 * cell_timeout_s`` of wall clock per
+    attempt (unbounded without a cell timeout); the primary ``workers=1``
+    serial path is never budgeted.
     """
 
     def __init__(
@@ -250,26 +247,16 @@ class ParallelSweepRunner:
         cache: object = None,
         cell_timeout_s: Optional[float] = None,
         progress: Progress = None,
-        mp_context: str = "spawn",
         checkpoint_every_s: Optional[float] = None,
         checkpoint_dir: Union[str, Path, None] = None,
-        max_serial_attempts: int = 3,
-        recovery_timeout_s: Optional[float] = None,
-        pool_guard_s: Optional[float] = None,
     ) -> None:
         self.workers = workers if workers else (os.cpu_count() or 1)
         self.cache: Optional[ResultCache] = resolve_cache(cache)  # type: ignore[arg-type]
         self.cell_timeout_s = cell_timeout_s
         self.progress = progress
-        self.mp_context = mp_context
         self.checkpoint_every_s = checkpoint_every_s
         self._checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
         self._owns_checkpoint_dir = False
-        if max_serial_attempts < 1:
-            raise ValueError("max_serial_attempts must be >= 1")
-        self.max_serial_attempts = max_serial_attempts
-        self.recovery_timeout_s = recovery_timeout_s
-        self.pool_guard_s = pool_guard_s
         #: Cells whose first (pooled) attempt timed out or crashed and
         #: which were re-run serially — observability for tests and CLIs.
         self.requeued: List[SweepCell] = []
@@ -416,14 +403,6 @@ class ParallelSweepRunner:
             self.checkpoints_taken += result.perf.checkpoints_taken
         self._emit(f"{cell.label} done in {elapsed_s:.2f}s{note}")
 
-    def _recovery_budget_s(self) -> Optional[float]:
-        """Per-attempt wall-clock budget for recovery re-runs."""
-        if self.recovery_timeout_s is not None:
-            return self.recovery_timeout_s
-        if self.cell_timeout_s is not None:
-            return 2 * self.cell_timeout_s
-        return None
-
     def _run_serial(
         self,
         cells: Sequence[SweepCell],
@@ -434,10 +413,10 @@ class ParallelSweepRunner:
         """In-parent execution: the workers=1 path and the recovery path.
 
         The primary (``recovery=False``) path runs each cell once with no
-        wall-clock budget, exactly like the classic serial loop.  The
+        wall-clock budget.  The
         recovery path is bounded both ways: each re-run gets at most
-        :meth:`_recovery_budget_s` of wall clock and each cell at most
-        ``max_serial_attempts`` tries — a truly wedged cell becomes a
+        ``2 * cell_timeout_s`` of wall clock and each cell at most
+        :data:`MAX_SERIAL_ATTEMPTS` tries — a truly wedged cell becomes a
         :class:`CellFailure` instead of blocking the sweep forever.  With
         checkpointing on, every attempt resumes from the cell's last
         checkpoint, so bounded retries still make monotonic progress.
@@ -445,8 +424,12 @@ class ParallelSweepRunner:
         failed audit) is recorded in :attr:`failures` and the rest of the
         sweep continues.
         """
-        attempts = self.max_serial_attempts if recovery else 1
-        budget_s = self._recovery_budget_s() if recovery else None
+        attempts = MAX_SERIAL_ATTEMPTS if recovery else 1
+        budget_s = (
+            2 * self.cell_timeout_s
+            if recovery and self.cell_timeout_s is not None
+            else None
+        )
         for cell in cells:
             checkpoint_path = self._checkpoint_path_for(cell, keys)
             started = time.perf_counter()
@@ -455,18 +438,9 @@ class ParallelSweepRunner:
             error_tb = ""
             for attempt in range(1, attempts + 1):
                 try:
-                    # Checkpoint kwargs are only passed when checkpointing
-                    # is on: tests monkeypatch ``execute_cell`` with the
-                    # classic two-argument signature.
-                    if checkpoint_path is not None:
-                        result = execute_cell(
-                            cell,
-                            budget_s,
-                            checkpoint_path=checkpoint_path,
-                            checkpoint_every_s=self.checkpoint_every_s,
-                        )
-                    else:
-                        result = execute_cell(cell, budget_s)
+                    result = execute_cell(
+                        cell, budget_s, checkpoint_path, self.checkpoint_every_s
+                    )
                     break
                 except WallClockExceeded as exc:
                     error, error_tb = exc, traceback.format_exc()
@@ -505,42 +479,30 @@ class ParallelSweepRunner:
         keys: Dict[int, str],
     ) -> List[SweepCell]:
         """Pooled execution; returns the cells that need a serial retry."""
-        context = multiprocessing.get_context(self.mp_context)
+        context = multiprocessing.get_context(MP_CONTEXT)
         n_workers = min(self.workers, len(cells))
         retry: List[SweepCell] = []
         # A worker stuck *outside* the event loop never hits the
         # cooperative deadline, so the parent also bounds how long it will
         # wait between completions before declaring the pool hung.
-        if self.pool_guard_s is not None:
-            guard_s: Optional[float] = self.pool_guard_s
-        else:
-            guard_s = (
-                None
-                if self.cell_timeout_s is None
-                else max(2 * self.cell_timeout_s, 30.0)
-            )
-        pool = ProcessPoolExecutor(max_workers=n_workers, mp_context=context)
+        guard_s = (
+            None
+            if self.cell_timeout_s is None
+            else max(2 * self.cell_timeout_s, POOL_GUARD_S)
+        )
+        pool = ProcessPoolExecutor(n_workers, context)
         hung = False
         try:
-            # As in ``_run_serial``: checkpoint arguments only when
-            # checkpointing is on, so monkeypatched two-argument workers
-            # keep working.
-            if self._checkpointing:
-                future_to_cell = {
-                    pool.submit(
-                        _pool_worker,
-                        cell,
-                        self.cell_timeout_s,
-                        self._checkpoint_path_for(cell, keys),
-                        self.checkpoint_every_s,
-                    ): cell
-                    for cell in cells
-                }
-            else:
-                future_to_cell = {
-                    pool.submit(_pool_worker, cell, self.cell_timeout_s): cell
-                    for cell in cells
-                }
+            future_to_cell = {
+                pool.submit(
+                    _pool_worker,
+                    cell,
+                    self.cell_timeout_s,
+                    self._checkpoint_path_for(cell, keys),
+                    self.checkpoint_every_s,
+                ): cell
+                for cell in cells
+            }
             waiting = set(future_to_cell)
             while waiting:
                 done, waiting = wait(

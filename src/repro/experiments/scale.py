@@ -81,7 +81,7 @@ def scale(
 ) -> FigureData:
     """Run the scale sweep and return perf series keyed by counter name.
 
-    Unlike the figure runners the series are *metrics*, not protocols:
+    Unlike the figure plans the series are *metrics*, not protocols:
     ``wall_time_s``, ``kevents_per_s`` (thousands of simulator events per
     wall-clock second), ``cache_hit_pct`` and ``grid_candidates_mean``
     (mean spatial-hash candidate-set size per broadcast, versus ``n - 1``

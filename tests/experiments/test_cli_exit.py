@@ -1,15 +1,22 @@
 """CLI exit codes: engine-level failures must never exit 0.
 
-These shell out to ``python -m repro.experiments.cli`` — the same
-surface CI and users invoke — rather than calling ``main()`` in-process.
+Most of these shell out to ``python -m repro.experiments.cli`` — the same
+surface CI and users invoke.  A test that patches the simulation to fail
+calls ``main()`` in-process instead.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from repro.experiments import cli
+from repro.experiments.scenario import Scenario
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -68,3 +75,52 @@ def test_good_tiny_run_exits_0_and_reports_cache(tmp_path):
     again = _run_cli("fig6", "--quick", *overrides, cwd=tmp_path)
     assert again.returncode == 0
     assert "cache: 12 hit(s), 0 miss(es), 0 store(s)" in again.stdout
+
+
+@pytest.mark.parametrize(
+    "target, flags",
+    [
+        ("abl-aloha", ["--override", "n_sensors=20"]),
+        ("abl-aloha", ["--cell-timeout", "9"]),
+        ("abl-aloha", ["--checkpoint-every", "5"]),
+        ("abl-aloha", ["--workers", "4"]),
+        ("ablations", ["--override", "n_sensors=20"]),
+        ("scale", ["--workers", "2"]),
+    ],
+)
+def test_engine_flags_on_direct_targets_exit_2(tmp_path, target, flags):
+    # Ablations and scale run their scenarios directly; a sweep-engine
+    # flag they cannot honour is refused, not silently dropped.
+    result = _run_cli(target, "--quick", *flags, cwd=tmp_path)
+    assert result.returncode == 2
+    assert f"{flags[0]} is not supported by target {target!r}" in result.stderr
+
+
+def test_chaos_honours_checkpoint_every(tmp_path):
+    result = _run_cli("chaos", "--quick", "--checkpoint-every", "20", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    match = re.search(r"checkpoints: (\d+) taken, 0 cell\(s\) resumed", result.stdout)
+    assert match is not None, result.stdout
+    assert int(match.group(1)) > 0
+
+
+def test_failing_cell_exits_1_with_cache_off(monkeypatch, capsys):
+    # A cell that raises is a sweep failure (exit 1), the same with the
+    # cache on or off, never a bad invocation (exit 2).
+    real = Scenario.run_steady_state
+
+    def run_steady_state(self, *args, **kwargs):
+        if self.config.protocol == "EW-MAC" and self.config.offered_load_kbps == 0.6:
+            raise ValueError("synthetic cell failure")
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Scenario, "run_steady_state", run_steady_state)
+    argv = ["fig6", "--quick", "--no-cache", "--override", "n_sensors=6",
+            "--override", "sim_time_s=3.0", "--override", "warmup_s=2.0"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert (
+        "FAIL: cell EW-MAC x=0.6 seed=1 failed permanently: "
+        "ValueError: synthetic cell failure"
+    ) in err
+

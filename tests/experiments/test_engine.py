@@ -17,10 +17,11 @@ from repro.experiments.engine import (
     observe_sweeps,
     request_key,
     request_plan,
+    run_plan,
     run_request,
     service_targets,
 )
-from repro.experiments.figures import fig6
+from repro.experiments.figures import fig6_plan
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -170,12 +171,12 @@ def test_apply_overrides_rejects_values_that_break_a_run(name, value):
 
 
 def test_run_request_matches_direct_figure_call():
-    """The service path must be bit-identical to calling the runner directly."""
+    """The service path must be bit-identical to running the plan directly."""
     request = SweepRequest.from_dict(
         {"target": "fig6", "quick": True, "seeds": [1], "overrides": TINY}
     )
     result = run_request(request, workers=1, cache=None)
-    direct = fig6(seeds=(1,), quick=True, cache=None, overrides=TINY)
+    direct = run_plan(fig6_plan(seeds=(1,), quick=True, overrides=TINY))
     assert json.dumps(result.to_dict()["figure"], sort_keys=True) == json.dumps(
         direct.to_dict(), sort_keys=True
     )

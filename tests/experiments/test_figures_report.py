@@ -1,9 +1,9 @@
-"""Tests for the figure runners, sweeps, reporting and CLI."""
+"""Tests for the figure plans, sweeps, reporting and CLI."""
 
 import pytest
 
 from repro.experiments.config import table2_config
-from repro.experiments.figures import ALL_FIGURES, PAPER_EXPECTATIONS, FigureData
+from repro.experiments.figures import ALL_PLANS, PAPER_EXPECTATIONS, FigureData
 from repro.experiments.report import format_figure, write_csv
 from repro.experiments.engine import (
     PAPER_PROTOCOLS,
@@ -11,6 +11,7 @@ from repro.experiments.engine import (
     aggregate,
     aggregate_relative,
     mean,
+    run_plan,
     run_sweep,
 )
 
@@ -85,15 +86,15 @@ class TestSweeps:
 
 class TestFigureRunners:
     def test_registry_covers_every_figure(self):
-        assert set(ALL_FIGURES) == {
+        assert set(ALL_PLANS) == {
             "fig6", "fig7", "fig8", "fig9a", "fig9b", "fig10a", "fig10b", "fig11",
         }
-        assert set(PAPER_EXPECTATIONS) == set(ALL_FIGURES)
+        assert set(PAPER_EXPECTATIONS) == set(ALL_PLANS)
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("figure_id", sorted(ALL_FIGURES))
+    @pytest.mark.parametrize("figure_id", sorted(ALL_PLANS))
     def test_quick_mode_produces_full_series(self, figure_id):
-        data = ALL_FIGURES[figure_id](quick=True)
+        data = run_plan(ALL_PLANS[figure_id](quick=True))
         assert isinstance(data, FigureData)
         assert data.figure_id == figure_id
         assert set(data.series) == set(PAPER_PROTOCOLS)

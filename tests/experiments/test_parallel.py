@@ -5,16 +5,21 @@ from __future__ import annotations
 import os
 import time
 
+import pytest
+
+import repro.experiments.parallel as parallel_mod
 from repro.des.errors import WallClockExceeded
 from repro.experiments.cache import ResultCache, cell_key, code_version
 from repro.experiments.config import table2_config
+from repro.experiments.engine import SweepSpec, observe_sweeps, run_sweep
 from repro.experiments.parallel import (
     ParallelSweepRunner,
     SweepCell,
     expand_cells,
     execute_cell,
 )
-from repro.experiments.engine import SweepSpec, run_sweep
+from repro.experiments.scenario import Scenario
+from tests.reference_sweep import reference_sweep
 
 
 def _configure(base, x, protocol, seed):
@@ -76,9 +81,32 @@ class TestExpandCells:
 
 
 class TestSerialParallelEquivalence:
+    # The tests below cover workers 2/4, cache at workers=1 and
+    # checkpointing through the runner; these are the remaining corners.
+    @pytest.mark.parametrize(
+        "workers, use_cache, checkpoint_every_s",
+        [(1, False, None), (2, True, None), (1, True, 4.0)],
+    )
+    def test_run_sweep_matches_reference(
+        self, tmp_path, workers, use_cache, checkpoint_every_s
+    ):
+        spec, base = _quick_spec(x_values=(0.4,)), _quick_base()
+        reference = reference_sweep(spec, base, PROTOCOLS, SEEDS)
+        grid = run_sweep(
+            spec,
+            base,
+            protocols=PROTOCOLS,
+            seeds=SEEDS,
+            workers=workers,
+            cache=ResultCache(tmp_path / "cache") if use_cache else None,
+            checkpoint_every_s=checkpoint_every_s,
+        )
+        assert list(reference) == list(grid)
+        assert _grid_dicts(reference) == _grid_dicts(grid)
+
     def test_workers4_matches_serial_per_cell_per_seed(self):
         spec, base = _quick_spec(), _quick_base()
-        serial = run_sweep(spec, base, protocols=PROTOCOLS, seeds=SEEDS)
+        serial = reference_sweep(spec, base, PROTOCOLS, SEEDS)
         parallel = run_sweep(
             spec, base, protocols=PROTOCOLS, seeds=SEEDS, workers=4
         )
@@ -88,7 +116,7 @@ class TestSerialParallelEquivalence:
     def test_batch_mode_matches_serial(self):
         spec = _quick_spec(x_values=(0.1,), batch=lambda x, config: (3, 600.0))
         base = _quick_base(max_retries=100)
-        serial = run_sweep(spec, base, protocols=("EW-MAC",), seeds=(1,))
+        serial = reference_sweep(spec, base, ("EW-MAC",), (1,))
         parallel = run_sweep(
             spec, base, protocols=("EW-MAC",), seeds=(1,), workers=2
         )
@@ -96,7 +124,7 @@ class TestSerialParallelEquivalence:
 
     def test_engine_with_one_worker_matches_serial(self):
         spec, base = _quick_spec(x_values=(0.4,)), _quick_base()
-        serial = run_sweep(spec, base, protocols=PROTOCOLS, seeds=(1,))
+        serial = reference_sweep(spec, base, PROTOCOLS, (1,))
         runner = ParallelSweepRunner(workers=1)
         engine = runner.run(spec, base, protocols=PROTOCOLS, seeds=(1,))
         assert _grid_dicts(serial) == _grid_dicts(engine)
@@ -124,7 +152,7 @@ class TestResultCache:
         )
         assert cache.stats.misses == 8 and cache.stats.stores == 8
 
-        def boom(cell, wall_budget_s=None):
+        def boom(cell, wall_budget_s, checkpoint_path, checkpoint_every_s):
             raise AssertionError(f"cache-hit rerun executed {cell.label}")
 
         monkeypatch.setattr("repro.experiments.parallel.execute_cell", boom)
@@ -137,7 +165,7 @@ class TestResultCache:
 
     def test_cache_results_match_uncached(self, tmp_path):
         spec, base = _quick_spec(x_values=(0.4,)), _quick_base()
-        plain = run_sweep(spec, base, protocols=("EW-MAC",), seeds=(1,))
+        plain = reference_sweep(spec, base, ("EW-MAC",), (1,))
         cached = run_sweep(
             spec,
             base,
@@ -188,61 +216,95 @@ class TestResultCache:
 # Fault-injection pool workers for TestRecovery.  They must be
 # module-level (ProcessPoolExecutor pickles the callable by reference
 # even with a fork context) and are installed via monkeypatch with
-# mp_context="fork" so the children see the patched module state.
-from repro.experiments.parallel import _pool_worker as _real_pool_worker
+# MP_CONTEXT="fork" so the children see the patched module state.
+_real_pool_worker = parallel_mod._pool_worker
 
 
-def _crashing_worker(cell, wall_budget_s):
+@pytest.fixture
+def fork_pool(monkeypatch):
+    """Start pool children with ``fork`` so they inherit patched fakes."""
+    monkeypatch.setattr(parallel_mod, "MP_CONTEXT", "fork")
+
+
+def _crashing_worker(cell, wall_budget_s, checkpoint_path, checkpoint_every_s):
     if cell.index == 1:
         raise RuntimeError("synthetic worker crash")
-    return _real_pool_worker(cell, wall_budget_s)
+    return _real_pool_worker(cell, wall_budget_s, checkpoint_path, checkpoint_every_s)
 
 
-def _timing_out_worker(cell, wall_budget_s):
+def _timing_out_worker(cell, wall_budget_s, checkpoint_path, checkpoint_every_s):
     if cell.index == 0:
         raise WallClockExceeded("synthetic cell timeout")
-    return _real_pool_worker(cell, wall_budget_s)
+    return _real_pool_worker(cell, wall_budget_s, checkpoint_path, checkpoint_every_s)
 
 
+@pytest.mark.usefixtures("fork_pool")
 class TestRecovery:
     def test_crashed_worker_cell_is_requeued_serially(self, monkeypatch):
-        import repro.experiments.parallel as parallel_mod
-
         monkeypatch.setattr(parallel_mod, "_pool_worker", _crashing_worker)
         spec, base = _quick_spec(x_values=(0.4,)), _quick_base()
-        serial = run_sweep(spec, base, protocols=PROTOCOLS, seeds=(1,))
-        runner = ParallelSweepRunner(workers=2, mp_context="fork")
+        serial = reference_sweep(spec, base, PROTOCOLS, (1,))
+        runner = ParallelSweepRunner(workers=2)
         recovered = runner.run(spec, base, protocols=PROTOCOLS, seeds=(1,))
         assert [cell.index for cell in runner.requeued] == [1]
         assert _grid_dicts(serial) == _grid_dicts(recovered)
 
     def test_timed_out_cell_is_requeued_serially(self, monkeypatch):
-        import repro.experiments.parallel as parallel_mod
-
         monkeypatch.setattr(parallel_mod, "_pool_worker", _timing_out_worker)
         spec, base = _quick_spec(x_values=(0.4,)), _quick_base()
-        serial = run_sweep(spec, base, protocols=PROTOCOLS, seeds=(1,))
-        runner = ParallelSweepRunner(
-            workers=2, mp_context="fork", cell_timeout_s=120.0
-        )
+        serial = reference_sweep(spec, base, PROTOCOLS, (1,))
+        runner = ParallelSweepRunner(workers=2, cell_timeout_s=120.0)
         recovered = runner.run(spec, base, protocols=PROTOCOLS, seeds=(1,))
         assert [cell.index for cell in runner.requeued] == [0]
         assert _grid_dicts(serial) == _grid_dicts(recovered)
 
 
-def _poisoned_execute_cell(cell, wall_budget_s=None):
+def _poisoned_execute_cell(cell, wall_budget_s, checkpoint_path, checkpoint_every_s):
     """Fails one specific cell every time (pool *and* serial retry)."""
     if cell.protocol == "EW-MAC" and cell.seed == 1:
         raise RuntimeError("synthetic permanent failure")
-    return execute_cell(cell, wall_budget_s)
+    return execute_cell(cell, wall_budget_s, checkpoint_path, checkpoint_every_s)
+
+
+def _raise_for_ew_mac_seed_1(monkeypatch):
+    """Make the EW-MAC seed-1 cell raise inside the scenario itself.
+
+    Patched below ``execute_cell``, so every path that runs a cell hits
+    it, whichever executor the sweep picks.
+    """
+    real = Scenario.run_steady_state
+
+    def run_steady_state(self, *args, **kwargs):
+        if self.config.protocol == "EW-MAC" and self.config.seed == 1:
+            raise RuntimeError("cell blew up")
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Scenario, "run_steady_state", run_steady_state)
 
 
 class TestPermanentFailure:
     """A cell that fails even serially is recorded, not sweep-fatal."""
 
-    def test_serial_sweep_survives_a_crashing_cell(self, monkeypatch):
-        import repro.experiments.parallel as parallel_mod
+    @pytest.mark.parametrize("use_cache", [False, True])
+    def test_run_sweep_has_one_failure_model(self, tmp_path, monkeypatch, use_cache):
+        _raise_for_ew_mac_seed_1(monkeypatch)
+        spec, base = _quick_spec(x_values=(0.4,)), _quick_base()
+        with observe_sweeps() as observer:
+            grid = run_sweep(
+                spec,
+                base,
+                protocols=PROTOCOLS,
+                seeds=SEEDS,
+                workers=1,
+                cache=ResultCache(tmp_path / "cache") if use_cache else None,
+            )
+        assert [f.error for f in observer.failures] == ["RuntimeError: cell blew up"]
+        failed = observer.failures[0].cell
+        assert (failed.protocol, failed.seed) == ("EW-MAC", 1)
+        assert len(grid[(0.4, "EW-MAC")]) == 1
+        assert len(grid[(0.4, "S-FAMA")]) == 2
 
+    def test_serial_sweep_survives_a_crashing_cell(self, monkeypatch):
         monkeypatch.setattr(parallel_mod, "execute_cell", _poisoned_execute_cell)
         spec, base = _quick_spec(x_values=(0.4,)), _quick_base()
         runner = ParallelSweepRunner(workers=1)
@@ -257,7 +319,6 @@ class TestPermanentFailure:
         assert len(grid[(0.4, "S-FAMA")]) == 2
 
     def test_failed_cells_keep_an_empty_grid_entry(self, monkeypatch):
-        import repro.experiments.parallel as parallel_mod
         from repro.experiments.engine import aggregate
 
         monkeypatch.setattr(parallel_mod, "execute_cell", _poisoned_execute_cell)
@@ -272,8 +333,6 @@ class TestPermanentFailure:
         assert series["S-FAMA"][0] > 0.0
 
     def test_failure_summary_reported_through_progress(self, monkeypatch):
-        import repro.experiments.parallel as parallel_mod
-
         monkeypatch.setattr(parallel_mod, "execute_cell", _poisoned_execute_cell)
         messages = []
         runner = ParallelSweepRunner(workers=1, progress=messages.append)
@@ -282,8 +341,6 @@ class TestPermanentFailure:
         assert any("1 failed cell(s)" in m for m in messages)
 
     def test_run_cells_marks_failed_slots_none(self, monkeypatch):
-        import repro.experiments.parallel as parallel_mod
-
         monkeypatch.setattr(parallel_mod, "execute_cell", _poisoned_execute_cell)
         cells = expand_cells(
             _quick_spec(x_values=(0.4,)), _quick_base(), PROTOCOLS, (1,)
@@ -294,14 +351,12 @@ class TestPermanentFailure:
             cell.protocol == "EW-MAC" for cell in cells
         ]
 
-    def test_pool_path_records_permanent_failures(self, monkeypatch):
-        import repro.experiments.parallel as parallel_mod
-
+    def test_pool_path_records_permanent_failures(self, monkeypatch, fork_pool):
         # Fork context: children inherit the monkeypatched module, so the
         # poisoned cell crashes in the pool AND on the serial retry.
         monkeypatch.setattr(parallel_mod, "execute_cell", _poisoned_execute_cell)
         spec, base = _quick_spec(x_values=(0.4,)), _quick_base()
-        runner = ParallelSweepRunner(workers=2, mp_context="fork")
+        runner = ParallelSweepRunner(workers=2)
         grid = runner.run(spec, base, protocols=PROTOCOLS, seeds=(1,))
         assert [cell.seed for cell in runner.requeued] == [1]
         assert len(runner.failures) == 1
@@ -309,33 +364,30 @@ class TestPermanentFailure:
         assert len(grid[(0.4, "S-FAMA")]) == 1
 
 
-def _hanging_worker(cell, wall_budget_s):
+def _hanging_worker(cell, wall_budget_s, checkpoint_path, checkpoint_every_s):
     if cell.index == 0:
         time.sleep(30.0)  # never returns within the guard window
-    return _real_pool_worker(cell, wall_budget_s)
+    return _real_pool_worker(cell, wall_budget_s, checkpoint_path, checkpoint_every_s)
 
 
-def _dying_worker(cell, wall_budget_s):
+def _dying_worker(cell, wall_budget_s, checkpoint_path, checkpoint_every_s):
     if cell.index == 1:
         os._exit(17)  # hard death: no exception, no result, broken pool
-    return _real_pool_worker(cell, wall_budget_s)
+    return _real_pool_worker(cell, wall_budget_s, checkpoint_path, checkpoint_every_s)
 
 
 class TestFaultRecovery:
     """The bounded recovery paths: hung pools, dead workers, retry caps."""
 
-    def test_hung_pool_guard_requeues_unfinished_cells(self, monkeypatch):
-        import repro.experiments.parallel as parallel_mod
-
+    def test_hung_pool_guard_requeues_unfinished_cells(self, monkeypatch, fork_pool):
         monkeypatch.setattr(parallel_mod, "_pool_worker", _hanging_worker)
+        # Guard window max(2 * 0.5, 1.0) = 1 s; a quick cell takes ~20 ms.
+        monkeypatch.setattr(parallel_mod, "POOL_GUARD_S", 1.0)
         spec, base = _quick_spec(x_values=(0.4,)), _quick_base()
-        serial = run_sweep(spec, base, protocols=PROTOCOLS, seeds=(1,))
+        serial = reference_sweep(spec, base, PROTOCOLS, (1,))
         messages = []
         runner = ParallelSweepRunner(
-            workers=2,
-            mp_context="fork",
-            pool_guard_s=1.0,
-            progress=messages.append,
+            workers=2, cell_timeout_s=0.5, progress=messages.append
         )
         recovered = runner.run(spec, base, protocols=PROTOCOLS, seeds=(1,))
         assert [cell.index for cell in runner.requeued] == [0]
@@ -343,16 +395,12 @@ class TestFaultRecovery:
         assert runner.failures == []
         assert _grid_dicts(serial) == _grid_dicts(recovered)
 
-    def test_dead_worker_breaks_pool_and_cells_recover(self, monkeypatch):
-        import repro.experiments.parallel as parallel_mod
-
+    def test_dead_worker_breaks_pool_and_cells_recover(self, monkeypatch, fork_pool):
         monkeypatch.setattr(parallel_mod, "_pool_worker", _dying_worker)
         spec, base = _quick_spec(x_values=(0.4,)), _quick_base()
-        serial = run_sweep(spec, base, protocols=PROTOCOLS, seeds=(1,))
+        serial = reference_sweep(spec, base, PROTOCOLS, (1,))
         messages = []
-        runner = ParallelSweepRunner(
-            workers=2, mp_context="fork", progress=messages.append
-        )
+        runner = ParallelSweepRunner(workers=2, progress=messages.append)
         recovered = runner.run(spec, base, protocols=PROTOCOLS, seeds=(1,))
         # The dying cell is requeued for sure; pool breakage may take its
         # in-flight siblings with it — recovery must replay all of them.
@@ -362,11 +410,9 @@ class TestFaultRecovery:
         assert _grid_dicts(serial) == _grid_dicts(recovered)
 
     def test_recovery_attempts_are_capped(self, monkeypatch):
-        import repro.experiments.parallel as parallel_mod
-
         calls = []
 
-        def always_crashing(cell, wall_budget_s=None):
+        def always_crashing(cell, wall_budget_s, checkpoint_path, checkpoint_every_s):
             calls.append(cell.index)
             raise RuntimeError("still broken")
 
@@ -375,9 +421,7 @@ class TestFaultRecovery:
             _quick_spec(x_values=(0.4,)), _quick_base(), ("EW-MAC",), (1,)
         )
         messages = []
-        runner = ParallelSweepRunner(
-            workers=1, max_serial_attempts=3, progress=messages.append
-        )
+        runner = ParallelSweepRunner(workers=1, progress=messages.append)
         results: list = [None]
         runner._run_serial(cells, results, keys={}, recovery=True)
         assert len(calls) == 3  # the cap, not forever
@@ -386,21 +430,18 @@ class TestFaultRecovery:
         assert sum("retrying" in m for m in messages) == 2
 
     def test_recovery_timeouts_are_bounded_and_reported(self, monkeypatch):
-        import repro.experiments.parallel as parallel_mod
-
         budgets = []
 
-        def timing_out(cell, wall_budget_s=None):
+        def timing_out(cell, wall_budget_s, checkpoint_path, checkpoint_every_s):
             budgets.append(wall_budget_s)
             raise WallClockExceeded("over budget")
 
         monkeypatch.setattr(parallel_mod, "execute_cell", timing_out)
+        monkeypatch.setattr(parallel_mod, "MAX_SERIAL_ATTEMPTS", 2)
         cells = expand_cells(
             _quick_spec(x_values=(0.4,)), _quick_base(), ("EW-MAC",), (1,)
         )
-        runner = ParallelSweepRunner(
-            workers=1, cell_timeout_s=10.0, max_serial_attempts=2
-        )
+        runner = ParallelSweepRunner(workers=1, cell_timeout_s=10.0)
         results: list = [None]
         runner._run_serial(cells, results, keys={}, recovery=True)
         # Recovery re-runs get double the pooled budget, but stay bounded.
@@ -408,19 +449,13 @@ class TestFaultRecovery:
         assert len(runner.failures) == 1
         assert runner.failures[0].error.startswith("WallClockExceeded")
 
-    def test_max_serial_attempts_validated(self):
-        import pytest
-
-        with pytest.raises(ValueError, match="max_serial_attempts"):
-            ParallelSweepRunner(max_serial_attempts=0)
-
 
 class TestCheckpointedSweeps:
     """Layer-2 recovery: sweeps resume cells from their checkpoints."""
 
     def test_checkpointed_serial_sweep_is_bit_identical(self):
         spec, base = _quick_spec(x_values=(0.4,)), _quick_base()
-        plain = run_sweep(spec, base, protocols=PROTOCOLS, seeds=(1,))
+        plain = reference_sweep(spec, base, PROTOCOLS, (1,))
         runner = ParallelSweepRunner(workers=1, checkpoint_every_s=4.0)
         checkpointed = runner.run(spec, base, protocols=PROTOCOLS, seeds=(1,))
         assert _grid_dicts(plain) == _grid_dicts(checkpointed)
@@ -431,7 +466,6 @@ class TestCheckpointedSweeps:
         self, tmp_path
     ):
         from repro.experiments.checkpoint import write_checkpoint
-        from repro.experiments.scenario import Scenario
 
         spec, base = _quick_spec(x_values=(0.4,)), _quick_base()
         cells = expand_cells(spec, base, ("EW-MAC",), (1,))
@@ -465,7 +499,7 @@ class TestCheckpointedSweeps:
 
     def test_pooled_checkpointed_sweep_is_bit_identical(self):
         spec, base = _quick_spec(x_values=(0.4,)), _quick_base()
-        plain = run_sweep(spec, base, protocols=PROTOCOLS, seeds=(1, 2))
+        plain = reference_sweep(spec, base, PROTOCOLS, (1, 2))
         runner = ParallelSweepRunner(workers=2, checkpoint_every_s=4.0)
         pooled = runner.run(spec, base, protocols=PROTOCOLS, seeds=(1, 2))
         assert _grid_dicts(plain) == _grid_dicts(pooled)

@@ -133,6 +133,7 @@ class TestProfileFlag:
         assert main(["fig6", "--quick", "--seeds", "1", "--profile"]) == 0
         out = capsys.readouterr().out
         assert "perf counters" in out
+        assert "runs: 12" in out  # 3 loads x 4 protocols x 1 seed, all in-process
         assert "link cache" in out
         assert "cProfile (top 25 by cumulative time)" in out
         assert "cumulative" in out

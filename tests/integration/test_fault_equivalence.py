@@ -13,6 +13,7 @@ from repro.experiments.config import table2_config
 from repro.experiments.scenario import Scenario, run_scenario
 from repro.experiments.engine import SweepSpec, run_sweep
 from repro.faults.plan import CrashWave, FaultPlan, NoiseBurst
+from tests.reference_sweep import reference_sweep
 
 
 def quick_config(**overrides):
@@ -56,7 +57,7 @@ class TestEmptyPlanEquivalence:
             ),
         )
         base = quick_config()
-        plain = run_sweep(spec, base, protocols=("EW-MAC",), seeds=(1,))
+        plain = reference_sweep(spec, base, ("EW-MAC",), (1,))
         cached = run_sweep(
             spec,
             base,
