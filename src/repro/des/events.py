@@ -213,8 +213,7 @@ class EventQueue:
 
         Handle-free entries (see :meth:`push_plain`) are materialized into
         an Event on the way out so single-step callers see one interface;
-        the kernel's hot loop uses :meth:`pop_entry_until` instead, which
-        never allocates.
+        :meth:`Simulator.run` walks the heap itself and never allocates.
         """
         heap = self._heap
         while heap:
@@ -226,31 +225,6 @@ class EventQueue:
             if event._state == Event._PENDING:
                 self._live -= 1
                 return event
-        self._live = 0
-        return None
-
-    def pop_entry_until(self, until: Optional[float]) -> Optional[Tuple]:
-        """Pop the earliest pending heap entry at or before ``until``.
-
-        Returns the raw entry tuple — ``(time, priority, seq, event)`` or
-        ``(time, priority, seq, None, callback, args)`` — or None when the
-        queue is drained or the next pending entry lies beyond ``until``
-        (which is left in the heap).  This is the kernel's per-event
-        primitive: one fused heap walk that drops cancelled entries as it
-        goes, so the common case costs a single ``heappop`` and two
-        attribute compares with no peek/pop double scan.
-        """
-        heap = self._heap
-        pending = Event._PENDING
-        while heap:
-            head = heap[0]
-            event = head[3]
-            if event is None or event._state == pending:
-                if until is not None and head[0] > until:
-                    return None
-                self._live -= 1
-                return heapq.heappop(heap)
-            heapq.heappop(heap)
         self._live = 0
         return None
 
@@ -283,7 +257,8 @@ class EventQueue:
             len(self._heap) > self._COMPACT_MIN
             and dead > len(self._heap) * self._COMPACT_RATIO
         ):
-            self._heap = [
+            # In place: Simulator.run holds an alias to the heap list.
+            self._heap[:] = [
                 entry
                 for entry in self._heap
                 if entry[3] is None or entry[3].pending

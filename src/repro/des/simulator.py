@@ -19,6 +19,8 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 import gc as _gc
+import heapq as _heapq
+import math as _math
 import time as _time
 
 from .errors import SchedulingError, SimulationStopped, WallClockExceeded
@@ -156,12 +158,17 @@ class Simulator:
         """
         self._running = True
         self._stopped = False
-        # Hot loop: one fused pop per event (see EventQueue.pop_entry_until),
-        # the firing state flip and callback inlined rather than dispatched
-        # through Event._fire, and the wall-clock gate a plain countdown —
-        # the per-event kernel overhead is one heappop plus bookkeeping.
-        pop_entry_until = self._queue.pop_entry_until
+        # Hot loop: the heap walk, the firing state flip and the callback
+        # are inlined rather than dispatched through EventQueue.pop and
+        # Event._fire, and the wall-clock gate is a plain countdown — the
+        # per-event kernel overhead is one heappop plus bookkeeping.  The
+        # heap is aliased once: the queue only ever mutates it in place.
+        queue = self._queue
+        heap = queue._heap
+        heappop = _heapq.heappop
+        pending = Event._PENDING
         fired = Event._FIRED
+        limit = _math.inf if until is None else until
         check_every = self._WALL_CHECK_EVERY
         countdown = check_every
         events_processed = 0
@@ -174,12 +181,16 @@ class Simulator:
             _gc.disable()
         wall_start = _time.perf_counter()
         try:
-            while True:
-                entry = pop_entry_until(until)
-                if entry is None:
-                    if until is not None and until > self.now:
-                        self.now = until
-                    break
+            while heap:
+                entry = heap[0]
+                event = entry[3]
+                if event is not None and event._state != pending:
+                    heappop(heap)  # lazily dropped cancellation
+                    continue
+                if entry[0] > limit:
+                    break  # left in the heap for the next run window
+                heappop(heap)
+                queue._live -= 1
                 self.now = entry[0]
                 events_processed += 1
                 countdown -= 1
@@ -195,7 +206,6 @@ class Simulator:
                             f"wall-clock budget exhausted at t={self.now:.3f}s "
                             f"({self.events_processed} events)"
                         )
-                event = entry[3]
                 if event is None:
                     entry[4](*entry[5])
                 else:
@@ -203,6 +213,10 @@ class Simulator:
                     event.callback(*event.args)
                 if self._stopped:
                     break
+            else:
+                queue._live = 0
+            if not self._stopped and until is not None and until > self.now:
+                self.now = until
         except SimulationStopped:
             pass
         finally:

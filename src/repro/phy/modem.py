@@ -20,19 +20,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, List, Optional, TYPE_CHECKING
 
-import numpy as np
-
 from ..des.simulator import Simulator
 from .frame import Frame
 
 if TYPE_CHECKING:  # pragma: no cover
     from .channel import AcousticChannel
-
-#: Overlap scans over fewer pending arrivals than this stay on the plain
-#: list comprehension: below it, NumPy's fixed per-call overhead costs more
-#: than it saves.  Both paths are bit-identical (same comparisons, same
-#: level values, same order), so the threshold is purely a speed knob.
-VECTOR_SCAN_MIN = 16
 
 class RxOutcome(Enum):
     """Why an arrival was or was not decoded."""
@@ -60,14 +52,9 @@ class Arrival:
         end: Arrival end time (start + on-air duration).
         level_db: Received signal level at this modem.
         delay_s: One-way propagation delay the signal experienced.
-
-    The extra ``_slot`` slot (not a dataclass field) is the arrival's index
-    in its receiving modem's pending list, kept aligned with the modem's
-    parallel start/end/level arrays so the vectorized interferer scan can
-    exclude the arrival itself by position in O(1).
     """
 
-    __slots__ = ("frame", "src", "start", "end", "level_db", "delay_s", "_slot")
+    __slots__ = ("frame", "src", "start", "end", "level_db", "delay_s")
 
     frame: Frame
     src: int
@@ -146,27 +133,19 @@ class AcousticModem:
         # cached here instead of three attribute chains per decode.
         self._link_budget = channel.link_budget
         self._per_model = channel.per_model
-        self._per_rng = channel.per_rng
+        self._per_draw = channel.per_draw
         self._push_at = sim.push_at
         self.on_receive: Optional[Callable[[Frame, Arrival], None]] = None
         self.on_rx_failure: Optional[Callable[[Arrival, RxOutcome], None]] = None
         self._tx_intervals: List[_TxInterval] = []
         self._arrivals: List[Arrival] = []
-        # Parallel struct-of-arrays mirror of ``_arrivals`` (slot i holds
-        # arrival i's start/end/level), so the interferer overlap scan in
-        # _decode_outcome is one vectorized window test instead of a Python
-        # loop over every pending arrival.  Grown by doubling; compacted in
-        # lock-step with the list by _prune_arrivals.
-        self._arr_start = np.empty(VECTOR_SCAN_MIN, dtype=np.float64)
-        self._arr_end = np.empty(VECTOR_SCAN_MIN, dtype=np.float64)
-        self._arr_level = np.empty(VECTOR_SCAN_MIN, dtype=np.float64)
         self._rx_busy_until = 0.0
         self._last_tx_end = 0.0
         # Longest on-air duration seen (tx or rx).  Anything that ended more
         # than this long ago cannot overlap an arrival still in flight — an
         # in-flight arrival started at most one duration before now — so it
         # is the exact retention horizon for the overlap scans.  Keeping the
-        # interval lists this tight turns _decode_outcome's interferer scan
+        # interval lists this tight turns _finish_arrival's interferer scan
         # from O(arrivals within 30 s) into O(arrivals within one frame).
         self._max_duration_s = 0.0
 
@@ -240,18 +219,6 @@ class AcousticModem:
         if not self.rx_enabled:
             self.stats.rx_outage += 1
             return
-        slot = len(self._arrivals)
-        if slot == len(self._arr_start):
-            capacity = slot * 2
-            for name in ("_arr_start", "_arr_end", "_arr_level"):
-                old = getattr(self, name)
-                fresh = np.empty(capacity, dtype=np.float64)
-                fresh[:slot] = old
-                setattr(self, name, fresh)
-        arrival._slot = slot
-        self._arr_start[slot] = arrival.start
-        self._arr_end[slot] = arrival.end
-        self._arr_level[slot] = arrival.level_db
         self._arrivals.append(arrival)
         end = arrival.end
         duration = end - arrival.start
@@ -269,12 +236,22 @@ class AcousticModem:
         self._push_at(end, self._finish_arrival, (arrival,))
 
     def _finish_arrival(self, arrival: Arrival) -> None:
+        """Event callback: the signal's trailing edge passed; decode it."""
+        arrivals = self._arrivals
+        # Drop leading arrivals that ended before the retention horizon.
+        # None of them can overlap ``arrival``, which started at most one
+        # duration ago, so pruning before the scan leaves its interferers
+        # unchanged; a stale arrival behind a live one waits for the next
+        # decode.  ``arrival`` itself ends now, so the loop stops at it.
+        horizon = self.sim.now - self._max_duration_s
+        while arrivals[0].end < horizon:
+            del arrivals[0]
+        stats = self.stats
         if not self.enabled or not self.rx_enabled:
             # The node died (or its RX chain dropped) while this signal was
             # in flight: nothing is decoded and no RNG is drawn, so clean
             # runs — where both flags are always True — are untouched.
-            self.stats.rx_outage += 1
-            self._prune_arrivals()
+            stats.rx_outage += 1
             if self._trace_on:
                 self._trace.emit(
                     self.sim.now,
@@ -284,71 +261,51 @@ class AcousticModem:
                     why=RxOutcome.OFFLINE.value,
                 )
             return
-        outcome = self._decode_outcome(arrival)
-        self._prune_arrivals()
-        if outcome is RxOutcome.OK:
-            self.stats.rx_ok += 1
-            self.stats.rx_ok_bits += arrival.frame.size_bits
-            if self._trace_on:
-                self._trace.emit(
-                    self.sim.now, "phy.rx", self.node_id, frame=arrival.frame.describe()
-                )
-            if self.on_receive is not None:
-                self.on_receive(arrival.frame, arrival)
-        else:
-            if outcome is RxOutcome.HALF_DUPLEX:
-                self.stats.rx_half_duplex += 1
-            elif outcome is RxOutcome.COLLISION:
-                self.stats.rx_collision += 1
-            else:
-                self.stats.rx_noise += 1
-            if self._trace_on:
-                self._trace.emit(
-                    self.sim.now,
-                    "phy.rx_fail",
-                    self.node_id,
-                    frame=arrival.frame.describe(),
-                    why=outcome.value,
-                )
-            if self.on_rx_failure is not None:
-                self.on_rx_failure(arrival, outcome)
-
-    def _decode_outcome(self, arrival: Arrival) -> RxOutcome:
         a_start = arrival.start
         a_end = arrival.end
         # Half-duplex: any own transmission overlapping the arrival kills it.
         for iv in self._tx_intervals:
             if iv.start < a_end and iv.end > a_start:
-                return RxOutcome.HALF_DUPLEX
-        n = len(self._arrivals)
-        if n >= VECTOR_SCAN_MIN:
-            # Vectorized overlap-window scan over the parallel arrays.
-            # Identical comparisons, level values and (slot == list) order
-            # as the comprehension below, so the result is bit-for-bit the
-            # same — .tolist() round-trips float64 exactly, and the
-            # interference sum in sinr_db_from_levels runs in list order.
-            mask = (self._arr_start[:n] < a_end) & (self._arr_end[:n] > a_start)
-            mask[arrival._slot] = False
-            if mask.any():
-                interferer_levels = self._arr_level[:n][mask].tolist()
-            else:
-                interferer_levels = []
+                stats.rx_half_duplex += 1
+                outcome = RxOutcome.HALF_DUPLEX
+                break
         else:
+            # Interferers in begin order: the SINR sum runs in list order.
             interferer_levels = [
                 other.level_db
-                for other in self._arrivals
+                for other in arrivals
                 if other is not arrival and other.start < a_end and other.end > a_start
             ]
-        sinr_db = self._link_budget.sinr_db_from_levels(
-            arrival.level_db,
-            interferer_levels,
-            extra_noise_db=self.channel.extra_noise_db,
-        )
-        draw = self._per_rng.random()
-        ok = self._per_model.is_successful(sinr_db, arrival.frame.size_bits, draw)
-        if ok:
-            return RxOutcome.OK
-        return RxOutcome.COLLISION if interferer_levels else RxOutcome.NOISE
+            sinr_db = self._link_budget.sinr_db_from_levels(
+                arrival.level_db,
+                interferer_levels,
+                extra_noise_db=self.channel.extra_noise_db,
+            )
+            frame = arrival.frame
+            if self._per_model.is_successful(sinr_db, frame.size_bits, self._per_draw()):
+                stats.rx_ok += 1
+                stats.rx_ok_bits += frame.size_bits
+                if self._trace_on:
+                    self._trace.emit(self.sim.now, "phy.rx", self.node_id, frame=frame.describe())
+                if self.on_receive is not None:
+                    self.on_receive(frame, arrival)
+                return
+            if interferer_levels:
+                stats.rx_collision += 1
+                outcome = RxOutcome.COLLISION
+            else:
+                stats.rx_noise += 1
+                outcome = RxOutcome.NOISE
+        if self._trace_on:
+            self._trace.emit(
+                self.sim.now,
+                "phy.rx_fail",
+                self.node_id,
+                frame=arrival.frame.describe(),
+                why=outcome.value,
+            )
+        if self.on_rx_failure is not None:
+            self.on_rx_failure(arrival, outcome)
 
     # ------------------------------------------------------------------
     # Housekeeping
@@ -357,23 +314,3 @@ class AcousticModem:
         horizon = self.sim.now - self._max_duration_s
         if intervals and intervals[0].end < horizon:
             intervals[:] = [iv for iv in intervals if iv.end >= horizon]
-
-    def _prune_arrivals(self) -> None:
-        arrivals = self._arrivals
-        horizon = self.sim.now - self._max_duration_s
-        if not arrivals or arrivals[0].end >= horizon:
-            return
-        # Compact list and parallel arrays in lock-step, reassigning slots.
-        starts = self._arr_start
-        ends = self._arr_end
-        levels = self._arr_level
-        kept: List[Arrival] = []
-        for a in arrivals:
-            if a.end >= horizon:
-                slot = len(kept)
-                a._slot = slot
-                starts[slot] = a.start
-                ends[slot] = a.end
-                levels[slot] = a.level_db
-                kept.append(a)
-        self._arrivals = kept

@@ -87,6 +87,33 @@ def test_stop_halts_run():
     assert fired == [1, 3]
 
 
+def test_stop_before_until_leaves_clock_at_the_stopping_event():
+    sim = Simulator()
+    fired = []
+    sim.schedule(2.0, sim.stop)
+    sim.schedule(3.0, fired.append, 3)
+    sim.run(until=10.0)
+    assert sim.now == 2.0
+    assert fired == []
+
+
+def test_heap_compaction_mid_run_keeps_later_events():
+    sim = Simulator()
+    fired = []
+    timers = [sim.schedule(100.0 + i, fired.append, i) for i in range(200)]
+
+    def cancel_timers_then_schedule():
+        for timer in timers:
+            sim.cancel(timer)  # drives the queue past its compaction ratio
+        sim.schedule(1.0, fired.append, "after")
+
+    sim.schedule(1.0, cancel_timers_then_schedule)
+    sim.run()
+    assert fired == ["after"]
+    assert sim.now == 2.0
+    assert sim.pending_events == 0
+
+
 def test_step_processes_one_event():
     sim = Simulator()
     fired = []

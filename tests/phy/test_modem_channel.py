@@ -1,10 +1,12 @@
 """Unit tests for the half-duplex modem and the broadcast channel."""
 
+import numpy as np
 import pytest
 
 from repro.acoustic.geometry import Position
+from repro.des.rng import derive_seed
 from repro.des.simulator import Simulator
-from repro.phy.channel import AcousticChannel
+from repro.phy.channel import PER_BLOCK, AcousticChannel
 from repro.phy.frame import FrameType, control_frame, data_frame
 from repro.phy.modem import RxOutcome
 
@@ -184,3 +186,22 @@ class TestChannelQueries:
         # Beyond decode range (threshold calibrated to 1.5 km) the lone
         # frame fails as noise, but the energy was delivered (it can jam).
         assert outcomes == [RxOutcome.NOISE]
+
+
+class TestPerDraws:
+    """The decode uniforms are served in blocks; the stream must not change."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2013])
+    def test_block_draw_equals_scalar_draws(self, seed):
+        stream_seed = derive_seed(seed, "channel.per")
+        block = np.random.default_rng(stream_seed).random(PER_BLOCK).tolist()
+        scalar_rng = np.random.default_rng(stream_seed)
+        assert block == [scalar_rng.random() for _ in range(PER_BLOCK)]
+        assert all(type(x) is float for x in block)
+
+    def test_per_draw_matches_scalar_stream_across_refills(self):
+        sim = Simulator(seed=11)
+        channel = AcousticChannel(sim)
+        draws = [channel.per_draw() for _ in range(2 * PER_BLOCK + 5)]
+        scalar_rng = np.random.default_rng(derive_seed(11, "channel.per"))
+        assert draws == [scalar_rng.random() for _ in range(len(draws))]
