@@ -34,6 +34,22 @@ class PerModel:
         """
         return uniform_draw >= self.packet_error_rate(sinr_db, bits)
 
+    def fails_at(self, sinr_db):
+        """True only if a packet at ``sinr_db`` is lost for every size and draw.
+
+        The channel asks this once per link row, at the SINR an arrival
+        would have with no interferer and the quietest reachable noise
+        floor.  SINR only falls from there (interference and noise add
+        power), so an arrival this rules out is settled without a decode
+        or a PER draw.  It must be monotone: failing at some SINR implies
+        failing at every lower one.  ``sinr_db`` may be a NumPy array, in
+        which case the answer is elementwise.
+
+        The default claims nothing, so a stochastic model keeps its full
+        decode and uniform draw on every arrival.
+        """
+        return False
+
 
 @dataclass(frozen=True)
 class DefaultPerModel(PerModel):
@@ -49,6 +65,9 @@ class DefaultPerModel(PerModel):
         if bits < 0:
             raise ValueError("bits must be non-negative")
         return 0.0 if sinr_db >= self.threshold_db else 1.0
+
+    def fails_at(self, sinr_db):
+        return sinr_db < self.threshold_db
 
 
 @dataclass(frozen=True)

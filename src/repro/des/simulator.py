@@ -16,7 +16,7 @@ simulations.  A thin generator-process adapter is provided in
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 import gc as _gc
 import heapq as _heapq
@@ -61,6 +61,22 @@ class Simulator:
         #: Sequence numbers are assigned in batch order, so the pop order
         #: is bit-identical to an equivalent loop of ``push_at`` calls.
         self.push_bulk = self._queue.push_bulk
+        #: Bound sequence reservation: ``take_seq()`` consumes the number the
+        #: next push would take, without pushing.  A component that settles
+        #: work lazily instead of scheduling an event takes one here, so its
+        #: deferred work keeps the queue position (see :meth:`frontier`) the
+        #: event would have had and every later event keeps its number.
+        self.take_seq = self._queue._seq.__next__
+        #: Called as ``hook(frontier)`` whenever :meth:`run` returns, so
+        #: lazily deferred work settles before anyone reads its counters.
+        #: ``frontier`` is the queue key every processed event sorts below
+        #: (all infinite when the queue drained with no ``until``).  A hook
+        #: returns the latest time it settled work for, or None; a drained
+        #: run's clock advances to it, as if those events had been popped.
+        self.run_exit_hooks: List[Callable[[Tuple[float, ...]], Optional[float]]] = []
+        # Heap entry of the event being processed (the last one processed
+        # while a run is stopped); None when every event up to ``now`` ran.
+        self._entry: Optional[tuple] = None
         self._running = False
         self._stopped = False
         self.events_processed = 0
@@ -192,6 +208,7 @@ class Simulator:
                 heappop(heap)
                 queue._live -= 1
                 self.now = entry[0]
+                self._entry = entry
                 events_processed += 1
                 countdown -= 1
                 if countdown == 0:
@@ -215,8 +232,10 @@ class Simulator:
                     break
             else:
                 queue._live = 0
-            if not self._stopped and until is not None and until > self.now:
-                self.now = until
+            if not self._stopped:
+                self._entry = None
+                if until is not None and until > self.now:
+                    self.now = until
         except SimulationStopped:
             pass
         finally:
@@ -225,7 +244,28 @@ class Simulator:
             self.wall_time_s += _time.perf_counter() - wall_start
             if gc_was_enabled:
                 _gc.enable()
+        if self.run_exit_hooks:
+            drained = until is None and self._entry is None
+            frontier = (_math.inf,) * 3 if drained else self.frontier()
+            for hook in self.run_exit_hooks:
+                latest = hook(frontier)
+                if latest is not None and latest > self.now:
+                    self.now = latest
         return self.now
+
+    def frontier(self) -> Tuple[float, ...]:
+        """The queue key ``(time, priority, seq)`` processing has reached.
+
+        Inside a callback this is the key of the event being processed:
+        every event ordered before it has run, none after it has.  Between
+        runs it is ``(now, inf, inf)`` — every event up to ``now`` ran —
+        unless the last run was stopped, in which case it stays at the
+        event that stopped it.
+        """
+        entry = self._entry
+        if entry is None:
+            return (self.now, _math.inf, _math.inf)
+        return entry[:3]
 
     def step(self) -> bool:
         """Process exactly one event; return False if the queue was empty."""
@@ -233,6 +273,7 @@ class Simulator:
         if event is None:
             return False
         self.now = event.time
+        self._entry = (event.time, event.priority, event.seq)
         self.events_processed += 1
         event._fire()
         return True
@@ -256,6 +297,7 @@ class Simulator:
     def reset(self, seed: Optional[int] = None) -> None:
         """Clear the queue and clock for reuse; optionally reseed streams."""
         self._queue.clear()
+        self._entry = None
         self.now = 0.0
         self.events_processed = 0
         self.wall_time_s = 0.0

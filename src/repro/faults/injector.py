@@ -104,6 +104,7 @@ class FaultInjector:
         self.events: List[FaultEvent] = []
         self.counts = _Counters()
         self._armed = False
+        channel.bound_noise_floor(plan.quietest_extra_noise_db)
 
     # ------------------------------------------------------------------
     def arm(self) -> None:
@@ -181,6 +182,7 @@ class FaultInjector:
             modem.tx_enabled = False
             self.counts.tx_outages += 1
         if outage.direction in ("rx", "both"):
+            modem.settle()
             modem.rx_enabled = False
             self.counts.rx_outages += 1
         self._log("outage_start", outage.node_id, outage.direction)
@@ -190,6 +192,7 @@ class FaultInjector:
         if outage.direction in ("tx", "both"):
             modem.tx_enabled = True
         if outage.direction in ("rx", "both"):
+            modem.settle()
             modem.rx_enabled = True
         self._log("outage_end", outage.node_id, outage.direction)
 

@@ -133,7 +133,10 @@ class NoiseBurst:
     Models a transient wideband interferer (ship passage, biological
     chorus): every decode during the window sees the ambient noise power
     multiplied by ``10^(extra_noise_db/10)``.  Bursts stack additively in
-    dB if they overlap.
+    dB if they overlap.  A negative ``extra_noise_db`` is a quieting burst:
+    it *lowers* the floor below ambient, so frames that could not decode
+    alone may decode inside the window (see
+    :attr:`FaultPlan.quietest_extra_noise_db`).
     """
 
     at_s: float
@@ -190,3 +193,19 @@ class FaultPlan:
 
     def __bool__(self) -> bool:
         return not self.empty
+
+    @property
+    def quietest_extra_noise_db(self) -> float:
+        """A lower bound on the channel's ``extra_noise_db`` under this plan.
+
+        Every quieting burst may overlap every other one, so the floor can
+        drop by their sum.  The injector adds and removes burst levels in
+        float arithmetic, which can leave a few ULP of residue — below 0.0
+        even with raising bursts only — so the bound is lowered by a margin
+        far larger than any such residue.  Exactly 0.0 without noise bursts.
+        """
+        bursts = [burst.extra_noise_db for burst in self.noise_bursts]
+        if not bursts:
+            return 0.0
+        quieting = sum(db for db in bursts if db < 0.0)
+        return quieting - 1e-9 * (1.0 + sum(abs(db) for db in bursts))

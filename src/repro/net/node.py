@@ -230,6 +230,8 @@ class Node:
         """
         if not self.alive:
             return  # already down; a second fail must not double-stop
+        # Arrivals that ended before this instant were received alive.
+        self.modem.settle()
         if self.mac is not None:
             self.mac.stop()
         self.modem.enabled = False
@@ -245,6 +247,7 @@ class Node:
         """
         if self.alive:
             return
+        self.modem.settle()
         self.modem.enabled = True
         self.modem.tx_enabled = True
         self.modem.rx_enabled = True

@@ -16,8 +16,11 @@ robustness ablations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..acoustic.fading import FadingProcess, NoFading
 from ..acoustic.geometry import Position
@@ -40,6 +43,13 @@ DEFAULT_RANGE_M = 1500.0
 #: Larger blocks save nothing measurable per draw but cost every channel
 #: ~32 bytes per slot, which shows in sweeps of many tiny cells.
 PER_BLOCK = 256
+
+#: Half-width of the band around the decode pivot inside which a level's
+#: "cannot decode alone" flag is decided by the exact scalar SINR instead
+#: of the vectorized ``level - noise`` estimate.  The two differ by ~1e-13
+#: dB (a few ULP through ``10 ** (x / 10)`` and ``log10``), so the band
+#: leaves seven orders of magnitude to spare.
+DECIDE_BAND_DB = 1e-6
 
 
 @dataclass
@@ -94,6 +104,15 @@ class AcousticChannel:
     a spatial hash culls each broadcast to the transmitter's cell
     neighborhood.  Every broadcast's arrivals are scheduled as one
     pre-sorted batch through :meth:`Simulator.push_bulk`.
+
+    Each delivery is classified once, when its link row's fan-out is
+    built (per broadcast under fading): a received level at which
+    :meth:`PerModel.fails_at` fails the interference-free SINR under the
+    quietest reachable noise floor (see :meth:`bound_noise_floor`) goes to
+    :meth:`AcousticModem.begin_interferer` and is settled without a
+    decode; every other one to :meth:`AcousticModem.begin_arrival`.  The
+    channel registers the modems' settlement as a simulator run-exit hook,
+    so their counters are complete whenever a run returns.
 
     Every decode's PER uniform comes from :meth:`per_draw`, which serves
     the ``channel.per`` stream (:attr:`per_rng`) in blocks of
@@ -159,8 +178,13 @@ class AcousticChannel:
         #: Transient network-wide noise-floor elevation in dB (fault
         #: injection: ship-noise windows).  0.0 — always, in clean runs —
         #: leaves every decode arithmetically untouched; noise bursts
-        #: raise and later restore it.
+        #: raise and later restore it.  It must never drop below the bound
+        #: declared with :meth:`bound_noise_floor` (0.0 by default).
         self.extra_noise_db = 0.0
+        self._quietest_noise_db = 0.0
+        # A model that fails nothing at -inf dB fails nothing at all: skip
+        # the classification and decode every arrival.
+        self._may_fail_alone = bool(self.per_model.fails_at(-math.inf))
         self.stats = ChannelStats()
         self._members: Dict[int, Tuple[AcousticModem, Callable[[], Position]]] = {}
         self.kernel = VectorLinkKernel(
@@ -170,7 +194,9 @@ class AcousticChannel:
             self.max_range_m,
             self.max_range_m * self.interference_range_factor,
             self.stats,
+            self.undecodable,
         )
+        sim.run_exit_hooks.append(self._settle_modems)
 
     # ------------------------------------------------------------------
     def create_modem(self, node_id: int, position_fn: Callable[[], Position]) -> AcousticModem:
@@ -233,6 +259,51 @@ class AcousticChannel:
             if members[other][0].enabled
         )
 
+    def bound_noise_floor(self, lowest_extra_noise_db: float) -> None:
+        """Declare the lowest :attr:`extra_noise_db` the run can reach.
+
+        Quieting noise bursts lower the floor, which could make a level
+        decodable that fails at 0 dB extra noise, so the classification
+        prices every level at this bound.  It must be set before the first
+        broadcast: arrivals already classified cannot be re-decided.
+        """
+        if self.stats.broadcasts:
+            raise RuntimeError("the noise floor bound must be set before any broadcast")
+        self._quietest_noise_db = min(0.0, lowest_extra_noise_db)
+
+    def undecodable(self, levels_db: np.ndarray) -> List[bool]:
+        """Per received level: True iff it cannot decode even alone.
+
+        Exactly ``per_model.fails_at(sinr_db_from_levels(level, (),
+        extra_noise_db=floor))`` at the quietest reachable ``floor``.  SINR
+        only falls from there — interferers and louder noise add power —
+        so such an arrival fails whatever overlaps it.  One vector pass
+        estimates every level's SINR as ``level - (noise + floor)``; where
+        the answer would differ within :data:`DECIDE_BAND_DB` of that
+        estimate, the exact scalar expression decides.
+        """
+        if not self._may_fail_alone:
+            return [False] * len(levels_db)
+        floor = self._quietest_noise_db
+        fails_at = self.per_model.fails_at
+        sinr_db = levels_db - (self.link_budget.noise_level_db() + floor)
+        lost = fails_at(sinr_db + DECIDE_BAND_DB)
+        unsure = np.nonzero(lost != fails_at(sinr_db - DECIDE_BAND_DB))[0]
+        lost = lost.tolist()
+        sinr_alone = self.link_budget.sinr_db_from_levels
+        for j in unsure.tolist():
+            lost[j] = bool(fails_at(sinr_alone(float(levels_db[j]), (), extra_noise_db=floor)))
+        return lost
+
+    def _settle_modems(self, frontier: Tuple[float, ...]) -> Optional[float]:
+        """Run-exit hook: settle every modem's arrivals up to ``frontier``."""
+        latest = None
+        for modem, _ in self._members.values():
+            end = modem.settle(frontier)
+            if end is not None and (latest is None or end > latest):
+                latest = end
+        return latest
+
     def per_draw(self) -> float:
         """The next uniform [0, 1) variate of the ``channel.per`` stream."""
         try:
@@ -252,7 +323,7 @@ class AcousticChannel:
         :meth:`Simulator.push_bulk` with sequence numbers in target order —
         so pop order, and every downstream RNG draw, matches one
         ``push_at`` per target.  Fading, when active, is drawn per target
-        in that same order.
+        in that same order, and the faded levels are classified afresh.
         """
         stats = self.stats
         stats.broadcasts += 1
@@ -270,21 +341,33 @@ class AcousticChannel:
         starts_l = starts.tolist()
         ends_l = ends.tolist()
         if self._fading_active:
+            # A fade can lift a level over the pivot or drop it below, so
+            # each faded level is classified here instead of per row.
             fade_db = self.fading.fade_db
+            levels = [
+                level + fade_db((tx_id, rx_id), now) for rx_id, _, _, level in targets
+            ]
             arrivals = [
-                Arrival(frame, tx_id, start, end, level + fade_db((tx_id, rx_id), now), delay)
-                for (rx_id, _, delay, level), start, end in zip(targets, starts_l, ends_l)
+                Arrival(frame, tx_id, start, end, level, delay)
+                for (_, _, delay, _), level, start, end in zip(
+                    targets, levels, starts_l, ends_l
+                )
+            ]
+            callbacks = [
+                modem.begin_interferer if lost else modem.begin_arrival
+                for (_, modem, _, _), lost in zip(
+                    targets, self.undecodable(np.array(levels))
+                )
             ]
         else:
             arrivals = [
                 Arrival(frame, tx_id, start, end, level, delay)
                 for (_, _, delay, level), start, end in zip(targets, starts_l, ends_l)
             ]
+            callbacks = row.delivery_callbacks
         # High priority so arrivals register before same-instant MAC logic;
         # zip(arrivals) builds the per-event 1-tuple args at C speed.
-        self.sim.push_bulk(
-            starts_l, row.delivery_callbacks, list(zip(arrivals)), PRIORITY_HIGH
-        )
+        self.sim.push_bulk(starts_l, callbacks, list(zip(arrivals)), PRIORITY_HIGH)
         stats.deliveries += len(targets)
         stats.bulk_pushes += 1
         stats.bulk_events += len(targets)

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional, TYPE_CHECKING
+from heapq import heappop, heappush
+from typing import Callable, List, Optional, Tuple, TYPE_CHECKING
 
+from ..des.events import PRIORITY_NORMAL
 from ..des.simulator import Simulator
 from .frame import Frame
 
@@ -105,6 +107,17 @@ class AcousticModem:
     The MAC layer attaches via :attr:`on_receive` (called with every decoded
     frame and its :class:`Arrival`) and optionally :attr:`on_rx_failure`
     (called with failed arrivals, used by tests and collision metrics).
+
+    The channel hands each arrival to :meth:`begin_arrival` or, when it
+    cannot decode even with no interferer, to :meth:`begin_interferer`.
+    Such an arrival gets no finish event: it is *settled* lazily by the
+    failure rules a decode applies (:meth:`settle`), at whichever comes
+    first after its end: this modem's next receive, decode or transmit,
+    its next enable/RX flip, or the return of :meth:`Simulator.run`.  So
+    :attr:`on_rx_failure` fires for an undecodable arrival late, but
+    before any counter is read and in the order the finish events would
+    have run; a traced ``phy.rx_fail`` record still carries
+    ``time=arrival.end``.
     """
 
     def __init__(self, sim: Simulator, node_id: int, channel: "AcousticChannel") -> None:
@@ -135,10 +148,15 @@ class AcousticModem:
         self._per_model = channel.per_model
         self._per_draw = channel.per_draw
         self._push_at = sim.push_at
+        self._take_seq = sim.take_seq
         self.on_receive: Optional[Callable[[Frame, Arrival], None]] = None
         self.on_rx_failure: Optional[Callable[[Arrival, RxOutcome], None]] = None
         self._tx_intervals: List[_TxInterval] = []
         self._arrivals: List[Arrival] = []
+        #: Registered arrivals awaiting settlement, as a heap of the finish
+        #: event each would have had — ``(end, PRIORITY_NORMAL, seq)`` —
+        #: followed by the arrival (see :meth:`settle`).
+        self._unsettled: List[Tuple[float, int, int, Arrival]] = []
         self._rx_busy_until = 0.0
         self._last_tx_end = 0.0
         # Longest on-air duration seen (tx or rx).  Anything that ended more
@@ -193,7 +211,11 @@ class AcousticModem:
                 )
             return 0.0
         duration = frame.duration_s(self.channel.bitrate_bps)
-        frame.timestamp = self.sim.now
+        now = self.sim.now
+        unsettled = self._unsettled
+        if unsettled and unsettled[0][0] < now:
+            self.settle((now,))  # before _prune drops an interval they need
+        frame.timestamp = now
         self._tx_intervals.append(_TxInterval(self.sim.now, self.sim.now + duration))
         self._last_tx_end = self.sim.now + duration
         if duration > self._max_duration_s:
@@ -235,15 +257,58 @@ class AcousticModem:
         # schedule_at validation wrapper adds nothing but a call frame.
         self._push_at(end, self._finish_arrival, (arrival,))
 
+    def begin_interferer(self, arrival: Arrival) -> None:
+        """Channel callback: the leading edge of a signal that cannot decode.
+
+        The channel routes an arrival here when the PER model fails it at
+        its interference-free SINR under the quietest reachable noise
+        floor, so it can only interfere.  It is registered exactly as in
+        :meth:`begin_arrival` (the two are kept inline, in step, because
+        they run once per delivery), but instead of a finish event it takes
+        that event's sequence number and joins the unsettled heap.  The
+        arrival list is head-pruned here too: a modem that only ever hears
+        such signals would otherwise never prune it.
+        """
+        if not self.enabled:
+            return
+        if not self.rx_enabled:
+            self.stats.rx_outage += 1
+            return
+        arrivals = self._arrivals
+        arrivals.append(arrival)
+        end = arrival.end
+        duration = end - arrival.start
+        if duration > self._max_duration_s:
+            self._max_duration_s = duration
+        busy_from = self._rx_busy_until
+        if busy_from < arrival.start:
+            busy_from = arrival.start
+        if end > busy_from:
+            self.stats.rx_busy_time_s += end - busy_from
+            self._rx_busy_until = end
+        now = self.sim.now
+        unsettled = self._unsettled
+        if unsettled and unsettled[0][0] < now:
+            self.settle((now,))
+        # ``arrival`` itself ends after now, so the loop stops at it.
+        horizon = now - self._max_duration_s
+        while arrivals[0].end < horizon:
+            del arrivals[0]
+        heappush(unsettled, (end, PRIORITY_NORMAL, self._take_seq(), arrival))
+
     def _finish_arrival(self, arrival: Arrival) -> None:
         """Event callback: the signal's trailing edge passed; decode it."""
+        now = self.sim.now
+        unsettled = self._unsettled
+        if unsettled and unsettled[0][0] < now:
+            self.settle((now,))
         arrivals = self._arrivals
         # Drop leading arrivals that ended before the retention horizon.
         # None of them can overlap ``arrival``, which started at most one
         # duration ago, so pruning before the scan leaves its interferers
         # unchanged; a stale arrival behind a live one waits for the next
         # decode.  ``arrival`` itself ends now, so the loop stops at it.
-        horizon = self.sim.now - self._max_duration_s
+        horizon = now - self._max_duration_s
         while arrivals[0].end < horizon:
             del arrivals[0]
         stats = self.stats
@@ -253,13 +318,7 @@ class AcousticModem:
             # runs — where both flags are always True — are untouched.
             stats.rx_outage += 1
             if self._trace_on:
-                self._trace.emit(
-                    self.sim.now,
-                    "phy.rx_fail",
-                    self.node_id,
-                    frame=arrival.frame.describe(),
-                    why=RxOutcome.OFFLINE.value,
-                )
+                self._trace_failure(arrival, RxOutcome.OFFLINE)
             return
         a_start = arrival.start
         a_end = arrival.end
@@ -286,7 +345,7 @@ class AcousticModem:
                 stats.rx_ok += 1
                 stats.rx_ok_bits += frame.size_bits
                 if self._trace_on:
-                    self._trace.emit(self.sim.now, "phy.rx", self.node_id, frame=frame.describe())
+                    self._trace.emit(now, "phy.rx", self.node_id, frame=frame.describe())
                 if self.on_receive is not None:
                     self.on_receive(frame, arrival)
                 return
@@ -297,15 +356,74 @@ class AcousticModem:
                 stats.rx_noise += 1
                 outcome = RxOutcome.NOISE
         if self._trace_on:
-            self._trace.emit(
-                self.sim.now,
-                "phy.rx_fail",
-                self.node_id,
-                frame=arrival.frame.describe(),
-                why=outcome.value,
-            )
+            self._trace_failure(arrival, outcome)
         if self.on_rx_failure is not None:
             self.on_rx_failure(arrival, outcome)
+
+    def settle(self, frontier: Optional[Tuple[float, ...]] = None) -> Optional[float]:
+        """Settle the unsettled arrivals whose finish would have run by now.
+
+        An arrival is settled when its would-be finish event ``(end,
+        PRIORITY_NORMAL, seq)`` sorts below ``frontier`` (by default the
+        simulator's :meth:`~repro.des.simulator.Simulator.frontier`); a
+        one-element ``(t,)`` frontier settles those that ended before
+        ``t``.  They settle in finish-event order, each failed exactly as
+        :meth:`_finish_arrival` would have failed it: OFFLINE, then
+        HALF_DUPLEX, then COLLISION if anything overlapped it, else NOISE.
+
+        That is exact only while the state those rules read is what it was
+        at the arrival's end.  Later arrivals and transmissions start at or
+        after it, so they never overlap it; what remains is the overlap
+        lists and the enable/RX flags.  So this runs before anything prunes
+        those lists and before every flag flip (:meth:`Node.fail` /
+        :meth:`Node.recover`, injected RX outages), and from the channel's
+        run-exit hook before anyone reads the counters.
+
+        Returns the end of the last arrival settled, or None.
+        """
+        if frontier is None:
+            frontier = self.sim.frontier()
+        unsettled = self._unsettled
+        stats = self.stats
+        latest = None
+        while unsettled and unsettled[0] < frontier:
+            latest, _, _, arrival = heappop(unsettled)
+            if not self.enabled or not self.rx_enabled:
+                stats.rx_outage += 1
+                if self._trace_on:
+                    self._trace_failure(arrival, RxOutcome.OFFLINE)
+                continue
+            a_start = arrival.start
+            a_end = arrival.end
+            for iv in self._tx_intervals:
+                if iv.start < a_end and iv.end > a_start:
+                    stats.rx_half_duplex += 1
+                    outcome = RxOutcome.HALF_DUPLEX
+                    break
+            else:
+                for other in self._arrivals:
+                    if other is not arrival and other.start < a_end and other.end > a_start:
+                        stats.rx_collision += 1
+                        outcome = RxOutcome.COLLISION
+                        break
+                else:
+                    stats.rx_noise += 1
+                    outcome = RxOutcome.NOISE
+            if self._trace_on:
+                self._trace_failure(arrival, outcome)
+            if self.on_rx_failure is not None:
+                self.on_rx_failure(arrival, outcome)
+        return latest
+
+    def _trace_failure(self, arrival: Arrival, outcome: RxOutcome) -> None:
+        """Trace a lost arrival at its end time (late, if it was settled)."""
+        self._trace.emit(
+            arrival.end,
+            "phy.rx_fail",
+            self.node_id,
+            frame=arrival.frame.describe(),
+            why=outcome.value,
+        )
 
     # ------------------------------------------------------------------
     # Housekeeping

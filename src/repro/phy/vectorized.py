@@ -128,6 +128,7 @@ class RowState:
         delivery_delays: The in-reach entries' delays as a contiguous
             float64 vector, aligned with ``deliveries`` (bulk fan-out).
         delivery_callbacks: The in-reach modems' bound ``begin_arrival``
+            (or, for a level that cannot decode alone, ``begin_interferer``)
             methods, aligned with ``deliveries`` (bulk fan-out).
     """
 
@@ -188,11 +189,14 @@ class VectorLinkKernel:
     into the owning channel's :class:`~repro.phy.channel.ChannelStats`
     with whole-row granularity: a broadcast whose row is warm counts
     ``n - 1`` hits, a refresh counts one miss per stale pair and one hit
-    per still-warm pair.
+    per still-warm pair.  ``undecodable`` maps a vector of received levels
+    to one flag per level — True where the arrival cannot decode even
+    alone — and picks each delivery's receive callback.
     """
 
     __slots__ = (
         "_members",
+        "_undecodable",
         "_propagation",
         "_link_budget",
         "_max_range_m",
@@ -225,9 +229,11 @@ class VectorLinkKernel:
         max_range_m: float,
         reach_m: float,
         stats: "ChannelStats",
+        undecodable: Callable[[np.ndarray], List[bool]],
         row_budget_entries: int = DEFAULT_ROW_BUDGET_ENTRIES,
     ) -> None:
         self._members = members
+        self._undecodable = undecodable
         self._propagation = propagation
         self._link_budget = link_budget
         self._max_range_m = max_range_m
@@ -510,8 +516,10 @@ class VectorLinkKernel:
         Entries are ``(rx_id, modem, delay_s, level_db)`` python scalars in
         registration order — exactly the values and order the full scan
         produces — so the hot loop does no NumPy access per delivery.  The
-        in-reach delay vector and the bound ``begin_arrival`` callbacks are
-        cached alongside the list for the channel's batched fan-out.
+        in-reach delay vector and the bound receive callbacks are cached
+        alongside the list for the channel's batched fan-out: a receiver
+        whose level the ``undecodable`` classifier rules out gets
+        ``begin_interferer``, every other one ``begin_arrival``.
         """
         built = row.deliveries
         if built is not None:
@@ -528,7 +536,10 @@ class VectorLinkKernel:
         row.deliveries = built
         row.skips = row.n - 1 - len(built)
         row.delivery_delays = delays[js]
-        row.delivery_callbacks = [t[1].begin_arrival for t in built]
+        row.delivery_callbacks = [
+            modem.begin_interferer if lost else modem.begin_arrival
+            for (_, modem, _, _), lost in zip(built, self._undecodable(levels[js]))
+        ]
         return built
 
     def decode_ids(self, row: RowState) -> Tuple[int, ...]:

@@ -1,5 +1,7 @@
 """Unit tests for the simulator core."""
 
+import math
+
 import pytest
 
 from repro.des.errors import SchedulingError, WallClockExceeded
@@ -182,3 +184,47 @@ def test_deterministic_rng_streams():
     c = Simulator(seed=8).streams.get("traffic").random(5)
     assert list(a) == list(b)
     assert list(a) != list(c)
+
+
+def test_frontier_is_the_key_of_the_event_being_processed():
+    sim = Simulator()
+    seen = []
+    event = sim.schedule(1.0, lambda: seen.append(sim.frontier()))
+    sim.run(until=2.0)
+    assert seen == [(1.0, event.priority, event.seq)]
+    assert sim.frontier() == (2.0, math.inf, math.inf)
+
+
+def test_run_exit_hooks_see_how_far_the_run_got():
+    sim = Simulator()
+    frontiers = []
+    sim.run_exit_hooks.append(lambda frontier: frontiers.append(frontier))
+    sim.schedule(1.0, lambda: None)
+    stopper = sim.schedule(2.0, sim.stop)
+    sim.schedule(3.0, lambda: None)
+    sim.run(until=1.5)
+    sim.run()
+    sim.run()
+    assert frontiers == [
+        (1.5, math.inf, math.inf),
+        (2.0, stopper.priority, stopper.seq),  # stopped: later events pending
+        (math.inf, math.inf, math.inf),  # drained with no bound
+    ]
+
+
+def test_drained_run_ends_at_the_latest_settled_time():
+    sim = Simulator()
+    sim.run_exit_hooks.append(lambda frontier: 4.0 if frontier[0] == math.inf else None)
+    sim.schedule(1.0, lambda: None)
+    assert sim.run() == 4.0
+    sim.schedule(1.0, lambda: None)
+    assert sim.run(until=6.0) == 6.0
+
+
+def test_take_seq_reserves_a_queue_position_without_an_event():
+    sim = Simulator()
+    first = sim.schedule(1.0, lambda: None)
+    reserved = sim.take_seq()
+    second = sim.schedule(1.0, lambda: None)
+    assert first.seq < reserved < second.seq
+    assert sim.pending_events == 2

@@ -8,6 +8,7 @@ let the recovery machinery silently change figures.
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
 import os
@@ -35,7 +36,7 @@ from repro.experiments.parallel import execute_cell, expand_cells
 from repro.experiments.scenario import Scenario
 from repro.experiments.engine import SweepSpec
 from repro.net.node import sample_request_uid_floor
-from repro.phy.channel import PER_BLOCK
+from repro.phy.channel import PER_BLOCK, AcousticChannel
 from repro.phy.frame import sample_frame_uid_floor
 
 
@@ -92,37 +93,73 @@ class TestBitIdentity:
         assert checkpointed.perf.checkpoints_taken > 0
         assert plain.perf.checkpoints_taken == 0
 
-    def test_resume_mid_per_block_is_bit_identical(self):
+    def test_resume_mid_per_block_is_bit_identical(self, monkeypatch):
         # Snapshot after the PER buffer has been refilled at least once and
         # while its current block is partly consumed: the restored channel
         # must hand out the rest of that block, then continue the stream.
+        # Draws are counted where they are made: arrivals that cannot
+        # decode even alone settle without one, so outcome counters would
+        # overcount them.
         config = table2_config(sim_time_s=40.0, seed=3)
         baseline = Scenario(config).run_steady_state().to_dict()
+        draws = [0]
+        per_draw = AcousticChannel.per_draw
+
+        # wraps: a bound method pickles by name, so the snapshot's modems
+        # must find the counting draw under ``per_draw`` on restore.
+        @functools.wraps(per_draw)
+        def counting_per_draw(channel):
+            draws[0] += 1
+            return per_draw(channel)
+
+        monkeypatch.setattr(AcousticChannel, "per_draw", counting_per_draw)
         taken = []
 
         def hook(scenario: Scenario) -> None:
-            decodes = sum(
-                node.modem.stats.rx_ok + node.modem.stats.rx_collision
-                + node.modem.stats.rx_noise
-                for node in scenario.nodes
-            )
-            if decodes > PER_BLOCK and decodes % PER_BLOCK:
+            drawn = draws[0]
+            if drawn > PER_BLOCK and drawn % PER_BLOCK:
                 left = operator.length_hint(scenario.channel._per_draws)
-                assert left == PER_BLOCK - decodes % PER_BLOCK
-                taken.append((scenario.snapshot(), decodes, scenario.sim.streams.seed))
+                assert left == PER_BLOCK - drawn % PER_BLOCK
+                taken.append((scenario.snapshot(), drawn, scenario.sim.streams.seed))
                 raise _Interrupt
 
         with pytest.raises(_Interrupt):
             Scenario(config).run_steady_state(2.0, hook)
-        blob, decodes, root_seed = taken[0]
+        blob, drawn, root_seed = taken[0]
         # The threshold PER model ignores the draws, so check the stream
         # itself: a restored channel continues it exactly, across a refill.
         stream = np.random.default_rng(derive_seed(root_seed, "channel.per"))
-        expected = stream.random(decodes + PER_BLOCK).tolist()[decodes:]
+        expected = stream.random(drawn + PER_BLOCK).tolist()[drawn:]
         probe = Scenario.restore(blob).channel
         assert [probe.per_draw() for _ in range(PER_BLOCK)] == expected
         resumed = Scenario.restore(blob).resume().to_dict()
         assert resumed == baseline
+
+    def test_resume_with_unsettled_arrivals_is_bit_identical(self):
+        # A checkpoint window can end while arrivals that cannot decode
+        # even alone are still in flight: they have no finish event in the
+        # heap, only a place in their modem's unsettled heap, and must
+        # settle after the restore exactly as in the uninterrupted run.
+        config = table2_config(sim_time_s=20.0, seed=5)
+        plain = Scenario(config)
+        baseline = plain.run_steady_state().to_dict()
+        taken = []
+
+        def hook(scenario: Scenario) -> None:
+            unsettled = sum(len(node.modem._unsettled) for node in scenario.nodes)
+            if unsettled:
+                taken.append((scenario.snapshot(), unsettled))
+                raise _Interrupt
+
+        with pytest.raises(_Interrupt):
+            Scenario(config).run_steady_state(1.0, hook)
+        blob, unsettled = taken[0]
+        restored = Scenario.restore(blob)
+        assert sum(len(node.modem._unsettled) for node in restored.nodes) == unsettled
+        assert restored.resume().to_dict() == baseline
+        assert [node.modem.stats for node in restored.nodes] == [
+            node.modem.stats for node in plain.nodes
+        ]
 
     def test_restore_in_fresh_process_is_bit_identical(self, tmp_path):
         config = _quick_config(n_sensors=6, sim_time_s=6.0)

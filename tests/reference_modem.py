@@ -2,13 +2,16 @@
 
 Production :class:`~repro.phy.modem.AcousticModem` keeps only the arrivals
 and transmissions that ended within one on-air duration of now, prunes them
-lazily at decode time, and takes its PER uniforms from the channel's block
-buffer (:meth:`~repro.phy.channel.AcousticChannel.per_draw`).
+lazily, takes its PER uniforms from the channel's block buffer
+(:meth:`~repro.phy.channel.AcousticChannel.per_draw`), and settles
+arrivals that cannot decode even alone without a finish event or a decode
+(:meth:`~repro.phy.modem.AcousticModem.begin_interferer`).
 :class:`ReferenceModem` keeps every arrival and transmission it ever saw,
-scans all of them at every decode, sums interferers in begin order, and
-draws each uniform with a scalar ``per_rng.random()`` call.  Nothing is
-pruned or buffered, so nothing can be dropped early — production must
-match it bit for bit.
+gives every arrival a finish event and a full decode, scans all of them at
+every decode, sums interferers in begin order, and draws each uniform with
+a scalar ``per_rng.random()`` call.  Nothing is pruned, buffered or
+settled lazily, so nothing can be dropped early or decided out of order —
+production must match it bit for bit.
 
 Whole scenarios swap it in by patching the ``AcousticModem`` name that
 :meth:`AcousticChannel.create_modem` constructs (see
@@ -29,6 +32,10 @@ class ReferenceModem(AcousticModem):
 
     def _prune(self, intervals) -> None:
         """Keep every transmission interval forever."""
+
+    def begin_interferer(self, arrival: Arrival) -> None:
+        """Decode arrivals that cannot decode alone too, at their end."""
+        self.begin_arrival(arrival)
 
     def _finish_arrival(self, arrival: Arrival) -> None:
         stats = self.stats
