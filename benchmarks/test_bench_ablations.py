@@ -7,48 +7,49 @@ the qualitative claim its docstring states, at quick-mode scale.
 from conftest import emit
 
 from repro.experiments.ablations import (
-    ablation_aloha_anchor,
-    ablation_clock_skew,
-    ablation_deployment_density,
-    ablation_interference_range,
-    ablation_packet_size,
+    aloha_anchor_plan,
+    clock_skew_plan,
+    deployment_density_plan,
+    interference_range_plan,
+    packet_size_plan,
 )
+from repro.experiments.engine import run_plan
 
 
-def test_ablation_packet_size(one_shot):
+def test_ablation_packet_size(one_shot, sweep_workers):
     """Paper Sec. 2: larger packets amortize the slot cost for everyone."""
-    data = one_shot(ablation_packet_size, quick=True)
+    data = one_shot(run_plan, packet_size_plan(quick=True), workers=sweep_workers)
     emit(data)
     for protocol, series in data.series.items():
         assert series[-1] > series[0] * 0.9, f"{protocol} lost from larger packets"
 
 
-def test_ablation_clock_skew(one_shot):
+def test_ablation_clock_skew(one_shot, sweep_workers):
     """Slot misalignment must not *improve* a slotted protocol."""
-    data = one_shot(ablation_clock_skew, quick=True)
+    data = one_shot(run_plan, clock_skew_plan(quick=True), workers=sweep_workers)
     emit(data)
     for protocol, series in data.series.items():
         assert series[-1] <= series[0] * 1.15, f"{protocol} improved under skew"
 
 
-def test_ablation_interference_range(one_shot):
+def test_ablation_interference_range(one_shot, sweep_workers):
     """Wider interference lowers everyone's throughput ceiling."""
-    data = one_shot(ablation_interference_range, quick=True)
+    data = one_shot(run_plan, interference_range_plan(quick=True), workers=sweep_workers)
     emit(data)
     for protocol, series in data.series.items():
         assert series[-1] <= series[0] * 1.2, protocol
 
 
-def test_ablation_deployment_density(one_shot):
+def test_ablation_deployment_density(one_shot, sweep_workers):
     """Small volumes are contention-limited: lower ceiling than Table 2's."""
-    data = one_shot(ablation_deployment_density, quick=True)
+    data = one_shot(run_plan, deployment_density_plan(quick=True), workers=sweep_workers)
     emit(data)
     sfama = data.series["S-FAMA"]
     assert sfama[0] <= sfama[-1] * 1.5  # dense <= sparse (with slack)
 
 
-def test_ablation_aloha_anchor(one_shot):
+def test_ablation_aloha_anchor(one_shot, sweep_workers):
     """The no-negotiation anchor runs and carries traffic at every load."""
-    data = one_shot(ablation_aloha_anchor, quick=True)
+    data = one_shot(run_plan, aloha_anchor_plan(quick=True), workers=sweep_workers)
     emit(data)
     assert all(v > 0 for v in data.series["ALOHA"])

@@ -115,13 +115,21 @@ class EwMac(SlottedMac):
 
     name = "EW-MAC"
     uses_two_hop_info = False
-    #: Randomize the EXR send instant inside the feasible window (design
-    #: choice studied by the abl-exr-randomization ablation; True keeps
-    #: same-round losers from colliding at the shared busy neighbour).
-    exr_randomize = True
 
-    def __init__(self, sim, node, channel, timing, config: Optional[MacConfig] = None):
+    def __init__(
+        self,
+        sim,
+        node,
+        channel,
+        timing,
+        config: Optional[MacConfig] = None,
+        exr_randomize: bool = True,
+    ):
         super().__init__(sim, node, channel, timing, config or _default_ewmac_config())
+        #: Randomize the EXR send instant inside the feasible window (design
+        #: choice studied by the abl-exr-randomization ablation; True keeps
+        #: same-round losers from colliding at the shared busy neighbour).
+        self.exr_randomize = exr_randomize
         self.tracker = NeighborScheduleTracker(node.node_id)
         self.fig3 = Fig3StateMachine(strict=False)
         self.extra_stats = ExtraStats()

@@ -2,8 +2,7 @@
 
 This subpackage is the substrate every other layer runs on: a deterministic
 binary-heap event queue (:mod:`repro.des.events`), the virtual-clock
-scheduler (:mod:`repro.des.simulator`), generator-process sugar
-(:mod:`repro.des.process`), per-component random streams
+scheduler (:mod:`repro.des.simulator`), per-component random streams
 (:mod:`repro.des.rng`) and structured tracing (:mod:`repro.des.trace`).
 
 The paper evaluated EW-MAC inside NS-3; this kernel plays NS-3's role for
@@ -18,13 +17,11 @@ from .errors import (
     WallClockExceeded,
 )
 from .events import PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL, Event, EventQueue
-from .process import Delay, Process, Signal, WaitSignal
 from .rng import RandomStreams, derive_seed
 from .simulator import Simulator
 from .trace import NullTracer, TraceRecord, Tracer
 
 __all__ = [
-    "Delay",
     "Event",
     "EventQueue",
     "EventStateError",
@@ -32,16 +29,13 @@ __all__ = [
     "PRIORITY_HIGH",
     "PRIORITY_LOW",
     "PRIORITY_NORMAL",
-    "Process",
     "RandomStreams",
     "SchedulingError",
-    "Signal",
     "SimulationError",
     "SimulationStopped",
     "Simulator",
     "TraceRecord",
     "Tracer",
-    "WaitSignal",
     "WallClockExceeded",
     "derive_seed",
 ]

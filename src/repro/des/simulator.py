@@ -9,9 +9,7 @@ The kernel is deliberately callback-based rather than coroutine-based: MAC
 state machines are clearer as explicit states plus timer callbacks, and a
 callback core is ~3x faster than generator trampolining in CPython, which
 matters when a single figure sweep runs hundreds of 300-second network
-simulations.  A thin generator-process adapter is provided in
-:mod:`repro.des.process` for components that read better as sequential code
-(e.g. traffic sources).
+simulations.
 """
 
 from __future__ import annotations

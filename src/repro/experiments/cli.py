@@ -28,7 +28,7 @@ from .engine import EngineError, observe_sweeps, run_plan, run_sweep
 from .figures import ALL_PLANS
 from .report import format_figure, write_csv
 
-_RUNNERS = {**ALL_PLANS, **ALL_ABLATIONS}
+_PLANS = {**ALL_PLANS, **ALL_ABLATIONS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "target",
-        choices=sorted(_RUNNERS)
+        choices=sorted(_PLANS)
         + ["all", "ablations", "chaos", "scale", "serve", "table2", "report"],
         help="figure or ablation to regenerate ('all' = paper figures, "
         "'ablations' = every ablation, 'chaos' = seeded fault-injection "
@@ -214,10 +214,11 @@ def _run_kwargs(args: argparse.Namespace) -> Dict[str, object]:
 
 
 def _reject_sweep_flags(args: argparse.Namespace) -> None:
-    """Refuse sweep-engine flags on targets that would silently ignore them.
+    """Refuse sweep-engine flags on ``scale``, which would silently ignore them.
 
-    Ablations and ``scale`` run their scenarios directly (their tweaks are
-    closures), not through the sweep engine.
+    ``scale`` times each cell in-process rather than through the sweep
+    engine: its metric is per-cell wall time, which a cache hit would
+    falsify.
     """
     given = [
         ("--override", bool(args.override)),
@@ -229,7 +230,7 @@ def _reject_sweep_flags(args: argparse.Namespace) -> None:
         if present:
             raise EngineError(
                 f"{flag} is not supported by target {args.target!r}: "
-                "ablations and scale run in-process without the sweep engine"
+                "scale runs in-process without the sweep engine"
             )
 
 
@@ -308,9 +309,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
     progress = (lambda msg: print(f"  .. {msg}", file=sys.stderr)) if args.verbose else None
     seeds = tuple(range(1, args.seeds + 1))
-    if args.target in ("ablations", "scale") or args.target in ALL_ABLATIONS:
-        _reject_sweep_flags(args)
     if args.target == "scale":
+        _reject_sweep_flags(args)
         from .scale import scale
 
         data = scale(seeds=seeds, quick=args.quick, progress=progress)
@@ -344,11 +344,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     try:
         with observe_sweeps() as observer:
             for target in targets:
-                if target in ALL_ABLATIONS:
-                    data = ALL_ABLATIONS[target](
-                        seeds=seeds, quick=args.quick, progress=progress
-                    )
-                elif target == "chaos":
+                if target == "chaos":
                     # The raw grid, not just the figure: the exit code
                     # depends on the audit counters.
                     plan = chaos_figure_plan(seeds, args.quick, overrides)
@@ -362,7 +358,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                     )
                     data, chaos_summary = plan.build(grid), summarize_grid(grid)
                 else:
-                    plan = ALL_PLANS[target](seeds, args.quick, overrides)
+                    plan = _PLANS[target](seeds, args.quick, overrides)
                     data = run_plan(plan, progress=progress, **run_kwargs)
                 print(format_figure(data))
                 if chaos_summary is not None:

@@ -64,6 +64,10 @@ class ScenarioConfig:
     #: clock drift-free; nonzero draws one rate per node from the same
     #: seeded "clocks" stream the offsets use, so runs stay reproducible.
     clock_drift_ppm_std: float = 0.0
+    #: EW-MAC only: randomize each EXR send instant inside its feasible
+    #: window (False sends at the earliest instant; the
+    #: abl-exr-randomization ablation compares the two).
+    exr_randomize: bool = True
     #: Declarative fault-injection plan.  The default (empty) plan arms
     #: nothing at all: no events, no RNG streams, bit-identical results.
     faults: FaultPlan = field(default_factory=FaultPlan)

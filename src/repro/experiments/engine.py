@@ -24,7 +24,8 @@ Three layers, lowest first:
     Figure executor: a :class:`FigurePlan` bundles a sweep with its base
     config, protocol set, seeds, and the aggregation that turns the raw
     grid into a :class:`FigureData`.  The declarative plan factories live
-    in :mod:`~repro.experiments.figures` and
+    in :mod:`~repro.experiments.figures`,
+    :mod:`~repro.experiments.ablations` and
     :mod:`~repro.experiments.chaos`; they build plans, the engine runs
     them.
 
@@ -304,7 +305,8 @@ class FigurePlan:
     """A fully-resolved figure run: sweep, inputs, and aggregation.
 
     Plan factories (``fig6_plan`` ... in
-    :mod:`~repro.experiments.figures`, ``chaos_figure_plan`` in
+    :mod:`~repro.experiments.figures`, ``packet_size_plan`` ... in
+    :mod:`~repro.experiments.ablations`, ``chaos_figure_plan`` in
     :mod:`~repro.experiments.chaos`) are declarative — they decide axes,
     base configs, and metrics but never execute anything, so the same
     plan can be keyed (:func:`request_key`), run locally

@@ -11,7 +11,7 @@ run by the CLI, keyed and queued by the job service, or benchmarked.
 Run a figure with ``run_plan(ALL_PLANS["fig6"](quick=True))``.  Every
 factory accepts ``quick=True`` for a scaled-down run (shorter window,
 single seed, coarser axis) used by the benchmark suite, ``seeds`` for
-replication control, and ``overrides`` for ad-hoc base-config tweaks
+replication control, and ``overrides`` for ad-hoc base-config changes
 (the CLI's ``--override`` and the service's request overrides).
 
 :data:`PAPER_EXPECTATIONS` records what the original figure shows, so the
@@ -79,13 +79,17 @@ PAPER_EXPECTATIONS: Dict[str, str] = {
 }
 
 
+#: Integer ScenarioConfig fields a sweep axis may drive (x arrives as float).
+_INT_FIELDS = ("n_sensors", "data_packet_bits")
+
+
 def _steady_spec(
     x_values: Sequence[float], field_name: str
 ) -> SweepSpec:
     """Sweep one ScenarioConfig field over x for steady-state runs."""
 
     def configure(base: ScenarioConfig, x: float, protocol: str, seed: int) -> ScenarioConfig:
-        value = int(x) if field_name == "n_sensors" else x
+        value = int(x) if field_name in _INT_FIELDS else x
         return base.with_(**{field_name: value, "protocol": protocol, "seed": seed})
 
     return SweepSpec(x_values=list(x_values), configure=configure)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+from ..core.ewmac.protocol import EwMac
 from ..des.rng import derive_seed
 from ..des.simulator import Simulator
 from ..des.trace import Tracer
@@ -209,8 +210,13 @@ class Scenario:
             for node_id, position in enumerate(self.deployment.positions)
         ]
         protocol_cls = get_protocol(config.protocol)
+        mac_kwargs = (
+            {"exr_randomize": config.exr_randomize}
+            if issubclass(protocol_cls, EwMac)
+            else {}
+        )
         self.macs: List[SlottedMac] = [
-            protocol_cls(self.sim, node, self.channel, self.timing)
+            protocol_cls(self.sim, node, self.channel, self.timing, **mac_kwargs)
             for node in self.nodes
         ]
         if config.max_retries is not None:

@@ -1,7 +1,7 @@
 """Metrics layer: the paper's Eqs. (2)-(4) plus overhead and drain time."""
 
 from .efficiency import EfficiencyIndex, efficiency_index
-from .execution import ExecutionResult, mean_delivery_delay_s, run_until_drained
+from .execution import ExecutionResult, mean_delivery_delay_s
 from .overhead import (
     MEMORY_BITS_PER_ENTRY,
     OverheadReport,
@@ -25,5 +25,4 @@ __all__ = [
     "network_throughput",
     "offered_vs_carried",
     "overhead_ratio",
-    "run_until_drained",
 ]

@@ -30,29 +30,6 @@ class ExecutionResult:
         return self.completed >= self.injected and self.injected > 0
 
 
-def run_until_drained(
-    sim: Simulator,
-    workload: BatchWorkload,
-    max_time_s: float,
-    check_interval_s: float = 1.0,
-) -> ExecutionResult:
-    """Advance the simulation until the batch drains (or ``max_time_s``).
-
-    The simulation is advanced in ``check_interval_s`` chunks.  The drain
-    time is the last successful completion when that is the terminal event,
-    otherwise the (chunk-resolution) instant the network went idle.
-    """
-    if max_time_s <= 0:
-        raise ValueError("max_time_s must be positive")
-    return drain_toward_deadline(
-        sim,
-        workload,
-        deadline_s=sim.now + max_time_s,
-        max_time_s=max_time_s,
-        check_interval_s=check_interval_s,
-    )
-
-
 def drain_toward_deadline(
     sim: Simulator,
     workload: BatchWorkload,
@@ -61,7 +38,11 @@ def drain_toward_deadline(
     check_interval_s: float = 1.0,
     on_chunk: Optional[Callable[[], None]] = None,
 ) -> ExecutionResult:
-    """Resumable core of :func:`run_until_drained`.
+    """Advance the simulation until the batch drains (or ``deadline_s``).
+
+    The simulation is advanced in ``check_interval_s`` chunks.  The drain
+    time is the last successful completion when that is the terminal event,
+    otherwise the (chunk-resolution) instant the network went idle.
 
     Takes the deadline as an *absolute* simulation time so a checkpointed
     run can re-enter the loop mid-drain with the original deadline intact.

@@ -1,18 +1,15 @@
-"""Network substrate: nodes, clocks, neighbour knowledge, aggregation."""
+"""Network substrate: nodes, clocks, neighbour knowledge."""
 
-from .aggregation import AggregationStats, ReadingAggregator
 from .clock import NodeClock
 from .neighbors import NeighborInfo, NeighborTable, TwoHopTable
 from .node import AppStats, DataRequest, Node
 
 __all__ = [
-    "AggregationStats",
     "AppStats",
     "DataRequest",
     "NeighborInfo",
     "NeighborTable",
     "Node",
     "NodeClock",
-    "ReadingAggregator",
     "TwoHopTable",
 ]

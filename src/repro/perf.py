@@ -13,7 +13,7 @@ taken after a run finishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -98,50 +98,33 @@ class PerfReport:
         checkpoints_taken: int = 0,
         resumes: int = 0,
     ) -> "PerfReport":
-        """Snapshot kernel + channel counters after a run."""
+        """Snapshot kernel + channel counters after a run.
+
+        Every field not set here is the :class:`ChannelStats` counter of
+        the same name.
+        """
+        own = {
+            "sim_time_s": sim_time_s,
+            "wall_time_s": sim.wall_time_s,
+            "events": sim.events_processed,
+            "checkpoints_taken": checkpoints_taken,
+            "resumes": resumes,
+        }
         return cls(
-            checkpoints_taken=checkpoints_taken,
-            resumes=resumes,
-            sim_time_s=sim_time_s,
-            wall_time_s=sim.wall_time_s,
-            events=sim.events_processed,
-            broadcasts=channel_stats.broadcasts,
-            deliveries=channel_stats.deliveries,
-            out_of_range_skips=channel_stats.out_of_range_skips,
-            cache_hits=channel_stats.cache_hits,
-            cache_misses=channel_stats.cache_misses,
-            vector_batches=channel_stats.vector_batches,
-            rows_refreshed=channel_stats.rows_refreshed,
-            grid_candidates=channel_stats.grid_candidates,
-            grid_cells=channel_stats.grid_cells,
-            bulk_pushes=channel_stats.bulk_pushes,
-            bulk_events=channel_stats.bulk_events,
+            **{
+                f.name: own[f.name] if f.name in own else getattr(channel_stats, f.name)
+                for f in fields(cls)
+            }
         )
 
     def to_dict(self) -> Dict[str, float]:
         """Flat JSON-friendly form (benchmark exports, CI artifacts)."""
-        return {
-            "sim_time_s": self.sim_time_s,
-            "wall_time_s": self.wall_time_s,
-            "events": self.events,
-            "events_per_second": self.events_per_second,
-            "broadcasts": self.broadcasts,
-            "broadcasts_per_second": self.broadcasts_per_second,
-            "deliveries": self.deliveries,
-            "out_of_range_skips": self.out_of_range_skips,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": self.cache_hit_rate,
-            "vector_batches": self.vector_batches,
-            "rows_refreshed": self.rows_refreshed,
-            "grid_candidates": self.grid_candidates,
-            "bulk_pushes": self.bulk_pushes,
-            "bulk_events": self.bulk_events,
-            "grid_cells": self.grid_cells,
-            "checkpoints_taken": self.checkpoints_taken,
-            "resumes": self.resumes,
-            "speedup_factor": self.speedup_factor,
-        }
+        data: Dict[str, float] = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["events_per_second"] = self.events_per_second
+        data["broadcasts_per_second"] = self.broadcasts_per_second
+        data["cache_hit_rate"] = self.cache_hit_rate
+        data["speedup_factor"] = self.speedup_factor
+        return data
 
     def summary_lines(self) -> List[str]:
         """Human-readable summary (printed by ``--profile``)."""
@@ -168,12 +151,17 @@ class PerfReport:
         ]
 
 
+#: Fields merged by peak rather than sum: gauges, not flows.
+_GAUGES = frozenset({"grid_cells"})
+
+
 @dataclass
 class PerfAccumulator:
     """Merge :class:`PerfReport` snapshots across sweep cells.
 
-    Wall times and counters add; rates are recomputed from the totals, so
-    the merged report reads like one long run.
+    Wall times and counters add (gauges keep their peak); rates are
+    recomputed from the totals, so the merged report reads like one long
+    run.
     """
 
     runs: int = 0
@@ -181,49 +169,17 @@ class PerfAccumulator:
 
     def add(self, report: PerfReport) -> None:
         self.runs += 1
-        for key in (
-            "sim_time_s",
-            "wall_time_s",
-            "events",
-            "broadcasts",
-            "deliveries",
-            "out_of_range_skips",
-            "cache_hits",
-            "cache_misses",
-            "vector_batches",
-            "rows_refreshed",
-            "grid_candidates",
-            "bulk_pushes",
-            "bulk_events",
-            "checkpoints_taken",
-            "resumes",
-        ):
-            self._totals[key] = self._totals.get(key, 0) + getattr(report, key)
-        # Occupied-cell count is a gauge, not a flow: keep the peak.
-        self._totals["grid_cells"] = max(
-            self._totals.get("grid_cells", 0), report.grid_cells
-        )
+        for f in fields(report):
+            value = getattr(report, f.name)
+            total = self._totals.get(f.name, 0)
+            self._totals[f.name] = (
+                max(total, value) if f.name in _GAUGES else total + value
+            )
 
     def merged(self) -> PerfReport:
         """Totals as a single report (zeros if nothing was added)."""
-        totals = self._totals
         return PerfReport(
-            sim_time_s=totals.get("sim_time_s", 0.0),
-            wall_time_s=totals.get("wall_time_s", 0.0),
-            events=int(totals.get("events", 0)),
-            broadcasts=int(totals.get("broadcasts", 0)),
-            deliveries=int(totals.get("deliveries", 0)),
-            out_of_range_skips=int(totals.get("out_of_range_skips", 0)),
-            cache_hits=int(totals.get("cache_hits", 0)),
-            cache_misses=int(totals.get("cache_misses", 0)),
-            vector_batches=int(totals.get("vector_batches", 0)),
-            rows_refreshed=int(totals.get("rows_refreshed", 0)),
-            grid_candidates=int(totals.get("grid_candidates", 0)),
-            grid_cells=int(totals.get("grid_cells", 0)),
-            bulk_pushes=int(totals.get("bulk_pushes", 0)),
-            bulk_events=int(totals.get("bulk_events", 0)),
-            checkpoints_taken=int(totals.get("checkpoints_taken", 0)),
-            resumes=int(totals.get("resumes", 0)),
+            **{f.name: self._totals.get(f.name, 0) for f in fields(PerfReport)}
         )
 
     def summary_lines(self) -> List[str]:

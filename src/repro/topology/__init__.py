@@ -8,7 +8,6 @@ from .deployment import (
     DeploymentConfig,
     connected_column_deployment,
     density_link_scale,
-    uniform_deployment,
 )
 from .mobility import (
     DEFAULT_DRIFT_SPEED_MPS,
@@ -42,5 +41,4 @@ __all__ = [
     "VerticalOscillationModel",
     "connected_column_deployment",
     "density_link_scale",
-    "uniform_deployment",
 ]

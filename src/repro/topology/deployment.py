@@ -7,10 +7,6 @@ surface" via multi-hop paths.
 
 Two generators are provided:
 
-* :func:`uniform_deployment` — i.i.d. uniform placement.  At the paper's
-  density (60 nodes / 1000 km^3, 1.5 km range) a uniform draw is almost
-  surely disconnected, so this is mainly useful for unit tests and for
-  studying sparse regimes.
 * :func:`connected_column_deployment` — the default for experiments: sinks
   float at the surface and every sensor is placed within communication
   range of (and deeper than) an already-placed node, yielding the connected
@@ -144,21 +140,6 @@ def _sink_positions(config: DeploymentConfig, rng: np.random.Generator) -> List[
             )
         )
     return sinks
-
-
-def uniform_deployment(config: DeploymentConfig) -> Deployment:
-    """I.i.d. uniform sensor placement (sinks still at the surface)."""
-    rng = np.random.default_rng(config.seed)
-    positions = _sink_positions(config, rng)
-    for _ in range(config.n_sensors):
-        positions.append(
-            Position(
-                float(rng.uniform(0, config.side_x_m)),
-                float(rng.uniform(0, config.side_y_m)),
-                float(rng.uniform(0, config.depth_m)),
-            )
-        )
-    return Deployment(config, positions, list(range(config.n_sinks)))
 
 
 def density_link_scale(n_sensors: int, reference: int = REFERENCE_NODE_COUNT) -> float:

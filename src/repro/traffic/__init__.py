@@ -1,8 +1,7 @@
-"""Workload generators: Poisson, CBR and fixed-batch traffic."""
+"""Workload generators: Poisson and fixed-batch traffic."""
 
 from .generators import (
     BatchWorkload,
-    CbrTraffic,
     PoissonTraffic,
     TrafficStats,
     offered_load_to_rate,
@@ -10,7 +9,6 @@ from .generators import (
 
 __all__ = [
     "BatchWorkload",
-    "CbrTraffic",
     "PoissonTraffic",
     "TrafficStats",
     "offered_load_to_rate",

@@ -11,8 +11,6 @@ Generators:
 * :class:`PoissonTraffic` — network-wide Poisson packet arrivals at the
   configured offered load; each packet originates at a uniformly chosen
   sensor and is addressed to that sensor's current depth-routing next hop.
-* :class:`CbrTraffic` — per-node constant-bit-rate arrivals (deterministic
-  gaps), useful for reproducible single-pair tests.
 * :class:`BatchWorkload` — the Fig. 8 "execution time" workload: a fixed
   batch of packets injected at the start; the experiment measures the time
   until the network drains them.
@@ -21,7 +19,7 @@ Generators:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -105,54 +103,6 @@ class PoissonTraffic:
         source.enqueue_data(next_hop, self.packet_bits)
         self.stats.packets += 1
         self.stats.bits += self.packet_bits
-
-
-class CbrTraffic:
-    """Per-node constant-bit-rate arrivals with optional phase stagger."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        nodes: Sequence[Node],
-        routing: DepthRouting,
-        per_node_interval_s: float,
-        packet_bits: int = DEFAULT_DATA_PACKET_BITS,
-        stagger: bool = True,
-    ) -> None:
-        if per_node_interval_s <= 0:
-            raise ValueError("interval must be positive")
-        self.sim = sim
-        self.sources = [n for n in nodes if not n.is_sink]
-        self.routing = routing
-        self.interval_s = per_node_interval_s
-        self.packet_bits = packet_bits
-        self.stagger = stagger
-        self.stats = TrafficStats()
-        self._timers: List[object] = []
-
-    def start(self) -> None:
-        for index, source in enumerate(self.sources):
-            phase = (
-                (index / max(len(self.sources), 1)) * self.interval_s
-                if self.stagger
-                else 0.0
-            )
-            self._timers.append(self.sim.schedule(phase, self._arrival, source))
-
-    def stop(self) -> None:
-        for timer in self._timers:
-            self.sim.cancel(timer)
-        self._timers.clear()
-
-    def _arrival(self, source: Node) -> None:
-        next_hop = self.routing.next_hop(source.node_id)
-        if next_hop is None:
-            self.stats.undeliverable += 1
-        else:
-            source.enqueue_data(next_hop, self.packet_bits)
-            self.stats.packets += 1
-            self.stats.bits += self.packet_bits
-        self._timers.append(self.sim.schedule(self.interval_s, self._arrival, source))
 
 
 class BatchWorkload:

@@ -80,20 +80,73 @@ def test_good_tiny_run_exits_0_and_reports_cache(tmp_path):
 @pytest.mark.parametrize(
     "target, flags",
     [
-        ("abl-aloha", ["--override", "n_sensors=20"]),
-        ("abl-aloha", ["--cell-timeout", "9"]),
-        ("abl-aloha", ["--checkpoint-every", "5"]),
-        ("abl-aloha", ["--workers", "4"]),
-        ("ablations", ["--override", "n_sensors=20"]),
         ("scale", ["--workers", "2"]),
+        ("scale", ["--override", "n_sensors=20"]),
+        ("scale", ["--cell-timeout", "9"]),
+        ("scale", ["--checkpoint-every", "5"]),
     ],
 )
 def test_engine_flags_on_direct_targets_exit_2(tmp_path, target, flags):
-    # Ablations and scale run their scenarios directly; a sweep-engine
-    # flag they cannot honour is refused, not silently dropped.
+    # Scale times its cells directly; a sweep-engine flag it cannot
+    # honour is refused, not silently dropped.
     result = _run_cli(target, "--quick", *flags, cwd=tmp_path)
     assert result.returncode == 2
     assert f"{flags[0]} is not supported by target {target!r}" in result.stderr
+
+
+_TINY = ["--override", "n_sensors=6", "--override", "sim_time_s=3.0",
+         "--override", "warmup_s=2.0"]
+
+
+@pytest.mark.parametrize(
+    "target, flags",
+    [
+        ("abl-aloha", ["--override", "n_sensors=5"]),
+        ("abl-aloha", ["--cell-timeout", "60"]),
+        ("abl-aloha", ["--checkpoint-every", "5"]),
+        ("abl-aloha", ["--workers", "2"]),
+        ("ablations", ["--override", "n_sensors=5"]),
+    ],
+)
+def test_engine_flags_on_ablation_targets_are_honoured(tmp_path, target, flags):
+    # Ablations run through the sweep engine, so the flags that scale
+    # refuses are accepted and applied.
+    result = _run_cli(target, "--quick", *_TINY, *flags, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert "is not supported by target" not in result.stderr
+    # A cold cache: every distinct cell went through the engine once.
+    match = re.search(r"cache: \d+ hit\(s\), (\d+) miss\(es\)", result.stdout)
+    assert match is not None, result.stdout
+    assert int(match.group(1)) > 0
+    if flags[0] == "--checkpoint-every":
+        assert "checkpoints: " in result.stdout
+
+
+def _tables(stdout: str) -> str:
+    """The printed figure tables, without the cache accounting line."""
+    return "\n".join(
+        line for line in stdout.splitlines() if not line.startswith("  cache:")
+    )
+
+
+def test_ablation_runs_through_the_sweep_engine(tmp_path):
+    # Ablations are figure plans: pooled workers, overrides and the
+    # result cache apply to them exactly as to the paper figures.
+    overrides = ["--override", "n_sensors=6", "--override", "sim_time_s=3.0",
+                 "--override", "warmup_s=2.0"]
+    pooled = _run_cli("abl-aloha", "--quick", "--workers", "2", *overrides, cwd=tmp_path)
+    assert pooled.returncode == 0, pooled.stderr
+    assert "cache: 0 hit(s), 6 miss(es), 6 store(s)" in pooled.stdout
+    serial = _run_cli(
+        "abl-aloha", "--quick", "--workers", "1", "--no-cache", *overrides, cwd=tmp_path
+    )
+    assert serial.returncode == 0, serial.stderr
+    assert "abl-aloha" in serial.stdout
+    assert _tables(pooled.stdout) == _tables(serial.stdout)
+    again = _run_cli("abl-aloha", "--quick", "--workers", "2", *overrides, cwd=tmp_path)
+    assert again.returncode == 0, again.stderr
+    assert "cache: 6 hit(s), 0 miss(es), 0 store(s)" in again.stdout
+    assert _tables(again.stdout) == _tables(serial.stdout)
 
 
 def test_chaos_honours_checkpoint_every(tmp_path):
@@ -124,3 +177,25 @@ def test_failing_cell_exits_1_with_cache_off(monkeypatch, capsys):
         "ValueError: synthetic cell failure"
     ) in err
 
+
+
+@pytest.mark.parametrize("no_cache", [True, False], ids=["cache-off", "cache-on"])
+def test_failing_ablation_cell_exits_1(monkeypatch, capsys, tmp_path, no_cache):
+    # An ablation cell that raises is a CellFailure and exit 1, the
+    # figures' failure model, whether or not the cache is consulted.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / ".cache"))
+    real = Scenario.run_steady_state
+
+    def run_steady_state(self, *args, **kwargs):
+        if self.config.protocol == "ALOHA" and self.config.offered_load_kbps == 1.0:
+            raise ValueError("synthetic cell failure")
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Scenario, "run_steady_state", run_steady_state)
+    argv = ["abl-aloha", "--quick", *_TINY] + (["--no-cache"] if no_cache else [])
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert (
+        "FAIL: cell ALOHA x=1.0 seed=1 failed permanently: "
+        "ValueError: synthetic cell failure"
+    ) in err

@@ -1,11 +1,15 @@
 """Tests for the perf instrumentation layer (repro.perf + CLI --profile)."""
 
+from dataclasses import fields
+from types import SimpleNamespace
+
 import pytest
 
 from repro.experiments.cli import main
 from repro.experiments.config import table2_config
 from repro.experiments.scenario import run_scenario
 from repro.perf import GLOBAL_PERF, PerfAccumulator, PerfReport
+from repro.phy.channel import ChannelStats
 
 
 def make_report(**overrides):
@@ -106,6 +110,40 @@ class TestPerfAccumulator:
         assert merged.bulk_pushes == 5
         assert merged.bulk_events == 30
         assert merged.grid_candidates == 12
+
+    def test_every_field_survives_capture_add_merged_to_dict(self):
+        # Distinct values per field catch a counter dropped or read from
+        # the wrong source anywhere along the pipeline.
+        values = {f.name: 10 * (i + 1) for i, f in enumerate(fields(PerfReport))}
+        values["wall_time_s"] = 2.5
+        sim = SimpleNamespace(
+            wall_time_s=values["wall_time_s"], events_processed=values["events"]
+        )
+        channel_stats = ChannelStats(
+            **{f.name: values[f.name] for f in fields(ChannelStats)}
+        )
+        report = PerfReport.capture(
+            sim,
+            channel_stats,
+            values["sim_time_s"],
+            checkpoints_taken=values["checkpoints_taken"],
+            resumes=values["resumes"],
+        )
+        acc = PerfAccumulator()
+        acc.add(report)
+        acc.add(report)
+        data = acc.merged().to_dict()
+        for name, value in values.items():
+            # grid_cells is a gauge (peak); everything else sums.
+            expected = value if name == "grid_cells" else 2 * value
+            assert data[name] == expected, name
+        derived = {
+            "events_per_second",
+            "broadcasts_per_second",
+            "cache_hit_rate",
+            "speedup_factor",
+        }
+        assert set(data) == set(values) | derived
 
     def test_empty_accumulator_merges_to_zeros(self):
         merged = PerfAccumulator().merged()

@@ -6,22 +6,7 @@ from repro.topology.deployment import (
     DeploymentConfig,
     connected_column_deployment,
     density_link_scale,
-    uniform_deployment,
 )
-
-
-def test_uniform_deployment_bounds_and_counts():
-    config = DeploymentConfig(n_sensors=50, n_sinks=2, seed=1)
-    dep = uniform_deployment(config)
-    assert dep.n_nodes == 52
-    assert dep.sink_ids == [0, 1]
-    assert len(dep.sensor_ids) == 50
-    for pos in dep.positions:
-        assert 0 <= pos.x <= config.side_x_m
-        assert 0 <= pos.y <= config.side_y_m
-        assert 0 <= pos.z <= config.depth_m
-    for sink in dep.sink_ids:
-        assert dep.positions[sink].z == 0.0
 
 
 def test_connected_deployment_is_connected():

@@ -9,7 +9,6 @@ from repro.topology.deployment import DeploymentConfig, connected_column_deploym
 from repro.topology.routing import DepthRouting
 from repro.traffic.generators import (
     BatchWorkload,
-    CbrTraffic,
     PoissonTraffic,
     offered_load_to_rate,
 )
@@ -96,25 +95,6 @@ class TestPoisson:
         only_sink = [Node(sim, 0, Position(0, 0, 0), channel, is_sink=True)]
         with pytest.raises(ValueError):
             PoissonTraffic(sim, only_sink, None, 0.5)
-
-
-class TestCbr:
-    def test_constant_rate_per_node(self):
-        sim = Simulator(seed=1)
-        nodes, routing = build_network(sim, n=10)
-        traffic = CbrTraffic(sim, nodes, routing, per_node_interval_s=10.0)
-        traffic.start()
-        sim.run(until=100.0)
-        sources = [n for n in nodes if not n.is_sink]
-        # each source fires about 10 times in 100 s
-        total = sum(n.app_stats.generated for n in sources)
-        assert total == pytest.approx(10 * len(sources), abs=len(sources))
-
-    def test_invalid_interval(self):
-        sim = Simulator()
-        nodes, routing = build_network(sim, n=5)
-        with pytest.raises(ValueError):
-            CbrTraffic(sim, nodes, routing, per_node_interval_s=0.0)
 
 
 class TestBatch:
