@@ -7,7 +7,6 @@ from .engine import (
     PAPER_PROTOCOLS,
     EngineError,
     FigurePlan,
-    SweepObserver,
     SweepRequest,
     SweepResult,
     SweepSpec,
@@ -24,7 +23,13 @@ from .engine import (
 )
 from .config import TABLE2, ScenarioConfig, table2_config
 from .figures import ALL_PLANS, PAPER_EXPECTATIONS, FigureData
-from .parallel import CellFailure, ParallelSweepRunner, SweepCell, expand_cells
+from .parallel import (
+    CellFailure,
+    ParallelSweepRunner,
+    SweepCell,
+    SweepStats,
+    expand_cells,
+)
 from .report import format_figure, write_csv
 from .ablations import ALL_ABLATIONS
 from .scenario import Scenario, ScenarioResult, run_batch_scenario, run_scenario
@@ -60,7 +65,7 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioResult",
     "SweepCell",
-    "SweepObserver",
+    "SweepStats",
     "SweepRequest",
     "SweepResult",
     "SweepSpec",

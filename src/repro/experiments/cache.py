@@ -22,7 +22,6 @@ import hashlib
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple, Union
 
@@ -84,15 +83,6 @@ def cell_key(
     return hashlib.sha256(blob).hexdigest()
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss/store counters for one :class:`ResultCache` instance."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-
-
 class ResultCache:
     """Filesystem-backed pickle store addressed by :func:`cell_key`.
 
@@ -106,7 +96,6 @@ class ResultCache:
         if root is None:
             root = os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
         self.root = Path(root)
-        self.stats = CacheStats()
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"
@@ -118,7 +107,6 @@ class ResultCache:
             with open(path, "rb") as handle:
                 result = pickle.load(handle)
         except FileNotFoundError:
-            self.stats.misses += 1
             return None
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
                 ImportError, IndexError):
@@ -127,13 +115,8 @@ class ResultCache:
                 path.unlink()
             except OSError:
                 pass
-            self.stats.misses += 1
             return None
-        if not isinstance(result, ScenarioResult):
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return result
+        return result if isinstance(result, ScenarioResult) else None
 
     def put(self, key: str, result: ScenarioResult) -> None:
         """Store ``result`` under ``key`` (atomic, last writer wins)."""
@@ -150,7 +133,6 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        self.stats.stores += 1
 
     def clear(self) -> int:
         """Delete every entry; return how many were removed."""

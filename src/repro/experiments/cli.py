@@ -82,8 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-cell wall-clock budget for parallel runs; cells over "
-        "budget are re-run serially",
+        help="wall-clock budget for each cell's first attempt, at any "
+        "--workers; a cell over budget is re-run in-process up to 3 more "
+        "times at twice the budget, then fails (a cell that raises fails "
+        "at once)",
     )
     parser.add_argument(
         "--checkpoint-every",
@@ -240,17 +242,17 @@ def _print_table2() -> None:
         print(f"  {key:28s} {value}")
 
 
-def _finish_observed(observer, args: argparse.Namespace) -> int:
+def _finish_observed(stats, args: argparse.Namespace) -> int:
     """Shared epilogue: cache/checkpoint accounting and the failure exit code."""
     if not args.no_cache:
-        print(f"  {observer.cache_line()}")
+        print(f"  {stats.cache_line()}")
     if args.checkpoint_every is not None:
         print(
-            f"  checkpoints: {observer.checkpoints_taken} taken, "
-            f"{observer.cells_resumed} cell(s) resumed"
+            f"  checkpoints: {stats.checkpoints_taken} taken, "
+            f"{stats.cells_resumed} cell(s) resumed"
         )
-    if observer.failures:
-        for failure in observer.failures:
+    if stats.failures:
+        for failure in stats.failures:
             print(
                 f"FAIL: cell {failure.cell.label} failed permanently: "
                 f"{failure.error}",
@@ -342,7 +344,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     run_kwargs = _run_kwargs(args)
     chaos_summary = None
     try:
-        with observe_sweeps() as observer:
+        with observe_sweeps() as stats:
             for target in targets:
                 if target == "chaos":
                     # The raw grid, not just the figure: the exit code
@@ -375,7 +377,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         if profiler is not None:
             profiler.disable()
             _print_profile(profiler)
-    status = _finish_observed(observer, args)
+    status = _finish_observed(stats, args)
     if status or chaos_summary is None:
         return status
     if chaos_summary.wedged_handshakes > 0:

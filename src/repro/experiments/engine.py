@@ -40,9 +40,10 @@ Three layers, lowest first:
     :meth:`~SweepResult.to_dict` is plain JSON.
 
 Observability is ambient rather than threaded through every signature:
-wrap engine calls in :func:`observe_sweeps` to collect permanent cell
-failures, requeue counts, and cache hit/miss totals without changing any
-sweep call's signature.
+wrap engine calls in :func:`observe_sweeps` to sum every run's
+:class:`~repro.experiments.parallel.SweepStats` (cell failures, requeued
+cells, cache traffic, checkpoints) without changing any sweep call's
+signature.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from typing import (
 
 from .cache import cell_key, code_version
 from .config import ScenarioConfig
-from .parallel import ParallelSweepRunner, expand_cells
+from .parallel import ParallelSweepRunner, SweepStats, expand_cells
 from .scenario import ScenarioResult
 
 #: The paper's protocol set, in its legend order.
@@ -127,77 +128,31 @@ class FigureData:
 # ----------------------------------------------------------------------
 # Observability: ambient collection of failures and cache traffic
 # ----------------------------------------------------------------------
-@dataclass
-class SweepObserver:
-    """Totals collected across every :func:`run_sweep` in an observed block."""
-
-    #: Cells that failed even on the serial retry (labels + errors).
-    failures: List[object] = field(default_factory=list)
-    #: Cells whose pooled attempt timed out/crashed and were re-run.
-    requeued: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_stores: int = 0
-    #: Cells completed from a checkpoint instead of from scratch.
-    cells_resumed: int = 0
-    #: Checkpoints taken across all finished cells.
-    checkpoints_taken: int = 0
-
-    def record_runner(self, runner: ParallelSweepRunner) -> None:
-        """Fold one finished ``ParallelSweepRunner`` into the totals."""
-        self.failures.extend(runner.failures)
-        self.requeued += len(runner.requeued)
-        self.cells_resumed += runner.cells_resumed
-        self.checkpoints_taken += runner.checkpoints_taken
-        cache = runner.cache
-        if cache is not None:
-            self.cache_hits += cache.stats.hits
-            self.cache_misses += cache.stats.misses
-            self.cache_stores += cache.stats.stores
-
-    def merge(self, other: "SweepObserver") -> None:
-        """Fold another observer's totals into this one (nested blocks)."""
-        self.failures.extend(other.failures)
-        self.requeued += other.requeued
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.cache_stores += other.cache_stores
-        self.cells_resumed += other.cells_resumed
-        self.checkpoints_taken += other.checkpoints_taken
-
-    def cache_line(self) -> str:
-        """One-line cache traffic summary for logs."""
-        return (
-            f"cache: {self.cache_hits} hit(s), {self.cache_misses} miss(es), "
-            f"{self.cache_stores} store(s)"
-        )
-
-
-_OBSERVER: ContextVar[Optional[SweepObserver]] = ContextVar(
-    "repro_sweep_observer", default=None
+_STATS: ContextVar[Optional[SweepStats]] = ContextVar(
+    "repro_sweep_stats", default=None
 )
 
 
 @contextmanager
-def observe_sweeps() -> Iterator[SweepObserver]:
-    """Collect failure/cache totals from every sweep run inside the block.
+def observe_sweeps() -> Iterator[SweepStats]:
+    """Sum the :class:`SweepStats` of every sweep run inside the block.
 
     Front-ends (CLI exit codes, the service's failed-job detection, CI
     cache accounting) use this instead of threading reporting hooks
     through every sweep call's signature.  Blocks nest: an inner
-    block's totals fold into the enclosing observer when it exits, so
+    block's totals fold into the enclosing block's when it exits, so
     :func:`run_request` (which observes its own sweep) stays visible to
     a caller that is also observing.
     """
-    observer = SweepObserver()
-    parent = _OBSERVER.get()
-    token = _OBSERVER.set(observer)
+    stats = SweepStats()
+    parent = _STATS.get()
+    token = _STATS.set(stats)
     try:
-        yield observer
+        yield stats
     finally:
-        _OBSERVER.reset(token)
+        _STATS.reset(token)
         if parent is not None:
-            parent.merge(observer)
+            parent.merge(stats)
 
 
 # ----------------------------------------------------------------------
@@ -219,8 +174,9 @@ def run_sweep(
     Every sweep goes through one
     :class:`~repro.experiments.parallel.ParallelSweepRunner`, so every
     front-end shares one failure model: a cell that raises becomes a
-    :class:`~repro.experiments.parallel.CellFailure` (collected by
-    :func:`observe_sweeps`) and the rest of the grid still runs.
+    :class:`~repro.experiments.parallel.CellFailure` on first sight
+    (collected by :func:`observe_sweeps`), a cell that times out is
+    retried, and the rest of the grid still runs.
 
     Args:
         workers: ``1`` (default) runs the cells in this process, one after
@@ -231,9 +187,10 @@ def run_sweep(
             directory path, or a
             :class:`~repro.experiments.cache.ResultCache` — previously
             computed cells are reused instead of re-simulated.
-        cell_timeout_s: Optional per-cell wall-clock budget (pooled runs
-            only); cells that exceed it are re-run serially, resuming from
-            their last checkpoint when checkpointing is on.
+        cell_timeout_s: Optional wall-clock budget for each cell's first
+            attempt, at any ``workers``; a cell that exceeds it is re-run
+            in this process under a bounded retry budget, resuming from
+            its last checkpoint when checkpointing is on.
         checkpoint_every_s: Simulated seconds between per-cell scenario
             checkpoints (off by default; resumed cells are bit-identical,
             see :mod:`~repro.experiments.checkpoint`).
@@ -246,9 +203,9 @@ def run_sweep(
         checkpoint_every_s=checkpoint_every_s,
     )
     grid = runner.run(spec, base, protocols=protocols, seeds=seeds)
-    observer = _OBSERVER.get()
-    if observer is not None:
-        observer.record_runner(runner)
+    stats = _STATS.get()
+    if stats is not None:
+        stats.merge(runner.stats)
     return grid
 
 
@@ -555,7 +512,7 @@ def run_request(
     service smoke asserts this over HTTP).
     """
     plan = request_plan(request)
-    with observe_sweeps() as observer:
+    with observe_sweeps() as stats:
         grid = run_sweep(
             plan.spec,
             plan.base,
@@ -575,10 +532,10 @@ def run_request(
         summary_lines=summary,
         failures=[
             {"cell": failure.cell.label, "error": failure.error}
-            for failure in observer.failures
+            for failure in stats.failures
         ],
         cells_total=plan.n_cells,
-        cache_hits=observer.cache_hits,
-        cache_misses=observer.cache_misses,
-        cache_stores=observer.cache_stores,
+        cache_hits=stats.cache_hits,
+        cache_misses=stats.cache_misses,
+        cache_stores=stats.cache_stores,
     )

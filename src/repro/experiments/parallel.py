@@ -13,24 +13,27 @@ because every cell derives all randomness from its own config seed (see
 :func:`~repro.experiments.engine.run_sweep` and every front-end above it
 go through it, ``workers=1`` included.
 
-Failure handling is three-layered:
+Every uncached cell follows one failure rule, wherever it runs:
 
-* **Per-cell timeout** — workers arm the DES kernel's cooperative
-  wall-clock deadline (:meth:`Simulator.set_wall_deadline`), so a runaway
-  cell unwinds with :class:`WallClockExceeded` instead of wedging its
-  worker.  A parent-side guard window catches workers hung outside the
-  event loop.
-* **Crashed-worker recovery** — a cell whose worker raises or dies
-  (``BrokenProcessPool``) is requeued and re-run *serially* in the
-  parent.  The recovery path is bounded: at most
-  :data:`MAX_SERIAL_ATTEMPTS` tries per cell, each under twice
-  ``cell_timeout_s`` of wall clock, so a truly wedged cell fails
-  permanently instead of blocking the sweep forever.
+* **Per-cell timeout** — each cell's first attempt, in-process or pooled,
+  arms the DES kernel's cooperative wall-clock deadline
+  (:meth:`Simulator.set_wall_deadline`) at ``cell_timeout_s``, so a
+  runaway cell unwinds with :class:`WallClockExceeded` instead of
+  wedging its worker.  A parent-side guard window catches pool workers
+  hung outside the event loop.
+* **Retried or final** — a cell that timed out or lost its executor
+  (``BrokenProcessPool``, or the hung-pool guard fired) says nothing
+  about the cell itself, so it is re-run in the parent after the first
+  pass: at most :data:`MAX_SERIAL_ATTEMPTS` tries, each under twice
+  ``cell_timeout_s``.  Any other exception is a pure function of the
+  cell's config and the source, so it becomes a :class:`CellFailure` on
+  first sight.  This is the job store's rule (``fail()`` is final, a
+  lost lease is retried under a budget) applied per cell.
 * **Checkpoint/resume** — with ``checkpoint_every_s`` set, each cell
   periodically snapshots its scenario (:mod:`~repro.experiments.checkpoint`)
-  to a per-cell file; a requeued or retried cell restores from its last
-  checkpoint instead of rerunning from zero.  Resumed results are
-  bit-identical to uninterrupted ones, so recovery never changes a figure.
+  to a per-cell file; a retried cell restores from its last checkpoint
+  instead of rerunning from zero.  Resumed results are bit-identical to
+  uninterrupted ones, so recovery never changes a figure.
 
 Results can be memoized through :class:`~repro.experiments.cache.ResultCache`;
 cache lookups happen in the parent before any work is dispatched, so a
@@ -47,7 +50,7 @@ import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -67,10 +70,16 @@ Progress = Optional[Callable[[str], None]]
 #: module-level fakes switch it to ``fork`` so children see them.
 MP_CONTEXT = "spawn"
 
-#: Attempt cap per cell on the serial recovery path: a requeued cell
-#: that keeps failing is recorded in ``failures`` instead of retrying
-#: forever.
+#: Retry cap per cell: a cell that keeps timing out (or losing its
+#: executor) is recorded in ``failures`` instead of retrying forever.
 MAX_SERIAL_ATTEMPTS = 3
+
+#: Attempt endings that say nothing about the cell itself, so the cell
+#: is retried, with the note logged when it is requeued.
+_RETRYABLE = {
+    WallClockExceeded: "timed out",
+    BrokenProcessPool: "lost to a dead worker",
+}
 
 #: Floor, in seconds, of the parent-side hung-pool guard window, which
 #: is ``max(2 * cell_timeout_s, POOL_GUARD_S)`` (no guard without a
@@ -80,7 +89,7 @@ POOL_GUARD_S = 30.0
 
 @dataclass(frozen=True)
 class CellFailure:
-    """A cell that could not produce a result even after the serial retry.
+    """A cell that raised, or that still timed out after its retries.
 
     The sweep keeps going: the failed cell's slot stays ``None`` in the
     ordered result list and its grid entry stays an empty list, so
@@ -112,6 +121,40 @@ class SweepCell:
     @property
     def label(self) -> str:
         return f"{self.protocol} x={self.x} seed={self.seed}"
+
+
+@dataclass
+class SweepStats:
+    """What one or more sweep runs did: failures, retries, cache, checkpoints."""
+
+    #: Cells that raised, or that ran out of retries.
+    failures: List[CellFailure] = field(default_factory=list)
+    #: Cells whose first attempt timed out or lost its executor, re-run
+    #: in the parent.
+    requeued: List[SweepCell] = field(default_factory=list)
+    cache_hits: int = 0
+    cache_misses: int = 0
+    cache_stores: int = 0
+    #: Finished cells completed from a checkpoint instead of from scratch.
+    cells_resumed: int = 0
+    #: Checkpoints taken across all finished cells.
+    checkpoints_taken: int = 0
+
+    def merge(self, other: "SweepStats") -> None:
+        """Fold another record into this one: lists extend, counts add."""
+        for f in fields(self):
+            mine = getattr(self, f.name)
+            if isinstance(mine, list):
+                mine.extend(getattr(other, f.name))
+            else:
+                setattr(self, f.name, mine + getattr(other, f.name))
+
+    def cache_line(self) -> str:
+        """One-line cache traffic summary for logs."""
+        return (
+            f"cache: {self.cache_hits} hit(s), {self.cache_misses} miss(es), "
+            f"{self.cache_stores} store(s)"
+        )
 
 
 def expand_cells(
@@ -222,9 +265,10 @@ class ParallelSweepRunner:
             in-process (still honouring the cache).
         cache: ``None``/``False`` (off), ``True`` (default location), a
             path, or a :class:`ResultCache`.
-        cell_timeout_s: Cooperative wall-clock budget per cell.  A cell
-            that exceeds it is requeued and re-run serially (resuming
-            from its checkpoint when checkpointing is on).
+        cell_timeout_s: Cooperative wall-clock budget for every cell's
+            first attempt, in-process or pooled.  A cell that exceeds it
+            is requeued and re-run in the parent (resuming from its
+            checkpoint when checkpointing is on).
         progress: Receives a line per cell with its wall-clock cost (or
             ``cached``), plus requeue and failure notices.
         checkpoint_every_s: Simulated seconds between per-cell
@@ -236,9 +280,13 @@ class ParallelSweepRunner:
             path keeps checkpoints across runner instances (a crashed
             *sweep* can then resume its in-flight cells too).
 
-    Recovery re-runs get ``2 * cell_timeout_s`` of wall clock per
-    attempt (unbounded without a cell timeout); the primary ``workers=1``
-    serial path is never budgeted.
+    Where a cell runs is a scheduling choice (in-process for
+    ``workers <= 1`` or a single pending cell, pooled otherwise); its
+    outcome follows one rule either way.  A timeout or a lost executor is
+    retried up to :data:`MAX_SERIAL_ATTEMPTS` times at
+    ``2 * cell_timeout_s`` of wall clock each (unbounded without a cell
+    timeout); any other exception is a final :class:`CellFailure`.  Each
+    :meth:`run_cells` call records what it did in :attr:`stats`.
     """
 
     def __init__(
@@ -257,18 +305,9 @@ class ParallelSweepRunner:
         self.checkpoint_every_s = checkpoint_every_s
         self._checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
         self._owns_checkpoint_dir = False
-        #: Cells whose first (pooled) attempt timed out or crashed and
-        #: which were re-run serially — observability for tests and CLIs.
-        self.requeued: List[SweepCell] = []
-        #: Cells that failed even on the serial retry.  A failure marks
-        #: its cell as lost (empty grid entry) instead of aborting the
-        #: whole sweep, and is reported through ``progress``.
-        self.failures: List[CellFailure] = []
-        #: How many finished cells were completed from a checkpoint
-        #: rather than from scratch (summed over pooled + serial runs).
-        self.cells_resumed = 0
-        #: Total checkpoints taken across every finished cell.
-        self.checkpoints_taken = 0
+        #: The last :meth:`run_cells` call's record.  A failed cell is
+        #: lost (empty grid entry) instead of aborting the whole sweep.
+        self.stats = SweepStats()
 
     # ------------------------------------------------------------------
     def _emit(self, message: str) -> None:
@@ -329,15 +368,12 @@ class ParallelSweepRunner:
         return grid
 
     def run_cells(self, cells: Sequence[SweepCell]) -> List[Optional[ScenarioResult]]:
-        """Execute cells (cache, pool, recovery) and return them in order.
+        """Execute cells (cache, pool, retries) and return them in order.
 
-        Slots of cells that failed permanently (recorded in
-        :attr:`failures`) are ``None``.
+        Slots of cells that failed (recorded in ``stats.failures``) are
+        ``None``.
         """
-        self.requeued = []
-        self.failures = []
-        self.cells_resumed = 0
-        self.checkpoints_taken = 0
+        stats = self.stats = SweepStats()
         results: List[Optional[ScenarioResult]] = [None] * len(cells)
         keys: Dict[int, str] = {}
         pending: List[SweepCell] = []
@@ -349,38 +385,33 @@ class ParallelSweepRunner:
             if self.cache is not None:
                 hit = self.cache.get(keys[cell.index])
                 if hit is not None:
+                    stats.cache_hits += 1
                     results[cell.index] = hit
                     self._emit(f"{cell.label} cached")
                     continue
+                stats.cache_misses += 1
             pending.append(cell)
 
         if pending:
             self._setup_checkpoint_dir()
             try:
                 if self.workers <= 1 or len(pending) == 1:
-                    self._run_serial(pending, results, keys)
+                    retry = [
+                        cell
+                        for cell in pending
+                        if self._attempt(cell, self.cell_timeout_s, results, keys)
+                    ]
                 else:
                     retry = self._run_pool(pending, results, keys)
-                    if retry:
-                        self.requeued = sorted(retry, key=lambda c: c.index)
-                        self._run_serial(self.requeued, results, keys, recovery=True)
+                stats.requeued = sorted(retry, key=lambda c: c.index)
+                self._retry(stats.requeued, results, keys)
             finally:
                 self._teardown_checkpoint_dir()
 
-        failed_indices = {failure.cell.index for failure in self.failures}
-        missing = [
-            cell
-            for cell in cells
-            if results[cell.index] is None and cell.index not in failed_indices
-        ]
-        for cell in missing:  # pragma: no cover - defensive; recovery fills all
-            self.failures.append(
-                CellFailure(cell=cell, error="cell never completed (pool lost it)")
-            )
-        if self.failures:
-            labels = ", ".join(f.cell.label for f in self.failures)
+        if stats.failures:
+            labels = ", ".join(f.cell.label for f in stats.failures)
             self._emit(
-                f"sweep finished with {len(self.failures)} failed cell(s): {labels}"
+                f"sweep finished with {len(stats.failures)} failed cell(s): {labels}"
             )
         return results
 
@@ -392,85 +423,79 @@ class ParallelSweepRunner:
         elapsed_s: float,
         results: List[Optional[ScenarioResult]],
         keys: Dict[int, str],
-        note: str = "",
     ) -> None:
         results[cell.index] = result
         if self.cache is not None:
             self.cache.put(keys[cell.index], result)
+            self.stats.cache_stores += 1
         if result.perf is not None:
             if result.perf.resumes > 0:
-                self.cells_resumed += 1
-            self.checkpoints_taken += result.perf.checkpoints_taken
-        self._emit(f"{cell.label} done in {elapsed_s:.2f}s{note}")
+                self.stats.cells_resumed += 1
+            self.stats.checkpoints_taken += result.perf.checkpoints_taken
+        self._emit(f"{cell.label} done in {elapsed_s:.2f}s")
 
-    def _run_serial(
+    def _failed_attempt(self, cell: SweepCell, exc: Exception, final: bool) -> bool:
+        """Classify a failed attempt; True means the cell runs again.
+
+        Called inside the ``except`` block, so the traceback is at hand.
+        A timeout or a lost executor is retried unless ``final``; any other
+        exception is deterministic, so rerunning could only repeat it.
+        """
+        error = f"{type(exc).__name__}: {exc}"
+        note = next((n for t, n in _RETRYABLE.items() if isinstance(exc, t)), None)
+        if note is not None and not final:
+            self._emit(f"{cell.label} {note}, requeueing")
+            return True
+        self.stats.failures.append(CellFailure(cell, error, traceback.format_exc()))
+        self._emit(f"{cell.label} failed permanently ({error}); continuing")
+        return False
+
+    def _attempt(
+        self,
+        cell: SweepCell,
+        budget_s: Optional[float],
+        results: List[Optional[ScenarioResult]],
+        keys: Dict[int, str],
+        final: bool = False,
+    ) -> bool:
+        """Run one in-process attempt; True means the cell runs again.
+
+        Only the cell's own execution is classified: an exception from
+        ``progress`` or the cache propagates out of the runner.
+        """
+        started = time.perf_counter()
+        try:
+            result = execute_cell(
+                cell,
+                budget_s,
+                self._checkpoint_path_for(cell, keys),
+                self.checkpoint_every_s,
+            )
+        except Exception as exc:
+            return self._failed_attempt(cell, exc, final)
+        self._finish(cell, result, time.perf_counter() - started, results, keys)
+        return False
+
+    def _retry(
         self,
         cells: Sequence[SweepCell],
         results: List[Optional[ScenarioResult]],
         keys: Dict[int, str],
-        recovery: bool = False,
     ) -> None:
-        """In-parent execution: the workers=1 path and the recovery path.
+        """Re-run requeued cells in the parent, in index order, bounded.
 
-        The primary (``recovery=False``) path runs each cell once with no
-        wall-clock budget.  The
-        recovery path is bounded both ways: each re-run gets at most
-        ``2 * cell_timeout_s`` of wall clock and each cell at most
-        :data:`MAX_SERIAL_ATTEMPTS` tries — a truly wedged cell becomes a
-        :class:`CellFailure` instead of blocking the sweep forever.  With
-        checkpointing on, every attempt resumes from the cell's last
-        checkpoint, so bounded retries still make monotonic progress.
-        A cell that raises a non-timeout error (bad config, protocol bug,
-        failed audit) is recorded in :attr:`failures` and the rest of the
-        sweep continues.
+        Each retry gets ``2 * cell_timeout_s`` of wall clock and each cell
+        at most :data:`MAX_SERIAL_ATTEMPTS` retries, so a truly wedged cell
+        becomes a :class:`CellFailure` instead of blocking the sweep
+        forever.  With checkpointing on, every retry resumes from the
+        cell's last checkpoint, so bounded retries still make progress.
         """
-        attempts = MAX_SERIAL_ATTEMPTS if recovery else 1
-        budget_s = (
-            2 * self.cell_timeout_s
-            if recovery and self.cell_timeout_s is not None
-            else None
-        )
+        budget_s = None if self.cell_timeout_s is None else 2 * self.cell_timeout_s
         for cell in cells:
-            checkpoint_path = self._checkpoint_path_for(cell, keys)
-            started = time.perf_counter()
-            result: Optional[ScenarioResult] = None
-            error: Optional[BaseException] = None
-            error_tb = ""
-            for attempt in range(1, attempts + 1):
-                try:
-                    result = execute_cell(
-                        cell, budget_s, checkpoint_path, self.checkpoint_every_s
-                    )
+            for attempt in range(1, MAX_SERIAL_ATTEMPTS + 1):
+                final = attempt == MAX_SERIAL_ATTEMPTS
+                if not self._attempt(cell, budget_s, results, keys, final):
                     break
-                except WallClockExceeded as exc:
-                    error, error_tb = exc, traceback.format_exc()
-                    if attempt < attempts:
-                        self._emit(
-                            f"{cell.label} retry {attempt}/{attempts} timed out; "
-                            "retrying"
-                            + (" from checkpoint" if checkpoint_path else "")
-                        )
-                except Exception as exc:
-                    error, error_tb = exc, traceback.format_exc()
-                    if attempt < attempts:
-                        self._emit(
-                            f"{cell.label} retry {attempt}/{attempts} crashed "
-                            f"({type(exc).__name__}: {exc}); retrying"
-                        )
-            if result is None:
-                self.failures.append(
-                    CellFailure(
-                        cell=cell,
-                        error=f"{type(error).__name__}: {error}",
-                        traceback=error_tb,
-                    )
-                )
-                self._emit(
-                    f"{cell.label} failed permanently "
-                    f"({type(error).__name__}: {error}); continuing"
-                )
-                continue
-            self._finish(cell, result, time.perf_counter() - started, results, keys)
 
     def _run_pool(
         self,
@@ -478,7 +503,7 @@ class ParallelSweepRunner:
         results: List[Optional[ScenarioResult]],
         keys: Dict[int, str],
     ) -> List[SweepCell]:
-        """Pooled execution; returns the cells that need a serial retry."""
+        """Pooled first attempts; returns the cells to retry."""
         context = multiprocessing.get_context(MP_CONTEXT)
         n_workers = min(self.workers, len(cells))
         retry: List[SweepCell] = []
@@ -510,8 +535,7 @@ class ParallelSweepRunner:
                 )
                 if not done:
                     # Guard window expired with no completions: the pool is
-                    # hung.  Abandon it; everything unfinished retries
-                    # serially.
+                    # hung.  Abandon it; everything unfinished is retried.
                     retry.extend(future_to_cell[f] for f in waiting)
                     hung = True
                     self._emit(
@@ -523,18 +547,9 @@ class ParallelSweepRunner:
                     cell = future_to_cell[future]
                     try:
                         _, elapsed_s, result = future.result()
-                    except WallClockExceeded:
-                        retry.append(cell)
-                        self._emit(f"{cell.label} timed out, requeueing serially")
-                    except BrokenProcessPool:
-                        retry.append(cell)
-                        self._emit(f"{cell.label} lost to a dead worker, requeueing")
-                    except Exception as exc:  # worker raised: requeue
-                        retry.append(cell)
-                        self._emit(
-                            f"{cell.label} crashed ({type(exc).__name__}: {exc}), "
-                            "requeueing serially"
-                        )
+                    except Exception as exc:
+                        if self._failed_attempt(cell, exc, final=False):
+                            retry.append(cell)
                     else:
                         self._finish(cell, result, elapsed_s, results, keys)
         finally:

@@ -416,25 +416,19 @@ class JobStore:
     ) -> bool:
         """Mark a running job done and attach its result document.
 
-        With ``owner`` given (the worker path), the update is guarded:
-        a worker whose lease expired mid-run — its job already requeued
-        and possibly re-leased elsewhere — settles nothing and gets
-        False back.  ``owner=None`` skips the guard (administrative use).
+        Owner-guarded, like :meth:`heartbeat` (``owner`` defaults to this
+        store's): a worker whose lease expired mid-run — its job already
+        requeued and possibly re-leased elsewhere — settles nothing and
+        gets False back.
         """
+        owner = owner or self.owner
         with self._txn() as conn:
-            if owner is None:
-                cursor = conn.execute(
-                    "UPDATE jobs SET state = ?, finished_at = ?, result = ?, "
-                    "owner = NULL, lease_expires_at = NULL WHERE key = ?",
-                    (DONE, time.time(), json.dumps(result), key),
-                )
-            else:
-                cursor = conn.execute(
-                    "UPDATE jobs SET state = ?, finished_at = ?, result = ?, "
-                    "owner = NULL, lease_expires_at = NULL "
-                    "WHERE key = ? AND state = ? AND owner = ?",
-                    (DONE, time.time(), json.dumps(result), key, RUNNING, owner),
-                )
+            cursor = conn.execute(
+                "UPDATE jobs SET state = ?, finished_at = ?, result = ?, "
+                "owner = NULL, lease_expires_at = NULL "
+                "WHERE key = ? AND state = ? AND owner = ?",
+                (DONE, time.time(), json.dumps(result), key, RUNNING, owner),
+            )
             return cursor.rowcount > 0
 
     def fail(
@@ -451,30 +445,24 @@ class JobStore:
         waits for an explicit resubmission.  Crash failures — the worker
         died without calling anything — are detected by lease expiry
         instead, where the retry budget and quarantine apply.  Same
-        owner guard as :meth:`finish`.
+        owner guard and default as :meth:`finish`.
         """
+        owner = owner or self.owner
         with self._txn() as conn:
-            params = (
-                FAILED,
-                time.time(),
-                error,
-                json.dumps(result) if result is not None else None,
-                key,
+            cursor = conn.execute(
+                "UPDATE jobs SET state = ?, finished_at = ?, error = ?, "
+                "result = ?, owner = NULL, lease_expires_at = NULL "
+                "WHERE key = ? AND state = ? AND owner = ?",
+                (
+                    FAILED,
+                    time.time(),
+                    error,
+                    json.dumps(result) if result is not None else None,
+                    key,
+                    RUNNING,
+                    owner,
+                ),
             )
-            if owner is None:
-                cursor = conn.execute(
-                    "UPDATE jobs SET state = ?, finished_at = ?, error = ?, "
-                    "result = ?, owner = NULL, lease_expires_at = NULL "
-                    "WHERE key = ?",
-                    params,
-                )
-            else:
-                cursor = conn.execute(
-                    "UPDATE jobs SET state = ?, finished_at = ?, error = ?, "
-                    "result = ?, owner = NULL, lease_expires_at = NULL "
-                    "WHERE key = ? AND state = ? AND owner = ?",
-                    params + (RUNNING, owner),
-                )
             return cursor.rowcount > 0
 
     def release(self, key: str, owner: Optional[str] = None) -> bool:

@@ -146,22 +146,33 @@ class TestSerialParallelEquivalence:
 class TestResultCache:
     def test_warm_rerun_executes_zero_scenarios(self, tmp_path, monkeypatch):
         spec, base = _quick_spec(), _quick_base()
-        cache = ResultCache(tmp_path / "cache")
-        cold = run_sweep(
-            spec, base, protocols=PROTOCOLS, seeds=SEEDS, cache=cache
-        )
-        assert cache.stats.misses == 8 and cache.stats.stores == 8
+        with observe_sweeps() as stats:
+            cold = run_sweep(
+                spec, base, protocols=PROTOCOLS, seeds=SEEDS, cache=tmp_path / "cache"
+            )
+        assert stats.cache_misses == 8 and stats.cache_stores == 8
 
         def boom(cell, wall_budget_s, checkpoint_path, checkpoint_every_s):
             raise AssertionError(f"cache-hit rerun executed {cell.label}")
 
         monkeypatch.setattr("repro.experiments.parallel.execute_cell", boom)
-        warm_cache = ResultCache(tmp_path / "cache")
-        warm = run_sweep(
-            spec, base, protocols=PROTOCOLS, seeds=SEEDS, cache=warm_cache
-        )
-        assert warm_cache.stats.hits == 8 and warm_cache.stats.misses == 0
+        with observe_sweeps() as stats:
+            warm = run_sweep(
+                spec, base, protocols=PROTOCOLS, seeds=SEEDS, cache=tmp_path / "cache"
+            )
+        assert stats.cache_hits == 8 and stats.cache_misses == 0
         assert _grid_dicts(cold) == _grid_dicts(warm)
+
+    def test_cache_traffic_is_counted_per_run(self, tmp_path):
+        # One cache instance shared by two sweeps: each run counts only
+        # its own gets and puts, so the totals are the real traffic.
+        spec, base = _quick_spec(x_values=(0.4,)), _quick_base()
+        cache = ResultCache(tmp_path / "cache")
+        with observe_sweeps() as stats:
+            for _ in range(2):
+                run_sweep(spec, base, protocols=("EW-MAC",), seeds=SEEDS, cache=cache)
+        assert (stats.cache_hits, stats.cache_misses, stats.cache_stores) == (2, 2, 2)
+        assert stats.cache_line() == "cache: 2 hit(s), 2 miss(es), 2 store(s)"
 
     def test_cache_results_match_uncached(self, tmp_path):
         spec, base = _quick_spec(x_values=(0.4,)), _quick_base()
@@ -191,7 +202,6 @@ class TestResultCache:
         path.parent.mkdir(parents=True)
         path.write_bytes(b"not a pickle")
         assert cache.get(key) is None
-        assert cache.stats.misses == 1
         assert not path.exists()  # corrupt entry dropped
 
     def test_round_trip(self, tmp_path):
@@ -240,14 +250,19 @@ def _timing_out_worker(cell, wall_budget_s, checkpoint_path, checkpoint_every_s)
 
 @pytest.mark.usefixtures("fork_pool")
 class TestRecovery:
-    def test_crashed_worker_cell_is_requeued_serially(self, monkeypatch):
+    def test_crashed_worker_cell_fails_without_retry(self, monkeypatch):
+        # A raise is a pure function of the cell: rerunning it could only
+        # repeat it, so a pooled raise is final, like an in-process one.
         monkeypatch.setattr(parallel_mod, "_pool_worker", _crashing_worker)
         spec, base = _quick_spec(x_values=(0.4,)), _quick_base()
-        serial = reference_sweep(spec, base, PROTOCOLS, (1,))
+        serial = reference_sweep(spec, base, ("S-FAMA",), (1,))
         runner = ParallelSweepRunner(workers=2)
-        recovered = runner.run(spec, base, protocols=PROTOCOLS, seeds=(1,))
-        assert [cell.index for cell in runner.requeued] == [1]
-        assert _grid_dicts(serial) == _grid_dicts(recovered)
+        grid = runner.run(spec, base, protocols=PROTOCOLS, seeds=(1,))
+        assert runner.stats.requeued == []
+        assert [f.cell.index for f in runner.stats.failures] == [1]
+        assert "synthetic worker crash" in runner.stats.failures[0].traceback
+        assert grid[(0.4, "EW-MAC")] == []
+        assert _grid_dicts(serial) == _grid_dicts({(0.4, "S-FAMA"): grid[(0.4, "S-FAMA")]})
 
     def test_timed_out_cell_is_requeued_serially(self, monkeypatch):
         monkeypatch.setattr(parallel_mod, "_pool_worker", _timing_out_worker)
@@ -255,7 +270,7 @@ class TestRecovery:
         serial = reference_sweep(spec, base, PROTOCOLS, (1,))
         runner = ParallelSweepRunner(workers=2, cell_timeout_s=120.0)
         recovered = runner.run(spec, base, protocols=PROTOCOLS, seeds=(1,))
-        assert [cell.index for cell in runner.requeued] == [0]
+        assert [cell.index for cell in runner.stats.requeued] == [0]
         assert _grid_dicts(serial) == _grid_dicts(recovered)
 
 
@@ -283,7 +298,39 @@ def _raise_for_ew_mac_seed_1(monkeypatch):
 
 
 class TestPermanentFailure:
-    """A cell that fails even serially is recorded, not sweep-fatal."""
+    """A cell that raises is recorded once, not retried and not sweep-fatal."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raising_cell_is_attempted_once(
+        self, tmp_path, monkeypatch, fork_pool, workers
+    ):
+        attempts = tmp_path / "attempts"
+
+        def poisoned(cell, *args):
+            if cell.protocol == "EW-MAC" and cell.seed == 1:
+                # A file, so attempts made in forked pool workers count too.
+                with open(attempts, "a") as handle:
+                    handle.write(f"{cell.index}\n")
+                raise RuntimeError("deterministic bug")
+            return execute_cell(cell, *args)
+
+        monkeypatch.setattr(parallel_mod, "execute_cell", poisoned)
+        spec, base = _quick_spec(x_values=(0.4,)), _quick_base()
+        siblings = reference_sweep(spec, base, ("S-FAMA",), SEEDS)
+        runner = ParallelSweepRunner(workers=workers, cell_timeout_s=120.0)
+        grid = runner.run(spec, base, protocols=PROTOCOLS, seeds=SEEDS)
+        assert attempts.read_text().split() == ["2"]
+        assert runner.stats.requeued == []
+        assert [f.error for f in runner.stats.failures] == [
+            "RuntimeError: deterministic bug"
+        ]
+        assert _grid_dicts(siblings) == _grid_dicts(
+            {(0.4, "S-FAMA"): grid[(0.4, "S-FAMA")]}
+        )
+        assert [r.to_dict() for r in grid[(0.4, "EW-MAC")]] == [
+            execute_cell(cell).to_dict()
+            for cell in expand_cells(spec, base, ("EW-MAC",), (2,))
+        ]
 
     @pytest.mark.parametrize("use_cache", [False, True])
     def test_run_sweep_has_one_failure_model(self, tmp_path, monkeypatch, use_cache):
@@ -309,8 +356,8 @@ class TestPermanentFailure:
         spec, base = _quick_spec(x_values=(0.4,)), _quick_base()
         runner = ParallelSweepRunner(workers=1)
         grid = runner.run(spec, base, protocols=PROTOCOLS, seeds=(1, 2))
-        assert len(runner.failures) == 1
-        failure = runner.failures[0]
+        assert len(runner.stats.failures) == 1
+        failure = runner.stats.failures[0]
         assert failure.cell.protocol == "EW-MAC" and failure.cell.seed == 1
         assert "RuntimeError: synthetic permanent failure" in failure.error
         assert "synthetic permanent failure" in failure.traceback
@@ -353,13 +400,13 @@ class TestPermanentFailure:
 
     def test_pool_path_records_permanent_failures(self, monkeypatch, fork_pool):
         # Fork context: children inherit the monkeypatched module, so the
-        # poisoned cell crashes in the pool AND on the serial retry.
+        # poisoned cell crashes in the pool, and is not retried.
         monkeypatch.setattr(parallel_mod, "execute_cell", _poisoned_execute_cell)
         spec, base = _quick_spec(x_values=(0.4,)), _quick_base()
         runner = ParallelSweepRunner(workers=2)
         grid = runner.run(spec, base, protocols=PROTOCOLS, seeds=(1,))
-        assert [cell.seed for cell in runner.requeued] == [1]
-        assert len(runner.failures) == 1
+        assert runner.stats.requeued == []
+        assert len(runner.stats.failures) == 1
         assert grid[(0.4, "EW-MAC")] == []
         assert len(grid[(0.4, "S-FAMA")]) == 1
 
@@ -390,9 +437,9 @@ class TestFaultRecovery:
             workers=2, cell_timeout_s=0.5, progress=messages.append
         )
         recovered = runner.run(spec, base, protocols=PROTOCOLS, seeds=(1,))
-        assert [cell.index for cell in runner.requeued] == [0]
+        assert [cell.index for cell in runner.stats.requeued] == [0]
         assert any("pool hung" in m for m in messages)
-        assert runner.failures == []
+        assert runner.stats.failures == []
         assert _grid_dicts(serial) == _grid_dicts(recovered)
 
     def test_dead_worker_breaks_pool_and_cells_recover(self, monkeypatch, fork_pool):
@@ -404,30 +451,35 @@ class TestFaultRecovery:
         recovered = runner.run(spec, base, protocols=PROTOCOLS, seeds=(1,))
         # The dying cell is requeued for sure; pool breakage may take its
         # in-flight siblings with it — recovery must replay all of them.
-        assert 1 in [cell.index for cell in runner.requeued]
+        assert 1 in [cell.index for cell in runner.stats.requeued]
         assert any("dead worker" in m or "crashed" in m for m in messages)
-        assert runner.failures == []
+        assert runner.stats.failures == []
         assert _grid_dicts(serial) == _grid_dicts(recovered)
 
-    def test_recovery_attempts_are_capped(self, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_recovery_attempts_are_capped(self, monkeypatch, workers):
+        # One pending cell runs in-process at any ``workers``, and its
+        # first attempt is budgeted there too.
+        budgets = []
 
-        def always_crashing(cell, wall_budget_s, checkpoint_path, checkpoint_every_s):
-            calls.append(cell.index)
-            raise RuntimeError("still broken")
+        def always_timing_out(cell, wall_budget_s, checkpoint_path, checkpoint_every_s):
+            budgets.append(wall_budget_s)
+            raise WallClockExceeded("still over budget")
 
-        monkeypatch.setattr(parallel_mod, "execute_cell", always_crashing)
+        monkeypatch.setattr(parallel_mod, "execute_cell", always_timing_out)
         cells = expand_cells(
             _quick_spec(x_values=(0.4,)), _quick_base(), ("EW-MAC",), (1,)
         )
         messages = []
-        runner = ParallelSweepRunner(workers=1, progress=messages.append)
-        results: list = [None]
-        runner._run_serial(cells, results, keys={}, recovery=True)
-        assert len(calls) == 3  # the cap, not forever
-        assert len(runner.failures) == 1
-        assert "still broken" in runner.failures[0].error
-        assert sum("retrying" in m for m in messages) == 2
+        runner = ParallelSweepRunner(
+            workers=workers, cell_timeout_s=0.5, progress=messages.append
+        )
+        assert runner.run_cells(cells) == [None]
+        assert budgets == [0.5, 1.0, 1.0, 1.0]  # the cap, not forever
+        assert [cell.index for cell in runner.stats.requeued] == [0]
+        assert len(runner.stats.failures) == 1
+        assert "still over budget" in runner.stats.failures[0].error
+        assert sum("requeueing" in m for m in messages) == 3
 
     def test_recovery_timeouts_are_bounded_and_reported(self, monkeypatch):
         budgets = []
@@ -442,12 +494,11 @@ class TestFaultRecovery:
             _quick_spec(x_values=(0.4,)), _quick_base(), ("EW-MAC",), (1,)
         )
         runner = ParallelSweepRunner(workers=1, cell_timeout_s=10.0)
-        results: list = [None]
-        runner._run_serial(cells, results, keys={}, recovery=True)
-        # Recovery re-runs get double the pooled budget, but stay bounded.
-        assert budgets == [20.0, 20.0]
-        assert len(runner.failures) == 1
-        assert runner.failures[0].error.startswith("WallClockExceeded")
+        assert runner.run_cells(cells) == [None]
+        # Retries get double the first attempt's budget, but stay bounded.
+        assert budgets == [10.0, 20.0, 20.0]
+        assert len(runner.stats.failures) == 1
+        assert runner.stats.failures[0].error.startswith("WallClockExceeded")
 
 
 class TestCheckpointedSweeps:
@@ -459,8 +510,8 @@ class TestCheckpointedSweeps:
         runner = ParallelSweepRunner(workers=1, checkpoint_every_s=4.0)
         checkpointed = runner.run(spec, base, protocols=PROTOCOLS, seeds=(1,))
         assert _grid_dicts(plain) == _grid_dicts(checkpointed)
-        assert runner.checkpoints_taken > 0
-        assert runner.cells_resumed == 0  # nothing was interrupted
+        assert runner.stats.checkpoints_taken > 0
+        assert runner.stats.cells_resumed == 0  # nothing was interrupted
 
     def test_interrupted_cell_resumes_from_persistent_checkpoint_dir(
         self, tmp_path
@@ -493,7 +544,7 @@ class TestCheckpointedSweeps:
         )
         results = runner.run_cells(cells)
         assert results[0].to_dict() == baseline  # resumed, not diverged
-        assert runner.cells_resumed == 1
+        assert runner.stats.cells_resumed == 1
         assert not (tmp_path / f"{key}.ckpt").exists()  # consumed
         assert tmp_path.exists()  # caller-owned dir is kept
 
@@ -503,7 +554,7 @@ class TestCheckpointedSweeps:
         runner = ParallelSweepRunner(workers=2, checkpoint_every_s=4.0)
         pooled = runner.run(spec, base, protocols=PROTOCOLS, seeds=(1, 2))
         assert _grid_dicts(plain) == _grid_dicts(pooled)
-        assert runner.checkpoints_taken > 0
+        assert runner.stats.checkpoints_taken > 0
 
 
 class TestWorkItem:
