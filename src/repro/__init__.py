@@ -34,7 +34,7 @@ from .experiments import (
     run_scenario,
     table2_config,
 )
-from .mac import CsMac, Ropa, SFama, get_protocol, protocol_names
+from .mac import CsMac, Ropa, SFama, get_protocol
 
 __version__ = "1.0.0"
 
@@ -48,7 +48,6 @@ __all__ = [
     "ScenarioResult",
     "__version__",
     "get_protocol",
-    "protocol_names",
     "run_scenario",
     "table2_config",
 ]

@@ -277,9 +277,6 @@ class EwMac(SlottedMac):
         ):
             self.extra_stats.note_plan_failure("exdata_unsafe")
             return None
-        exchange_end = (
-            self.timing.slot_start(ack_slot) + omega + self.timing.tau_max_s
-        )
         return AskingContext(
             target=target,
             case=case,
@@ -288,7 +285,7 @@ class EwMac(SlottedMac):
             exr_send_time=send_time,
             exdata_start=exdata_start,
             data_bits=request.size_bits,
-            exchange_end=exchange_end,
+            exchange_end=self.timing.ack_end_time(ack_slot),
         )
 
     def _find_safe_send(

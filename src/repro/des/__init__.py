@@ -13,7 +13,6 @@ from .errors import (
     EventStateError,
     SchedulingError,
     SimulationError,
-    SimulationStopped,
     WallClockExceeded,
 )
 from .events import PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL, Event, EventQueue
@@ -32,7 +31,6 @@ __all__ = [
     "RandomStreams",
     "SchedulingError",
     "SimulationError",
-    "SimulationStopped",
     "Simulator",
     "TraceRecord",
     "Tracer",

@@ -13,10 +13,6 @@ class EventStateError(SimulationError):
     """An operation was applied to an event in the wrong lifecycle state."""
 
 
-class SimulationStopped(SimulationError):
-    """Raised internally to unwind the run loop when ``stop()`` is called."""
-
-
 class WallClockExceeded(SimulationError):
     """The run loop passed its real-time (wall-clock) deadline.
 

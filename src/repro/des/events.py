@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from itertools import repeat as _repeat
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Sequence, Tuple
 
 from .errors import EventStateError
 
@@ -86,22 +86,10 @@ class Event:
             raise EventStateError("cannot cancel an event that already fired")
         self._state = Event._CANCELLED
 
-    def _fire(self) -> None:
-        if self._state != Event._PENDING:
-            raise EventStateError("event is not pending")
-        self._state = Event._FIRED
-        self.callback(*self.args)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = {0: "pending", 1: "fired", 2: "cancelled"}[self._state]
         name = getattr(self.callback, "__qualname__", repr(self.callback))
         return f"<Event t={self.time:.6f} prio={self.priority} {state} {name}>"
-
-    def _sort_key(self) -> Tuple[float, int, int]:
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self._sort_key() < other._sort_key()
 
 
 class EventQueue:
@@ -208,38 +196,6 @@ class EventQueue:
             push(heap, entry)
         self._live += len(entries)
 
-    def pop(self) -> Optional[Event]:
-        """Remove and return the earliest pending event, or None if empty.
-
-        Handle-free entries (see :meth:`push_plain`) are materialized into
-        an Event on the way out so single-step callers see one interface;
-        :meth:`Simulator.run` walks the heap itself and never allocates.
-        """
-        heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
-            event = entry[3]
-            if event is None:
-                self._live -= 1
-                return Event(entry[0], entry[1], entry[2], entry[4], entry[5])
-            if event._state == Event._PENDING:
-                self._live -= 1
-                return event
-        self._live = 0
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        """Return the firing time of the earliest pending event, if any."""
-        heap = self._heap
-        pending = Event._PENDING
-        while heap:
-            event = heap[0][3]
-            if event is None or event._state == pending:
-                return heap[0][0]
-            heapq.heappop(heap)
-        self._live = 0
-        return None
-
     def note_cancelled(self) -> None:
         """Inform the queue that one live entry was cancelled externally.
 
@@ -264,8 +220,3 @@ class EventQueue:
                 if entry[3] is None or entry[3].pending
             ]
             heapq.heapify(self._heap)
-
-    def clear(self) -> None:
-        """Drop every pending event (used on simulator reset)."""
-        self._heap.clear()
-        self._live = 0

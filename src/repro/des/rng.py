@@ -48,7 +48,3 @@ class RandomStreams:
             gen = np.random.default_rng(derive_seed(self.seed, name))
             self._streams[name] = gen
         return gen
-
-    def spawn(self, name: str) -> "RandomStreams":
-        """Return a child registry whose streams are namespaced by ``name``."""
-        return RandomStreams(derive_seed(self.seed, f"spawn/{name}"))

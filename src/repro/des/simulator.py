@@ -21,7 +21,7 @@ import heapq as _heapq
 import math as _math
 import time as _time
 
-from .errors import SchedulingError, SimulationStopped, WallClockExceeded
+from .errors import SchedulingError, WallClockExceeded
 from .events import Event, EventQueue, PRIORITY_NORMAL
 from .rng import RandomStreams
 from .trace import NullTracer, Tracer
@@ -72,11 +72,8 @@ class Simulator:
         #: returns the latest time it settled work for, or None; a drained
         #: run's clock advances to it, as if those events had been popped.
         self.run_exit_hooks: List[Callable[[Tuple[float, ...]], Optional[float]]] = []
-        # Heap entry of the event being processed (the last one processed
-        # while a run is stopped); None when every event up to ``now`` ran.
+        # Heap entry of the event being processed; None once a run returns.
         self._entry: Optional[tuple] = None
-        self._running = False
-        self._stopped = False
         self.events_processed = 0
         #: Wall-clock seconds spent inside :meth:`run` (perf instrumentation).
         self.wall_time_s: float = 0.0
@@ -165,16 +162,13 @@ class Simulator:
         Args:
             until: Stop once the clock would pass this time; the clock is
                 then set exactly to ``until``.  If None, run until the event
-                queue drains or :meth:`stop` is called.
+                queue drains.
 
         Returns:
             The simulation time at which the run ended.
         """
-        self._running = True
-        self._stopped = False
         # Hot loop: the heap walk, the firing state flip and the callback
-        # are inlined rather than dispatched through EventQueue.pop and
-        # Event._fire, and the wall-clock gate is a plain countdown — the
+        # are inlined, and the wall-clock gate is a plain countdown — the
         # per-event kernel overhead is one heappop plus bookkeeping.  The
         # heap is aliased once: the queue only ever mutates it in place.
         queue = self._queue
@@ -226,25 +220,18 @@ class Simulator:
                 else:
                     event._state = fired
                     event.callback(*event.args)
-                if self._stopped:
-                    break
             else:
                 queue._live = 0
-            if not self._stopped:
-                self._entry = None
-                if until is not None and until > self.now:
-                    self.now = until
-        except SimulationStopped:
-            pass
+            self._entry = None
+            if until is not None and until > self.now:
+                self.now = until
         finally:
-            self._running = False
             self.events_processed += events_processed
             self.wall_time_s += _time.perf_counter() - wall_start
             if gc_was_enabled:
                 _gc.enable()
         if self.run_exit_hooks:
-            drained = until is None and self._entry is None
-            frontier = (_math.inf,) * 3 if drained else self.frontier()
+            frontier = (_math.inf,) * 3 if until is None else self.frontier()
             for hook in self.run_exit_hooks:
                 latest = hook(frontier)
                 if latest is not None and latest > self.now:
@@ -256,50 +243,14 @@ class Simulator:
 
         Inside a callback this is the key of the event being processed:
         every event ordered before it has run, none after it has.  Between
-        runs it is ``(now, inf, inf)`` — every event up to ``now`` ran —
-        unless the last run was stopped, in which case it stays at the
-        event that stopped it.
+        runs it is ``(now, inf, inf)``: every event up to ``now`` ran.
         """
         entry = self._entry
         if entry is None:
             return (self.now, _math.inf, _math.inf)
         return entry[:3]
 
-    def step(self) -> bool:
-        """Process exactly one event; return False if the queue was empty."""
-        event = self._queue.pop()
-        if event is None:
-            return False
-        self.now = event.time
-        self._entry = (event.time, event.priority, event.seq)
-        self.events_processed += 1
-        event._fire()
-        return True
-
-    def stop(self) -> None:
-        """Request the current :meth:`run` loop to stop after this event."""
-        self._stopped = True
-
     @property
     def pending_events(self) -> int:
         """Number of live (non-cancelled, unfired) events in the queue."""
         return len(self._queue)
-
-    @property
-    def events_per_second(self) -> float:
-        """Observed kernel throughput: events processed per wall-clock second."""
-        if self.wall_time_s <= 0.0:
-            return 0.0
-        return self.events_processed / self.wall_time_s
-
-    def reset(self, seed: Optional[int] = None) -> None:
-        """Clear the queue and clock for reuse; optionally reseed streams."""
-        self._queue.clear()
-        self._entry = None
-        self.now = 0.0
-        self.events_processed = 0
-        self.wall_time_s = 0.0
-        self._stopped = False
-        self._wall_deadline = None
-        if seed is not None:
-            self.streams = RandomStreams(seed)

@@ -99,18 +99,6 @@ class ScenarioConfig:
         """Copy with field overrides (sweep helper)."""
         return replace(self, **overrides)
 
-    @property
-    def tau_max_s(self) -> float:
-        return self.comm_range_m / self.sound_speed_mps
-
-    @property
-    def omega_s(self) -> float:
-        return self.control_bits / self.bitrate_bps
-
-    @property
-    def slot_s(self) -> float:
-        return self.tau_max_s + self.omega_s
-
 
 def _finite(value: object) -> bool:
     """True for a finite real number (False for NaN, infinities, non-numbers)."""

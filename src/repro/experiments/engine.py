@@ -233,9 +233,14 @@ def aggregate_relative(
 ) -> Dict[str, List[float]]:
     """Like :func:`aggregate` but normalized per-x to a baseline protocol.
 
+    This is the one definition of the paper's relative figures (Fig. 10's
+    overhead ratio, Fig. 11's efficiency index with S-FAMA at 1).
+
     Raises:
         ValueError: If ``baseline_protocol`` is not among ``protocols``
-            (the baseline must itself have been swept to normalize to it).
+            (the baseline must itself have been swept to normalize to it),
+            or if its seed-average at some x is not positive (the ratio
+            is undefined there).
     """
     if baseline_protocol not in protocols:
         raise ValueError(
@@ -245,13 +250,16 @@ def aggregate_relative(
         )
     absolute = aggregate(results, x_values, protocols, metric)
     baseline = absolute[baseline_protocol]
-    series: Dict[str, List[float]] = {}
-    for protocol in protocols:
-        series[protocol] = [
-            value / base if base > 0 else 0.0
-            for value, base in zip(absolute[protocol], baseline)
-        ]
-    return series
+    for x, base in zip(x_values, baseline):
+        if not base > 0:
+            raise ValueError(
+                f"baseline protocol {baseline_protocol!r} averages {base!r} at "
+                f"x={x!r}; a ratio to it is undefined"
+            )
+    return {
+        protocol: [value / base for value, base in zip(absolute[protocol], baseline)]
+        for protocol in protocols
+    }
 
 
 # ----------------------------------------------------------------------

@@ -76,10 +76,8 @@ def scale(
     seeds: Sequence[int] = (1,),
     quick: bool = False,
     progress: Progress = None,
-    protocol: str = "EW-MAC",
-    mobility: bool = True,
 ) -> FigureData:
-    """Run the scale sweep and return perf series keyed by counter name.
+    """Run the mobile EW-MAC scale sweep; return perf series keyed by counter.
 
     Unlike the figure plans the series are *metrics*, not protocols:
     ``wall_time_s``, ``kevents_per_s`` (thousands of simulator events per
@@ -97,7 +95,7 @@ def scale(
     hit_pct: list = []
     cand_mean: list = []
     for n in nodes:
-        config = scale_config(n, sim_time_s, seed=seed, protocol=protocol, mobility=mobility)
+        config = scale_config(n, sim_time_s, seed=seed)
         start = time.perf_counter()
         result = run_scenario(config)
         elapsed = time.perf_counter() - start
@@ -120,7 +118,7 @@ def scale(
             )
     return FigureData(
         figure_id="scale",
-        title=f"Simulator scaling ({protocol}, {sim_time_s:.0f}s window, "
+        title=f"Simulator scaling (EW-MAC, {sim_time_s:.0f}s window, "
         "constant density)",
         x_label="number of sensors",
         y_label="wall seconds / kilo-events per second / cache hit %",

@@ -17,7 +17,7 @@ from ..core.ewmac.protocol import EwMac
 from ..des.rng import derive_seed
 from ..des.simulator import Simulator
 from ..des.trace import Tracer
-from ..energy.model import EnergyReport, PowerModel, network_energy
+from ..energy.model import EnergyReport, network_energy
 from ..mac.base import SlottedMac
 from ..mac.registry import get_protocol
 from ..mac.slots import make_slot_timing
@@ -67,8 +67,8 @@ class ScenarioResult:
     #: fault plan (fault event log, recovery metrics, audit outcome).
     faults: Optional[FaultReport] = None
     #: Counter snapshot for the perf layer.  Deliberately excluded from
-    #: :meth:`to_dict`: wall time is machine-dependent, and figure metrics
-    #: must stay bit-identical with the link cache on or off.
+    #: :meth:`to_dict`: wall time is machine-dependent, and figures and the
+    #: result cache compare that summary bit for bit.
     perf: Optional[PerfReport] = None
 
     @property
@@ -145,9 +145,8 @@ class _RunPlan:
 class Scenario:
     """A fully wired simulation instance."""
 
-    def __init__(self, config: ScenarioConfig, power: Optional[PowerModel] = None):
+    def __init__(self, config: ScenarioConfig):
         self.config = config
-        self.power = power if power is not None else PowerModel()
         tracer = Tracer() if config.trace else None
         self.sim = Simulator(seed=config.seed, tracer=tracer)
         deploy = (
@@ -434,7 +433,7 @@ class Scenario:
     # ------------------------------------------------------------------
     def _collect(self, duration_s: float) -> ScenarioResult:
         throughput = network_throughput(self.macs, duration_s)
-        energy = network_energy(self.macs, duration_s, self.power)
+        energy = network_energy(self.macs, duration_s)
         overhead = network_overhead(self.macs)
         collisions = sum(m.node.modem.stats.rx_collision for m in self.macs)
         extra = sum(

@@ -6,7 +6,7 @@ The paper's own contribution, EW-MAC, lives in :mod:`repro.core.ewmac`
 
 from .base import MacConfig, MacState, MacStats, SlottedMac
 from .csmac import CsMac
-from .registry import get_protocol, protocol_names, register
+from .registry import get_protocol, register
 from .ropa import Ropa
 from .sfama import SFama
 from .slots import SlotTiming, make_slot_timing
@@ -22,6 +22,5 @@ __all__ = [
     "SlottedMac",
     "get_protocol",
     "make_slot_timing",
-    "protocol_names",
     "register",
 ]

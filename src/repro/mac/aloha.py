@@ -78,12 +78,7 @@ class SlottedAloha(SlottedMac):
         tau = tau if tau is not None else self.timing.tau_max_s
         duration = request.size_bits / self.channel.bitrate_bps
         ack_slot = self.timing.ack_slot(index, duration, tau)
-        deadline = (
-            self.timing.slot_start(ack_slot)
-            + self.timing.omega_s
-            + self.timing.tau_max_s
-            + self.config.guard_s
-        )
+        deadline = self.timing.ack_end_time(ack_slot) + self.config.guard_s
         self._ack_timeout = self.sim.schedule_at(deadline, self._on_ack_timeout)
 
     def _handle_addressed(self, frame: Frame, arrival: Arrival) -> None:  # noqa: D102

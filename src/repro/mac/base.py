@@ -446,9 +446,9 @@ class SlottedMac:
         tau = tau if tau is not None else self.timing.tau_max_s
         data_duration = request.size_bits / self.channel.bitrate_bps
         ack_slot = self.timing.ack_slot(index, data_duration, tau)
-        deadline = self.timing.slot_start(ack_slot) + self.timing.omega_s + self.timing.tau_max_s
         self._ack_timeout = self.sim.schedule_at(
-            deadline + self.config.guard_s, self._on_ack_timeout
+            self.timing.ack_end_time(ack_slot) + self.config.guard_s,
+            self._on_ack_timeout,
         )
 
     def _on_ack_timeout(self) -> None:
@@ -680,15 +680,11 @@ class SlottedMac:
             data_bits = safe_bits(frame.info.get("data_bits"), default=0, minimum=0)
             duration = max(data_bits, CONTROL_PACKET_BITS) / self.channel.bitrate_bps
             ack_slot = self.timing.ack_slot(slot + 1, duration, tau)
-            self._set_quiet(
-                self.timing.slot_start(ack_slot) + self.timing.omega_s + self.timing.tau_max_s
-            )
+            self._set_quiet(self.timing.ack_end_time(ack_slot))
         elif ftype is FrameType.DATA:
             duration = frame.size_bits / self.channel.bitrate_bps
             ack_slot = self.timing.ack_slot(slot, duration, self.timing.tau_max_s)
-            self._set_quiet(
-                self.timing.slot_start(ack_slot) + self.timing.omega_s + self.timing.tau_max_s
-            )
+            self._set_quiet(self.timing.ack_end_time(ack_slot))
         elif ftype is FrameType.EXC:
             # Paper Sec. 4.2: "when a sensor receives any extra control
             # packet from its neighbor ... the sensor will be quiet to

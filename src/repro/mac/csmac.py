@@ -110,7 +110,7 @@ class CsMac(SlottedMac):
             duration = max(bits, CONTROL_PACKET_BITS) / self.channel.bitrate_bps
             data_slot = slot + 1 if frame.ftype is FrameType.CTS else slot
             ack_slot = self.timing.ack_slot(data_slot, duration, tau)
-            until = self.timing.slot_start(ack_slot) + self.timing.omega_s + self.timing.tau_max_s
+            until = self.timing.ack_end_time(ack_slot)
         for node_id in (frame.src, frame.dst):
             if node_id >= 0:
                 self._busy_until[node_id] = max(self._busy_until.get(node_id, 0.0), until)

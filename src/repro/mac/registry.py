@@ -6,7 +6,7 @@ protocol available to every figure sweep and to the CLI.
 
 from __future__ import annotations
 
-from typing import Dict, List, Type
+from typing import Dict, Type
 
 from .base import SlottedMac
 from .csmac import CsMac
@@ -48,12 +48,3 @@ def get_protocol(name: str) -> Type[SlottedMac]:
         known = ", ".join(sorted(_REGISTRY))
         raise KeyError(f"unknown protocol {name!r}; known: {known}")
     return _REGISTRY[key]
-
-
-def protocol_names() -> List[str]:
-    """Registered protocol display names, paper order first."""
-    _ensure_builtins()
-    paper_order = ["s-fama", "ropa", "cs-mac", "ew-mac"]
-    ordered = [k for k in paper_order if k in _REGISTRY]
-    ordered += sorted(k for k in _REGISTRY if k not in paper_order)
-    return [_REGISTRY[k].name for k in ordered]

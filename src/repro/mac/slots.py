@@ -109,28 +109,14 @@ class SlotTiming:
             raise ValueError("tau must be non-negative")
         return self.slot_start(ack_slot) + self.omega_s - tau_ij_s
 
-    # ------------------------------------------------------------------
-    # Handshake span helpers (used for quiet/NAV bookkeeping)
-    # ------------------------------------------------------------------
-    def exchange_ack_slot(
-        self, rts_slot: int, data_duration_s: float, tau_sr_s: float
-    ) -> int:
-        """Ack slot of a standard handshake whose RTS went out in ``rts_slot``.
+    def ack_end_time(self, ack_slot: int) -> float:
+        """Time by which an exchange whose Ack goes out in ``ack_slot`` is over.
 
-        RTS at t, CTS at t+1, Data at t+2 (paper Sec. 4.1), Ack per Eq. (5).
+        ``ts(Ack) * (omega + tau_max) + omega + tau_max``: Ack slot start
+        plus the Ack's on-air time and the worst-case propagation, so every
+        neighbour of either endpoint has heard its last bit.
         """
-        return self.ack_slot(rts_slot + 2, data_duration_s, tau_sr_s)
-
-    def exchange_end_time(
-        self, rts_slot: int, data_duration_s: float, tau_sr_s: float
-    ) -> float:
-        """Time by which the whole exchange (incl. Ack propagation) is over.
-
-        Conservative: Ack slot start + omega + tau_max, so every neighbour
-        of either endpoint has heard the last bit.
-        """
-        ack = self.exchange_ack_slot(rts_slot, data_duration_s, tau_sr_s)
-        return self.slot_start(ack) + self.omega_s + self.tau_max_s
+        return self.slot_start(ack_slot) + self.omega_s + self.tau_max_s
 
 
 def make_slot_timing(

@@ -2,13 +2,8 @@
 
 from .efficiency import EfficiencyIndex, efficiency_index
 from .execution import ExecutionResult, mean_delivery_delay_s
-from .overhead import (
-    MEMORY_BITS_PER_ENTRY,
-    OverheadReport,
-    network_overhead,
-    overhead_ratio,
-)
-from .throughput import ThroughputReport, network_throughput, offered_vs_carried
+from .overhead import MEMORY_BITS_PER_ENTRY, OverheadReport, network_overhead
+from .throughput import ThroughputReport, network_throughput
 from .utilization import UtilizationReport, network_utilization
 
 __all__ = [
@@ -23,6 +18,4 @@ __all__ = [
     "mean_delivery_delay_s",
     "network_overhead",
     "network_throughput",
-    "offered_vs_carried",
-    "overhead_ratio",
 ]

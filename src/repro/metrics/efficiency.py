@@ -1,7 +1,8 @@
 """Efficiency index (paper Eq. 4 and Fig. 11).
 
 ``E_A = TPT_A / PC_A`` — throughput per unit power.  The paper plots each
-protocol's index normalized so S-FAMA equals 1.
+protocol's index normalized so S-FAMA equals 1
+(:func:`~repro.experiments.engine.aggregate_relative`).
 """
 
 from __future__ import annotations
@@ -25,12 +26,6 @@ class EfficiencyIndex:
         if self.power_mw <= 0:
             return 0.0
         return self.throughput_kbps / self.power_mw
-
-    def relative_to(self, baseline: "EfficiencyIndex") -> float:
-        """Fig. 11 y-axis: this index with the baseline (S-FAMA) at 1.0."""
-        if baseline.value <= 0:
-            raise ValueError("baseline efficiency must be positive")
-        return self.value / baseline.value
 
 
 def efficiency_index(

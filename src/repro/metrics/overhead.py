@@ -21,8 +21,10 @@ One overhead unit = one bit-equivalent of non-payload cost:
 * **memory**: a per-entry charge for stored neighbour state, skipped for
   S-FAMA, which "does not require additional computation or storage".
 
-The paper reports overhead as a *ratio to S-FAMA* (its Fig. 10); use
-:func:`overhead_ratio` with the S-FAMA run of the same scenario.
+The paper reports overhead as a *ratio to S-FAMA* (its Fig. 10): the
+figure divides each protocol's seed-averaged ``total_units`` by S-FAMA's
+at the same x, through
+:func:`~repro.experiments.engine.aggregate_relative`.
 """
 
 from __future__ import annotations
@@ -87,10 +89,3 @@ def network_overhead(macs: Sequence[SlottedMac]) -> OverheadReport:
         computation_units=computation,
         memory_units=memory,
     )
-
-
-def overhead_ratio(report: OverheadReport, baseline: OverheadReport) -> float:
-    """Paper Fig. 10 y-axis: overhead relative to the S-FAMA baseline."""
-    if baseline.total_units <= 0:
-        raise ValueError("baseline overhead must be positive")
-    return report.total_units / baseline.total_units

@@ -31,10 +31,6 @@ class ThroughputReport:
         """Eq. (3) in the paper's Fig. 6 units."""
         return self.total_bits / self.duration_s / 1000.0
 
-    @property
-    def bps(self) -> float:
-        return self.total_bits / self.duration_s
-
 
 def network_throughput(macs: Sequence[SlottedMac], duration_s: float) -> ThroughputReport:
     """Eq. (3): total successfully received data bits over T."""
@@ -44,12 +40,3 @@ def network_throughput(macs: Sequence[SlottedMac], duration_s: float) -> Through
     return ThroughputReport(
         total_bits=sum(per_node), duration_s=duration_s, per_node_bits=per_node
     )
-
-
-def offered_vs_carried(
-    macs: Sequence[SlottedMac], offered_bits: int, duration_s: float
-) -> float:
-    """Carried/offered ratio in [0, inf) (saturation diagnostic)."""
-    if offered_bits <= 0:
-        return 0.0
-    return network_throughput(macs, duration_s).total_bits / offered_bits

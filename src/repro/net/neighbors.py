@@ -30,26 +30,15 @@ class NeighborInfo:
 class NeighborTable:
     """Propagation-delay table for one-hop neighbours.
 
+    The latest measurement wins: under slowly drifting topologies the
+    newest sample is the best estimate.
+
     Args:
         owner_id: The owning node's id (rejects self-entries).
-        smoothing: EWMA weight on the newest measurement in (0, 1]; 1.0
-            (default) means "trust the latest measurement", appropriate for
-            slowly drifting topologies where the newest sample is best.
-        staleness_s: Entries older than this are excluded from
-            :meth:`fresh_neighbors` (None disables expiry).
     """
 
-    def __init__(
-        self,
-        owner_id: int,
-        smoothing: float = 1.0,
-        staleness_s: Optional[float] = None,
-    ) -> None:
-        if not 0.0 < smoothing <= 1.0:
-            raise ValueError("smoothing must be in (0, 1]")
+    def __init__(self, owner_id: int) -> None:
         self.owner_id = owner_id
-        self.smoothing = smoothing
-        self.staleness_s = staleness_s
         self._entries: Dict[int, NeighborInfo] = {}
 
     def __len__(self) -> int:
@@ -72,7 +61,9 @@ class NeighborTable:
         if entry is None:
             self._entries[node_id] = NeighborInfo(node_id, delay_s, now)
         else:
-            entry.delay_s += self.smoothing * (delay_s - entry.delay_s)
+            # Not ``= delay_s``: ``a + (b - a)`` can differ from ``b`` by one
+            # ULP, and every MAC's timing reads these delays.
+            entry.delay_s += delay_s - entry.delay_s
             entry.last_updated = now
             entry.updates += 1
 
@@ -81,31 +72,9 @@ class NeighborTable:
         entry = self._entries.get(node_id)
         return entry.delay_s if entry is not None else None
 
-    def info(self, node_id: int) -> Optional[NeighborInfo]:
-        return self._entries.get(node_id)
-
     def neighbors(self) -> List[int]:
         """All known neighbour ids (unordered)."""
         return list(self._entries.keys())
-
-    def fresh_neighbors(self, now: float) -> List[int]:
-        """Neighbour ids whose entries are within the staleness bound."""
-        if self.staleness_s is None:
-            return self.neighbors()
-        return [
-            nid
-            for nid, e in self._entries.items()
-            if now - e.last_updated <= self.staleness_s
-        ]
-
-    def max_delay_s(self) -> float:
-        """Largest known neighbour delay (0.0 when table is empty)."""
-        if not self._entries:
-            return 0.0
-        return max(e.delay_s for e in self._entries.values())
-
-    def forget(self, node_id: int) -> None:
-        self._entries.pop(node_id, None)
 
     def memory_entries(self) -> int:
         """Number of stored entries (overhead accounting)."""
@@ -139,27 +108,6 @@ class TwoHopTable:
         }
         self._links[neighbor_id] = table
         self._last_announce[neighbor_id] = now
-
-    def links_of(self, neighbor_id: int) -> Dict[int, float]:
-        """Announced link delays of one neighbour (empty dict if none)."""
-        return dict(self._links.get(neighbor_id, {}))
-
-    def delay_between(self, a: int, b: int) -> Optional[float]:
-        """Announced delay of link a-b, from either endpoint's announcement."""
-        if a in self._links and b in self._links[a]:
-            return self._links[a][b]
-        if b in self._links and a in self._links[b]:
-            return self._links[b][a]
-        return None
-
-    def two_hop_ids(self) -> List[int]:
-        """Every node reachable in exactly two announced hops."""
-        seen = set()
-        for neighbor_id, links in self._links.items():
-            for other in links:
-                if other != self.owner_id and other != neighbor_id:
-                    seen.add(other)
-        return sorted(seen)
 
     def memory_entries(self) -> int:
         """Stored link count (overhead accounting: CS-MAC/ROPA memory)."""

@@ -93,7 +93,6 @@ class Node:
         is_sink: bool = False,
         queue_limit: int = 1000,
         clock: Optional[NodeClock] = None,
-        neighbor_smoothing: float = 1.0,
     ) -> None:
         self.sim = sim
         self.node_id = node_id
@@ -102,7 +101,7 @@ class Node:
         self.is_sink = is_sink
         self.queue_limit = queue_limit
         self.clock = clock if clock is not None else NodeClock(sim)
-        self.neighbors = NeighborTable(node_id, smoothing=neighbor_smoothing)
+        self.neighbors = NeighborTable(node_id)
         self.queue: Deque[DataRequest] = deque()
         self.app_stats = AppStats()
         self.modem: AcousticModem = channel.create_modem(node_id, self._get_position)

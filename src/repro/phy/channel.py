@@ -88,12 +88,6 @@ class ChannelStats:
     bulk_pushes: int = 0
     bulk_events: int = 0
 
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of link-state lookups served from cache (0 if none)."""
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
-
 
 class AcousticChannel:
     """Broadcast medium binding modems, propagation and the link budget.
@@ -224,10 +218,6 @@ class AcousticChannel:
 
     def modem_of(self, node_id: int) -> AcousticModem:
         return self._members[node_id][0]
-
-    @property
-    def node_ids(self) -> Tuple[int, ...]:
-        return tuple(self._members.keys())
 
     def _pair(self, a: int, b: int) -> Tuple[RowState, int]:
         """Transmitter ``a``'s fresh row and ``b``'s index, entry validated."""
@@ -371,14 +361,3 @@ class AcousticChannel:
         stats.deliveries += len(targets)
         stats.bulk_pushes += 1
         stats.bulk_events += len(targets)
-
-    # ------------------------------------------------------------------
-    def max_propagation_delay_s(self) -> float:
-        """tau_max: the delay across the full communication range."""
-        # Conservative nominal-speed estimate; protocols size slots from this
-        # (paper: "the duration of each time slot is tau_max + omega").
-        return self.max_range_m / self.propagation.speed_mps()
-
-    def control_duration_s(self, control_bits: int = 64) -> float:
-        """omega: on-air time of a control packet."""
-        return control_bits / self.bitrate_bps

@@ -157,18 +157,6 @@ class Frame:
         dst = "bcast" if self.dst == BROADCAST else str(self.dst)
         return f"{self.ftype.value} {self.src}->{dst}"
 
-    def copy_for_retry(self) -> "Frame":
-        """Fresh-uid copy (retransmissions are distinct over-the-air events)."""
-        return Frame(
-            ftype=self.ftype,
-            src=self.src,
-            dst=self.dst,
-            size_bits=self.size_bits,
-            timestamp=self.timestamp,
-            pair_delay_s=self.pair_delay_s,
-            info=dict(self.info),
-        )
-
 
 def safe_bits(value: Any, default: int = CONTROL_PACKET_BITS, minimum: int = 1) -> int:
     """Parse a bit-count field from a (possibly corrupted) frame.

@@ -83,15 +83,6 @@ class ModemStats:
     tx_suppressed: int = 0
     rx_outage: int = 0
 
-    def outcome_count(self, outcome: RxOutcome) -> int:
-        return {
-            RxOutcome.OK: self.rx_ok,
-            RxOutcome.HALF_DUPLEX: self.rx_half_duplex,
-            RxOutcome.COLLISION: self.rx_collision,
-            RxOutcome.NOISE: self.rx_noise,
-            RxOutcome.OFFLINE: self.rx_outage,
-        }[outcome]
-
 
 @dataclass
 class _TxInterval:
@@ -181,10 +172,6 @@ class AcousticModem:
         precede the latest interval's start.
         """
         return self.sim.now < self._last_tx_end
-
-    def tx_end_time(self) -> float:
-        """End time of the latest transmission (or 0.0 if none yet)."""
-        return self._last_tx_end
 
     def transmit(self, frame: Frame) -> float:
         """Send ``frame`` now; returns its on-air duration.

@@ -68,8 +68,8 @@ skips computing entries whose masks are provably ``False``.
 
 Memory
 ------
-Row storage is bounded: at most ``row_budget_entries`` cached pair entries
-(~``budget * 34`` bytes).  Beyond that — thousand-node ``scale`` sweeps —
+Row storage is bounded: at most :data:`DEFAULT_ROW_BUDGET_ENTRIES` cached
+pair entries (~``budget * 34`` bytes).  Beyond that — thousand-node ``scale`` sweeps —
 rows are evicted least-recently-used; recomputing an evicted row is one
 vectorized pass over the candidate set, not a per-pair scalar walk.
 """
@@ -212,7 +212,6 @@ class VectorLinkKernel:
         "_n",
         "total_epoch",
         "_rows",
-        "_row_budget",
         "_max_rows",
         "_lru_active",
         "_cell_m",
@@ -230,7 +229,6 @@ class VectorLinkKernel:
         reach_m: float,
         stats: "ChannelStats",
         undecodable: Callable[[np.ndarray], List[bool]],
-        row_budget_entries: int = DEFAULT_ROW_BUDGET_ENTRIES,
     ) -> None:
         self._members = members
         self._undecodable = undecodable
@@ -252,8 +250,7 @@ class VectorLinkKernel:
         #: rows compare against it for the O(1) nothing-moved fast path.
         self.total_epoch = 0
         self._rows: "OrderedDict[int, RowState]" = OrderedDict()
-        self._row_budget = row_budget_entries
-        self._max_rows = row_budget_entries
+        self._max_rows = DEFAULT_ROW_BUDGET_ENTRIES
         self._lru_active = False
         #: Cell side: one reach radius, so a 3x3x3 neighborhood is a strict
         #: superset of the in-reach ball from anywhere inside the center cell.
@@ -305,7 +302,7 @@ class VectorLinkKernel:
         self._cells.setdefault(key, []).append(idx)
         self.cells_epoch += 1
         self._stats.grid_cells = len(self._cells)
-        self._max_rows = max(16, self._row_budget // self._n)
+        self._max_rows = max(16, DEFAULT_ROW_BUDGET_ENTRIES // self._n)
         self._lru_active = self._n > self._max_rows
 
     def _grow(self) -> None:

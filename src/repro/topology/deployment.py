@@ -142,16 +142,16 @@ def _sink_positions(config: DeploymentConfig, rng: np.random.Generator) -> List[
     return sinks
 
 
-def density_link_scale(n_sensors: int, reference: int = REFERENCE_NODE_COUNT) -> float:
+def density_link_scale(n_sensors: int) -> float:
     """Link-length scale factor for a given sensor count.
 
     Denser networks pack the same volume with shorter links:
-    ``(reference / n)^(1/3)``, the scaling of nearest-neighbour distance in
-    a 3-D Poisson process.
+    ``(REFERENCE_NODE_COUNT / n)^(1/3)``, the scaling of nearest-neighbour
+    distance in a 3-D Poisson process.
     """
     if n_sensors <= 0:
         raise ValueError("n_sensors must be positive")
-    return (reference / n_sensors) ** (1.0 / 3.0)
+    return (REFERENCE_NODE_COUNT / n_sensors) ** (1.0 / 3.0)
 
 
 def connected_column_deployment(config: DeploymentConfig) -> Deployment:

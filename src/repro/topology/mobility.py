@@ -27,9 +27,9 @@ from .deployment import DeploymentConfig
 
 #: Typical slow current speed (m/s) used for drifting sensors.
 DEFAULT_DRIFT_SPEED_MPS = 0.5
-#: Default position-update period (s).
+#: Position-update period (s).
 DEFAULT_UPDATE_PERIOD_S = 5.0
-#: Default tether radius: how far a node may wander from its anchor (m).
+#: Tether radius: how far a node may wander from its anchor (m).
 DEFAULT_TETHER_M = 300.0
 
 
@@ -104,9 +104,9 @@ class MobilityManager:
         config: Deployment geometry (for boundary clamping).
         rng: RNG for model assignment and model internals.
         model_mix: Probability of each model, in MODEL_NAMES order.
-        update_period_s: How often positions are stepped.
-        tether_m: Maximum wander distance from the deployment anchor
-            (None disables tethering).
+
+    Positions are stepped every :data:`DEFAULT_UPDATE_PERIOD_S` and kept
+    within :data:`DEFAULT_TETHER_M` of their deployment anchor.
     """
 
     def __init__(
@@ -116,8 +116,6 @@ class MobilityManager:
         config: DeploymentConfig,
         rng: Optional[np.random.Generator] = None,
         model_mix: Sequence[float] = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0),
-        update_period_s: float = DEFAULT_UPDATE_PERIOD_S,
-        tether_m: Optional[float] = DEFAULT_TETHER_M,
     ) -> None:
         if len(model_mix) != 3:
             raise ValueError("model_mix needs 3 probabilities (static/horizontal/vertical)")
@@ -128,8 +126,6 @@ class MobilityManager:
         self.sim = sim
         self.nodes = list(nodes)
         self.config = config
-        self.update_period_s = update_period_s
-        self.tether_m = tether_m
         self._rng = rng if rng is not None else sim.streams.get("mobility")
         self._anchors: Dict[int, Position] = {n.node_id: n.position for n in self.nodes}
         self._models: Dict[int, MobilityModel] = {}
@@ -154,15 +150,15 @@ class MobilityManager:
 
     def start(self) -> None:
         """Begin periodic position updates."""
-        self._timer = self.sim.schedule(self.update_period_s, self._tick)
+        self._timer = self.sim.schedule(DEFAULT_UPDATE_PERIOD_S, self._tick)
 
     def stop(self) -> None:
         self.sim.cancel(self._timer)
         self._timer = None
 
     def _tick(self) -> None:
-        self.step(self.update_period_s)
-        self._timer = self.sim.schedule(self.update_period_s, self._tick)
+        self.step(DEFAULT_UPDATE_PERIOD_S)
+        self._timer = self.sim.schedule(DEFAULT_UPDATE_PERIOD_S, self._tick)
 
     def step(self, dt: float) -> None:
         """Advance every node once by ``dt`` (public for tests).
@@ -185,10 +181,10 @@ class MobilityManager:
                 continue
             new_pos = model.step(node.position, dt).clamped(x_range, y_range, z_range)
             anchor = self._anchors[node.node_id]
-            if self.tether_m is not None and new_pos.distance_to(anchor) > self.tether_m:
+            if new_pos.distance_to(anchor) > DEFAULT_TETHER_M:
                 # Pull back onto the tether sphere: keeps "stable relations"
                 # between neighbours, per the paper's applicability note.
-                scale = self.tether_m / new_pos.distance_to(anchor)
+                scale = DEFAULT_TETHER_M / new_pos.distance_to(anchor)
                 new_pos = Position(
                     anchor.x + (new_pos.x - anchor.x) * scale,
                     anchor.y + (new_pos.y - anchor.y) * scale,

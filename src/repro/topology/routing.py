@@ -14,7 +14,7 @@ delays, as the paper requires.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..phy.channel import AcousticChannel
 
@@ -65,29 +65,3 @@ class DepthRouting:
         if not shallower:
             return None
         return min(shallower, key=self._distance_to_nearest_sink)
-
-    def route_to_sink(self, node_id: int, max_hops: int = 256) -> List[int]:
-        """Full greedy path from ``node_id`` to a sink (diagnostics only).
-
-        Returns the hop list ending at a sink, or the partial path if the
-        greedy walk strands or exceeds ``max_hops``.
-        """
-        path = [node_id]
-        current = node_id
-        for _ in range(max_hops):
-            if current in self.sink_ids:
-                return path
-            nxt = self.next_hop(current)
-            if nxt is None or nxt in path:
-                return path
-            path.append(nxt)
-            current = nxt
-        return path
-
-    def stranded_nodes(self) -> List[int]:
-        """Nodes (excluding sinks) that currently have no next hop."""
-        return [
-            n
-            for n in self.channel.node_ids
-            if n not in self.sink_ids and self.next_hop(n) is None
-        ]

@@ -1,169 +1,142 @@
-"""Unit tests for the event queue."""
+"""Unit tests for the event queue, driven through :meth:`Simulator.run`."""
 
 import pytest
 
 from repro.des.errors import EventStateError
-from repro.des.events import PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL, EventQueue
+from repro.des.events import PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL
+from repro.des.simulator import Simulator
 
 
 def test_pop_orders_by_time():
-    q = EventQueue()
+    sim = Simulator()
     fired = []
-    q.push(3.0, fired.append, ("c",))
-    q.push(1.0, fired.append, ("a",))
-    q.push(2.0, fired.append, ("b",))
-    while True:
-        event = q.pop()
-        if event is None:
-            break
-        event._fire()
+    sim.schedule_at(3.0, fired.append, "c")
+    sim.schedule_at(1.0, fired.append, "a")
+    sim.schedule_at(2.0, fired.append, "b")
+    sim.run()
     assert fired == ["a", "b", "c"]
 
 
 def test_same_time_orders_by_priority_then_sequence():
-    q = EventQueue()
+    sim = Simulator()
     fired = []
-    q.push(1.0, fired.append, ("normal-1",), priority=PRIORITY_NORMAL)
-    q.push(1.0, fired.append, ("low",), priority=PRIORITY_LOW)
-    q.push(1.0, fired.append, ("high",), priority=PRIORITY_HIGH)
-    q.push(1.0, fired.append, ("normal-2",), priority=PRIORITY_NORMAL)
-    order = []
-    while (event := q.pop()) is not None:
-        order.append(event)
-        event._fire()
+    sim.schedule_at(1.0, fired.append, "normal-1", priority=PRIORITY_NORMAL)
+    sim.schedule_at(1.0, fired.append, "low", priority=PRIORITY_LOW)
+    sim.schedule_at(1.0, fired.append, "high", priority=PRIORITY_HIGH)
+    sim.schedule_at(1.0, fired.append, "normal-2", priority=PRIORITY_NORMAL)
+    sim.run()
     assert fired == ["high", "normal-1", "normal-2", "low"]
 
 
 def test_cancel_skips_event():
-    q = EventQueue()
+    sim = Simulator()
     fired = []
-    keep = q.push(1.0, fired.append, ("keep",))
-    drop = q.push(0.5, fired.append, ("drop",))
-    drop.cancel()
-    q.note_cancelled()
-    while (event := q.pop()) is not None:
-        event._fire()
+    keep = sim.schedule_at(1.0, fired.append, "keep")
+    drop = sim.schedule_at(0.5, fired.append, "drop")
+    sim.cancel(drop)
+    sim.run()
     assert fired == ["keep"]
     assert drop.cancelled and not drop.fired
     assert keep.fired
 
 
 def test_cancel_fired_event_raises():
-    q = EventQueue()
-    q.push(0.0, lambda: None)
-    popped = q.pop()
-    popped._fire()
+    sim = Simulator()
+    event = sim.schedule_at(0.0, lambda: None)
+    sim.run()
     with pytest.raises(EventStateError):
-        popped.cancel()
+        event.cancel()
 
 
 def test_len_tracks_live_events():
-    q = EventQueue()
-    events = [q.push(float(i), lambda: None) for i in range(10)]
-    assert len(q) == 10
+    sim = Simulator()
+    events = [sim.schedule_at(float(i), lambda: None) for i in range(10)]
+    assert sim.pending_events == 10
     for event in events[:4]:
-        event.cancel()
-        q.note_cancelled()
-    assert len(q) == 6
-    q.pop()
-    assert len(q) == 5
-
-
-def test_peek_time_skips_cancelled():
-    q = EventQueue()
-    first = q.push(1.0, lambda: None)
-    q.push(2.0, lambda: None)
-    first.cancel()
-    q.note_cancelled()
-    assert q.peek_time() == 2.0
+        sim.cancel(event)
+    assert sim.pending_events == 6
+    sim.run(until=4.0)
+    assert sim.pending_events == 5
 
 
 def test_compaction_keeps_pending_events():
-    q = EventQueue()
-    keepers = [q.push(1000.0 + i, lambda: None) for i in range(10)]
-    for _ in range(20):
-        victims = [q.push(float(i), lambda: None) for i in range(50)]
-        for v in victims:
-            v.cancel()
-            q.note_cancelled()
-    assert len(q) == 10
+    sim = Simulator()
     times = []
-    while (event := q.pop()) is not None:
-        times.append(event.time)
+    keepers = [
+        sim.schedule_at(1000.0 + i, lambda: times.append(sim.now)) for i in range(10)
+    ]
+    for _ in range(20):
+        victims = [sim.schedule_at(float(i), lambda: None) for i in range(50)]
+        for v in victims:
+            sim.cancel(v)
+    assert sim.pending_events == 10
+    sim.run()
     assert times == sorted(e.time for e in keepers)
 
 
-def test_clear_empties_queue():
-    q = EventQueue()
-    q.push(1.0, lambda: None)
-    q.push(2.0, lambda: None)
-    q.clear()
-    assert len(q) == 0
-    assert q.pop() is None
+def record(sim, fired, keys):
+    """A callback that logs its argument and the key it fired under."""
 
+    def callback(tag):
+        fired.append(tag)
+        keys.append(sim.frontier())
 
-def drain(q):
-    fired = []
-    while (event := q.pop()) is not None:
-        event._fire()
-        fired.append(event)
-    return fired
+    return callback
 
 
 class TestPushBulk:
     def test_matches_push_plain_loop_exactly(self):
         times = [3.0, 1.0, 2.0, 1.0, 5.0]
-        bulk_fired, plain_fired = [], []
-        bulk, plain = EventQueue(), EventQueue()
+        bulk_fired, plain_fired, bulk_keys, plain_keys = [], [], [], []
+        bulk, plain = Simulator(), Simulator()
         bulk.push_bulk(
             times,
-            [bulk_fired.append] * len(times),
+            [record(bulk, bulk_fired, bulk_keys)] * len(times),
             [(f"e{i}",) for i in range(len(times))],
-            priority=PRIORITY_HIGH,
+            PRIORITY_HIGH,
         )
+        callback = record(plain, plain_fired, plain_keys)
         for i, t in enumerate(times):
-            plain.push_plain(t, plain_fired.append, (f"e{i}",), priority=PRIORITY_HIGH)
-        bulk_events = drain(bulk)
-        plain_events = drain(plain)
+            plain.push_at(t, callback, (f"e{i}",), PRIORITY_HIGH)
+        bulk.run()
+        plain.run()
         assert bulk_fired == plain_fired
-        assert [(e.time, e.priority, e.seq) for e in bulk_events] == [
-            (e.time, e.priority, e.seq) for e in plain_events
-        ]
+        assert bulk_keys == plain_keys
 
     def test_same_time_ties_fire_in_batch_order(self):
-        q = EventQueue()
+        sim = Simulator()
         fired = []
-        q.push_bulk([1.0] * 4, [fired.append] * 4, [(i,) for i in range(4)])
-        drain(q)
+        sim.push_bulk([1.0] * 4, [fired.append] * 4, [(i,) for i in range(4)])
+        sim.run()
         assert fired == [0, 1, 2, 3]
 
     def test_interleaves_with_scalar_pushes_by_time_and_priority(self):
-        q = EventQueue()
+        sim = Simulator()
         fired = []
-        q.push(1.0, fired.append, ("scalar-normal",), priority=PRIORITY_NORMAL)
-        q.push_bulk(
+        sim.schedule_at(1.0, fired.append, "scalar-normal", priority=PRIORITY_NORMAL)
+        sim.push_bulk(
             [1.0, 0.5], [fired.append] * 2, [("bulk-high",), ("bulk-early",)],
-            priority=PRIORITY_HIGH,
+            PRIORITY_HIGH,
         )
-        q.push(0.75, fired.append, ("scalar-mid",))
-        drain(q)
+        sim.schedule_at(0.75, fired.append, "scalar-mid")
+        sim.run()
         assert fired == ["bulk-early", "scalar-mid", "bulk-high", "scalar-normal"]
 
     def test_seq_counter_shared_with_scalar_pushes(self):
         # The batch consumes exactly len(times) sequence numbers, so a later
         # same-time scalar push still loses the tie to every batch entry.
-        q = EventQueue()
+        sim = Simulator()
         fired = []
-        q.push_bulk([2.0, 2.0], [fired.append] * 2, [("b0",), ("b1",)])
-        q.push(2.0, fired.append, ("after",))
-        drain(q)
+        sim.push_bulk([2.0, 2.0], [fired.append] * 2, [("b0",), ("b1",)])
+        sim.schedule_at(2.0, fired.append, "after")
+        sim.run()
         assert fired == ["b0", "b1", "after"]
 
     def test_live_count_and_empty_batch(self):
-        q = EventQueue()
-        q.push_bulk([], [], [])
-        assert len(q) == 0
-        q.push_bulk([1.0, 2.0, 3.0], [lambda x: None] * 3, [(0,), (1,), (2,)])
-        assert len(q) == 3
-        q.pop()
-        assert len(q) == 2
+        sim = Simulator()
+        sim.push_bulk([], [], [])
+        assert sim.pending_events == 0
+        sim.push_bulk([1.0, 2.0, 3.0], [lambda x: None] * 3, [(0,), (1,), (2,)])
+        assert sim.pending_events == 3
+        sim.run(until=1.0)
+        assert sim.pending_events == 2

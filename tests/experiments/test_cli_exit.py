@@ -66,6 +66,21 @@ def test_malformed_override_exits_2(tmp_path):
     assert "expected FIELD=VALUE" in result.stderr
 
 
+def test_relative_figure_with_zero_baseline_exits_2(tmp_path):
+    # Too short a window for any delivery: every S-FAMA efficiency is 0.
+    result = _run_cli(
+        "fig11", "--quick", "--no-cache",
+        "--override", "n_sensors=6",
+        "--override", "sim_time_s=3.0",
+        "--override", "warmup_s=2.0",
+        cwd=tmp_path,
+    )
+    assert result.returncode == 2
+    assert "baseline protocol 'S-FAMA'" in result.stderr
+    assert "x=0.2" in result.stderr
+    assert "Efficiency index" not in result.stdout
+
+
 def test_good_tiny_run_exits_0_and_reports_cache(tmp_path):
     overrides = ["--override", "n_sensors=6", "--override", "sim_time_s=3.0",
                  "--override", "warmup_s=2.0"]

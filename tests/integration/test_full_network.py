@@ -113,10 +113,11 @@ class TestMobilityIntegration:
         scenario = Scenario(small("EW-MAC", sim_time_s=120.0, offered_load_kbps=0.6))
         scenario.run_steady_state()
         checked = 0
+        node_ids = {node.node_id for node in scenario.nodes}
         for mac in scenario.macs:
             node = mac.node
             for neighbor in node.neighbors.neighbors():
-                if neighbor not in scenario.channel.node_ids:
+                if neighbor not in node_ids:
                     continue
                 truth = scenario.channel.propagation_delay_s(node.node_id, neighbor)
                 learned = node.neighbors.delay_to(neighbor)

@@ -47,14 +47,6 @@ def test_frame_uids_unique():
     assert len({f.uid for f in frames}) == 10
 
 
-def test_copy_for_retry_gets_new_uid():
-    frame = data_frame(1, 2, 0.0, foo="bar")
-    retry = frame.copy_for_retry()
-    assert retry.uid != frame.uid
-    assert retry.info == frame.info
-    assert retry.info is not frame.info
-
-
 def test_describe_broadcast():
     frame = control_frame(FrameType.HELLO, 3, BROADCAST, timestamp=0.0)
     assert frame.describe() == "HELLO 3->bcast"

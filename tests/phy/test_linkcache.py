@@ -5,6 +5,7 @@ import pytest
 from repro.acoustic.geometry import Position
 from repro.des.simulator import Simulator
 from repro.net.node import Node
+from repro.perf import PerfReport
 from repro.phy.channel import AcousticChannel
 from repro.phy.frame import FrameType, control_frame
 from tests.reference_channel import ReferenceChannel
@@ -32,12 +33,13 @@ class TestCacheCounters:
         assert channel.stats.cache_misses == 1
 
     def test_hit_rate_property(self):
-        _, channel, _ = build_channel([Position(0, 0, 0), Position(1000, 0, 0)])
-        assert channel.stats.cache_hit_rate == 0.0
+        sim, channel, _ = build_channel([Position(0, 0, 0), Position(1000, 0, 0)])
+        assert PerfReport.capture(sim, channel.stats, 0.0).cache_hit_rate == 0.0
         channel.distance_m(0, 1)
         channel.distance_m(0, 1)
         channel.distance_m(0, 1)
-        assert channel.stats.cache_hit_rate == pytest.approx(2 / 3)
+        report = PerfReport.capture(sim, channel.stats, 0.0)
+        assert report.cache_hit_rate == pytest.approx(2 / 3)
 
     def test_directed_pairs_cached_separately(self):
         _, channel, _ = build_channel([Position(0, 0, 0), Position(1000, 0, 0)])

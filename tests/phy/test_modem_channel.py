@@ -153,12 +153,6 @@ class TestChannelQueries:
         assert channel.distance_m(0, 1) == pytest.approx(1200.0)
         assert channel.propagation_delay_s(0, 1) == pytest.approx(0.8)
 
-    def test_max_propagation_delay_and_omega(self):
-        sim = Simulator()
-        channel = AcousticChannel(sim)
-        assert channel.max_propagation_delay_s() == pytest.approx(1.0)
-        assert channel.control_duration_s(64) == pytest.approx(64 / 12_000)
-
     def test_duplicate_node_id_rejected(self):
         sim = Simulator()
         channel = AcousticChannel(sim)

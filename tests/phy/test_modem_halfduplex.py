@@ -145,7 +145,6 @@ class TestOutageFlags:
         sim.schedule(1.05, kill)
         sim.run()
         assert b.stats.rx_outage == 1
-        assert b.stats.outcome_count(RxOutcome.OFFLINE) == 1
 
 
 class TestPruning:

@@ -35,11 +35,11 @@ def delivered_ids(channel, tx_id):
     reference = ReferenceChannel(
         Simulator(), interference_range_factor=channel.interference_range_factor
     )
-    for node_id in channel.node_ids:
+    for node_id in channel._members:
         reference.create_modem(node_id, lambda i=node_id: channel.position_of(i))
     targets = fan_out(channel, tx_id)
     assert targets == fan_out(reference, tx_id)
-    for rx in channel.node_ids:
+    for rx in channel._members:
         if rx != tx_id:
             assert kernel_link(channel, tx_id, rx) == reference.link(tx_id, rx)
     return [rx for rx, _, _ in targets]

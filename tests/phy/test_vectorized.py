@@ -26,7 +26,7 @@ def build_channel(positions, channel_cls=AcousticChannel):
 
 
 def warm_all_rows(channel):
-    for node_id in channel.node_ids:
+    for node_id in channel._members:
         channel.kernel.row(node_id)
 
 

@@ -3,18 +3,16 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des.events import EventQueue
 from repro.des.simulator import Simulator
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=200))
 def test_queue_pops_in_nondecreasing_time_order(times):
-    q = EventQueue()
-    for t in times:
-        q.push(t, lambda: None)
+    sim = Simulator()
     popped = []
-    while (event := q.pop()) is not None:
-        popped.append(event.time)
+    for t in times:
+        sim.schedule_at(t, lambda: popped.append(sim.now))
+    sim.run()
     assert popped == sorted(popped)
     assert len(popped) == len(times)
 
@@ -24,20 +22,18 @@ def test_queue_pops_in_nondecreasing_time_order(times):
     st.data(),
 )
 def test_cancellation_never_loses_live_events(times, data):
-    q = EventQueue()
-    events = [q.push(t, lambda: None) for t in times]
+    sim = Simulator()
+    popped = []
+    events = [sim.schedule_at(t, lambda: popped.append(sim.now)) for t in times]
     to_cancel = data.draw(
         st.lists(st.integers(min_value=0, max_value=len(events) - 1), unique=True)
     )
     for index in to_cancel:
-        events[index].cancel()
-        q.note_cancelled()
+        sim.cancel(events[index])
     survivors = sorted(
         events[i].time for i in range(len(events)) if i not in set(to_cancel)
     )
-    popped = []
-    while (event := q.pop()) is not None:
-        popped.append(event.time)
+    sim.run()
     assert popped == survivors
 
 

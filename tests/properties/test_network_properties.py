@@ -29,11 +29,10 @@ def test_connected_deployment_always_connected(n_sensors, seed):
         min_size=1,
         max_size=100,
     ),
-    st.floats(min_value=0.01, max_value=1.0),
 )
-def test_neighbor_table_delay_within_observed_bounds(observations, smoothing):
-    """EWMA keeps each entry inside the [min, max] of its measurements."""
-    table = NeighborTable(owner_id=0, smoothing=smoothing)
+def test_neighbor_table_delay_within_observed_bounds(observations):
+    """Each entry is its latest measurement, inside the [min, max] of all."""
+    table = NeighborTable(owner_id=0)
     seen = {}
     for time, (node_id, delay) in enumerate(observations):
         table.observe(node_id, delay, now=float(time))
@@ -41,6 +40,7 @@ def test_neighbor_table_delay_within_observed_bounds(observations, smoothing):
     for node_id, delays in seen.items():
         est = table.delay_to(node_id)
         assert min(delays) - 1e-9 <= est <= max(delays) + 1e-9
+        assert abs(est - delays[-1]) <= 1e-12
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
