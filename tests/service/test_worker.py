@@ -1,10 +1,11 @@
 """Worker pool liveness: heartbeats, graceful drain, chaos injection.
 
-Runners are injected (no simulation) and leases are short, so every
-scenario here is deterministic and fast: a live pool keeps its lease
-fresh through long jobs, a draining pool releases unfinished work with
-the attempt refunded, and a chaos-wounded worker turns into a clean
-failure without wedging the queue.
+Runners are injected (no simulation, save one tiny engine run) and
+leases are short, so every scenario here is deterministic and fast: a
+live pool keeps its lease fresh through long jobs, a draining pool
+releases unfinished work with the attempt refunded, a chaos-wounded
+worker turns into a clean failure without wedging the queue, and a
+figure the engine refuses fails its job with the engine's message.
 """
 
 from __future__ import annotations
@@ -147,6 +148,25 @@ def test_chaos_hook_exception_fails_job_cleanly(tmp_path):
         record = store.get(key)
         assert "chaos: injected fault" in record.error
         assert pool.completed == 1
+    finally:
+        pool.stop()
+        store.close()
+
+
+def test_relative_figure_with_zero_baseline_fails_the_job(tmp_path):
+    """The engine's zero-baseline refusal is the job's error, not a 0 figure."""
+    store = JobStore(tmp_path / "jobs.sqlite")
+    pool = WorkerPool(store, run_kwargs={"workers": 1}, poll_interval_s=0.01)
+    # Too short a window for any delivery: every S-FAMA efficiency is 0.
+    request = SweepRequest.from_dict(dict(REQUEST_BODY, target="fig11"))
+    key = request_key(request)
+    store.submit(key, request.to_dict())
+    pool.start()
+    try:
+        _wait(lambda: store.get(key).state == FAILED, timeout_s=60.0,
+              message="never failed")
+        error = store.get(key).error
+        assert "ValueError: baseline protocol 'S-FAMA' averages 0.0 at x=0.2" in error
     finally:
         pool.stop()
         store.close()
