@@ -1,16 +1,12 @@
 """Underwater acoustic channel substrate.
 
-Physics-based substitute for NS-3 UAN + Bellhop (see DESIGN.md,
-"Substitutions"): geometry, sound-speed profiles, Thorp attenuation, Wenz
-ambient noise, SINR link budgets, PER models and propagation-delay models.
+Physics-based substitute for NS-3 UAN's default PHY (see DESIGN.md,
+"Substitutions"): geometry, Thorp attenuation, Wenz ambient noise and the
+SINR link budget.  Propagation delay (distance over a constant sound
+speed) and the threshold decode live on
+:class:`~repro.phy.channel.AcousticChannel`.
 """
 
-from .fading import (
-    FadingProcess,
-    NoFading,
-    RayleighBlockFading,
-    RicianBlockFading,
-)
 from .attenuation import (
     CYLINDRICAL_SPREADING,
     PRACTICAL_SPREADING,
@@ -20,47 +16,19 @@ from .attenuation import (
 )
 from .geometry import Position, bounding_box
 from .noise import AmbientNoiseModel
-from .per import DefaultPerModel, PerModel, RayleighBerPerModel
-from .propagation import (
-    PropagationModel,
-    SspRayPropagation,
-    StraightLinePropagation,
-    nominal_propagation_delay_s,
-)
 from .sinr import DEFAULT_SOURCE_LEVEL_DB, LinkBudget, db_to_linear, linear_to_db
-from .soundspeed import (
-    NOMINAL_SPEED_MPS,
-    MackenzieProfile,
-    SoundSpeedModel,
-    UniformSoundSpeed,
-)
 
 __all__ = [
     "AmbientNoiseModel",
     "CYLINDRICAL_SPREADING",
     "DEFAULT_SOURCE_LEVEL_DB",
-    "DefaultPerModel",
-    "FadingProcess",
     "LinkBudget",
-    "NoFading",
-    "RayleighBlockFading",
-    "RicianBlockFading",
-    "MackenzieProfile",
-    "NOMINAL_SPEED_MPS",
     "PRACTICAL_SPREADING",
     "PathLossModel",
-    "PerModel",
     "Position",
-    "PropagationModel",
-    "RayleighBerPerModel",
     "SPHERICAL_SPREADING",
-    "SoundSpeedModel",
-    "SspRayPropagation",
-    "StraightLinePropagation",
-    "UniformSoundSpeed",
     "bounding_box",
     "db_to_linear",
     "linear_to_db",
-    "nominal_propagation_delay_s",
     "thorp_absorption_db_per_km",
 ]

@@ -1,7 +1,7 @@
 """Deterministic per-component random number streams.
 
 Every stochastic component of the simulation (topology placement, traffic
-arrivals, MAC backoff, channel fading, mobility, ...) draws from its own
+arrivals, MAC backoff, mobility, fault injection, ...) draws from its own
 named stream derived from a single root seed.  Adding a new component or
 reordering draws inside one component therefore never perturbs the others,
 which keeps cross-protocol comparisons paired: S-FAMA and EW-MAC see the

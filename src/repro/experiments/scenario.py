@@ -170,6 +170,7 @@ class Scenario:
             bitrate_bps=config.bitrate_bps,
             max_range_m=config.comm_range_m,
             interference_range_factor=config.interference_range_factor,
+            sound_speed_mps=config.sound_speed_mps,
         )
         self.timing = make_slot_timing(
             bitrate_bps=config.bitrate_bps,

@@ -601,7 +601,7 @@ class SlottedMac:
         # Passive one-hop delay maintenance from every frame (paper 4.3).
         measured = arrival.start - frame.timestamp
         if frame.src != self.node.node_id and measured >= 0:
-            self.node.neighbors.observe(frame.src, measured, self.sim.now)
+            self.node.neighbors.observe(frame.src, measured)
         if frame.ftype is FrameType.HELLO:
             return
         if frame.ftype is FrameType.NEIGH:

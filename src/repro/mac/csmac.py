@@ -78,7 +78,7 @@ class CsMac(SlottedMac):
         links = safe_links(frame.info.get("links"))
         # Sec. 5.3: processing a two-hop announcement costs per stored link.
         self.stats.computation_units += 2.0 * len(links)
-        self.two_hop.record_announcement(frame.src, links, self.sim.now)
+        self.two_hop.record_announcement(frame.src, links)
 
     def maintenance_frame_bits(self) -> int:
         # CS-MAC announces its *two-hop* view, roughly quadratic in degree.

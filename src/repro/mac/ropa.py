@@ -91,7 +91,7 @@ class Ropa(SlottedMac):
         links = safe_links(frame.info.get("links"))
         # Sec. 5.3: processing a two-hop announcement costs per stored link.
         self.stats.computation_units += 2.0 * len(links)
-        self.two_hop.record_announcement(frame.src, links, self.sim.now)
+        self.two_hop.record_announcement(frame.src, links)
 
     #: ROPA announces at most this many one-hop links per maintenance
     #: broadcast: appending decisions only need the strongest (nearest)

@@ -13,18 +13,7 @@ charge its periodic refresh traffic to the overhead accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
-
-
-@dataclass
-class NeighborInfo:
-    """What a node knows about one neighbour."""
-
-    node_id: int
-    delay_s: float
-    last_updated: float
-    updates: int = 1
 
 
 class NeighborTable:
@@ -39,16 +28,16 @@ class NeighborTable:
 
     def __init__(self, owner_id: int) -> None:
         self.owner_id = owner_id
-        self._entries: Dict[int, NeighborInfo] = {}
+        self._delays: Dict[int, float] = {}
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._delays)
 
     def __contains__(self, node_id: int) -> bool:
-        return node_id in self._entries
+        return node_id in self._delays
 
-    def observe(self, node_id: int, delay_s: float, now: float) -> None:
-        """Record a delay measurement for ``node_id`` taken at ``now``.
+    def observe(self, node_id: int, delay_s: float) -> None:
+        """Record a delay measurement for ``node_id``.
 
         Called for every received frame: measurement = arrival start minus
         the frame's embedded timestamp (paper Sec. 4.3).
@@ -57,28 +46,25 @@ class NeighborTable:
             raise ValueError("a node is not its own neighbour")
         if delay_s < 0:
             raise ValueError(f"negative measured delay {delay_s!r}")
-        entry = self._entries.get(node_id)
-        if entry is None:
-            self._entries[node_id] = NeighborInfo(node_id, delay_s, now)
+        old = self._delays.get(node_id)
+        if old is None:
+            self._delays[node_id] = delay_s
         else:
             # Not ``= delay_s``: ``a + (b - a)`` can differ from ``b`` by one
             # ULP, and every MAC's timing reads these delays.
-            entry.delay_s += delay_s - entry.delay_s
-            entry.last_updated = now
-            entry.updates += 1
+            self._delays[node_id] = old + (delay_s - old)
 
     def delay_to(self, node_id: int) -> Optional[float]:
         """Known propagation delay to ``node_id``, or None if unknown."""
-        entry = self._entries.get(node_id)
-        return entry.delay_s if entry is not None else None
+        return self._delays.get(node_id)
 
     def neighbors(self) -> List[int]:
         """All known neighbour ids (unordered)."""
-        return list(self._entries.keys())
+        return list(self._delays)
 
     def memory_entries(self) -> int:
         """Number of stored entries (overhead accounting)."""
-        return len(self._entries)
+        return len(self._delays)
 
 
 class TwoHopTable:
@@ -92,10 +78,9 @@ class TwoHopTable:
     def __init__(self, owner_id: int) -> None:
         self.owner_id = owner_id
         self._links: Dict[int, Dict[int, float]] = {}
-        self._last_announce: Dict[int, float] = {}
 
     def record_announcement(
-        self, neighbor_id: int, links: Iterable[Tuple[int, float]], now: float
+        self, neighbor_id: int, links: Iterable[Tuple[int, float]]
     ) -> None:
         """Store neighbour ``neighbor_id``'s announced one-hop link delays.
 
@@ -107,7 +92,6 @@ class TwoHopTable:
             other: delay for other, delay in links if other != self.owner_id
         }
         self._links[neighbor_id] = table
-        self._last_announce[neighbor_id] = now
 
     def memory_entries(self) -> int:
         """Stored link count (overhead accounting: CS-MAC/ROPA memory)."""

@@ -6,6 +6,11 @@ is offset by the pair's propagation delay and whose level comes from the
 link budget.  Node positions are supplied by callables so mobility models
 can move nodes without the channel knowing about them.
 
+The physics is NS-3 UAN's "Default PER model and Default SINR", which the
+paper uses: a pair's delay is its straight-line distance over a constant
+sound speed (Table 2: 1.5 km/s), and an arrival decodes iff its SINR is at
+or above one calibrated threshold (all or nothing).
+
 Range semantics follow the paper: a hard communication range (Table 2:
 1.5 km) bounds who can hear whom, matching "the collision occurs when two
 or more packets [from neighbours] arrive at a sensor at the same time".
@@ -16,16 +21,12 @@ robustness ablations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..acoustic.fading import FadingProcess, NoFading
 from ..acoustic.geometry import Position
-from ..acoustic.per import DefaultPerModel, PerModel
-from ..acoustic.propagation import PropagationModel, StraightLinePropagation
 from ..acoustic.sinr import LinkBudget
 from ..des.events import PRIORITY_HIGH
 from ..des.simulator import Simulator
@@ -36,13 +37,7 @@ from .vectorized import RowState, VectorLinkKernel
 #: Paper Table 2 defaults.
 DEFAULT_BITRATE_BPS = 12_000.0
 DEFAULT_RANGE_M = 1500.0
-
-#: Uniforms drawn from the ``channel.per`` stream per refill of the decode
-#: buffer.  One vector draw yields the same PCG64 doubles in the same order
-#: as that many scalar ``random()`` calls, at a fraction of the cost each.
-#: Larger blocks save nothing measurable per draw but cost every channel
-#: ~32 bytes per slot, which shows in sweeps of many tiny cells.
-PER_BLOCK = 256
+DEFAULT_SOUND_SPEED_MPS = 1500.0
 
 #: Half-width of the band around the decode pivot inside which a level's
 #: "cannot decode alone" flag is decided by the exact scalar SINR instead
@@ -99,32 +94,24 @@ class AcousticChannel:
     neighborhood.  Every broadcast's arrivals are scheduled as one
     pre-sorted batch through :meth:`Simulator.push_bulk`.
 
+    An arrival decodes iff its SINR is at least :attr:`decode_threshold_db`.
     Each delivery is classified once, when its link row's fan-out is
-    built (per broadcast under fading): a received level at which
-    :meth:`PerModel.fails_at` fails the interference-free SINR under the
-    quietest reachable noise floor (see :meth:`bound_noise_floor`) goes to
-    :meth:`AcousticModem.begin_interferer` and is settled without a
-    decode; every other one to :meth:`AcousticModem.begin_arrival`.  The
-    channel registers the modems' settlement as a simulator run-exit hook,
-    so their counters are complete whenever a run returns.
-
-    Every decode's PER uniform comes from :meth:`per_draw`, which serves
-    the ``channel.per`` stream (:attr:`per_rng`) in blocks of
-    :data:`PER_BLOCK`.  The stream must have exactly one consumer: the
-    generator runs up to a block ahead of the draws handed out, so anything
-    else drawing from it directly would see different numbers.
+    built: a received level whose interference-free SINR under the
+    quietest reachable noise floor (see :meth:`bound_noise_floor`) is
+    below the threshold goes to :meth:`AcousticModem.begin_interferer` and
+    is settled without a decode; every other one to
+    :meth:`AcousticModem.begin_arrival`.  The channel registers the
+    modems' settlement as a simulator run-exit hook, so their counters are
+    complete whenever a run returns.
 
     Args:
         sim: The simulation kernel.
         bitrate_bps: Channel bitrate (paper: 12 kbps).
         max_range_m: Hard communication range (paper: 1.5 km).
-        propagation: Delay model (defaults to straight line at 1500 m/s).
-        link_budget: SINR link budget for received levels.
-        per_model: Packet error model (defaults to NS-3-style threshold).
         interference_range_factor: Deliver (as interference) up to
             ``factor * max_range_m``; 1.0 reproduces the paper's model.
-        fading: Time-varying per-link fade added to each delivered level
-            (defaults to none).
+        sound_speed_mps: Constant sound speed of every straight-line
+            delay (paper: 1.5 km/s).
     """
 
     def __init__(
@@ -132,11 +119,8 @@ class AcousticChannel:
         sim: Simulator,
         bitrate_bps: float = DEFAULT_BITRATE_BPS,
         max_range_m: float = DEFAULT_RANGE_M,
-        propagation: Optional[PropagationModel] = None,
-        link_budget: Optional[LinkBudget] = None,
-        per_model: Optional[PerModel] = None,
         interference_range_factor: float = 1.0,
-        fading: Optional[FadingProcess] = None,
+        sound_speed_mps: float = DEFAULT_SOUND_SPEED_MPS,
     ) -> None:
         if bitrate_bps <= 0:
             raise ValueError("bitrate must be positive")
@@ -144,31 +128,21 @@ class AcousticChannel:
             raise ValueError("range must be positive")
         if interference_range_factor < 1.0:
             raise ValueError("interference_range_factor must be >= 1")
+        if sound_speed_mps <= 0:
+            raise ValueError("sound speed must be positive")
         self.sim = sim
         self.bitrate_bps = bitrate_bps
         self.max_range_m = max_range_m
-        self.propagation = propagation or StraightLinePropagation()
-        self.link_budget = link_budget or LinkBudget()
-        if per_model is None:
-            # Calibrate the decode threshold so the decode range equals the
-            # configured communication range: a lone frame decodes iff it
-            # was sent from within max_range_m, while signals from farther
-            # out (when interference_range_factor > 1) act as interference.
-            per_model = DefaultPerModel(
-                # 0.5 dB margin so a frame from exactly max_range_m decodes
-                # despite floating-point dB/linear round-trips.
-                threshold_db=self.link_budget.snr_db(max_range_m) - 0.5
-            )
-        self.per_model = per_model
+        self.sound_speed_mps = sound_speed_mps
+        self.link_budget = LinkBudget()
+        # Calibrated so the decode range equals the configured communication
+        # range: a lone frame decodes iff it was sent from within
+        # max_range_m, while signals from farther out (when
+        # interference_range_factor > 1) act as interference.  The 0.5 dB
+        # margin lets a frame from exactly max_range_m decode despite
+        # floating-point dB/linear round-trips.
+        self.decode_threshold_db = self.link_budget.snr_db(max_range_m) - 0.5
         self.interference_range_factor = interference_range_factor
-        self.fading = fading if fading is not None else NoFading()
-        # NoFading contributes exactly 0 dB; skipping the call entirely
-        # keeps the broadcast loop free of a per-receiver virtual dispatch.
-        self._fading_active = not isinstance(self.fading, NoFading)
-        self.per_rng = sim.streams.get("channel.per")
-        # Filled on the first decode; a list iterator pickles with its
-        # position, so checkpoints resume mid-block.
-        self._per_draws = iter(())
         #: Transient network-wide noise-floor elevation in dB (fault
         #: injection: ship-noise windows).  0.0 — always, in clean runs —
         #: leaves every decode arithmetically untouched; noise bursts
@@ -176,14 +150,11 @@ class AcousticChannel:
         #: declared with :meth:`bound_noise_floor` (0.0 by default).
         self.extra_noise_db = 0.0
         self._quietest_noise_db = 0.0
-        # A model that fails nothing at -inf dB fails nothing at all: skip
-        # the classification and decode every arrival.
-        self._may_fail_alone = bool(self.per_model.fails_at(-math.inf))
         self.stats = ChannelStats()
         self._members: Dict[int, Tuple[AcousticModem, Callable[[], Position]]] = {}
         self.kernel = VectorLinkKernel(
             self._members,
-            self.propagation,
+            self.sound_speed_mps,
             self.link_budget,
             self.max_range_m,
             self.max_range_m * self.interference_range_factor,
@@ -264,25 +235,23 @@ class AcousticChannel:
     def undecodable(self, levels_db: np.ndarray) -> List[bool]:
         """Per received level: True iff it cannot decode even alone.
 
-        Exactly ``per_model.fails_at(sinr_db_from_levels(level, (),
-        extra_noise_db=floor))`` at the quietest reachable ``floor``.  SINR
+        Exactly ``sinr_db_from_levels(level, (), extra_noise_db=floor) <
+        decode_threshold_db`` at the quietest reachable ``floor``.  SINR
         only falls from there — interferers and louder noise add power —
         so such an arrival fails whatever overlaps it.  One vector pass
         estimates every level's SINR as ``level - (noise + floor)``; where
         the answer would differ within :data:`DECIDE_BAND_DB` of that
         estimate, the exact scalar expression decides.
         """
-        if not self._may_fail_alone:
-            return [False] * len(levels_db)
         floor = self._quietest_noise_db
-        fails_at = self.per_model.fails_at
+        threshold = self.decode_threshold_db
         sinr_db = levels_db - (self.link_budget.noise_level_db() + floor)
-        lost = fails_at(sinr_db + DECIDE_BAND_DB)
-        unsure = np.nonzero(lost != fails_at(sinr_db - DECIDE_BAND_DB))[0]
+        lost = sinr_db + DECIDE_BAND_DB < threshold
+        unsure = np.nonzero(lost != (sinr_db - DECIDE_BAND_DB < threshold))[0]
         lost = lost.tolist()
         sinr_alone = self.link_budget.sinr_db_from_levels
         for j in unsure.tolist():
-            lost[j] = bool(fails_at(sinr_alone(float(levels_db[j]), (), extra_noise_db=floor)))
+            lost[j] = sinr_alone(float(levels_db[j]), (), extra_noise_db=floor) < threshold
         return lost
 
     def _settle_modems(self, frontier: Tuple[float, ...]) -> Optional[float]:
@@ -294,14 +263,6 @@ class AcousticChannel:
                 latest = end
         return latest
 
-    def per_draw(self) -> float:
-        """The next uniform [0, 1) variate of the ``channel.per`` stream."""
-        try:
-            return next(self._per_draws)
-        except StopIteration:
-            self._per_draws = iter(self.per_rng.random(PER_BLOCK).tolist())
-            return next(self._per_draws)
-
     # ------------------------------------------------------------------
     def broadcast(self, tx_modem: AcousticModem, frame: Frame, duration_s: float) -> None:
         """Deliver ``frame`` to every modem in reach, after propagation.
@@ -312,8 +273,7 @@ class AcousticChannel:
         ``now + delay``), and the whole batch is heap-inserted by one
         :meth:`Simulator.push_bulk` with sequence numbers in target order —
         so pop order, and every downstream RNG draw, matches one
-        ``push_at`` per target.  Fading, when active, is drawn per target
-        in that same order, and the faded levels are classified afresh.
+        ``push_at`` per target.
         """
         stats = self.stats
         stats.broadcasts += 1
@@ -330,34 +290,15 @@ class AcousticChannel:
         ends = starts + duration_s
         starts_l = starts.tolist()
         ends_l = ends.tolist()
-        if self._fading_active:
-            # A fade can lift a level over the pivot or drop it below, so
-            # each faded level is classified here instead of per row.
-            fade_db = self.fading.fade_db
-            levels = [
-                level + fade_db((tx_id, rx_id), now) for rx_id, _, _, level in targets
-            ]
-            arrivals = [
-                Arrival(frame, tx_id, start, end, level, delay)
-                for (_, _, delay, _), level, start, end in zip(
-                    targets, levels, starts_l, ends_l
-                )
-            ]
-            callbacks = [
-                modem.begin_interferer if lost else modem.begin_arrival
-                for (_, modem, _, _), lost in zip(
-                    targets, self.undecodable(np.array(levels))
-                )
-            ]
-        else:
-            arrivals = [
-                Arrival(frame, tx_id, start, end, level, delay)
-                for (_, _, delay, level), start, end in zip(targets, starts_l, ends_l)
-            ]
-            callbacks = row.delivery_callbacks
+        arrivals = [
+            Arrival(frame, tx_id, start, end, level, delay)
+            for (_, _, delay, level), start, end in zip(targets, starts_l, ends_l)
+        ]
         # High priority so arrivals register before same-instant MAC logic;
         # zip(arrivals) builds the per-event 1-tuple args at C speed.
-        self.sim.push_bulk(starts_l, callbacks, list(zip(arrivals)), PRIORITY_HIGH)
+        self.sim.push_bulk(
+            starts_l, row.delivery_callbacks, list(zip(arrivals)), PRIORITY_HIGH
+        )
         stats.deliveries += len(targets)
         stats.bulk_pushes += 1
         stats.bulk_events += len(targets)

@@ -9,9 +9,9 @@ Implements the paper's antenna constraints (Sec. 3.2):
   successfully decoded frame, addressed to it or not (overhearing is how
   all four protocols learn about neighbours' negotiations);
 * "the collision occurs when two or more packets arrive at a sensor at the
-  same time" — overlapping arrivals interfere; the SINR/PER models decide
-  whether either survives (with the default threshold model, overlap of
-  comparable-power arrivals destroys both).
+  same time" — overlapping arrivals interfere; an arrival survives iff its
+  SINR stays at or above the channel's decode threshold, so overlap of
+  comparable-power arrivals destroys both.
 """
 
 from __future__ import annotations
@@ -131,13 +131,12 @@ class AcousticModem:
         # bool keeps disabled-trace runs from paying for any of it.
         self._trace = sim.trace
         self._trace_on = sim.trace.enabled
-        # The channel's collaborators are fixed before any modem exists
-        # (the PER model is built in the channel constructor), so the
-        # decode path — run once per arrival — reads them through locals
-        # cached here instead of three attribute chains per decode.
+        # The link budget and decode threshold are fixed in the channel
+        # constructor, before any modem exists, so the decode path — run
+        # once per arrival — reads them through attributes cached here
+        # instead of attribute chains per decode.
         self._link_budget = channel.link_budget
-        self._per_model = channel.per_model
-        self._per_draw = channel.per_draw
+        self._decode_threshold_db = channel.decode_threshold_db
         self._push_at = sim.push_at
         self._take_seq = sim.take_seq
         self.on_receive: Optional[Callable[[Frame, Arrival], None]] = None
@@ -247,9 +246,9 @@ class AcousticModem:
     def begin_interferer(self, arrival: Arrival) -> None:
         """Channel callback: the leading edge of a signal that cannot decode.
 
-        The channel routes an arrival here when the PER model fails it at
-        its interference-free SINR under the quietest reachable noise
-        floor, so it can only interfere.  It is registered exactly as in
+        The channel routes an arrival here when its interference-free SINR
+        under the quietest reachable noise floor is below the decode
+        threshold, so it can only interfere.  It is registered exactly as in
         :meth:`begin_arrival` (the two are kept inline, in step, because
         they run once per delivery), but instead of a finish event it takes
         that event's sequence number and joins the unsettled heap.  The
@@ -301,8 +300,8 @@ class AcousticModem:
         stats = self.stats
         if not self.enabled or not self.rx_enabled:
             # The node died (or its RX chain dropped) while this signal was
-            # in flight: nothing is decoded and no RNG is drawn, so clean
-            # runs — where both flags are always True — are untouched.
+            # in flight: nothing is decoded, so clean runs — where both
+            # flags are always True — are untouched.
             stats.rx_outage += 1
             if self._trace_on:
                 self._trace_failure(arrival, RxOutcome.OFFLINE)
@@ -328,7 +327,7 @@ class AcousticModem:
                 extra_noise_db=self.channel.extra_noise_db,
             )
             frame = arrival.frame
-            if self._per_model.is_successful(sinr_db, frame.size_bits, self._per_draw()):
+            if sinr_db >= self._decode_threshold_db:
                 stats.rx_ok += 1
                 stats.rx_ok_bits += frame.size_bits
                 if self._trace_on:

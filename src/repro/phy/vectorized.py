@@ -60,11 +60,9 @@ equivalence matrix and property tests): subtraction, multiplication,
 squared with explicit multiplies on both paths (see
 :meth:`Position.distance_to`), and the one operation NumPy's SIMD kernels
 are allowed to round differently — ``log10`` — stays on libm inside
-:meth:`PathLossModel.path_loss_db_batch`.  Propagation models whose delay
-is not a pure function of geometry fall back to a scalar per-pair loop in
-:meth:`PropagationModel.delay_s_batch`, which is bit-identical by
-construction.  The grid cull never changes a computed value — it only
-skips computing entries whose masks are provably ``False``.
+:meth:`PathLossModel.path_loss_db_batch`.  The grid cull never changes a
+computed value — it only skips computing entries whose masks are provably
+``False``.
 
 Memory
 ------
@@ -86,7 +84,6 @@ from ..acoustic.geometry import Position
 from ..acoustic.sinr import LinkBudget
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..acoustic.propagation import PropagationModel
     from .channel import ChannelStats
     from .modem import AcousticModem
 
@@ -197,7 +194,7 @@ class VectorLinkKernel:
     __slots__ = (
         "_members",
         "_undecodable",
-        "_propagation",
+        "_sound_speed_mps",
         "_link_budget",
         "_max_range_m",
         "_reach_m",
@@ -208,7 +205,6 @@ class VectorLinkKernel:
         "_ys",
         "_zs",
         "_epoch",
-        "_ids_arr",
         "_n",
         "total_epoch",
         "_rows",
@@ -223,7 +219,7 @@ class VectorLinkKernel:
     def __init__(
         self,
         members: Dict[int, Tuple["AcousticModem", Callable[[], Position]]],
-        propagation: "PropagationModel",
+        sound_speed_mps: float,
         link_budget: LinkBudget,
         max_range_m: float,
         reach_m: float,
@@ -232,7 +228,7 @@ class VectorLinkKernel:
     ) -> None:
         self._members = members
         self._undecodable = undecodable
-        self._propagation = propagation
+        self._sound_speed_mps = sound_speed_mps
         self._link_budget = link_budget
         self._max_range_m = max_range_m
         self._reach_m = reach_m
@@ -244,7 +240,6 @@ class VectorLinkKernel:
         self._ys = np.empty(capacity, dtype=np.float64)
         self._zs = np.empty(capacity, dtype=np.float64)
         self._epoch = np.zeros(capacity, dtype=np.int64)
-        self._ids_arr = np.empty(capacity, dtype=np.int64)
         self._n = 0
         #: Monotonic sum of every per-node epoch bump (plus registrations);
         #: rows compare against it for the O(1) nothing-moved fast path.
@@ -292,7 +287,6 @@ class VectorLinkKernel:
         self._ys[idx] = pos.y
         self._zs[idx] = pos.z
         self._epoch[idx] = 0
-        self._ids_arr[idx] = node_id
         self._ids.append(node_id)
         self._index[node_id] = idx
         self._n = idx + 1
@@ -307,7 +301,7 @@ class VectorLinkKernel:
 
     def _grow(self) -> None:
         capacity = len(self._xs) * 2
-        for name in ("_xs", "_ys", "_zs", "_epoch", "_ids_arr"):
+        for name in ("_xs", "_ys", "_zs", "_epoch"):
             old = getattr(self, name)
             fresh = np.empty(capacity, dtype=old.dtype)
             fresh[: self._n] = old[: self._n]
@@ -421,17 +415,10 @@ class VectorLinkKernel:
         dy = ys[targets] - y0
         dz = zs[targets] - z0
         dist = np.sqrt(dx * dx + dy * dy + dz * dz)
-        origin = Position(float(x0), float(y0), float(z0))
         row.distance_m[targets] = dist
-        row.delay_s[targets] = self._propagation.delay_s_batch(
-            origin,
-            xs[targets],
-            ys[targets],
-            zs[targets],
-            dist,
-            self._ids[idx],
-            self._ids_arr[targets],
-        )
+        # IEEE division rounds identically in NumPy and CPython, so each
+        # delay equals the scalar ``distance / speed``.
+        row.delay_s[targets] = dist / self._sound_speed_mps
         row.level_db[targets] = self._link_budget.received_level_db_batch(dist)
         row.in_reach[targets] = dist <= self._reach_m
         row.in_decode[targets] = dist <= self._max_range_m

@@ -47,8 +47,8 @@ def test_rx_time_charged_at_rx_power():
 def test_entry_power_counts_neighbor_tables():
     sim = Simulator()
     mac = build_mac(sim)
-    mac.node.neighbors.observe(1, 0.5, 0.0)
-    mac.node.neighbors.observe(2, 0.5, 0.0)
+    mac.node.neighbors.observe(1, 0.5)
+    mac.node.neighbors.observe(2, 0.5)
     power = PowerModel(tx_w=0, rx_w=0, idle_w=0, entry_w=0.001)
     assert power.node_energy_j(mac, 100.0) == pytest.approx(0.001 * 2 * 100)
 
@@ -63,7 +63,7 @@ def test_two_hop_tables_increase_energy():
     mac = CsMac(sim, node, channel, timing)
     power = PowerModel(tx_w=0, rx_w=0, idle_w=0, entry_w=0.001)
     before = power.node_energy_j(mac, 100.0)
-    mac.two_hop.record_announcement(1, [(2, 0.5), (3, 0.4)], now=0.0)
+    mac.two_hop.record_announcement(1, [(2, 0.5), (3, 0.4)])
     after = power.node_energy_j(mac, 100.0)
     assert after == pytest.approx(before + 0.001 * 2 * 100)
 

@@ -8,19 +8,15 @@ let the recovery machinery silently change figures.
 
 from __future__ import annotations
 
-import functools
 import json
-import operator
 import os
 import pickle
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.des.rng import derive_seed
 from repro.experiments.cache import cell_key, code_version
 from repro.experiments.checkpoint import (
     MAGIC,
@@ -28,7 +24,6 @@ from repro.experiments.checkpoint import (
     CheckpointError,
     read_checkpoint,
     restore_scenario,
-    snapshot_scenario,
     write_checkpoint,
 )
 from repro.experiments.config import table2_config
@@ -36,7 +31,6 @@ from repro.experiments.parallel import execute_cell, expand_cells
 from repro.experiments.scenario import Scenario
 from repro.experiments.engine import SweepSpec
 from repro.net.node import sample_request_uid_floor
-from repro.phy.channel import PER_BLOCK, AcousticChannel
 from repro.phy.frame import sample_frame_uid_floor
 
 
@@ -93,47 +87,18 @@ class TestBitIdentity:
         assert checkpointed.perf.checkpoints_taken > 0
         assert plain.perf.checkpoints_taken == 0
 
-    def test_resume_mid_per_block_is_bit_identical(self, monkeypatch):
-        # Snapshot after the PER buffer has been refilled at least once and
-        # while its current block is partly consumed: the restored channel
-        # must hand out the rest of that block, then continue the stream.
-        # Draws are counted where they are made: arrivals that cannot
-        # decode even alone settle without one, so outcome counters would
-        # overcount them.
-        config = table2_config(sim_time_s=40.0, seed=3)
+    @pytest.mark.parametrize("speed", [1500.0, 1000.0])
+    def test_resume_of_a_table2_cell_is_bit_identical(self, speed):
+        # A full 60-node cell, interrupted mid-run: the restored channel
+        # keeps propagating at the configured speed.
+        config = table2_config(sim_time_s=40.0, seed=3, sound_speed_mps=speed)
         baseline = Scenario(config).run_steady_state().to_dict()
-        draws = [0]
-        per_draw = AcousticChannel.per_draw
-
-        # wraps: a bound method pickles by name, so the snapshot's modems
-        # must find the counting draw under ``per_draw`` on restore.
-        @functools.wraps(per_draw)
-        def counting_per_draw(channel):
-            draws[0] += 1
-            return per_draw(channel)
-
-        monkeypatch.setattr(AcousticChannel, "per_draw", counting_per_draw)
-        taken = []
-
-        def hook(scenario: Scenario) -> None:
-            drawn = draws[0]
-            if drawn > PER_BLOCK and drawn % PER_BLOCK:
-                left = operator.length_hint(scenario.channel._per_draws)
-                assert left == PER_BLOCK - drawn % PER_BLOCK
-                taken.append((scenario.snapshot(), drawn, scenario.sim.streams.seed))
-                raise _Interrupt
-
-        with pytest.raises(_Interrupt):
-            Scenario(config).run_steady_state(2.0, hook)
-        blob, drawn, root_seed = taken[0]
-        # The threshold PER model ignores the draws, so check the stream
-        # itself: a restored channel continues it exactly, across a refill.
-        stream = np.random.default_rng(derive_seed(root_seed, "channel.per"))
-        expected = stream.random(drawn + PER_BLOCK).tolist()[drawn:]
-        probe = Scenario.restore(blob).channel
-        assert [probe.per_draw() for _ in range(PER_BLOCK)] == expected
-        resumed = Scenario.restore(blob).resume().to_dict()
-        assert resumed == baseline
+        blob = _snapshot_at(
+            config, 7, lambda s, hook: s.run_steady_state(2.0, hook)
+        )
+        restored = Scenario.restore(blob)
+        assert restored.channel.sound_speed_mps == speed
+        assert restored.resume().to_dict() == baseline
 
     def test_resume_with_unsettled_arrivals_is_bit_identical(self):
         # A checkpoint window can end while arrivals that cannot decode

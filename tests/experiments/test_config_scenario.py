@@ -37,6 +37,23 @@ class TestConfig:
         assert timing.omega_s == 64 / 6000.0
         assert timing.tau_max_s == 3000.0 / 1500.0
 
+    def test_arrivals_travel_at_the_configured_sound_speed(self):
+        # Slots are sized for the configured speed; the channel must
+        # propagate at that same speed, or a neighbour's delay can exceed
+        # the tau_max every slot is built from.
+        scenario = Scenario(table2_config(sound_speed_mps=1000.0))
+        channel, timing = scenario.channel, scenario.timing
+        assert timing.tau_max_s == 1.5
+        pairs = [
+            (node.node_id, other)
+            for node in scenario.nodes
+            for other in channel.neighbors_of(node.node_id)
+        ]
+        assert pairs
+        for a, b in pairs:
+            assert channel.propagation_delay_s(a, b) == channel.distance_m(a, b) / 1000.0
+            assert channel.propagation_delay_s(a, b) <= timing.tau_max_s
+
     def test_with_overrides(self):
         config = table2_config(offered_load_kbps=0.9, n_sensors=80)
         assert config.offered_load_kbps == 0.9

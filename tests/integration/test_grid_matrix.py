@@ -4,18 +4,22 @@ Mirrors ``test_cache_equivalence.py``: the spatial-hash reach cull and the
 batched ``push_bulk`` fan-out are pure mechanics — every figure metric
 must come out *exactly* equal to the scalar full-scan
 :class:`~tests.reference_channel.ReferenceChannel` (one ``push_at`` per
-arrival), across all five MACs, with and without mobility, under chaos
-plans, and composed with block fading at the channel level.
+arrival), across all five MACs, with and without mobility, and under
+chaos plans; at channel level, arrival by arrival.
 """
 
 import json
 
 import pytest
 
+from repro.acoustic.geometry import Position
+from repro.des.simulator import Simulator
 from repro.experiments.chaos import chaos_plan
 from repro.experiments.config import table2_config
 from repro.experiments.scale import QUICK_NODES, scale_config
 from repro.experiments.scenario import run_scenario
+from repro.phy.channel import AcousticChannel
+from repro.phy.frame import FrameType, control_frame
 from tests.reference_channel import ReferenceChannel
 
 #: Production/reference result pairs by config: the grid and the bulk
@@ -141,24 +145,18 @@ class TestBulkScheduleEquivalence:
         assert _flat(bulk) == _flat(scalar)
 
 
-class TestFadingEquivalence:
-    """Channel-level: fading composes with grid-culled levels losslessly."""
+class TestChannelLevelEquivalence:
+    """Channel-level: every arrival's times, level and delay match the
+    scalar scan, with a node outside the 3x3x3 neighbourhood, at a
+    non-nominal sound speed, across a mobility update."""
 
     @pytest.mark.parametrize("mobile", [False, True])
-    def test_broadcast_arrivals_identical_under_fading(self, mobile):
-        from repro.acoustic.fading import RayleighBlockFading
-        from repro.acoustic.geometry import Position
-        from repro.des.simulator import Simulator
-        from repro.phy.channel import AcousticChannel
-        from repro.phy.frame import FrameType, control_frame
-
+    def test_broadcast_arrivals_identical(self, mobile):
         captured = {}
         for culled, channel_cls in ((True, AcousticChannel), (False, ReferenceChannel)):
             sim = Simulator()
             channel = channel_cls(
-                sim,
-                fading=RayleighBlockFading(coherence_s=2.0, seed=5),
-                interference_range_factor=2.0,
+                sim, interference_range_factor=2.0, sound_speed_mps=1000.0
             )
             holder = [
                 Position(0, 0, 0),
@@ -190,8 +188,8 @@ class TestFadingEquivalence:
                 channel.stats.deliveries,
                 channel.stats.out_of_range_skips,
             )
-            # Fading draws fold into the bulk arrival loop, in target order.
             assert (channel.stats.bulk_pushes > 0) == culled
+        assert captured[True][0]
         assert captured[True] == captured[False]
 
 

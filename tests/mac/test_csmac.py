@@ -117,7 +117,7 @@ class TestStealing:
         positions = [Position(0, 0, 100), Position(900, 0, 100)]
         sim, nodes, macs, timing = build(positions)
         base = macs[0].maintenance_frame_bits()
-        macs[0].two_hop.record_announcement(1, [(2, 0.4), (3, 0.5)], now=0.0)
+        macs[0].two_hop.record_announcement(1, [(2, 0.4), (3, 0.5)])
         assert macs[0].maintenance_frame_bits() > base
 
     def test_busy_tracking_from_overheard_cts(self):

@@ -129,15 +129,15 @@ class TestRopaState:
         sim.run(until=40.0)
         assert macs[0].stats.maintenance_tx_bits > 0
         # node 1 announced its one-hop table; node 0 recorded it (node 0
-        # itself is excluded from the stored links, so it may be empty here,
-        # but the announcement must have been registered).
-        assert 1 in macs[0].two_hop._last_announce
+        # itself is excluded from the stored links, so the recorded table
+        # may be empty, but the announcement must have been registered).
+        assert 1 in macs[0].two_hop._links
 
     def test_maintenance_bits_grow_with_neighbors(self):
         positions = [Position(0, 0, 100), Position(900, 0, 100)]
         sim, nodes, macs, timing = build(positions)
         base = macs[0].maintenance_frame_bits()
-        macs[0].node.neighbors.observe(1, 0.6, 0.0)
+        macs[0].node.neighbors.observe(1, 0.6)
         assert macs[0].maintenance_frame_bits() > base
 
     def test_uses_two_hop_flag(self):

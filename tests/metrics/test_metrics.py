@@ -51,7 +51,7 @@ class TestOverhead:
         macs[0].stats.maintenance_tx_bits = 30
         macs[1].stats.retransmitted_bits = 50
         macs[1].stats.computation_units = 10.0
-        macs[1].node.neighbors.observe(0, 0.1, 0.0)
+        macs[1].node.neighbors.observe(0, 0.1)
         report = network_overhead(macs)
         assert report.control_bits == 100
         assert report.piggyback_bits == 20
@@ -74,7 +74,7 @@ class TestOverhead:
         node = Node(sim, 0, Position(0, 0, 100), channel)
         timing = make_slot_timing(12_000.0, 64, 1500.0, 1500.0)
         mac = EwMac(sim, node, channel, timing)
-        node.neighbors.observe(1, 0.5, 0.0)
+        node.neighbors.observe(1, 0.5)
         report = network_overhead([mac])
         assert report.memory_units == MEMORY_BITS_PER_ENTRY
 

@@ -1,28 +1,22 @@
 """The production receive path against the unpruned reference modem.
 
 Production prunes its arrival and transmission lists to one on-air
-duration, draws PER uniforms from the channel's block buffer, and settles
-arrivals that cannot decode even alone without a finish event, a decode
-or a draw.  The oracle (:class:`~tests.reference_modem.ReferenceModem`)
-keeps everything, gives every arrival a finish event and a full decode,
-and draws one scalar uniform per decode.  On collision-heavy, faulted,
-faded and traced cells both must produce the same per-modem outcome
+duration, and settles arrivals that cannot decode even alone without a
+finish event or a decode.  The oracle
+(:class:`~tests.reference_modem.ReferenceModem`) keeps everything and
+gives every arrival a finish event and a full decode.  On collision-heavy,
+faulted and traced cells both must produce the same per-modem outcome
 counts and the same scenario result, and every decode production does
 make must see the oracle's SINR bit for bit.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 import pytest
 
-import repro.experiments.scenario as scenario_module
 import repro.phy.channel as channel_module
-from repro.acoustic.fading import RayleighBlockFading
 from repro.acoustic.geometry import Position
-from repro.acoustic.per import RayleighBerPerModel
 from repro.acoustic.sinr import LinkBudget
 from repro.des.simulator import Simulator
 from repro.experiments.config import table2_config
@@ -48,46 +42,38 @@ CHAOS = FaultPlan(
     strict_audit=False,
 )
 
-#: ``name -> (config overrides, PER model, fading, dense)``.  The default
-#: threshold model ignores the uniform draw (its PER is 0 or 1), so one
-#: cell runs the Rayleigh model, whose PER lies strictly between, to make
-#: every draw decide an outcome; it claims no arrival fails alone, so that
-#: cell takes no shortcut at all.  ``dense`` cells must also sum SINRs over
-#: several interferers.
+#: ``name -> (config overrides, dense)``.  ``dense`` cells must also sum
+#: SINRs over several interferers.
 CELLS = {
     # The densest paper cell: CS-MAC, 200 nodes, 1.0 kbps.
     "csmac-200": (
         dict(protocol="CS-MAC", n_sensors=200, offered_load_kbps=1.0, seed=3),
-        None,
-        False,
         True,
     ),
-    # Mobile ALOHA at high load: many overlapping arrivals, random decodes.
-    "aloha-mobile-rayleigh": (
+    # Mobile ALOHA at high load: rows re-classified every mobility tick,
+    # many overlapping arrivals.
+    "aloha-mobile": (
         dict(protocol="ALOHA", offered_load_kbps=1.5, mobility=True, seed=29),
-        RayleighBerPerModel,
-        False,
         True,
+    ),
+    # Slower water: delays, overlaps and slots at a non-nominal speed.
+    "sfama-slow-water": (
+        dict(protocol="S-FAMA", offered_load_kbps=1.0, sound_speed_mps=1000.0, seed=23),
+        False,
+    ),
+    # ROPA, so that every MAC runs through the oracle.
+    "ropa": (
+        dict(protocol="ROPA", offered_load_kbps=1.0, seed=31),
+        False,
     ),
     # Flag flips and a floor below ambient while arrivals are unsettled.
     "ewmac-chaos": (
         dict(protocol="EW-MAC", offered_load_kbps=1.0, seed=11, faults=CHAOS),
-        None,
-        False,
-        False,
-    ),
-    # Faded levels are classified per broadcast, not per row.
-    "aloha-fading": (
-        dict(protocol="ALOHA", offered_load_kbps=1.0, seed=17),
-        None,
-        True,
         False,
     ),
     # Tracing on: settled failures are traced late, with their end time.
     "ewmac-traced": (
         dict(protocol="EW-MAC", offered_load_kbps=0.8, seed=7, trace=True),
-        None,
-        False,
         False,
     ),
 }
@@ -96,14 +82,11 @@ OUTCOMES = ("rx_ok", "rx_ok_bits", "rx_half_duplex", "rx_collision", "rx_noise",
 
 
 def _run(config, patch, modem_cls):
-    """Run ``config``; record every decode's ``(signal level, SINR)`` in order
-    and count the PER draws."""
+    """Run ``config``; record every decode's ``(signal level, SINR)`` in order."""
     decodes = []
     decoding = []
-    draws = [0]
     finish = modem_cls._finish_arrival
     sinr_db_from_levels = LinkBudget.sinr_db_from_levels
-    per_draw = AcousticChannel.per_draw
 
     def recording_finish(self, arrival):
         decoding.append(arrival)
@@ -119,40 +102,25 @@ def _run(config, patch, modem_cls):
             decoding.clear()
         return sinr_db
 
-    def counting_per_draw(channel):
-        draws[0] += 1
-        return per_draw(channel)
-
     patch.setattr(modem_cls, "_finish_arrival", recording_finish)
     patch.setattr(LinkBudget, "sinr_db_from_levels", recording_sinr)
-    patch.setattr(AcousticChannel, "per_draw", counting_per_draw)
     scenario = Scenario(config)
     result = scenario.run_steady_state()
     counts = [
         tuple(getattr(node.modem.stats, name) for name in OUTCOMES) for node in scenario.nodes
     ]
-    return scenario, result.to_dict(), counts, decodes, draws[0]
+    return scenario, result.to_dict(), counts, decodes
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_production_matches_unpruned_reference(monkeypatch, cell):
-    overrides, per_model, fading, dense = CELLS[cell]
+    overrides, dense = CELLS[cell]
     config = table2_config(sim_time_s=30.0, **overrides)
-    if per_model is not None:
-        monkeypatch.setattr(channel_module, "DefaultPerModel", lambda threshold_db: per_model())
-    if fading:
-        monkeypatch.setattr(
-            scenario_module,
-            "AcousticChannel",
-            functools.partial(
-                AcousticChannel, fading=RayleighBlockFading(coherence_s=2.0, seed=4)
-            ),
-        )
     with monkeypatch.context() as patch:
-        production, result, counts, decodes, draws = _run(config, patch, AcousticModem)
+        production, result, counts, decodes = _run(config, patch, AcousticModem)
     with monkeypatch.context() as patch:
         patch.setattr(channel_module, "AcousticModem", ReferenceModem)
-        reference, oracle, oracle_counts, oracle_decodes, _ = _run(
+        reference, oracle, oracle_counts, oracle_decodes = _run(
             config, patch, ReferenceModem
         )
     modems = [node.modem for node in reference.nodes]
@@ -166,12 +134,7 @@ def test_production_matches_unpruned_reference(monkeypatch, cell):
     # the oracle's interferer sets in the oracle's order: bit for bit.
     alone = reference.channel.undecodable(np.array([level for level, _ in oracle_decodes]))
     assert decodes == [decode for decode, lost in zip(oracle_decodes, alone) if not lost]
-    assert draws == len(decodes)  # one uniform per decode, none per settle
-    if per_model is not None:
-        assert type(reference.channel.per_model) is per_model
-        assert decodes == oracle_decodes
-    else:
-        assert len(decodes) < len(oracle_decodes)  # the shortcut was taken
+    assert len(decodes) < len(oracle_decodes)  # the shortcut was taken
     assert counts == oracle_counts
     assert result == oracle
     if config.trace:

@@ -1,7 +1,8 @@
 """Soundness of settling undecodable arrivals without a decode.
 
-The channel routes an arrival past the decode when the PER model fails it
-at its interference-free SINR under the quietest reachable noise floor.
+The channel routes an arrival past the decode when its interference-free
+SINR under the quietest reachable noise floor is below the decode
+threshold.
 That is sound only because SINR never rises above that value: not with
 interferers (they add power), not with a louder floor.  And the vectorized
 classification must agree exactly with the scalar expression it stands in
@@ -16,10 +17,12 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.acoustic.per import RayleighBerPerModel
+from repro.acoustic.geometry import Position
 from repro.acoustic.sinr import LinkBudget
 from repro.des.simulator import Simulator
 from repro.phy.channel import DECIDE_BAND_DB, AcousticChannel
+from repro.phy.frame import data_frame
+from repro.phy.modem import Arrival
 
 BUDGET = LinkBudget()
 levels_db = st.floats(min_value=0.0, max_value=200.0)
@@ -58,11 +61,8 @@ def _channel(floor_db: float) -> AcousticChannel:
 
 def _exact(channel: AcousticChannel, levels, floor_db: float):
     return [
-        bool(
-            channel.per_model.fails_at(
-                channel.link_budget.sinr_db_from_levels(level, (), extra_noise_db=floor_db)
-            )
-        )
+        channel.link_budget.sinr_db_from_levels(level, (), extra_noise_db=floor_db)
+        < channel.decode_threshold_db
         for level in levels
     ]
 
@@ -81,7 +81,7 @@ def test_mask_matches_exact_scalar_on_random_levels(floor_db, levels):
 @given(floors_db, st.integers(min_value=-64, max_value=64))
 def test_mask_matches_exact_scalar_at_the_pivot(floor_db, k):
     channel = _channel(floor_db)
-    pivot = channel.per_model.threshold_db + channel.link_budget.noise_level_db() + floor_db
+    pivot = channel.decode_threshold_db + channel.link_budget.noise_level_db() + floor_db
     levels = [
         _ulps(pivot, k),
         _ulps(pivot + DECIDE_BAND_DB, k),
@@ -91,15 +91,27 @@ def test_mask_matches_exact_scalar_at_the_pivot(floor_db, k):
     assert channel.undecodable(np.array(levels)) == _exact(channel, levels, floor_db)
 
 
+@given(levels_db)
+def test_classification_agrees_with_the_modem_decode(level):
+    # The channel's classifier and the modem's decode are separate
+    # comparisons with the one threshold: a lone arrival decodes exactly
+    # when the classifier does not rule it out.
+    sim = Simulator()
+    channel = AcousticChannel(sim)
+    rx = channel.create_modem(0, lambda: Position(0.0, 0.0, 0.0))
+    decoded = []
+    rx.on_receive = lambda frame, arrival: decoded.append(True)
+    rx.on_rx_failure = lambda arrival, outcome: decoded.append(False)
+    frame = data_frame(1, 0, 0.0)
+    end = frame.duration_s(channel.bitrate_bps)
+    sim.schedule(0.0, rx.begin_arrival, Arrival(frame, 1, 0.0, end, level, 0.0))
+    sim.run()
+    assert decoded == [not channel.undecodable(np.array([level]))[0]]
+
+
 def test_pivot_neighbourhood_holds_both_answers():
     # The pivot cases above are only meaningful if the flag flips there.
     channel = _channel(0.0)
-    pivot = channel.per_model.threshold_db + channel.link_budget.noise_level_db()
+    pivot = channel.decode_threshold_db + channel.link_budget.noise_level_db()
     flags = channel.undecodable(np.array([pivot - 1e-3, pivot + 1e-3]))
     assert flags == [True, False]
-
-
-@given(st.lists(levels_db, max_size=10))
-def test_a_model_that_never_fails_outright_classifies_nothing(levels):
-    channel = AcousticChannel(Simulator(), per_model=RayleighBerPerModel())
-    assert channel.undecodable(np.array(levels, dtype=np.float64)) == [False] * len(levels)

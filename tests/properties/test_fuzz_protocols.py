@@ -67,8 +67,8 @@ def build(protocol_cls, seed=0):
     mac.start()
     # give it a queued packet so sender-side states can engage
     node.enqueue_data(1, 1024)
-    node.neighbors.observe(1, 0.4, 0.0)
-    node.neighbors.observe(2, 0.7, 0.0)
+    node.neighbors.observe(1, 0.4)
+    node.neighbors.observe(2, 0.7)
     return sim, mac
 
 

@@ -34,8 +34,8 @@ def test_neighbor_table_delay_within_observed_bounds(observations):
     """Each entry is its latest measurement, inside the [min, max] of all."""
     table = NeighborTable(owner_id=0)
     seen = {}
-    for time, (node_id, delay) in enumerate(observations):
-        table.observe(node_id, delay, now=float(time))
+    for node_id, delay in observations:
+        table.observe(node_id, delay)
         seen.setdefault(node_id, []).append(delay)
     for node_id, delays in seen.items():
         est = table.delay_to(node_id)

@@ -1,13 +1,14 @@
 """Property-based tests for acoustic physics invariants."""
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.acoustic.attenuation import PathLossModel, thorp_absorption_db_per_km
 from repro.acoustic.geometry import Position
-from repro.acoustic.per import DefaultPerModel, RayleighBerPerModel
 from repro.acoustic.sinr import LinkBudget, db_to_linear, linear_to_db
-from repro.acoustic.soundspeed import MackenzieProfile
+from repro.des.simulator import Simulator
+from repro.phy.channel import AcousticChannel
 
 positions = st.builds(
     Position,
@@ -58,14 +59,9 @@ def test_sinr_never_exceeds_snr(signal_d, interferer_ds):
     assert budget.sinr_db(signal_d, interferer_ds) <= budget.snr_db(signal_d) + 1e-9
 
 
-@given(st.floats(min_value=-20.0, max_value=60.0), st.integers(min_value=0, max_value=10_000))
-def test_per_is_probability(sinr, bits):
-    for model in (DefaultPerModel(), RayleighBerPerModel()):
-        per = model.packet_error_rate(sinr, bits)
-        assert 0.0 <= per <= 1.0
-
-
-@given(st.floats(min_value=0.0, max_value=9000.0))
-def test_mackenzie_physical_bounds(depth):
-    speed = MackenzieProfile().speed_at(depth)
-    assert 1380.0 < speed < 1650.0
+@given(st.lists(st.floats(min_value=0.0, max_value=200.0), max_size=20))
+def test_decode_decision_is_monotone_in_level(levels):
+    # A louder arrival never fails alone where a quieter one decodes.
+    channel = AcousticChannel(Simulator())
+    flags = channel.undecodable(np.array(sorted(levels), dtype=np.float64))
+    assert flags == sorted(flags, reverse=True)

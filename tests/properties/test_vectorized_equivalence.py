@@ -61,6 +61,16 @@ def test_interference_factor_bit_identical(positions):
     assert_bit_identical(cached, uncached, len(positions))
 
 
+@given(
+    positions=positions_st,
+    speed=st.floats(min_value=1000.0, max_value=2000.0, allow_nan=False),
+)
+@settings(max_examples=40, deadline=None)
+def test_any_sound_speed_bit_identical(positions, speed):
+    cached, uncached = build_pair(positions, sound_speed_mps=speed)
+    assert_bit_identical(cached, uncached, len(positions))
+
+
 @given(positions=positions_st, mover=st.integers(min_value=0, max_value=7))
 @settings(max_examples=40, deadline=None)
 def test_bit_identical_after_partial_moves(positions, mover):

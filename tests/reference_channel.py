@@ -32,9 +32,7 @@ class ReferenceChannel(AcousticChannel):
         return self.position_of(a).distance_to(self.position_of(b))
 
     def propagation_delay_s(self, a: int, b: int) -> float:
-        return self.propagation.delay_s(
-            self.position_of(a), self.position_of(b), pair=(a, b)
-        )
+        return self.distance_m(a, b) / self.sound_speed_mps
 
     def neighbors_of(self, node_id: int) -> Tuple[int, ...]:
         origin = self.position_of(node_id)
@@ -67,7 +65,7 @@ class ReferenceChannel(AcousticChannel):
                 (
                     node_id,
                     modem,
-                    self.propagation.delay_s(tx_pos, rx_pos, pair=(tx_id, node_id)),
+                    distance / self.sound_speed_mps,
                     self.link_budget.received_level_db(distance),
                 )
             )
@@ -80,9 +78,7 @@ class ReferenceChannel(AcousticChannel):
         self.stats.out_of_range_skips += skips
         now = self.sim.now
         push_at = self.sim.push_at
-        for node_id, modem, delay, level in targets:
-            if self._fading_active:
-                level += self.fading.fade_db((tx_id, node_id), now)
+        for _, modem, delay, level in targets:
             start = now + delay
             arrival = Arrival(frame, tx_id, start, start + duration_s, level, delay)
             # High priority so arrivals register before same-instant MAC logic.
@@ -118,7 +114,7 @@ def kernel_link(channel: AcousticChannel, a: int, b: int) -> Link:
 
 def fan_out(channel: AcousticChannel, tx_id: int) -> List[Tuple[int, float, float]]:
     """``(rx_id, delay_s, level_db)`` triples a broadcast from ``tx_id``
-    would schedule (before fading), from either channel."""
+    would schedule, from either channel."""
     if isinstance(channel, ReferenceChannel):
         targets, _ = channel.targets(tx_id)
     else:

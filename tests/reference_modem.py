@@ -2,16 +2,15 @@
 
 Production :class:`~repro.phy.modem.AcousticModem` keeps only the arrivals
 and transmissions that ended within one on-air duration of now, prunes them
-lazily, takes its PER uniforms from the channel's block buffer
-(:meth:`~repro.phy.channel.AcousticChannel.per_draw`), and settles
-arrivals that cannot decode even alone without a finish event or a decode
+lazily, and settles arrivals that cannot decode even alone without a
+finish event or a decode
 (:meth:`~repro.phy.modem.AcousticModem.begin_interferer`).
 :class:`ReferenceModem` keeps every arrival and transmission it ever saw,
 gives every arrival a finish event and a full decode, scans all of them at
-every decode, sums interferers in begin order, and draws each uniform with
-a scalar ``per_rng.random()`` call.  Nothing is pruned, buffered or
-settled lazily, so nothing can be dropped early or decided out of order —
-production must match it bit for bit.
+every decode, sums interferers in begin order, and compares each SINR with
+the channel's decode threshold.  Nothing is pruned or settled lazily, so
+nothing can be dropped early or decided out of order — production must
+match it bit for bit.
 
 Whole scenarios swap it in by patching the ``AcousticModem`` name that
 :meth:`AcousticChannel.create_modem` constructs (see
@@ -24,7 +23,7 @@ from repro.phy.modem import AcousticModem, Arrival, RxOutcome
 
 
 class ReferenceModem(AcousticModem):
-    """:class:`AcousticModem` with an unpruned, unbuffered receive path."""
+    """:class:`AcousticModem` with an unpruned receive path."""
 
     #: Decodes whose SINR summed two or more interferers, i.e. where the
     #: summation order could change the result.
@@ -57,8 +56,7 @@ class ReferenceModem(AcousticModem):
             sinr_db = self.channel.link_budget.sinr_db_from_levels(
                 arrival.level_db, levels, extra_noise_db=self.channel.extra_noise_db
             )
-            draw = self.channel.per_rng.random()
-            if self.channel.per_model.is_successful(sinr_db, arrival.frame.size_bits, draw):
+            if sinr_db >= self.channel.decode_threshold_db:
                 outcome = RxOutcome.OK
             else:
                 outcome = RxOutcome.COLLISION if levels else RxOutcome.NOISE
