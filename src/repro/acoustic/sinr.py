@@ -1,102 +1,123 @@
-"""Link budget: source level, received level, SNR and SINR.
+"""The link budget: one fixed carrier, Thorp path loss, Wenz noise, SINR.
 
-Mirrors the structure of NS-3 UAN's "Default SINR" model: the SINR of a
-reception is computed from the received signal power, the band-integrated
-ambient noise and the summed power of every overlapping interfering
-arrival, all in the linear (power) domain.
+Mirrors NS-3 UAN's "Default SINR" model at the paper's one operating
+point.  Every input is a module constant, so the Thorp absorption, the
+band noise level and its linear power are evaluated once, at import:
+
+* path loss ``A(l, f) [dB] = k * 10 log10(l) + l_km * a(f)`` with Thorp's
+  absorption ``a(f)`` in dB/km (Urick, *Principles of Underwater Sound*)
+  and practical spreading ``k = 1.5``;
+* ambient noise as the power sum of the four Wenz terms -- turbulence,
+  shipping, wind and thermal, in dB re 1 uPa per Hz (Stojanovic, "On the
+  relationship between capacity and distance in an underwater acoustic
+  communication channel") -- integrated over the receiver band;
+* SINR with the received signal, the band noise and every overlapping
+  interferer summed in the linear power domain.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .attenuation import PathLossModel
-from .noise import AmbientNoiseModel
+#: Carrier frequency in kHz (the paper's ~10 kHz band).
+CARRIER_KHZ = 10.0
+#: Geometric spreading factor k (1.5 = practical spreading).
+SPREADING = 1.5
+#: Modem source level in dB re 1 uPa @ 1 m.
+SOURCE_LEVEL_DB = 160.0
+#: Receiver band over which the ambient noise is integrated.
+BANDWIDTH_HZ = 10_000.0
+#: Shipping activity factor in [0, 1] (0.5 = moderate).
+SHIPPING = 0.5
+#: Surface wind speed in m/s.
+WIND_MPS = 5.0
 
-#: Typical acoustic modem source level (dB re 1 uPa @ 1 m).
-DEFAULT_SOURCE_LEVEL_DB = 160.0
+_F2 = CARRIER_KHZ**2
+#: Thorp's absorption coefficient at the carrier, dB/km (f >= 0.4 kHz form).
+ABSORPTION_DB_PER_KM = (
+    0.11 * _F2 / (1.0 + _F2) + 44.0 * _F2 / (4100.0 + _F2) + 2.75e-4 * _F2 + 0.003
+)
+
+# The four Wenz terms at the carrier, dB re 1 uPa / Hz.
+_TURBULENCE_DB = 17.0 - 30.0 * math.log10(CARRIER_KHZ)
+_SHIPPING_DB = (
+    40.0
+    + 20.0 * (SHIPPING - 0.5)
+    + 26.0 * math.log10(CARRIER_KHZ)
+    - 60.0 * math.log10(CARRIER_KHZ + 0.03)
+)
+_WIND_DB = (
+    50.0
+    + 7.5 * math.sqrt(WIND_MPS)
+    + 20.0 * math.log10(CARRIER_KHZ)
+    - 40.0 * math.log10(CARRIER_KHZ + 0.4)
+)
+_THERMAL_DB = -15.0 + 20.0 * math.log10(CARRIER_KHZ)
+
+#: Band-integrated ambient noise level, dB re 1 uPa.
+NOISE_LEVEL_DB = 10.0 * math.log10(
+    10.0 ** (_TURBULENCE_DB / 10.0)
+    + 10.0 ** (_SHIPPING_DB / 10.0)
+    + 10.0 ** (_WIND_DB / 10.0)
+    + 10.0 ** (_THERMAL_DB / 10.0)
+) + 10.0 * math.log10(BANDWIDTH_HZ)
+#: :data:`NOISE_LEVEL_DB` as linear power.
+NOISE_POWER = 10.0 ** (NOISE_LEVEL_DB / 10.0)
 
 
-def db_to_linear(db: float) -> float:
-    """Convert decibels to linear power ratio."""
-    return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(linear: float) -> float:
-    """Convert linear power ratio to decibels (floors at -300 dB)."""
-    return 10.0 * math.log10(max(linear, 1e-30))
-
-
-@dataclass(frozen=True)
 class LinkBudget:
-    """Combines path loss and ambient noise into SNR/SINR computations.
+    """Received level, SNR and SINR at the fixed operating point.
 
-    Attributes:
-        path_loss: The Thorp/spreading path loss model.
-        noise: Ambient noise model.
-        source_level_db: Transmit source level (dB re 1 uPa @ 1 m).
-        bandwidth_hz: Receiver band for noise integration.
+    Holds no state.  :meth:`sinr_db_from_levels` stays an instance method
+    so that it is looked up on the class at every call (instrumentation
+    wraps it there); the others are static.
     """
 
-    path_loss: PathLossModel = PathLossModel()
-    noise: AmbientNoiseModel = AmbientNoiseModel()
-    source_level_db: float = DEFAULT_SOURCE_LEVEL_DB
-    bandwidth_hz: float = 10_000.0
+    @staticmethod
+    def received_level_db(distance_m: float) -> float:
+        """RL = SL - A(l, f) in dB re 1 uPa.
 
-    def received_level_db(self, distance_m: float) -> float:
-        """RL = SL - A(l, f) in dB re 1 uPa."""
-        return self.path_loss.received_level_db(self.source_level_db, distance_m)
+        Distances below 1 m are clamped to 1 m (spreading loss 0 dB at the
+        reference distance, as in NS-3).
+        """
+        distance_m = max(distance_m, 1.0)
+        return SOURCE_LEVEL_DB - (
+            SPREADING * 10.0 * math.log10(distance_m)
+            + distance_m / 1000.0 * ABSORPTION_DB_PER_KM
+        )
 
-    def received_level_db_batch(self, distances_m: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def received_level_db_batch(distances_m: np.ndarray) -> np.ndarray:
         """Vector form of :meth:`received_level_db` over a distance array.
 
-        Bit-identical with the scalar method per element (see
-        :meth:`PathLossModel.path_loss_db_batch`); used by the vectorized
-        broadcast kernel to fill whole link-state rows at once.
+        Bit-identical with the scalar method for every element: the
+        spreading and absorption terms use the same operations in the same
+        order, and the ``log10`` stays on libm (``math.log10`` per element)
+        because NumPy's SIMD ``np.log10`` is allowed up to 4 ulp of error
+        and would break the scalar/vector equivalence the broadcast kernel
+        is gated on.  The loop runs only when link geometry actually
+        changed, never per delivery.
         """
-        return self.path_loss.received_level_db_batch(
-            self.source_level_db, distances_m
+        clamped = np.maximum(distances_m, 1.0)
+        logs = np.fromiter(
+            map(math.log10, clamped), dtype=np.float64, count=len(clamped)
+        )
+        return SOURCE_LEVEL_DB - (
+            SPREADING * 10.0 * logs + (clamped / 1000.0) * ABSORPTION_DB_PER_KM
         )
 
-    def noise_level_db(self) -> float:
-        """Band-integrated ambient noise level in dB re 1 uPa.
+    @staticmethod
+    def noise_level_db() -> float:
+        """Band-integrated ambient noise level in dB re 1 uPa."""
+        return NOISE_LEVEL_DB
 
-        Constant for a frozen instance (carrier and bandwidth are fields),
-        so it is computed exactly once and memoized outside the dataclass
-        fields — SINR is evaluated for every arrival at every modem.
-        """
-        cached = self.__dict__.get("_noise_level_cache")
-        if cached is None:
-            cached = self.noise.band_level_db(self.path_loss.frequency_khz, self.bandwidth_hz)
-            object.__setattr__(self, "_noise_level_cache", cached)
-        return cached
-
-    def noise_power_linear(self) -> float:
-        """The band noise as linear power (memoized alongside the dB level)."""
-        cached = self.__dict__.get("_noise_linear_cache")
-        if cached is None:
-            cached = db_to_linear(self.noise_level_db())
-            object.__setattr__(self, "_noise_linear_cache", cached)
-        return cached
-
-    def snr_db(self, distance_m: float) -> float:
+    @staticmethod
+    def snr_db(distance_m: float) -> float:
         """Signal-to-(ambient)-noise ratio in dB at ``distance_m``."""
-        return self.received_level_db(distance_m) - self.noise_level_db()
-
-    def sinr_db(
-        self, signal_distance_m: float, interferer_distances_m: Iterable[float]
-    ) -> float:
-        """SINR with interferers summed in the linear power domain."""
-        signal = db_to_linear(self.received_level_db(signal_distance_m))
-        noise = self.noise_power_linear()
-        interference = sum(
-            db_to_linear(self.received_level_db(d)) for d in interferer_distances_m
-        )
-        return linear_to_db(signal / (noise + interference))
+        return LinkBudget.received_level_db(distance_m) - NOISE_LEVEL_DB
 
     def sinr_db_from_levels(
         self,
@@ -111,22 +132,14 @@ class LinkBudget:
         clean-run value — takes the exact pre-existing arithmetic path.
 
         This runs once per arrival (the single hottest arithmetic in a
-        simulation), so the dB conversions are inlined rather than routed
-        through :func:`db_to_linear` / :func:`linear_to_db`, and the empty
-        interferer case — the overwhelming majority — skips the generator
-        sum.  Both shortcuts are exact: the expressions are identical and
+        simulation), so the empty interferer case — the overwhelming
+        majority — skips the generator sum.  The shortcut is exact:
         ``noise + 0.0`` is the IEEE identity for the positive noise power.
         """
         signal = 10.0 ** (signal_level_db / 10.0)
-        noise = self.noise_power_linear()
+        noise = NOISE_POWER
         if extra_noise_db:
             noise *= 10.0 ** (extra_noise_db / 10.0)
         if interferer_levels_db:
             noise += sum(10.0 ** (level / 10.0) for level in interferer_levels_db)
         return 10.0 * math.log10(max(signal / noise, 1e-30))
-
-    def communication_range_m(self, min_snr_db: float) -> float:
-        """Maximum range at which SNR >= ``min_snr_db`` (no interference)."""
-        return self.path_loss.max_range_m(
-            self.source_level_db, self.noise_level_db() + min_snr_db
-        )

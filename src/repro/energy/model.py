@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from ..mac.base import SlottedMac
+from ..mac.base import SlottedMac, neighbor_state_entries
 
 
 @dataclass(frozen=True)
@@ -52,15 +52,11 @@ class PowerModel:
         tx_time = min(modem.tx_time_s, duration_s)
         rx_time = min(modem.rx_busy_time_s, max(duration_s - tx_time, 0.0))
         idle_time = max(duration_s - tx_time - rx_time, 0.0)
-        entries = mac.node.neighbors.memory_entries()
-        two_hop = getattr(mac, "two_hop", None)
-        if two_hop is not None:
-            entries += two_hop.memory_entries()
         return (
             self.tx_w * tx_time
             + self.rx_w * rx_time
             + self.idle_w * idle_time
-            + self.entry_w * entries * duration_s
+            + self.entry_w * neighbor_state_entries(mac) * duration_s
         )
 
 

@@ -428,10 +428,9 @@ class ParallelSweepRunner:
         if self.cache is not None:
             self.cache.put(keys[cell.index], result)
             self.stats.cache_stores += 1
-        if result.perf is not None:
-            if result.perf.resumes > 0:
-                self.stats.cells_resumed += 1
-            self.stats.checkpoints_taken += result.perf.checkpoints_taken
+        if result.perf.resumes > 0:
+            self.stats.cells_resumed += 1
+        self.stats.checkpoints_taken += result.perf.checkpoints_taken
         self._emit(f"{cell.label} done in {elapsed_s:.2f}s")
 
     def _failed_attempt(self, cell: SweepCell, exc: Exception, final: bool) -> bool:

@@ -100,16 +100,14 @@ def scale(
         result = run_scenario(config)
         elapsed = time.perf_counter() - start
         perf = result.perf
-        events_per_s = perf.events_per_second if perf is not None else 0.0
-        hits = perf.cache_hits if perf is not None else 0
-        misses = perf.cache_misses if perf is not None else 0
-        lookups = hits + misses
-        broadcasts = perf.broadcasts if perf is not None else 0
-        candidates = perf.grid_candidates if perf is not None else 0
+        events_per_s = perf.events_per_second
+        broadcasts = perf.broadcasts
         wall.append(round(elapsed, 3))
         kevents.append(round(events_per_s / 1e3, 1))
-        hit_pct.append(round(100.0 * hits / lookups, 2) if lookups else 0.0)
-        cand_mean.append(round(candidates / broadcasts, 1) if broadcasts else 0.0)
+        hit_pct.append(round(100.0 * perf.cache_hit_rate, 2))
+        cand_mean.append(
+            round(perf.grid_candidates / broadcasts, 1) if broadcasts else 0.0
+        )
         if progress is not None:
             progress(
                 f"scale n={n}: {elapsed:.2f}s wall, "

@@ -60,16 +60,16 @@ class ScenarioResult:
     utilization: UtilizationReport
     collisions: int
     mean_delay_s: float
+    #: Counter snapshot for the perf layer.  Deliberately excluded from
+    #: :meth:`to_dict`: wall time is machine-dependent, and figures and the
+    #: result cache compare that summary bit for bit.
+    perf: PerfReport
     execution: Optional[ExecutionResult] = None
     extra_completed: int = 0
     offered_bits: int = 0
     #: Degradation report, present iff the scenario ran with a non-empty
     #: fault plan (fault event log, recovery metrics, audit outcome).
     faults: Optional[FaultReport] = None
-    #: Counter snapshot for the perf layer.  Deliberately excluded from
-    #: :meth:`to_dict`: wall time is machine-dependent, and figures and the
-    #: result cache compare that summary bit for bit.
-    perf: Optional[PerfReport] = None
 
     @property
     def throughput_kbps(self) -> float:

@@ -135,6 +135,19 @@ class MacStats:
         return self.data_received_bits + self.opportunistic_received_bits
 
 
+def neighbor_state_entries(mac: "SlottedMac") -> int:
+    """Stored neighbour-table entries of ``mac``: one-hop plus any two-hop.
+
+    The one count both the energy model's maintenance term and the
+    overhead's memory term charge for.
+    """
+    entries = mac.node.neighbors.memory_entries()
+    two_hop = getattr(mac, "two_hop", None)
+    if two_hop is not None:
+        entries += two_hop.memory_entries()
+    return entries
+
+
 class SlottedMac:
     """Base class: the slotted four-way handshake engine.
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..mac.base import SlottedMac
+from ..mac.base import SlottedMac, neighbor_state_entries
 
 #: Bit-equivalent charge per stored neighbour-table entry.
 MEMORY_BITS_PER_ENTRY = 4.0
@@ -76,11 +76,7 @@ def network_overhead(macs: Sequence[SlottedMac]) -> OverheadReport:
         retransmitted += mac.stats.retransmitted_bits
         computation += mac.stats.computation_units
         if mac.requires_neighbor_info:
-            entries = mac.node.neighbors.memory_entries()
-            two_hop = getattr(mac, "two_hop", None)
-            if two_hop is not None:
-                entries += two_hop.memory_entries()
-            memory += entries * MEMORY_BITS_PER_ENTRY
+            memory += neighbor_state_entries(mac) * MEMORY_BITS_PER_ENTRY
     return OverheadReport(
         control_bits=control,
         piggyback_bits=piggyback,

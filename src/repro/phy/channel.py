@@ -155,7 +155,6 @@ class AcousticChannel:
         self.kernel = VectorLinkKernel(
             self._members,
             self.sound_speed_mps,
-            self.link_budget,
             self.max_range_m,
             self.max_range_m * self.interference_range_factor,
             self.stats,

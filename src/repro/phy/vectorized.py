@@ -60,7 +60,7 @@ equivalence matrix and property tests): subtraction, multiplication,
 squared with explicit multiplies on both paths (see
 :meth:`Position.distance_to`), and the one operation NumPy's SIMD kernels
 are allowed to round differently — ``log10`` — stays on libm inside
-:meth:`PathLossModel.path_loss_db_batch`.  The grid cull never changes a
+:meth:`LinkBudget.received_level_db_batch`.  The grid cull never changes a
 computed value — it only skips computing entries whose masks are provably
 ``False``.
 
@@ -195,7 +195,6 @@ class VectorLinkKernel:
         "_members",
         "_undecodable",
         "_sound_speed_mps",
-        "_link_budget",
         "_max_range_m",
         "_reach_m",
         "_stats",
@@ -220,7 +219,6 @@ class VectorLinkKernel:
         self,
         members: Dict[int, Tuple["AcousticModem", Callable[[], Position]]],
         sound_speed_mps: float,
-        link_budget: LinkBudget,
         max_range_m: float,
         reach_m: float,
         stats: "ChannelStats",
@@ -229,7 +227,6 @@ class VectorLinkKernel:
         self._members = members
         self._undecodable = undecodable
         self._sound_speed_mps = sound_speed_mps
-        self._link_budget = link_budget
         self._max_range_m = max_range_m
         self._reach_m = reach_m
         self._stats = stats
@@ -419,7 +416,7 @@ class VectorLinkKernel:
         # IEEE division rounds identically in NumPy and CPython, so each
         # delay equals the scalar ``distance / speed``.
         row.delay_s[targets] = dist / self._sound_speed_mps
-        row.level_db[targets] = self._link_budget.received_level_db_batch(dist)
+        row.level_db[targets] = LinkBudget.received_level_db_batch(dist)
         row.in_reach[targets] = dist <= self._reach_m
         row.in_decode[targets] = dist <= self._max_range_m
         row.stamp[targets] = self._epoch[idx] + self._epoch[targets]

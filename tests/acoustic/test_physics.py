@@ -1,15 +1,13 @@
 """Unit tests for the acoustic channel physics."""
 
+import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from repro.acoustic.attenuation import (
-    PathLossModel,
-    thorp_absorption_db_per_km,
-)
+from repro.acoustic import sinr
 from repro.acoustic.geometry import Position, bounding_box
-from repro.acoustic.noise import AmbientNoiseModel
 from repro.acoustic.sinr import LinkBudget
 from repro.des.simulator import Simulator
 from repro.phy.channel import AcousticChannel
@@ -48,54 +46,100 @@ class TestGeometry:
             bounding_box([])
 
 
+#: Exact floats of the fixed link budget, recorded before its inputs
+#: became constants; any change to an expression or its operand order
+#: moves at least one of them.
+PINNED_DECODE_THRESHOLD_DB = 23.988148806966223
+PINNED_NOISE_LEVEL_DB = 86.08993739913632
+PINNED_THORP_DB_PER_KM = 1.1870299387081567
+
+
+def textbook_thorp_db_per_km(f_khz):
+    """Thorp's absorption (Urick), f >= 0.4 kHz form, in dB/km."""
+    f2 = f_khz * f_khz
+    return 0.11 * f2 / (1 + f2) + 44 * f2 / (4100 + f2) + 2.75e-4 * f2 + 0.003
+
+
+def textbook_wenz_band_level_db(f_khz, shipping, wind_mps, bandwidth_hz):
+    """Wenz ambient noise (Stojanovic's fits), power-summed, over a band."""
+    terms_db = (
+        17 - 30 * math.log10(f_khz),
+        40 + 20 * (shipping - 0.5) + 26 * math.log10(f_khz) - 60 * math.log10(f_khz + 0.03),
+        50 + 7.5 * wind_mps**0.5 + 20 * math.log10(f_khz) - 40 * math.log10(f_khz + 0.4),
+        -15 + 20 * math.log10(f_khz),
+    )
+    density_db = 10 * math.log10(sum(10 ** (db / 10) for db in terms_db))
+    return density_db + 10 * math.log10(bandwidth_hz)
+
+
+class TestPinnedConstants:
+    def test_decode_threshold_is_pinned(self):
+        assert AcousticChannel(Simulator()).decode_threshold_db == PINNED_DECODE_THRESHOLD_DB
+
+    def test_noise_level_is_pinned(self):
+        assert LinkBudget().noise_level_db() == PINNED_NOISE_LEVEL_DB
+        assert sinr.NOISE_LEVEL_DB == PINNED_NOISE_LEVEL_DB
+
+    def test_thorp_coefficient_is_pinned(self):
+        assert sinr.ABSORPTION_DB_PER_KM == PINNED_THORP_DB_PER_KM
+
+    def test_inputs_are_the_paper_operating_point(self):
+        assert (
+            sinr.CARRIER_KHZ, sinr.SPREADING, sinr.SOURCE_LEVEL_DB,
+            sinr.BANDWIDTH_HZ, sinr.SHIPPING, sinr.WIND_MPS,
+        ) == (10.0, 1.5, 160.0, 10_000.0, 0.5, 5.0)
+
+    def test_link_budget_takes_no_parameters(self):
+        assert not dataclasses.is_dataclass(LinkBudget)
+        with pytest.raises(TypeError):
+            LinkBudget(source_level_db=170.0)
+
+
 class TestThorp:
     def test_absorption_at_10khz_is_about_1db_per_km(self):
         # Classic Thorp value: ~1.1 dB/km at 10 kHz.
-        assert thorp_absorption_db_per_km(10.0) == pytest.approx(1.1, abs=0.3)
+        assert sinr.ABSORPTION_DB_PER_KM == pytest.approx(1.1, abs=0.3)
 
-    def test_absorption_increases_with_frequency_in_band(self):
-        values = [thorp_absorption_db_per_km(f) for f in (1.0, 5.0, 10.0, 50.0)]
-        assert values == sorted(values)
-
-    def test_invalid_frequency(self):
-        with pytest.raises(ValueError):
-            thorp_absorption_db_per_km(0.0)
+    def test_absorption_matches_the_textbook_formula(self):
+        assert sinr.ABSORPTION_DB_PER_KM == pytest.approx(
+            textbook_thorp_db_per_km(10.0), rel=1e-12
+        )
 
     def test_path_loss_monotone_in_distance(self):
-        model = PathLossModel()
-        losses = [model.path_loss_db(d) for d in (10, 100, 1000, 10_000)]
-        assert losses == sorted(losses)
+        levels = [LinkBudget.received_level_db(d) for d in (10, 100, 1000, 10_000)]
+        assert levels == sorted(levels, reverse=True)
 
     def test_short_range_clamped(self):
-        model = PathLossModel()
-        assert model.path_loss_db(0.001) == model.path_loss_db(1.0)
+        assert LinkBudget.received_level_db(0.001) == LinkBudget.received_level_db(1.0)
+        assert LinkBudget.received_level_db(1.0) == pytest.approx(sinr.SOURCE_LEVEL_DB, abs=0.01)
 
-    def test_max_range_bisection(self):
-        model = PathLossModel()
-        sl = 160.0
-        min_rl = model.received_level_db(sl, 2000.0)
-        found = model.max_range_m(sl, min_rl)
-        assert found == pytest.approx(2000.0, rel=1e-3)
+    @pytest.mark.parametrize("distance_m", [1.0, 250.0, 1500.0, 3000.0, 10_000.0])
+    def test_received_level_matches_the_textbook_formula(self, distance_m):
+        loss = 1.5 * 10 * math.log10(distance_m) + distance_m / 1000 * textbook_thorp_db_per_km(10.0)
+        assert LinkBudget.received_level_db(distance_m) == pytest.approx(160.0 - loss, abs=1e-9)
+
+    def test_batch_levels_equal_the_scalar_ones_bit_for_bit(self):
+        distances = np.array([0.5, 1.0, 123.456, 1500.0, 2999.9, 1e5])
+        batch = LinkBudget.received_level_db_batch(distances)
+        assert batch.tolist() == [LinkBudget.received_level_db(float(d)) for d in distances]
 
 
 class TestNoise:
     def test_band_level_exceeds_density(self):
-        noise = AmbientNoiseModel()
-        assert noise.band_level_db(10.0, 10_000) > noise.spectral_density_db(10.0)
+        density_db = sinr.NOISE_LEVEL_DB - 10 * math.log10(sinr.BANDWIDTH_HZ)
+        assert sinr.NOISE_LEVEL_DB > density_db > 0.0
 
-    def test_wind_raises_noise(self):
-        calm = AmbientNoiseModel(wind_mps=0.0).spectral_density_db(10.0)
-        stormy = AmbientNoiseModel(wind_mps=20.0).spectral_density_db(10.0)
-        assert stormy > calm
+    def test_noise_level_matches_the_wenz_power_sum(self):
+        assert sinr.NOISE_LEVEL_DB == pytest.approx(
+            textbook_wenz_band_level_db(10.0, 0.5, 5.0, 10_000.0), rel=1e-12
+        )
 
-    def test_shipping_raises_low_frequency_noise(self):
-        quiet = AmbientNoiseModel(shipping=0.0).spectral_density_db(0.3)
-        busy = AmbientNoiseModel(shipping=1.0).spectral_density_db(0.3)
-        assert busy > quiet
-
-    def test_invalid_bandwidth(self):
-        with pytest.raises(ValueError):
-            AmbientNoiseModel().band_level_db(10.0, 0.0)
+    def test_noise_power_is_the_noise_level_in_linear(self):
+        assert sinr.NOISE_POWER == 10.0 ** (PINNED_NOISE_LEVEL_DB / 10.0)
+        # A signal exactly at the noise floor has 0 dB SINR.
+        assert LinkBudget().sinr_db_from_levels(sinr.NOISE_LEVEL_DB, ()) == pytest.approx(
+            0.0, abs=1e-9
+        )
 
 
 class TestLinkBudget:
@@ -107,19 +151,22 @@ class TestLinkBudget:
     def test_sinr_below_snr_with_interference(self):
         budget = LinkBudget()
         snr = budget.snr_db(1000.0)
-        sinr = budget.sinr_db(1000.0, [1200.0])
-        assert sinr < snr
+        sinr_db = budget.sinr_db_from_levels(
+            budget.received_level_db(1000.0), [budget.received_level_db(1200.0)]
+        )
+        assert sinr_db < snr
 
     def test_equal_interferer_gives_near_zero_sinr(self):
         budget = LinkBudget()
-        sinr = budget.sinr_db(1000.0, [1000.0])
-        assert sinr < 0.1
+        level = budget.received_level_db(1000.0)
+        assert budget.sinr_db_from_levels(level, [level]) < 0.1
 
-    def test_communication_range_consistent(self):
+    def test_interference_free_sinr_is_the_snr(self):
         budget = LinkBudget()
-        rng = budget.communication_range_m(min_snr_db=10.0)
-        assert budget.snr_db(rng * 0.99) > 10.0
-        assert budget.snr_db(rng * 1.01) < 10.0
+        for distance_m in (100.0, 1500.0, 3000.0):
+            assert budget.sinr_db_from_levels(
+                budget.received_level_db(distance_m), ()
+            ) == pytest.approx(budget.snr_db(distance_m), abs=1e-9)
 
 
 def _channel_pair(distance_m, **channel_kwargs):

@@ -1,6 +1,6 @@
 """Tests for the perf instrumentation layer (repro.perf + CLI --profile)."""
 
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from types import SimpleNamespace
 
 import pytest
@@ -87,6 +87,20 @@ class TestPerfReport:
         # the cache on/off; wall time in to_dict would break both.
         result = run_scenario(table2_config(sim_time_s=20.0, seed=3))
         assert not any("wall" in key or "cache" in key for key in result.to_dict())
+
+
+    def test_every_result_carries_perf(self):
+        from repro.experiments.scenario import ScenarioResult
+
+        perf = next(f for f in fields(ScenarioResult) if f.name == "perf")
+        assert perf.default is MISSING and perf.default_factory is MISSING
+
+    def test_scale_columns_read_the_perf_report(self):
+        from repro.experiments.scale import scale
+
+        series = scale(quick=True).series
+        assert series["cache_hit_pct"] == [9.13, 8.94]
+        assert series["grid_candidates_mean"] == [79.2, 87.1]
 
 
 class TestPerfAccumulator:

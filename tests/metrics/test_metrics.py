@@ -78,6 +78,24 @@ class TestOverhead:
         report = network_overhead([mac])
         assert report.memory_units == MEMORY_BITS_PER_ENTRY
 
+    def test_memory_and_energy_charge_one_entry_count(self):
+        # One-hop plus two-hop entries: the overhead's memory term and the
+        # energy model's maintenance term count the same tables.
+        from repro.energy.model import PowerModel
+        from repro.mac.base import neighbor_state_entries
+        from repro.mac.csmac import CsMac
+
+        sim = Simulator()
+        channel = AcousticChannel(sim)
+        node = Node(sim, 0, Position(0, 0, 100), channel)
+        mac = CsMac(sim, node, channel, make_slot_timing(12_000.0, 64, 1500.0, 1500.0))
+        node.neighbors.observe(1, 0.5)
+        mac.two_hop.record_announcement(1, [(2, 0.5), (3, 0.4)])
+        assert neighbor_state_entries(mac) == 3
+        assert network_overhead([mac]).memory_units == 3 * MEMORY_BITS_PER_ENTRY
+        power = PowerModel(tx_w=0, rx_w=0, idle_w=0, entry_w=0.001)
+        assert power.node_energy_j(mac, 100.0) == pytest.approx(0.001 * 3 * 100)
+
 
     def test_ratio_vs_baseline(self):
         # Fig. 10 divides each protocol's overhead by S-FAMA's at each x.
