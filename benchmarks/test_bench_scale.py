@@ -20,7 +20,7 @@ def test_scale_quick_mobile_cell(one_shot):
     assert perf is not None
     assert perf.events > 0
     members = config.n_sensors + config.n_sinks
-    mean_candidates = perf.grid_candidates / perf.broadcasts
+    mean_candidates = perf.mean_grid_candidates
     print(
         f"\nscale n={n}: {perf.events:,} events, "
         f"{perf.events_per_second:,.0f} ev/s, "

@@ -34,7 +34,7 @@ def build_and_run(seed: int):
     for node_id, (label, pos) in enumerate(positions.items()):
         node = Node(sim, node_id, pos, channel)
         mac = EwMac(sim, node, channel, timing)
-        mac.config.hello_window_s = 2.0
+        mac.hello_window_s = 2.0
         nodes.append((label, node, mac))
     # both contenders want to send 2048-bit packets to the hub
     nodes[1][1].enqueue_data(0, 2048)

@@ -1,15 +1,15 @@
 """Bit-identity check: do the working tree and a git ref print the same?
 
 Extracts ``REF`` (any commit-ish, e.g. ``HEAD~1``) into a temporary
-directory with ``git archive``, runs the same five commands in that copy
-and in the working tree, and compares their stdout and stderr byte for
-byte:
+directory with ``git archive``, runs the same commands in that copy and
+in the working tree, and compares their stdout and stderr byte for byte:
 
 * ``repro-uasn all --quick --no-cache``
 * ``repro-uasn fig6 --quick --workers 2 --no-cache``
 * ``repro-uasn ablations --quick --no-cache``
 * ``repro-uasn chaos --quick --workers 2 --checkpoint-every 20 --no-cache``
-* ``examples/extra_communication_trace.py``
+* every ``examples/*.py`` of the working tree (mobile deployments, a
+  batch drain, energy, the extra-communication trace)
 
 Every figure number, table and trace line these print is deterministic,
 so a change meant to leave results alone must reproduce them exactly.
@@ -49,7 +49,9 @@ COMMANDS: Tuple[Tuple[str, List[str]], ...] = (
         "chaos",
         CLI + ["chaos", "--quick", "--workers", "2", "--checkpoint-every", "20", "--no-cache"],
     ),
-    ("extra_communication_trace", ["examples/extra_communication_trace.py"]),
+) + tuple(
+    (example.stem, [f"examples/{example.name}"])
+    for example in sorted((ROOT / "examples").glob("*.py"))
 )
 
 #: Lines of context and at most this many diff lines per stream.

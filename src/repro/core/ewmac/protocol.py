@@ -31,7 +31,7 @@ from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from ...des.events import Event
-from ...mac.base import MacConfig, MacState, SlottedMac
+from ...mac.base import MacState, SlottedMac
 from ...phy.frame import (
     CONTROL_PACKET_BITS,
     Frame,
@@ -103,18 +103,15 @@ class ExtraStats:
         self.deny_reasons[reason] = self.deny_reasons.get(reason, 0) + 1
 
 
-def _default_ewmac_config() -> MacConfig:
-    # Every EW-MAC packet piggybacks the timestamp + pair-delay (+ extra
-    # scheduling) fields (paper Sec. 4.3); accounted as 64 bits of overhead
-    # per control frame.
-    return MacConfig(piggyback_bits=64, maintenance_period_s=None)
-
-
 class EwMac(SlottedMac):
     """The paper's EW-MAC protocol."""
 
     name = "EW-MAC"
     uses_two_hop_info = False
+    # Every EW-MAC packet piggybacks the timestamp + pair-delay (+ extra
+    # scheduling) fields (paper Sec. 4.3); accounted as 64 bits of overhead
+    # per control frame.
+    piggyback_bits = 64
 
     def __init__(
         self,
@@ -122,10 +119,9 @@ class EwMac(SlottedMac):
         node,
         channel,
         timing,
-        config: Optional[MacConfig] = None,
         exr_randomize: bool = True,
     ):
-        super().__init__(sim, node, channel, timing, config or _default_ewmac_config())
+        super().__init__(sim, node, channel, timing)
         #: Randomize the EXR send instant inside the feasible window (design
         #: choice studied by the abl-exr-randomization ablation; True keeps
         #: same-round losers from colliding at the shared busy neighbour).
@@ -205,7 +201,6 @@ class EwMac(SlottedMac):
         self.state = MacState.EXTRA
         self._fig3(EwState.ASKING_EXTRA)
         self.extra_stats.requested += 1
-        self.stats.opportunistic_attempts += 1
         context.exr_event = self.sim.schedule_at(context.exr_send_time, self._send_exr)
 
     def _plan_extra_request(self, target: int, frame: Frame) -> Optional[AskingContext]:
@@ -224,7 +219,7 @@ class EwMac(SlottedMac):
         if peer_bits <= 0:
             self.extra_stats.note_plan_failure("no_peer_bits")
             return None
-        guard = self.config.guard_s
+        guard = self.guard_s
         omega = self.timing.omega_s
         peer_duration = peer_bits / self.channel.bitrate_bps
         frame_slot = self.timing.slot_index(frame.timestamp)
@@ -313,7 +308,7 @@ class EwMac(SlottedMac):
             # neighbour clears its protected window.
             candidate = max(
                 window.end - delays[node_id] for node_id, window in conflicts
-            ) + self.config.guard_s
+            ) + self.guard_s
         return None
 
     def _known_delays(self) -> Dict[int, float]:
@@ -341,14 +336,13 @@ class EwMac(SlottedMac):
             case=context.case.value,
         )
         self._transmit_control(frame)
-        self.stats.opportunistic_ctrl += 1
         # Paper: i waits "twice the propagation time" for the EXC — plus the
         # on-air time of the EXR and EXC themselves and a deferral margin.
         deadline = (
             self.sim.now
             + 2.0 * context.tau_ij
             + 3.0 * self.timing.omega_s
-            + 4.0 * self.config.guard_s
+            + 4.0 * self.guard_s
         )
         context.exc_timeout = self.sim.schedule_at(deadline, self._on_exc_timeout)
 
@@ -414,7 +408,7 @@ class EwMac(SlottedMac):
         duration = request.size_bits / self.channel.bitrate_bps
         deadline = (
             self.sim.now + duration + 2.0 * context.tau_ij
-            + 3.0 * self.timing.omega_s + 4.0 * self.config.guard_s
+            + 3.0 * self.timing.omega_s + 4.0 * self.guard_s
         )
         context.exack_timeout = self.sim.schedule_at(deadline, self._on_exack_timeout)
 
@@ -437,7 +431,7 @@ class EwMac(SlottedMac):
         self._asking = None
         self.extra_stats.completed += 1
         self.stats.handshakes_completed += 1
-        self._cw = self.config.cw_min
+        self._cw = self.cw_min
         self._reset_to_idle(backoff=False)
         self._fig3(EwState.IDLE)
 
@@ -495,7 +489,7 @@ class EwMac(SlottedMac):
         exdata_start = safe_float(frame.info.get("exdata_start"))
         if bits <= 0 or exdata_start is None or exdata_start < self.sim.now - 1e-6:
             return
-        guard = self.config.guard_s
+        guard = self.guard_s
         omega = self.timing.omega_s
         duration = bits / self.channel.bitrate_bps
         exdata_window = (exdata_start + tau_peer, exdata_start + tau_peer + duration)
@@ -534,7 +528,6 @@ class EwMac(SlottedMac):
             data_bits=bits,
         )
         self._transmit_control(reply)
-        self.stats.opportunistic_ctrl += 1
         self.extra_stats.grants_issued += 1
         context = AskedContext(peer=peer, exdata_start=float(exdata_start), data_bits=bits)
         context.expiry_event = self.sim.schedule_at(
@@ -575,7 +568,6 @@ class EwMac(SlottedMac):
             return
         frame = control_frame(FrameType.EXACK, self.node.node_id, dst, self.sim.now)
         self._transmit_control(frame)
-        self.stats.opportunistic_ctrl += 1
         if self.state is MacState.IDLE:
             self._fig3(EwState.IDLE)
 

@@ -1,5 +1,5 @@
 """Energy accounting (paper Sec. 5.2)."""
 
-from .model import EnergyReport, PowerModel, network_energy
+from .model import EnergyReport, network_energy
 
-__all__ = ["EnergyReport", "PowerModel", "network_energy"]
+__all__ = ["EnergyReport", "network_energy"]

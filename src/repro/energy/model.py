@@ -15,7 +15,7 @@ the last term models the continuous bookkeeping cost of stored neighbour
 entries ("memory requirements depend on the amount and complexity of the
 computations and the number of neighbors", Sec. 5.3).
 
-Default wattages follow commercial acoustic modems (e.g. the WHOI
+The wattages follow commercial acoustic modems (e.g. the WHOI
 micro-modem class): transmit ~2 W, receive ~0.8 W, idle listening ~80 mW.
 Only relative ordering matters for reproducing the paper's figure shapes.
 """
@@ -28,36 +28,30 @@ from typing import List, Sequence
 from ..mac.base import SlottedMac, neighbor_state_entries
 
 
-@dataclass(frozen=True)
-class PowerModel:
-    """Per-state power draws.
+#: Power while transmitting (W).
+TX_W = 2.0
+#: Power while a signal is being received (W).
+RX_W = 0.8
+#: Idle-listening power, the "waiting" cost (W).
+IDLE_W = 0.08
+#: Continuous per-table-entry maintenance power (W).
+ENTRY_W = 0.0002
 
-    Attributes:
-        tx_w: Power while transmitting.
-        rx_w: Power while a signal is being received.
-        idle_w: Idle-listening power (the "waiting" cost).
-        entry_w: Continuous per-table-entry maintenance power.
-    """
 
-    tx_w: float = 2.0
-    rx_w: float = 0.8
-    idle_w: float = 0.08
-    entry_w: float = 0.0002
-
-    def node_energy_j(self, mac: SlottedMac, duration_s: float) -> float:
-        """Total energy one node consumed over ``duration_s``."""
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
-        modem = mac.node.modem.stats
-        tx_time = min(modem.tx_time_s, duration_s)
-        rx_time = min(modem.rx_busy_time_s, max(duration_s - tx_time, 0.0))
-        idle_time = max(duration_s - tx_time - rx_time, 0.0)
-        return (
-            self.tx_w * tx_time
-            + self.rx_w * rx_time
-            + self.idle_w * idle_time
-            + self.entry_w * neighbor_state_entries(mac) * duration_s
-        )
+def node_energy_j(mac: SlottedMac, duration_s: float) -> float:
+    """Total energy one node consumed over ``duration_s``."""
+    if duration_s <= 0:
+        raise ValueError("duration must be positive")
+    modem = mac.node.modem.stats
+    tx_time = min(modem.tx_time_s, duration_s)
+    rx_time = min(modem.rx_busy_time_s, max(duration_s - tx_time, 0.0))
+    idle_time = max(duration_s - tx_time - rx_time, 0.0)
+    return (
+        TX_W * tx_time
+        + RX_W * rx_time
+        + IDLE_W * idle_time
+        + ENTRY_W * neighbor_state_entries(mac) * duration_s
+    )
 
 
 @dataclass
@@ -80,9 +74,7 @@ class EnergyReport:
         return (self.total_j / len(self.per_node_j)) / self.duration_s * 1000.0
 
 
-def network_energy(
-    macs: Sequence[SlottedMac], duration_s: float, power: PowerModel = PowerModel()
-) -> EnergyReport:
-    """Aggregate :class:`PowerModel` energy over every node's MAC."""
-    per_node = [power.node_energy_j(mac, duration_s) for mac in macs]
+def network_energy(macs: Sequence[SlottedMac], duration_s: float) -> EnergyReport:
+    """Aggregate :func:`node_energy_j` over every node's MAC."""
+    per_node = [node_energy_j(mac, duration_s) for mac in macs]
     return EnergyReport(total_j=sum(per_node), duration_s=duration_s, per_node_j=per_node)

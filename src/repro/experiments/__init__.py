@@ -32,7 +32,7 @@ from .parallel import (
 )
 from .report import format_figure, write_csv
 from .ablations import ALL_ABLATIONS
-from .scenario import Scenario, ScenarioResult, run_batch_scenario, run_scenario
+from .scenario import Scenario, ScenarioResult, run_scenario
 from .timeline import (
     TimelineEntry,
     extra_exploitation_summary,
@@ -80,7 +80,6 @@ __all__ = [
     "observe_sweeps",
     "request_key",
     "request_plan",
-    "run_batch_scenario",
     "run_plan",
     "run_request",
     "run_scenario",

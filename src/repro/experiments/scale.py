@@ -101,13 +101,10 @@ def scale(
         elapsed = time.perf_counter() - start
         perf = result.perf
         events_per_s = perf.events_per_second
-        broadcasts = perf.broadcasts
         wall.append(round(elapsed, 3))
         kevents.append(round(events_per_s / 1e3, 1))
         hit_pct.append(round(100.0 * perf.cache_hit_rate, 2))
-        cand_mean.append(
-            round(perf.grid_candidates / broadcasts, 1) if broadcasts else 0.0
-        )
+        cand_mean.append(round(perf.mean_grid_candidates, 1))
         if progress is not None:
             progress(
                 f"scale n={n}: {elapsed:.2f}s wall, "

@@ -221,19 +221,14 @@ class Scenario:
         ]
         if config.max_retries is not None:
             for mac in self.macs:
-                mac.config.max_retries = config.max_retries
+                mac.max_retries = config.max_retries
         self.routing = DepthRouting(self.channel, self.deployment.sink_ids)
         if config.forwarding:
             for mac in self.macs:
                 mac.on_data_delivered = self._forward
         self.mobility: Optional[MobilityManager] = None
         if config.mobility:
-            self.mobility = MobilityManager(
-                self.sim,
-                self.nodes,
-                self.deployment.config,
-                rng=self.sim.streams.get("mobility"),
-            )
+            self.mobility = MobilityManager(self.sim, self.nodes, self.deployment.config)
         self.traffic: Optional[PoissonTraffic] = None
         self.batch: Optional[BatchWorkload] = None
         # The injector exists only for a non-empty plan: an empty plan
@@ -284,10 +279,11 @@ class Scenario:
 
         With ``checkpoint_every_s`` set, the run advances in windows of
         that many simulated seconds and invokes ``on_checkpoint(self)``
-        between windows (typically to :meth:`snapshot` to disk).  Window
-        boundaries are bit-neutral — the kernel pops the same events in
-        the same order either way — so checkpointing never changes
-        results.  Left at None (the default) the run is a single
+        between windows (typically to
+        :func:`~repro.experiments.checkpoint.snapshot_scenario` to disk).
+        Window boundaries are bit-neutral — the kernel pops the same
+        events in the same order either way — so checkpointing never
+        changes results.  Left at None (the default) the run is a single
         ``sim.run`` call: zero hot-path cost.
         """
         config = self.config
@@ -354,8 +350,8 @@ class Scenario:
         ``run_steady_state`` / ``run_batch`` record where the run is
         headed in an absolute-time :class:`_RunPlan` before the first
         measurement window, then delegate here; a scenario restored via
-        :meth:`restore` calls this directly to complete the run and
-        collect the result.
+        :func:`~repro.experiments.checkpoint.restore_scenario` calls this
+        directly to complete the run and collect the result.
         """
         plan = self._plan
         if plan is None:
@@ -409,29 +405,6 @@ class Scenario:
             on_checkpoint(self)
 
     # ------------------------------------------------------------------
-    def snapshot(self) -> bytes:
-        """Serialize this mid-run scenario to a versioned checkpoint blob.
-
-        See :mod:`repro.experiments.checkpoint` for the format and the
-        bit-identity guarantees.  (Lazy import: the checkpoint module
-        reaches back into this package via the source-digest check.)
-        """
-        from .checkpoint import snapshot_scenario
-
-        return snapshot_scenario(self)
-
-    @staticmethod
-    def restore(data: bytes, check_code: bool = True) -> "Scenario":
-        """Rebuild a mid-run scenario from :meth:`snapshot` output.
-
-        The returned scenario finishes its run via :meth:`resume`;
-        the final result is bit-identical to the uninterrupted run.
-        """
-        from .checkpoint import restore_scenario
-
-        return restore_scenario(data, check_code=check_code)
-
-    # ------------------------------------------------------------------
     def _collect(self, duration_s: float) -> ScenarioResult:
         throughput = network_throughput(self.macs, duration_s)
         energy = network_energy(self.macs, duration_s)
@@ -481,10 +454,3 @@ class Scenario:
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Build and run one steady-state scenario."""
     return Scenario(config).run_steady_state()
-
-
-def run_batch_scenario(
-    config: ScenarioConfig, n_packets: int, max_time_s: float
-) -> ScenarioResult:
-    """Build and run one batch-drain scenario."""
-    return Scenario(config).run_batch(n_packets, max_time_s)

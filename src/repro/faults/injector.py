@@ -158,7 +158,8 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def _log(self, kind: str, node_id: Optional[int] = None, detail: str = "") -> None:
         self.events.append(FaultEvent(self.sim.now, kind, node_id, detail))
-        self.sim.trace.emit(self.sim.now, f"fault.{kind}", node_id or -1, detail=detail)
+        node = -1 if node_id is None else node_id
+        self.sim.trace.emit(self.sim.now, f"fault.{kind}", node, detail=detail)
 
     def _crash(self, node: "Node", recover_after_s: Optional[float]) -> None:
         if not node.alive:

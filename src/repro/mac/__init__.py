@@ -4,7 +4,7 @@ The paper's own contribution, EW-MAC, lives in :mod:`repro.core.ewmac`
 (re-exported here for convenience and via the registry).
 """
 
-from .base import MacConfig, MacState, MacStats, SlottedMac
+from .base import MacState, MacStats, SlottedMac
 from .csmac import CsMac
 from .registry import get_protocol, register
 from .ropa import Ropa
@@ -13,7 +13,6 @@ from .slots import SlotTiming, make_slot_timing
 
 __all__ = [
     "CsMac",
-    "MacConfig",
     "MacState",
     "MacStats",
     "Ropa",

@@ -12,15 +12,9 @@ sweeps to make that trade-off measurable.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..phy.frame import Frame, FrameType, data_frame
 from ..phy.modem import Arrival
-from .base import MacConfig, MacState, SlottedMac
-
-
-def _default_aloha_config() -> MacConfig:
-    return MacConfig(piggyback_bits=0, maintenance_period_s=None)
+from .base import MacState, SlottedMac
 
 
 class SlottedAloha(SlottedMac):
@@ -32,9 +26,6 @@ class SlottedAloha(SlottedMac):
 
     #: Persistence probability for a head-of-line packet each slot.
     p_tx = 0.5
-
-    def __init__(self, sim, node, channel, timing, config: Optional[MacConfig] = None):
-        super().__init__(sim, node, channel, timing, config or _default_aloha_config())
 
     def _slot_tick(self, index: int) -> None:  # noqa: D102 - engine override
         self._slot_event = self.sim.schedule_at(
@@ -78,7 +69,7 @@ class SlottedAloha(SlottedMac):
         tau = tau if tau is not None else self.timing.tau_max_s
         duration = request.size_bits / self.channel.bitrate_bps
         ack_slot = self.timing.ack_slot(index, duration, tau)
-        deadline = self.timing.ack_end_time(ack_slot) + self.config.guard_s
+        deadline = self.timing.ack_end_time(ack_slot) + self.guard_s
         self._ack_timeout = self.sim.schedule_at(deadline, self._on_ack_timeout)
 
     def _handle_addressed(self, frame: Frame, arrival: Arrival) -> None:  # noqa: D102

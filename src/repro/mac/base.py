@@ -43,7 +43,7 @@ from ..phy.frame import (
     safe_bits,
     safe_float,
 )
-from ..phy.modem import Arrival, RxOutcome
+from ..phy.modem import Arrival
 from .slots import SlotTiming
 
 
@@ -64,35 +64,6 @@ class MacState(Enum):
 
 
 @dataclass
-class MacConfig:
-    """Tunables shared by every slotted protocol.
-
-    Attributes:
-        max_retries: Contention/data attempts per packet before dropping.
-        cw_min / cw_max: Binary-exponential backoff window, in slots.
-        rp_wait_weight: Weight of accumulated wait slots in the RTS priority
-            value ``rp`` (paper: rp "related to the contention and wait
-            times of the sending sensor").
-        guard_s: Safety margin for off-slot (extra/steal/append) timing.
-        hello_window_s: Hello broadcasts are staggered over this window.
-        maintenance_period_s: Period of NEIGH broadcasts (None = never;
-            EW-MAC and S-FAMA never broadcast, ROPA/CS-MAC do).
-        piggyback_bits: Extra neighbour-info bits accounted per control
-            frame (overhead bookkeeping; on-air size stays 64 bits so the
-            slot grid matches the paper's Table 2).
-    """
-
-    max_retries: int = 12
-    cw_min: int = 1
-    cw_max: int = 4
-    rp_wait_weight: float = 0.25
-    guard_s: float = 2.0e-3
-    hello_window_s: float = 5.0
-    maintenance_period_s: Optional[float] = None
-    piggyback_bits: int = 0
-
-
-@dataclass
 class MacStats:
     """Per-node MAC counters (inputs to the paper's metrics)."""
 
@@ -103,12 +74,9 @@ class MacStats:
     data_sent: int = 0
     data_sent_bits: int = 0
     ctrl_sent_bits: int = 0
-    hello_sent: int = 0
     # opportunistic traffic (EW extra / ROPA append / CS-MAC steal)
-    opportunistic_ctrl: int = 0
     opportunistic_data: int = 0
     opportunistic_data_bits: int = 0
-    opportunistic_attempts: int = 0
     # receive side
     data_received: int = 0
     data_received_bits: int = 0
@@ -122,7 +90,6 @@ class MacStats:
     retransmissions: int = 0
     retransmitted_bits: int = 0
     drops: int = 0
-    rx_collisions_seen: int = 0
     # overhead accounting
     maintenance_tx_bits: int = 0
     piggyback_bits: int = 0
@@ -161,6 +128,28 @@ class SlottedMac:
     #: S-FAMA does not (it reserves tau_max everywhere), so the paper uses
     #: it as the zero-additional-storage overhead baseline (Sec. 5.3).
     requires_neighbor_info = True
+    #: Extra neighbour-info bits accounted per control frame (overhead
+    #: bookkeeping; on-air size stays 64 bits so the slot grid matches the
+    #: paper's Table 2).
+    piggyback_bits = 0
+    #: Period of NEIGH maintenance broadcasts (None = never).
+    maintenance_period_s: Optional[float] = None
+
+    # Shared by every protocol.
+    #: Contention/data attempts per packet before dropping (``Scenario``
+    #: sets it per instance from ``ScenarioConfig.max_retries``).
+    max_retries = 12
+    #: Binary-exponential backoff window, in slots.
+    cw_min = 1
+    cw_max = 4
+    #: Weight of accumulated wait slots in the RTS priority value ``rp``
+    #: (paper: rp "related to the contention and wait times of the sending
+    #: sensor").
+    rp_wait_weight = 0.25
+    #: Safety margin for off-slot (extra/steal/append) timing.
+    guard_s = 2.0e-3
+    #: Hello broadcasts are staggered over this window.
+    hello_window_s = 5.0
 
     def __init__(
         self,
@@ -168,18 +157,16 @@ class SlottedMac:
         node: Node,
         channel: AcousticChannel,
         timing: SlotTiming,
-        config: Optional[MacConfig] = None,
     ) -> None:
         self.sim = sim
         self.node = node
         self.channel = channel
         self.timing = timing
-        self.config = config if config is not None else MacConfig()
         self.stats = MacStats()
         self.state = MacState.IDLE
         self.quiet_until = 0.0
         # contention
-        self._cw = self.config.cw_min
+        self._cw = self.cw_min
         self._backoff_slots = 0
         self._current_request: Optional[DataRequest] = None
         self._target: Optional[int] = None
@@ -208,14 +195,13 @@ class SlottedMac:
         # wiring
         node.mac = self
         node.modem.on_receive = self._on_modem_receive
-        node.modem.on_rx_failure = self._on_modem_failure
         self._slot_event: Optional[Event] = None
         # Random phase so the network's maintenance broadcasts don't
         # synchronize into periodic collision storms.
-        period = self.config.maintenance_period_s or 0.0
+        period = self.maintenance_period_s or 0.0
         self._next_maintenance = (
             sim.now
-            + self.config.hello_window_s
+            + self.hello_window_s
             + (float(self._rng.uniform(0.5, 1.5)) * period if period else 0.0)
         )
         self._started = False
@@ -234,10 +220,10 @@ class SlottedMac:
         if self._started:
             raise RuntimeError("MAC already started")
         self._started = True
-        hello_at = float(self._rng.uniform(0.0, self.config.hello_window_s))
+        hello_at = float(self._rng.uniform(0.0, self.hello_window_s))
         self.sim.schedule(hello_at, self._send_hello)
         first_slot = self.timing.next_slot_index(
-            self.node.clock.now() + self.config.hello_window_s + self.timing.tau_max_s
+            self.node.clock.now() + self.hello_window_s + self.timing.tau_max_s
         )
         self._slot_event = self.sim.schedule_at(
             max(self.node.clock.to_true(self.timing.slot_start(first_slot)), self.sim.now),
@@ -290,7 +276,7 @@ class SlottedMac:
         self._ack_due_slot = None
         self._ack_dst = None
         self._backoff_slots = 0
-        self._cw = self.config.cw_min
+        self._cw = self.cw_min
 
     # ------------------------------------------------------------------
     # Post-run invariant audit (fault injection)
@@ -420,7 +406,7 @@ class SlottedMac:
         """The paper's rp: random, boosted by accumulated wait time."""
         base = float(self._rng.random())
         waited = self._current_request.attempts if self._current_request else 0
-        return base * (1.0 + self.config.rp_wait_weight * (waited + 0.1 * self.stats.wait_slots))
+        return base * (1.0 + self.rp_wait_weight * (waited + 0.1 * self.stats.wait_slots))
 
     def _on_cts_timeout(self) -> None:
         self._cts_timeout = None
@@ -432,7 +418,7 @@ class SlottedMac:
     def contention_failed(self) -> None:
         """Default failure policy: exponential backoff and retry later."""
         request = self._current_request
-        if request is not None and request.attempts > self.config.max_retries:
+        if request is not None and request.attempts > self.max_retries:
             self._drop_current()
         self._reset_to_idle(backoff=True)
 
@@ -460,7 +446,7 @@ class SlottedMac:
         data_duration = request.size_bits / self.channel.bitrate_bps
         ack_slot = self.timing.ack_slot(index, data_duration, tau)
         self._ack_timeout = self.sim.schedule_at(
-            self.timing.ack_end_time(ack_slot) + self.config.guard_s,
+            self.timing.ack_end_time(ack_slot) + self.guard_s,
             self._on_ack_timeout,
         )
 
@@ -469,7 +455,7 @@ class SlottedMac:
         if self.state is not MacState.WAIT_ACK:
             return
         request = self._current_request
-        if request is not None and request.attempts > self.config.max_retries:
+        if request is not None and request.attempts > self.max_retries:
             self._drop_current()
         self._reset_to_idle(backoff=True)
 
@@ -480,7 +466,7 @@ class SlottedMac:
             self.node.remove_request(request)
             self.node.note_sent(request)
         self.stats.handshakes_completed += 1
-        self._cw = self.config.cw_min
+        self._cw = self.cw_min
         self._reset_to_idle(backoff=False)
 
     def _drop_current(self) -> None:
@@ -507,7 +493,7 @@ class SlottedMac:
 
     def _start_backoff(self) -> None:
         self._backoff_slots = int(self._rng.integers(1, self._cw + 1))
-        self._cw = min(self._cw * 2, self.config.cw_max)
+        self._cw = min(self._cw * 2, self.cw_max)
 
     # ------------------------------------------------------------------
     # Receiver side
@@ -540,7 +526,7 @@ class SlottedMac:
         data_duration = max(self._grant_data_bits, 1) / self.channel.bitrate_bps
         ack_slot = self.timing.ack_slot(index + 1, data_duration, tau)
         self._data_timeout = self.sim.schedule_at(
-            self.timing.slot_start(ack_slot) + self.config.guard_s,
+            self.timing.slot_start(ack_slot) + self.guard_s,
             self._on_data_timeout,
         )
 
@@ -624,10 +610,6 @@ class SlottedMac:
             self._handle_addressed(frame, arrival)
         else:
             self._handle_overheard(frame, arrival)
-
-    def _on_modem_failure(self, arrival: Arrival, outcome: RxOutcome) -> None:
-        if outcome is RxOutcome.COLLISION:
-            self.stats.rx_collisions_seen += 1
 
     def _handle_addressed(self, frame: Frame, arrival: Arrival) -> None:
         ftype = frame.ftype
@@ -739,7 +721,6 @@ class SlottedMac:
             return
         frame = control_frame(FrameType.HELLO, self.node.node_id, BROADCAST, self.sim.now)
         self._transmit_control(frame)
-        self.stats.hello_sent += 1
 
     def maintenance_frame_bits(self) -> int:
         """On-air size of a NEIGH broadcast for this protocol."""
@@ -748,7 +729,7 @@ class SlottedMac:
         return CONTROL_PACKET_BITS + entries * per_entry
 
     def _maybe_send_maintenance(self, index: int) -> None:
-        period = self.config.maintenance_period_s
+        period = self.maintenance_period_s
         if period is None or self.sim.now < self._next_maintenance:
             return
         # Jittered period keeps broadcasts de-phased over long runs, and the
@@ -785,8 +766,8 @@ class SlottedMac:
     def _transmit_control(self, frame: Frame) -> None:
         self.node.modem.transmit(frame)
         self.stats.ctrl_sent_bits += frame.size_bits
-        if self.config.piggyback_bits:
-            self.stats.piggyback_bits += self.config.piggyback_bits
+        if self.piggyback_bits:
+            self.stats.piggyback_bits += self.piggyback_bits
 
     # ------------------------------------------------------------------
     # Hooks for subclasses

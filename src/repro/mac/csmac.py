@@ -39,13 +39,7 @@ from ..phy.frame import (
     safe_links,
 )
 from ..phy.modem import Arrival
-from .base import MacConfig, MacState, SlottedMac
-
-
-def _default_csmac_config() -> MacConfig:
-    # Two-hop digests ride on every control packet (large piggyback) and a
-    # periodic two-hop maintenance broadcast keeps neighbour state fresh.
-    return MacConfig(piggyback_bits=128, maintenance_period_s=120.0)
+from .base import MacState, SlottedMac
 
 
 @dataclass
@@ -62,9 +56,13 @@ class CsMac(SlottedMac):
 
     name = "CS-MAC"
     uses_two_hop_info = True
+    # Two-hop digests ride on every control packet (large piggyback) and a
+    # periodic two-hop maintenance broadcast keeps neighbour state fresh.
+    piggyback_bits = 128
+    maintenance_period_s = 120.0
 
-    def __init__(self, sim, node, channel, timing, config: Optional[MacConfig] = None):
-        super().__init__(sim, node, channel, timing, config or _default_csmac_config())
+    def __init__(self, sim, node, channel, timing):
+        super().__init__(sim, node, channel, timing)
         self.two_hop = TwoHopTable(node.node_id)
         self._steal: Optional[StealContext] = None
         self._busy_until: Dict[int, float] = {}
@@ -158,12 +156,11 @@ class CsMac(SlottedMac):
         # The Ack round trip is not protected — acks ride on luck, which is
         # exactly the aggressiveness the paper criticizes.
         arrival_end = self.sim.now + duration + tau_target
-        if arrival_end + self.config.guard_s > window_end:
+        if arrival_end + self.guard_s > window_end:
             return
         # NOTE: deliberately *no* check against other neighbours' receive
         # windows — the paper's stated CS-MAC weakness.
         self.steals_attempted += 1
-        self.stats.opportunistic_attempts += 1
         frame = data_frame(
             self.node.node_id,
             target,
@@ -177,7 +174,7 @@ class CsMac(SlottedMac):
         self.stats.opportunistic_data_bits += request.size_bits
         context = StealContext(target=target, request=request)
         ack_deadline = (
-            arrival_end + tau_target + 2.0 * self.timing.omega_s + 4.0 * self.config.guard_s
+            arrival_end + tau_target + 2.0 * self.timing.omega_s + 4.0 * self.guard_s
         )
         context.ack_timeout = self.sim.schedule_at(ack_deadline, self._on_steal_timeout)
         self._steal = context
@@ -190,7 +187,7 @@ class CsMac(SlottedMac):
         # the data went on the air and was lost to interference.
         request = self._steal.request
         request.attempts += 1
-        if request.attempts > self.config.max_retries:
+        if request.attempts > self.max_retries:
             self.node.remove_request(request)
             self.stats.drops += 1
         self.stats.retransmitted_bits += request.size_bits
@@ -220,7 +217,6 @@ class CsMac(SlottedMac):
         )
         self._transmit_control(ack)
         self.stats.ack_sent += 1
-        self.stats.opportunistic_ctrl += 1
 
     def _handle_addressed(self, frame: Frame, arrival: Arrival) -> None:  # noqa: D102
         if frame.ftype is FrameType.ACK and frame.info.get("stolen"):

@@ -41,13 +41,7 @@ from ..phy.frame import (
     safe_links,
 )
 from ..phy.modem import Arrival
-from .base import MacConfig, MacState, SlottedMac
-
-
-def _default_ropa_config() -> MacConfig:
-    # ROPA broadcasts two-hop maintenance periodically (it needs fresh info
-    # to time appends) and piggybacks neighbour info on control packets.
-    return MacConfig(piggyback_bits=64, maintenance_period_s=90.0)
+from .base import MacState, SlottedMac
 
 
 @dataclass
@@ -75,9 +69,13 @@ class Ropa(SlottedMac):
 
     name = "ROPA"
     uses_two_hop_info = True
+    # ROPA broadcasts two-hop maintenance periodically (it needs fresh info
+    # to time appends) and piggybacks neighbour info on control packets.
+    piggyback_bits = 64
+    maintenance_period_s = 90.0
 
-    def __init__(self, sim, node, channel, timing, config: Optional[MacConfig] = None):
-        super().__init__(sim, node, channel, timing, config or _default_ropa_config())
+    def __init__(self, sim, node, channel, timing):
+        super().__init__(sim, node, channel, timing)
         self.two_hop = TwoHopTable(node.node_id)
         self._offer: Optional[AppendOffer] = None       # sender side
         self._appending: Optional[AppendRequest] = None  # appender side
@@ -149,7 +147,7 @@ class Ropa(SlottedMac):
         if request is None:
             return
         omega = self.timing.omega_s
-        guard = self.config.guard_s
+        guard = self.guard_s
         slot = self.timing.slot_index(rts.timestamp)
         # Sender's idle window: RTS tx end -> CTS(r,s) arrival.
         window_start = self.timing.slot_start(slot) + omega + guard
@@ -159,7 +157,6 @@ class Ropa(SlottedMac):
         if latest < earliest:
             return
         self.appends_attempted += 1
-        self.stats.opportunistic_attempts += 1
         context = AppendRequest(target=sender, request=request)
         context.rta_event = self.sim.schedule_at(earliest, self._send_rta)
         # The grant arrives only after s's whole exchange; allow that span.
@@ -183,7 +180,6 @@ class Ropa(SlottedMac):
             data_bits=context.request.size_bits,
         )
         self._transmit_control(rta)
-        self.stats.opportunistic_ctrl += 1
 
     def _on_ata_timeout(self) -> None:
         if self._appending is None:
@@ -227,7 +223,7 @@ class Ropa(SlottedMac):
         duration = context.request.size_bits / self.channel.bitrate_bps
         deadline = (
             self.sim.now + duration + 2.0 * tau
-            + 3.0 * self.timing.omega_s + 4.0 * self.config.guard_s
+            + 3.0 * self.timing.omega_s + 4.0 * self.guard_s
         )
         context.ack_timeout = self.sim.schedule_at(deadline, self._on_append_ack_timeout)
 
@@ -298,7 +294,6 @@ class Ropa(SlottedMac):
             FrameType.ACK, self.node.node_id, offer.appender, self.sim.now, ata=True
         )
         self._transmit_control(ata)
-        self.stats.opportunistic_ctrl += 1
 
     def _complete_send(self) -> None:  # noqa: D102
         super()._complete_send()
@@ -325,7 +320,6 @@ class Ropa(SlottedMac):
         )
         self._transmit_control(ack)
         self.stats.ack_sent += 1
-        self.stats.opportunistic_ctrl += 1
 
     def stop(self) -> None:  # noqa: D102
         super().stop()

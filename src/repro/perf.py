@@ -38,8 +38,8 @@ class PerfReport:
         rows_refreshed: Stale link-state rows partially recomputed (0 on a
             fully static run — every row is built once and stays warm).
         grid_candidates: Summed spatial-hash candidate-set sizes across
-            broadcasts (divide by ``broadcasts`` for the mean scan width,
-            versus ``n - 1`` for a full scan).
+            broadcasts (:attr:`mean_grid_candidates` is the mean scan
+            width, versus ``n - 1`` for a full scan).
         bulk_pushes: Batched fan-out calls into the DES core's
             ``push_bulk`` (one per broadcast that reached anyone).
         bulk_events: Arrival events scheduled through those batches.
@@ -83,6 +83,11 @@ class PerfReport:
         """Fraction of link-state lookups served from cache (0 if none)."""
         lookups = self.cache_hits + self.cache_misses
         return self.cache_hits / lookups if lookups else 0.0
+
+    @property
+    def mean_grid_candidates(self) -> float:
+        """Mean spatial-grid candidates scanned per broadcast (0 if none)."""
+        return self.grid_candidates / self.broadcasts if self.broadcasts else 0.0
 
     @property
     def speedup_factor(self) -> float:
@@ -140,8 +145,7 @@ class PerfReport:
             f"vector kernel: {self.vector_batches:,} batches, "
             f"{self.rows_refreshed:,} rows refreshed",
             f"spatial grid: {self.grid_cells:,} cells, "
-            f"{self.grid_candidates / self.broadcasts if self.broadcasts else 0.0:,.1f} "
-            f"mean candidates/broadcast",
+            f"{self.mean_grid_candidates:,.1f} mean candidates/broadcast",
             f"bulk schedule: {self.bulk_pushes:,} pushes, "
             f"{self.bulk_events:,} events "
             f"({self.bulk_events / self.bulk_pushes if self.bulk_pushes else 0.0:,.1f} "

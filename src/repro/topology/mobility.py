@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -27,6 +27,10 @@ from .deployment import DeploymentConfig
 
 #: Typical slow current speed (m/s) used for drifting sensors.
 DEFAULT_DRIFT_SPEED_MPS = 0.5
+#: Depth-oscillation amplitude (m) of vertically moving sensors.
+DEFAULT_OSCILLATION_AMPLITUDE_M = 100.0
+#: Depth-oscillation period (s) of vertically moving sensors.
+DEFAULT_OSCILLATION_PERIOD_S = 120.0
 #: Position-update period (s).
 DEFAULT_UPDATE_PERIOD_S = 5.0
 #: Tether radius: how far a node may wander from its anchor (m).
@@ -51,48 +55,41 @@ class StaticModel(MobilityModel):
 class HorizontalDriftModel(MobilityModel):
     """"Moved horizontal": drift with a slowly rotating current heading."""
 
-    def __init__(self, rng: np.random.Generator, speed_mps: float = DEFAULT_DRIFT_SPEED_MPS):
+    def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        self.speed_mps = speed_mps
         self._heading = float(rng.uniform(0.0, 2.0 * math.pi))
 
     def step(self, current: Position, dt: float) -> Position:
         # Heading performs a slow random walk (current meander).
         self._heading += float(self._rng.normal(0.0, 0.1))
-        dx = self.speed_mps * dt * math.cos(self._heading)
-        dy = self.speed_mps * dt * math.sin(self._heading)
+        dx = DEFAULT_DRIFT_SPEED_MPS * dt * math.cos(self._heading)
+        dy = DEFAULT_DRIFT_SPEED_MPS * dt * math.sin(self._heading)
         return current.translated(dx=dx, dy=dy)
 
 
 class VerticalOscillationModel(MobilityModel):
     """"Moved vertical": buoyancy-driven sinusoidal depth oscillation."""
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        amplitude_m: float = 100.0,
-        period_s: float = 120.0,
-    ):
+    def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        self.amplitude_m = amplitude_m
-        self.period_s = period_s
         self._phase = float(rng.uniform(0.0, 2.0 * math.pi))
         self._elapsed = 0.0
-        self._last_offset = math.sin(self._phase) * amplitude_m
+        self._last_offset = math.sin(self._phase) * DEFAULT_OSCILLATION_AMPLITUDE_M
 
     def step(self, current: Position, dt: float) -> Position:
         self._elapsed += dt
         offset = (
-            math.sin(self._phase + 2.0 * math.pi * self._elapsed / self.period_s)
-            * self.amplitude_m
+            math.sin(self._phase + 2.0 * math.pi * self._elapsed / DEFAULT_OSCILLATION_PERIOD_S)
+            * DEFAULT_OSCILLATION_AMPLITUDE_M
         )
         dz = offset - self._last_offset
         self._last_offset = offset
         return current.translated(dz=dz)
 
 
-#: Names accepted by :class:`MobilityManager` model mixes.
+#: The paper's three location models, drawn with equal probability.
 MODEL_NAMES = ("static", "horizontal", "vertical")
+_MODEL_MIX = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 
 class MobilityManager:
@@ -102,9 +99,9 @@ class MobilityManager:
         sim: Simulation kernel (drives the update timer).
         nodes: Nodes to move; sinks are always kept static.
         config: Deployment geometry (for boundary clamping).
-        rng: RNG for model assignment and model internals.
-        model_mix: Probability of each model, in MODEL_NAMES order.
 
+    Each sensor draws one of :data:`MODEL_NAMES` uniformly from the
+    simulator's ``"mobility"`` stream, which also drives the models.
     Positions are stepped every :data:`DEFAULT_UPDATE_PERIOD_S` and kept
     within :data:`DEFAULT_TETHER_M` of their deployment anchor.
     """
@@ -114,19 +111,11 @@ class MobilityManager:
         sim: Simulator,
         nodes: Sequence[Node],
         config: DeploymentConfig,
-        rng: Optional[np.random.Generator] = None,
-        model_mix: Sequence[float] = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0),
     ) -> None:
-        if len(model_mix) != 3:
-            raise ValueError("model_mix needs 3 probabilities (static/horizontal/vertical)")
-        total = sum(model_mix)
-        if total <= 0:
-            raise ValueError("model_mix must sum to a positive value")
-        mix = [p / total for p in model_mix]
         self.sim = sim
         self.nodes = list(nodes)
         self.config = config
-        self._rng = rng if rng is not None else sim.streams.get("mobility")
+        self._rng = sim.streams.get("mobility")
         self._anchors: Dict[int, Position] = {n.node_id: n.position for n in self.nodes}
         self._models: Dict[int, MobilityModel] = {}
         self.assignments: Dict[int, str] = {}
@@ -134,7 +123,7 @@ class MobilityManager:
             if node.is_sink:
                 name = "static"
             else:
-                name = MODEL_NAMES[int(self._rng.choice(3, p=mix))]
+                name = MODEL_NAMES[int(self._rng.choice(3, p=_MODEL_MIX))]
             self.assignments[node.node_id] = name
             self._models[node.node_id] = self._make_model(name)
         self._timer = None

@@ -35,7 +35,7 @@ def build_chain(seed=0):
     for node_id, pos in enumerate(positions):
         node = Node(sim, node_id, pos, channel)
         mac = EwMac(sim, node, channel, timing)
-        mac.config.hello_window_s = 2.0
+        mac.hello_window_s = 2.0
         mac.start()
         nodes.append(node)
         macs.append(mac)

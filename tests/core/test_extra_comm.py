@@ -32,7 +32,7 @@ def build_triangle(seed=0):
     for node_id, pos in enumerate(positions):
         node = Node(sim, node_id, pos, channel)
         mac = EwMac(sim, node, channel, timing)
-        mac.config.hello_window_s = 2.0
+        mac.hello_window_s = 2.0
         nodes.append(node)
         macs.append(mac)
     return sim, nodes, macs, timing

@@ -24,6 +24,7 @@ from repro.experiments.checkpoint import (
     CheckpointError,
     read_checkpoint,
     restore_scenario,
+    snapshot_scenario,
     write_checkpoint,
 )
 from repro.experiments.config import table2_config
@@ -49,7 +50,7 @@ def _snapshot_at(config, nth: int, run):
     taken = []
 
     def hook(scenario: Scenario) -> None:
-        taken.append(scenario.snapshot())
+        taken.append(snapshot_scenario(scenario))
         if len(taken) >= nth:
             raise _Interrupt
 
@@ -66,7 +67,7 @@ class TestBitIdentity:
         blob = _snapshot_at(
             config, 2, lambda s, hook: s.run_steady_state(3.0, hook)
         )
-        resumed = Scenario.restore(blob).resume().to_dict()
+        resumed = restore_scenario(blob).resume().to_dict()
         assert resumed == baseline
 
     def test_batch_resume_reports_identical_drain_time(self):
@@ -76,7 +77,7 @@ class TestBitIdentity:
         blob = _snapshot_at(
             config, 1, lambda s, hook: s.run_batch(4, 600.0, 5.0, hook)
         )
-        resumed = Scenario.restore(blob).resume().to_dict()
+        resumed = restore_scenario(blob).resume().to_dict()
         assert resumed == baseline
 
     def test_checkpointing_on_without_interruption_changes_nothing(self):
@@ -96,7 +97,7 @@ class TestBitIdentity:
         blob = _snapshot_at(
             config, 7, lambda s, hook: s.run_steady_state(2.0, hook)
         )
-        restored = Scenario.restore(blob)
+        restored = restore_scenario(blob)
         assert restored.channel.sound_speed_mps == speed
         assert restored.resume().to_dict() == baseline
 
@@ -113,13 +114,13 @@ class TestBitIdentity:
         def hook(scenario: Scenario) -> None:
             unsettled = sum(len(node.modem._unsettled) for node in scenario.nodes)
             if unsettled:
-                taken.append((scenario.snapshot(), unsettled))
+                taken.append((snapshot_scenario(scenario), unsettled))
                 raise _Interrupt
 
         with pytest.raises(_Interrupt):
             Scenario(config).run_steady_state(1.0, hook)
         blob, unsettled = taken[0]
-        restored = Scenario.restore(blob)
+        restored = restore_scenario(blob)
         assert sum(len(node.modem._unsettled) for node in restored.nodes) == unsettled
         assert restored.resume().to_dict() == baseline
         assert [node.modem.stats for node in restored.nodes] == [
@@ -137,9 +138,9 @@ class TestBitIdentity:
         script = tmp_path / "resume_child.py"
         script.write_text(
             "import json, pathlib, sys\n"
-            "from repro.experiments.scenario import Scenario\n"
+            "from repro.experiments.checkpoint import restore_scenario\n"
             "blob = pathlib.Path(sys.argv[1]).read_bytes()\n"
-            "result = Scenario.restore(blob).resume()\n"
+            "result = restore_scenario(blob).resume()\n"
             "print(json.dumps(result.to_dict()))\n"
         )
         env = dict(os.environ)

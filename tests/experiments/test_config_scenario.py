@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.experiments.config import TABLE2, ScenarioConfig, table2_config
-from repro.experiments.scenario import Scenario, run_batch_scenario, run_scenario
+from repro.experiments.scenario import Scenario, run_scenario
 
 
 class TestConfig:
@@ -128,7 +128,7 @@ class TestScenario:
         assert scenario.mobility is None
 
     def test_batch_mode_records_execution(self):
-        result = run_batch_scenario(self._quick(), n_packets=5, max_time_s=400.0)
+        result = Scenario(self._quick()).run_batch(n_packets=5, max_time_s=400.0)
         assert result.execution is not None
         assert result.execution.injected == 5
         if not result.execution.timed_out:

@@ -26,7 +26,7 @@ def run_triangle(seed):
     for node_id, pos in enumerate(positions):
         node = Node(sim, node_id, pos, channel)
         mac = EwMac(sim, node, channel, timing)
-        mac.config.hello_window_s = 2.0
+        mac.hello_window_s = 2.0
         mac.start()
         nodes.append((node, mac))
     nodes[1][0].enqueue_data(0, 2048)

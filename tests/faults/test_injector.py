@@ -6,6 +6,7 @@ import pytest
 
 from repro.acoustic.geometry import Position
 from repro.des.simulator import Simulator
+from repro.des.trace import Tracer
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     ClockFault,
@@ -174,6 +175,19 @@ class TestOutages:
         assert injector.counts.rx_outages == 1
         kinds = [e.kind for e in injector.events]
         assert kinds == ["outage_start", "outage_end"]
+
+    def test_node_zero_outage_is_traced_to_node_zero(self):
+        # Node 0 is a real node: its trace records must not read as the
+        # network-wide node -1.
+        sim = Simulator(seed=1, tracer=Tracer(["fault."]))
+        channel, nodes = build_network(sim)
+        plan = FaultPlan(
+            outages=(ModemOutage(node_id=0, at_s=10.0, duration_s=5.0, direction="rx"),)
+        )
+        run_injector(sim, channel, nodes, plan)
+        starts = sim.trace.select("fault.outage_start")
+        assert [r.node for r in starts] == [0]
+        assert [r.node for r in sim.trace.select("fault.outage_end")] == [0]
 
 
 class TestClockAndNoise:

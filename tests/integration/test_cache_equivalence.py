@@ -16,7 +16,7 @@ from repro.acoustic.geometry import Position
 from repro.des.simulator import Simulator
 from repro.experiments.chaos import chaos_plan
 from repro.experiments.config import table2_config
-from repro.experiments.scenario import run_batch_scenario, run_scenario
+from repro.experiments.scenario import Scenario, run_scenario
 from repro.phy.channel import AcousticChannel
 from repro.phy.frame import FrameType, control_frame
 from tests.reference_channel import ReferenceChannel
@@ -179,8 +179,8 @@ class TestBatchEquivalence:
         config = table2_config(
             sim_time_s=40.0, seed=7, offered_load_kbps=0.4, max_retries=100
         )
-        cached = run_batch_scenario(config, n_packets=6, max_time_s=1200.0)
+        cached = Scenario(config).run_batch(n_packets=6, max_time_s=1200.0)
         uncached = reference_run(
-            run_batch_scenario, config, n_packets=6, max_time_s=1200.0
+            lambda: Scenario(config).run_batch(n_packets=6, max_time_s=1200.0)
         )
         assert _flat(cached) == _flat(uncached)

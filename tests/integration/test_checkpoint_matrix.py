@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.checkpoint import restore_scenario, snapshot_scenario
 from repro.experiments.config import table2_config
 from repro.experiments.scenario import Scenario
 from repro.faults.plan import CrashWave, FaultPlan, NoiseBurst
@@ -50,14 +51,14 @@ def _cut_and_resume(config, every_s: float = 3.0, nth: int = 2) -> dict:
     taken = []
 
     def hook(scenario: Scenario) -> None:
-        taken.append(scenario.snapshot())
+        taken.append(snapshot_scenario(scenario))
         if len(taken) >= nth:
             raise _Interrupt
 
     try:
         finished = Scenario(config).run_steady_state(every_s, hook)
     except _Interrupt:
-        resumed = Scenario.restore(taken[-1]).resume().to_dict()
+        resumed = restore_scenario(taken[-1]).resume().to_dict()
     else:  # pragma: no cover - window too short for nth checkpoints
         resumed = finished.to_dict()
     return {"baseline": baseline, "resumed": resumed}

@@ -19,7 +19,7 @@ def build_pair(seed=0, distance=900.0):
     for node_id, pos in enumerate([Position(0, 0, 100), Position(distance, 0, 100)]):
         node = Node(sim, node_id, pos, channel)
         mac = SlottedAloha(sim, node, channel, timing)
-        mac.config.hello_window_s = 1.0
+        mac.hello_window_s = 1.0
         mac.start()
         nodes.append(node)
         macs.append(mac)
@@ -55,7 +55,7 @@ def test_ack_completes_transfer():
 
 def test_retransmits_until_acked():
     sim, nodes, macs, timing = build_pair()
-    macs[0].config.max_retries = 3
+    macs[0].max_retries = 3
     # silence the receiver: no acks ever
     macs[1].stop()
     nodes[1].modem.on_receive = None

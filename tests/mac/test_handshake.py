@@ -22,7 +22,7 @@ def build_network(positions, seed=0, protocol=SFama, hello_window=2.0):
     for node_id, pos in enumerate(positions):
         node = Node(sim, node_id, pos, channel)
         mac = protocol(sim, node, channel, timing)
-        mac.config.hello_window_s = hello_window
+        mac.hello_window_s = hello_window
         nodes.append(node)
         macs.append(mac)
     return sim, nodes, macs, timing
@@ -157,7 +157,7 @@ class TestContention:
         sim, nodes, macs, timing = build_network(positions)
         for mac in macs:
             mac.start()
-        macs[0].config.max_retries = 2
+        macs[0].max_retries = 2
         nodes[0].enqueue_data(1, 1024)
         # silence the receiver so no CTS ever comes
         macs[1].stop()

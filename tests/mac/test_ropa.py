@@ -19,7 +19,7 @@ def build(positions, seed=0):
     for node_id, pos in enumerate(positions):
         node = Node(sim, node_id, pos, channel)
         mac = Ropa(sim, node, channel, timing)
-        mac.config.hello_window_s = 2.0
+        mac.hello_window_s = 2.0
         nodes.append(node)
         macs.append(mac)
     return sim, nodes, macs, timing
@@ -123,7 +123,7 @@ class TestRopaState:
         positions = [Position(0, 0, 100), Position(900, 0, 100)]
         sim, nodes, macs, timing = build(positions)
         for mac in macs:
-            mac.config.maintenance_period_s = 5.0
+            mac.maintenance_period_s = 5.0
             mac.start()
             mac._next_maintenance = 5.0  # constructed before the override
         sim.run(until=40.0)

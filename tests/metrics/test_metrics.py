@@ -81,7 +81,7 @@ class TestOverhead:
     def test_memory_and_energy_charge_one_entry_count(self):
         # One-hop plus two-hop entries: the overhead's memory term and the
         # energy model's maintenance term count the same tables.
-        from repro.energy.model import PowerModel
+        from repro.energy.model import ENTRY_W, IDLE_W, node_energy_j
         from repro.mac.base import neighbor_state_entries
         from repro.mac.csmac import CsMac
 
@@ -93,8 +93,7 @@ class TestOverhead:
         mac.two_hop.record_announcement(1, [(2, 0.5), (3, 0.4)])
         assert neighbor_state_entries(mac) == 3
         assert network_overhead([mac]).memory_units == 3 * MEMORY_BITS_PER_ENTRY
-        power = PowerModel(tx_w=0, rx_w=0, idle_w=0, entry_w=0.001)
-        assert power.node_energy_j(mac, 100.0) == pytest.approx(0.001 * 3 * 100)
+        assert node_energy_j(mac, 100.0) == pytest.approx(IDLE_W * 100 + ENTRY_W * 3 * 100)
 
 
     def test_ratio_vs_baseline(self):

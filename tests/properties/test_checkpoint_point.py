@@ -9,10 +9,10 @@ points we thought to write down.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.checkpoint import restore_scenario, snapshot_scenario
 from repro.experiments.config import table2_config
 from repro.experiments.scenario import Scenario
 
@@ -43,7 +43,7 @@ def test_resume_bit_identical_at_any_checkpoint(every_s, nth, protocol):
     taken = []
 
     def hook(scenario: Scenario) -> None:
-        taken.append(scenario.snapshot())
+        taken.append(snapshot_scenario(scenario))
         if len(taken) >= nth:
             raise _Interrupt
 
@@ -51,7 +51,7 @@ def test_resume_bit_identical_at_any_checkpoint(every_s, nth, protocol):
     try:
         uninterrupted = scenario.run_steady_state(every_s, hook)
     except _Interrupt:
-        resumed = Scenario.restore(taken[-1]).resume().to_dict()
+        resumed = restore_scenario(taken[-1]).resume().to_dict()
         assert resumed == _baseline(protocol)
     else:
         # Fewer than nth checkpoints fit in the window: the run finished
@@ -73,7 +73,7 @@ def test_batch_resume_bit_identical_at_any_checkpoint(every_s, nth):
     taken = []
 
     def hook(scenario: Scenario) -> None:
-        taken.append(scenario.snapshot())
+        taken.append(snapshot_scenario(scenario))
         if len(taken) >= nth:
             raise _Interrupt
 
@@ -81,7 +81,7 @@ def test_batch_resume_bit_identical_at_any_checkpoint(every_s, nth):
     try:
         finished = scenario.run_batch(3, 600.0, every_s, hook)
     except _Interrupt:
-        resumed = Scenario.restore(taken[-1]).resume().to_dict()
+        resumed = restore_scenario(taken[-1]).resume().to_dict()
         assert resumed == baseline
         assert resumed["drain_time_s"] == baseline["drain_time_s"]
     else:

@@ -9,6 +9,9 @@ from repro.net.node import Node
 from repro.phy.channel import AcousticChannel
 from repro.topology.deployment import DeploymentConfig, connected_column_deployment
 from repro.topology.mobility import (
+    DEFAULT_DRIFT_SPEED_MPS,
+    DEFAULT_OSCILLATION_AMPLITUDE_M,
+    DEFAULT_OSCILLATION_PERIOD_S,
     DEFAULT_TETHER_M,
     HorizontalDriftModel,
     MobilityManager,
@@ -19,6 +22,11 @@ from repro.topology.routing import DepthRouting
 
 
 class TestModels:
+    def test_model_constants(self):
+        assert DEFAULT_DRIFT_SPEED_MPS == 0.5
+        assert DEFAULT_OSCILLATION_AMPLITUDE_M == 100.0
+        assert DEFAULT_OSCILLATION_PERIOD_S == 120.0
+
     def test_static_never_moves(self):
         model = StaticModel()
         p = Position(1, 2, 3)
@@ -26,26 +34,27 @@ class TestModels:
 
     def test_horizontal_keeps_depth(self):
         rng = np.random.default_rng(0)
-        model = HorizontalDriftModel(rng, speed_mps=0.5)
+        model = HorizontalDriftModel(rng)
         p = Position(0, 0, 500)
         moved = model.step(p, 10.0)
         assert moved.z == 500
-        assert p.horizontal_distance_to(moved) == pytest.approx(5.0)
+        assert p.horizontal_distance_to(moved) == pytest.approx(10.0 * DEFAULT_DRIFT_SPEED_MPS)
 
     def test_vertical_keeps_xy_and_is_bounded(self):
         rng = np.random.default_rng(0)
-        model = VerticalOscillationModel(rng, amplitude_m=50.0, period_s=60.0)
+        model = VerticalOscillationModel(rng)
         p = Position(10, 20, 500)
         max_dev = 0.0
+        # 100 steps of 5 s span several DEFAULT_OSCILLATION_PERIOD_S periods.
         for _ in range(100):
             p = model.step(p, 5.0)
             assert (p.x, p.y) == (10, 20)
             max_dev = max(max_dev, abs(p.z - 500))
-        assert max_dev <= 100.0 + 1e-6  # 2 * amplitude
+        assert 0.0 < max_dev <= 2 * DEFAULT_OSCILLATION_AMPLITUDE_M + 1e-6
 
 
 class TestManager:
-    def _build(self, seed=0, model_mix=(1 / 3, 1 / 3, 1 / 3)):
+    def _build(self, seed=0):
         sim = Simulator(seed=seed)
         config = DeploymentConfig(n_sensors=20, seed=seed)
         dep = connected_column_deployment(config)
@@ -54,40 +63,47 @@ class TestManager:
             Node(sim, i, pos, channel, is_sink=(i in dep.sink_ids))
             for i, pos in enumerate(dep.positions)
         ]
-        manager = MobilityManager(sim, nodes, config, model_mix=model_mix)
+        manager = MobilityManager(sim, nodes, config)
         return sim, nodes, manager
+
+    @staticmethod
+    def _horizontal(nodes, manager):
+        """The nodes the manager assigned the horizontal drift model."""
+        picked = [n for n in nodes if manager.assignments[n.node_id] == "horizontal"]
+        assert picked
+        return picked
 
     def test_sinks_stay_static(self):
         sim, nodes, manager = self._build()
         assert manager.assignments[0] == "static"
 
+    def test_every_model_is_drawn(self):
+        sim, nodes, manager = self._build()
+        assert set(manager.assignments.values()) == {"static", "horizontal", "vertical"}
+
     def test_tether_bounds_wander(self):
-        sim, nodes, manager = self._build(model_mix=(0, 1, 0))
+        sim, nodes, manager = self._build()
+        drifting = self._horizontal(nodes, manager)
         anchors = {n.node_id: n.position for n in nodes}
         for _ in range(200):
             manager.step(10.0)
         for node in nodes:
             assert node.position.distance_to(anchors[node.node_id]) <= DEFAULT_TETHER_M + 1e-6
+        # 2000 s at DEFAULT_DRIFT_SPEED_MPS would carry a node well past the tether.
+        assert any(
+            node.position.distance_to(anchors[node.node_id]) > DEFAULT_TETHER_M / 2
+            for node in drifting
+        )
 
     def test_periodic_updates_via_simulator(self):
-        sim, nodes, manager = self._build(model_mix=(0, 1, 0))
-        start = [n.position for n in nodes if not n.is_sink]
+        sim, nodes, manager = self._build()
+        drifting = self._horizontal(nodes, manager)
+        start = [n.position for n in drifting]
         manager.start()
         sim.run(until=30.0)
-        moved = [
-            n.position.distance_to(s)
-            for n, s in zip([n for n in nodes if not n.is_sink], start)
-        ]
-        assert any(d > 0 for d in moved)
+        moved = [n.position.distance_to(s) for n, s in zip(drifting, start)]
+        assert all(d > 0 for d in moved)
         manager.stop()
-
-    def test_invalid_mix_rejected(self):
-        sim, nodes, _ = self._build()
-        config = DeploymentConfig(n_sensors=5)
-        with pytest.raises(ValueError):
-            MobilityManager(sim, nodes, config, model_mix=(1, 1))
-        with pytest.raises(ValueError):
-            MobilityManager(sim, nodes, config, model_mix=(0, 0, 0))
 
 
 class TestRouting:
