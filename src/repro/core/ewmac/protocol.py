@@ -403,7 +403,6 @@ class EwMac(SlottedMac):
             req_uid=request.uid,
         )
         self.node.modem.transmit(frame)
-        self.stats.opportunistic_data += 1
         self.stats.opportunistic_data_bits += request.size_bits
         duration = request.size_bits / self.channel.bitrate_bps
         deadline = (

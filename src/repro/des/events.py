@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from itertools import repeat as _repeat
-from typing import Any, Callable, List, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .errors import EventStateError
 
@@ -130,9 +130,17 @@ class EventQueue:
         callback: Callable[..., Any],
         args: Tuple[Any, ...] = (),
         priority: int = PRIORITY_NORMAL,
+        seq: Optional[int] = None,
     ) -> Event:
-        """Schedule ``callback(*args)`` at absolute ``time``; return handle."""
-        seq = next(self._seq)
+        """Schedule ``callback(*args)`` at absolute ``time``; return handle.
+
+        ``seq`` is a number reserved earlier with ``next`` on the queue's
+        counter (:attr:`Simulator.take_seq`): the event then sorts among
+        same-time, same-priority events as if it had been pushed at the
+        moment of the reservation.
+        """
+        if seq is None:
+            seq = next(self._seq)
         event = Event(time, priority, seq, callback, args)
         heapq.heappush(self._heap, (time, priority, seq, event))
         self._live += 1

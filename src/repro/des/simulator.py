@@ -135,13 +135,19 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
         priority: int = PRIORITY_NORMAL,
+        seq: Optional[int] = None,
     ) -> Event:
-        """Schedule ``callback(*args)`` at absolute simulation ``time``."""
+        """Schedule ``callback(*args)`` at absolute simulation ``time``.
+
+        ``seq``, if given, is a number from :attr:`take_seq`: the event
+        keeps the queue position of that reservation (see
+        :meth:`EventQueue.push`).
+        """
         if time < self.now:
             raise SchedulingError(
                 f"cannot schedule at {time!r}, current time is {self.now!r}"
             )
-        return self._queue.push(time, callback, args, priority)
+        return self._queue.push(time, callback, args, priority, seq)
 
     def cancel(self, event: Optional[Event]) -> None:
         """Cancel an event if it is still pending (None and fired are no-ops).

@@ -81,7 +81,9 @@ def scale(
 
     Unlike the figure plans the series are *metrics*, not protocols:
     ``wall_time_s``, ``kevents_per_s`` (thousands of simulator events per
-    wall-clock second), ``cache_hit_pct`` and ``grid_candidates_mean``
+    wall-clock second; it fell when idle nodes stopped ticking, as each
+    cell now runs fewer, costlier events for the same work),
+    ``cache_hit_pct`` and ``grid_candidates_mean``
     (mean spatial-hash candidate-set size per broadcast, versus ``n - 1``
     for a full scan).  Only the first seed is used — replication averages
     wall-clock noise into the signal instead of out of it, and the

@@ -59,10 +59,8 @@ class SlottedAloha(SlottedMac):
             req_uid=request.uid,
         )
         self.node.modem.transmit(frame)
-        self.stats.data_sent += 1
         self.stats.data_sent_bits += request.size_bits
         if request.attempts > 1:
-            self.stats.retransmissions += 1
             self.stats.retransmitted_bits += request.size_bits
         self.state = MacState.WAIT_ACK
         tau = self.node.neighbors.delay_to(request.dst)

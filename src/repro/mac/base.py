@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Deque, List, Optional, Set, Tuple
 
-from ..des.events import Event
+from ..des.events import PRIORITY_NORMAL, Event
 from ..des.simulator import Simulator
 from ..net.node import DataRequest, Node
 from ..phy.channel import AcousticChannel
@@ -68,14 +68,9 @@ class MacStats:
     """Per-node MAC counters (inputs to the paper's metrics)."""
 
     # transmit side
-    rts_sent: int = 0
-    cts_sent: int = 0
-    ack_sent: int = 0
-    data_sent: int = 0
     data_sent_bits: int = 0
     ctrl_sent_bits: int = 0
     # opportunistic traffic (EW extra / ROPA append / CS-MAC steal)
-    opportunistic_data: int = 0
     opportunistic_data_bits: int = 0
     # receive side
     data_received: int = 0
@@ -87,7 +82,6 @@ class MacStats:
     handshakes_started: int = 0
     handshakes_completed: int = 0
     contention_failures: int = 0
-    retransmissions: int = 0
     retransmitted_bits: int = 0
     drops: int = 0
     # overhead accounting
@@ -195,7 +189,11 @@ class SlottedMac:
         # wiring
         node.mac = self
         node.modem.on_receive = self._on_modem_receive
+        node.clock.before_fault = self._wake
         self._slot_event: Optional[Event] = None
+        #: ``(index, time, seq)`` while the node sleeps: the queue key of the
+        #: tick the always-ticking engine would run next (see :meth:`_wake`).
+        self._sleep: Optional[Tuple[int, float, int]] = None
         # Random phase so the network's maintenance broadcasts don't
         # synchronize into periodic collision storms.
         period = self.maintenance_period_s or 0.0
@@ -236,6 +234,7 @@ class SlottedMac:
         for event in (self._slot_event, self._cts_timeout, self._ack_timeout, self._data_timeout):
             self.sim.cancel(event)
         self._slot_event = None
+        self._sleep = None
         self._cts_timeout = None
         self._ack_timeout = None
         self._data_timeout = None
@@ -294,9 +293,17 @@ class SlottedMac:
             return []
         violations: List[str] = []
         prefix = f"{self.name} node {self.node.node_id}"
-        if not _event_live(self._slot_event):
-            violations.append(f"{prefix}: slot engine not running")
-            return violations
+        if self._sleep is None:
+            if not _event_live(self._slot_event):
+                violations.append(f"{prefix}: slot engine not running")
+                return violations
+        else:
+            # Asleep is legitimate while no boundary has work for the node
+            # and, where the protocol has maintenance, its wake is armed.
+            if self._handshake_work():
+                violations.append(f"{prefix}: asleep with slot work due")
+            if self.maintenance_period_s is not None and not _event_live(self._slot_event):
+                violations.append(f"{prefix}: asleep without a maintenance wake")
         if self.state is MacState.WAIT_CTS and not _event_live(self._cts_timeout):
             violations.append(f"{prefix}: WAIT_CTS without a live CTS timeout")
         if self.state is MacState.WAIT_SEND_DATA and self._data_due_slot is None:
@@ -318,20 +325,115 @@ class SlottedMac:
         """Subclass hook: append protocol-specific wedge findings."""
 
     def notify_queue(self) -> None:
-        """Node enqueued data; the next slot tick will pick it up."""
+        """Node enqueued data: a sleeping node wakes for its next boundary."""
+        self._wake()
 
     # ------------------------------------------------------------------
     # Slot engine
     # ------------------------------------------------------------------
     def _slot_tick(self, index: int) -> None:
-        self._slot_event = self.sim.schedule_at(
-            max(
-                self.node.clock.to_true(self.timing.slot_start(index + 1)),
-                self.sim.now,
-            ),
-            self._slot_tick,
-            index + 1,
+        self._sleep = None  # the tick may be a sleeping node's maintenance wake
+        # The next tick keeps the queue position it would have had if it
+        # were pushed first, as the sleep decision can only follow the slot
+        # actions.
+        seq = self.sim.take_seq()
+        self._slot_actions(index)
+        index += 1
+        time = self._tick_time(index, self.sim.now)
+        if self._can_sleep():
+            due = (
+                None
+                if self.maintenance_period_s is None
+                else self._first_tick_after(index, time, seq, (self._next_maintenance,))
+            )
+            if due != index:
+                # Sleep; a protocol with maintenance arms the tick due for it.
+                self._sleep = (index, time, seq)
+                if due is None:
+                    self._slot_event = None
+                    return
+                index, time = due, self._tick_time(due, time)
+        self._slot_event = self.sim.schedule_at(time, self._slot_tick, index, seq=seq)
+
+    def _can_sleep(self) -> bool:
+        """The sleep predicate: no boundary has work for this node.
+
+        An IDLE node without handshake work only runs maintenance at a
+        boundary, and a sleep arms the tick due for it.  Everything else
+        that gives the node slot work wakes it first: an enqueue
+        (:meth:`notify_queue`), an addressed RTS and a clock fault (the
+        clock's ``before_fault``).
+        """
+        return self.state is MacState.IDLE and not self._handshake_work()
+
+    def _handshake_work(self) -> bool:
+        """Queued data, an RTS to grant, or an Ack or Data due."""
+        return bool(
+            self.node.queue
+            or self._rts_candidates
+            or self._ack_due_slot is not None
+            or self._data_due_slot is not None
         )
+
+    def _tick_time(self, index: int, floor: float) -> float:
+        """When the always-ticking engine runs tick ``index`` of a sleep.
+
+        Each tick re-arms at ``max(to_true(slot_start), now)``, so after
+        the first one, at ``floor``, tick ``index`` fires at
+        ``max(to_true(slot_start(index)), floor)``.
+        """
+        return max(self.node.clock.to_true(self.timing.slot_start(index)), floor)
+
+    def _first_tick_after(
+        self, index: int, floor: float, seq: int, bound: Tuple[float, ...]
+    ) -> int:
+        """First tick ``j >= index`` of a sleep whose queue key sorts after ``bound``.
+
+        Every tick of a sleep is keyed ``(time, PRIORITY_NORMAL, seq)`` with
+        the ``seq`` reserved when the node fell asleep; ``bound`` is a
+        queue key, or ``(t,)`` for "fires at or after ``t``".
+        """
+
+        def key(j: int) -> Tuple[float, int, int]:
+            return (self._tick_time(j, floor), PRIORITY_NORMAL, seq)
+
+        if key(index) > bound:
+            return index
+        local = self.node.clock.to_local(bound[0])
+        j = max(index + 1, self.timing.slot_index(local) if local > 0 else 0)
+        while j > index + 1 and key(j - 1) > bound:
+            j -= 1
+        while key(j) <= bound:
+            j += 1
+        return j
+
+    def _wake(self) -> None:
+        """End a sleep, if any: arm the tick the always-ticking engine runs next.
+
+        That is the first tick of the sleep whose queue key still sorts
+        after :meth:`Simulator.frontier`.  So work that appears exactly at
+        a boundary instant is seen by that boundary's tick iff it was
+        processed before the tick.  The keys share the ``seq`` reserved
+        when the node fell asleep: exact for the first tick, and for later
+        ones exact unless a same-priority event at that very instant was
+        pushed after the node fell asleep but before the boundary ahead of
+        it.
+        """
+        if self._sleep is None:
+            return
+        index, floor, seq = self._sleep
+        self._sleep = None
+        index = self._first_tick_after(index, floor, seq, self.sim.frontier())
+        pending = self._slot_event
+        if pending is not None and pending.pending:
+            if pending.args[0] == index:
+                return  # the maintenance wake is that very tick
+            self.sim.cancel(pending)
+        self._slot_event = self.sim.schedule_at(
+            self._tick_time(index, floor), self._slot_tick, index, seq=seq
+        )
+
+    def _slot_actions(self, index: int) -> None:
         now = self.sim.now
         # An opportunistic (mid-slot) transmission may still be on the air
         # at the boundary; slot actions must then be skipped, not crash.
@@ -392,7 +494,6 @@ class SlottedMac:
             data_bits=request.size_bits,
         )
         self._transmit_control(frame)
-        self.stats.rts_sent += 1
         self.stats.handshakes_started += 1
         if request.attempts > 1:
             self.stats.retransmitted_bits += CONTROL_PACKET_BITS
@@ -433,10 +534,8 @@ class SlottedMac:
             req_uid=request.uid,
         )
         self.node.modem.transmit(frame)
-        self.stats.data_sent += 1
         self.stats.data_sent_bits += request.size_bits
         if self._data_was_sent:
-            self.stats.retransmissions += 1
             self.stats.retransmitted_bits += request.size_bits
         self._data_was_sent = True
         self.state = MacState.WAIT_ACK
@@ -519,7 +618,6 @@ class SlottedMac:
             rts_slot=index - 1,
         )
         self._transmit_control(frame)
-        self.stats.cts_sent += 1
         self.state = MacState.WAIT_DATA
         # Data should be fully received by the Eq. 5 ack slot; allow one
         # extra slot of slack before declaring the exchange dead.
@@ -565,7 +663,6 @@ class SlottedMac:
             return  # cannot ack; sender will retransmit
         frame = control_frame(FrameType.ACK, self.node.node_id, dst, self.sim.now)
         self._transmit_control(frame)
-        self.stats.ack_sent += 1
         self.after_ack_sent(dst)
 
     def register_data_reception(self, frame: Frame) -> bool:
@@ -620,6 +717,7 @@ class SlottedMac:
                 and self._ack_due_slot is None
             ):
                 self._rts_candidates.append(frame)
+                self._wake()
             return
         if ftype is FrameType.CTS:
             if self.state is MacState.WAIT_CTS and frame.src == self._target:

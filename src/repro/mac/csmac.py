@@ -170,7 +170,6 @@ class CsMac(SlottedMac):
             req_uid=request.uid,
         )
         self.node.modem.transmit(frame)
-        self.stats.opportunistic_data += 1
         self.stats.opportunistic_data_bits += request.size_bits
         context = StealContext(target=target, request=request)
         ack_deadline = (
@@ -216,7 +215,6 @@ class CsMac(SlottedMac):
             FrameType.ACK, self.node.node_id, frame.src, self.sim.now, stolen=True
         )
         self._transmit_control(ack)
-        self.stats.ack_sent += 1
 
     def _handle_addressed(self, frame: Frame, arrival: Arrival) -> None:  # noqa: D102
         if frame.ftype is FrameType.ACK and frame.info.get("stolen"):

@@ -217,7 +217,6 @@ class Ropa(SlottedMac):
             req_uid=context.request.uid,
         )
         self.node.modem.transmit(data)
-        self.stats.opportunistic_data += 1
         self.stats.opportunistic_data_bits += context.request.size_bits
         tau = self.node.neighbors.delay_to(context.target) or self.timing.tau_max_s
         duration = context.request.size_bits / self.channel.bitrate_bps
@@ -319,7 +318,6 @@ class Ropa(SlottedMac):
             FrameType.ACK, self.node.node_id, frame.src, self.sim.now, appended=True
         )
         self._transmit_control(ack)
-        self.stats.ack_sent += 1
 
     def stop(self) -> None:  # noqa: D102
         super().stop()

@@ -72,10 +72,6 @@ class SlotTiming:
             return index
         return index + 1
 
-    def next_slot_start(self, time: float) -> float:
-        """First slot boundary at or after ``time``."""
-        return self.slot_start(self.next_slot_index(time))
-
     def time_into_slot(self, time: float) -> float:
         """Offset of ``time`` from its slot's start."""
         return time - self.slot_start(self.slot_index(time))

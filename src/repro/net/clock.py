@@ -9,7 +9,7 @@ the slotted design depends on nodes agreeing on slot boundaries.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from ..des.simulator import Simulator
 
@@ -24,6 +24,10 @@ class NodeClock:
         self.sim = sim
         self.offset_s = offset_s
         self.drift_ppm = drift_ppm
+        #: Called just before :meth:`apply_fault` changes the clock, so a
+        #: component that derived future instants from it (a sleeping MAC)
+        #: can settle them on the old timeline first.
+        self.before_fault: Optional[Callable[[], None]] = None
 
     @property
     def perfect(self) -> bool:
@@ -41,10 +45,6 @@ class NodeClock:
         """Map a local time back to true simulation time."""
         return (local_time - self.offset_s) / (1.0 + self.drift_ppm * 1e-6)
 
-    def delay_until_local(self, local_time: float) -> float:
-        """Seconds of true time from now until ``local_time`` (>= 0)."""
-        return max(0.0, self.to_true(local_time) - self.sim.now)
-
     def apply_fault(
         self, offset_jump_s: float = 0.0, drift_ppm: Optional[float] = None
     ) -> None:
@@ -56,6 +56,8 @@ class NodeClock:
         re-anchored so a new drift rate only affects the future, not the
         node's past local timeline.
         """
+        if self.before_fault is not None:
+            self.before_fault()
         local_now = self.to_local(self.sim.now)
         if drift_ppm is not None:
             self.drift_ppm = drift_ppm

@@ -20,7 +20,7 @@ from repro.faults.plan import CrashWave, FaultPlan
 from repro.mac.base import MacState
 from repro.mac.registry import get_protocol
 from repro.mac.slots import make_slot_timing
-from repro.net.node import Node
+from repro.net.node import DataRequest, Node
 from repro.phy.channel import AcousticChannel
 
 from repro.acoustic.geometry import Position
@@ -58,10 +58,39 @@ class TestAuditMechanics:
     def test_dead_slot_engine_reported_first(self):
         sim, mac = build_mac()
         mac.start()
+        mac.node.enqueue_data(1, 1024)  # queued data keeps the node ticking
         sim.run(until=10.0)
+        assert mac._sleep is None
         mac.sim.cancel(mac._slot_event)
         violations = audit_mac(mac)
         assert violations == [f"{mac.name} node 0: slot engine not running"]
+
+    @pytest.mark.parametrize("protocol", ["S-FAMA", "EW-MAC", "ROPA", "CS-MAC"])
+    def test_sleeping_node_is_legitimate(self, protocol):
+        sim, mac = build_mac(protocol)
+        mac.start()
+        sim.run(until=10.0)
+        assert mac._sleep is not None
+        # A protocol with maintenance sleeps with its maintenance tick armed.
+        assert (mac._slot_event is not None) == (mac.maintenance_period_s is not None)
+        assert audit_mac(mac) == []
+
+    @pytest.mark.parametrize("protocol", ["ROPA", "CS-MAC"])
+    def test_sleep_without_a_maintenance_wake_reported(self, protocol):
+        sim, mac = build_mac(protocol)
+        mac.start()
+        sim.run(until=10.0)
+        mac.sim.cancel(mac._slot_event)
+        assert audit_mac(mac) == [
+            f"{mac.name} node 0: asleep without a maintenance wake"
+        ]
+
+    def test_sleep_with_slot_work_due_reported(self):
+        sim, mac = build_mac()
+        mac.start()
+        sim.run(until=10.0)
+        mac.node.queue.append(DataRequest(1, 1024, sim.now))  # no wake-up call
+        assert audit_mac(mac) == [f"{mac.name} node 0: asleep with slot work due"]
 
     @pytest.mark.parametrize(
         "state, expect",

@@ -104,7 +104,7 @@ class TestCrossProtocolComparisons:
             pass
         scenario = Scenario(small("S-FAMA"))
         scenario.run_steady_state()
-        assert all(m.stats.opportunistic_data == 0 for m in scenario.macs)
+        assert all(m.stats.opportunistic_data_bits == 0 for m in scenario.macs)
 
 
 class TestMobilityIntegration:

@@ -26,6 +26,15 @@ def build_pair(seed=0, distance=900.0):
     return sim, nodes, macs, timing
 
 
+def sent_frames(sim, node_id, ftype):
+    """Descriptions of the ``ftype`` frames ``node_id`` put on the air."""
+    return [
+        r.detail["frame"]
+        for r in sim.trace.select("phy.tx", node=node_id)
+        if r.detail["frame"].split()[0] == ftype
+    ]
+
+
 def test_registered_in_registry():
     assert get_protocol("aloha") is SlottedAloha
     assert not SlottedAloha.requires_neighbor_info
@@ -49,7 +58,7 @@ def test_ack_completes_transfer():
     nodes[0].enqueue_data(1, 1024)
     sim.run(until=40.0)
     assert macs[1].stats.data_received == 1
-    assert macs[1].stats.ack_sent == 1
+    assert sent_frames(sim, 1, "ACK") == ["ACK 1->0"]
     assert macs[0].stats.handshakes_completed == 1
 
 
@@ -61,8 +70,9 @@ def test_retransmits_until_acked():
     nodes[1].modem.on_receive = None
     nodes[0].enqueue_data(1, 1024)
     sim.run(until=120.0)
-    assert macs[0].stats.data_sent >= 2
-    assert macs[0].stats.retransmissions >= 1
+    attempts = sent_frames(sim, 0, "DATA")
+    assert len(attempts) >= 2 and set(attempts) == {"DATA 0->1"}
+    assert macs[0].stats.retransmitted_bits == 1024 * (len(attempts) - 1)
     assert macs[0].stats.drops == 1
 
 

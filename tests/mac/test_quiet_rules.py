@@ -17,6 +17,15 @@ def mac(sim, timing):
     return SFama(sim, node, channel, timing)
 
 
+def sent_frames(sim, node_id, ftype):
+    """Descriptions of the ``ftype`` frames ``node_id`` put on the air."""
+    return [
+        r.detail["frame"]
+        for r in sim.trace.select("phy.tx", node=node_id)
+        if r.detail["frame"].split()[0] == ftype
+    ]
+
+
 def overhear(mac, frame, delay=0.3):
     arrival = Arrival(frame, frame.src, frame.timestamp + delay,
                       frame.timestamp + delay + 0.005, -30.0, delay)
@@ -89,9 +98,9 @@ class TestQuietBehaviour:
         a.enqueue_data(1, 1024)
         mac_a.quiet_until = 50.0  # forced quiet
         sim.run(until=45.0)
-        assert mac_a.stats.rts_sent == 0
+        assert sent_frames(sim, 0, "RTS") == []
         sim.run(until=80.0)
-        assert mac_a.stats.rts_sent >= 1
+        assert sent_frames(sim, 0, "RTS")[:1] == ["RTS 0->1"]
 
     def test_quiet_node_ignores_rts_requests(self, sim, timing):
         channel = AcousticChannel(sim)
@@ -104,5 +113,5 @@ class TestQuietBehaviour:
         mac_b.quiet_until = 1e9  # the receiver is permanently deferring
         a.enqueue_data(1, 1024)
         sim.run(until=60.0)
-        assert mac_b.stats.cts_sent == 0
+        assert sent_frames(sim, 1, "CTS") == []
         assert mac_a.stats.contention_failures >= 1

@@ -34,7 +34,7 @@ def test_slot_grid_navigation(table2):
     assert table2.slot_index(table2.slot_s * 2) == 2
     assert table2.next_slot_index(table2.slot_s * 2) == 2
     assert table2.next_slot_index(table2.slot_s * 2 + 1e-6) == 3
-    assert table2.next_slot_start(0.5) == pytest.approx(table2.slot_s)
+    assert table2.slot_start(table2.next_slot_index(0.5)) == pytest.approx(table2.slot_s)
 
 
 def test_time_into_slot(table2):

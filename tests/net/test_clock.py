@@ -38,10 +38,11 @@ def test_round_trip_local_true():
         assert clock.to_true(clock.to_local(t)) == pytest.approx(t)
 
 
-def test_delay_until_local_clamps_past():
+def test_to_true_places_local_instants_on_the_true_timeline():
     sim = Simulator()
-    clock = NodeClock(sim)
+    clock = NodeClock(sim, offset_s=0.5)
     sim.schedule(10.0, lambda: None)
     sim.run()
-    assert clock.delay_until_local(5.0) == 0.0
-    assert clock.delay_until_local(12.5) == pytest.approx(2.5)
+    # Local 5.0 was true 4.5, already past; local 12.5 is 2.0 s ahead.
+    assert clock.to_true(5.0) == pytest.approx(4.5)
+    assert clock.to_true(12.5) - sim.now == pytest.approx(2.0)

@@ -2,10 +2,13 @@
 
 import math
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.des.simulator import Simulator
 from repro.mac.slots import SlotTiming
+from repro.net.clock import NodeClock
 
 timings = st.builds(
     SlotTiming,
@@ -22,10 +25,24 @@ def test_slot_index_start_roundtrip(timing, time):
 
 
 @given(timings, st.floats(min_value=0.0, max_value=1e4))
-def test_next_slot_start_is_at_or_after(timing, time):
-    nxt = timing.next_slot_start(time)
+def test_next_slot_index_starts_at_or_after(timing, time):
+    nxt = timing.slot_start(timing.next_slot_index(time))
     assert nxt >= time - 1e-6
     assert nxt - time <= timing.slot_s + 1e-6
+
+
+@given(
+    timings,
+    st.integers(min_value=0, max_value=10_000),
+    st.floats(min_value=-5.0, max_value=5.0),
+    st.floats(min_value=-200.0, max_value=200.0),
+)
+def test_local_boundaries_map_to_increasing_true_times(timing, index, offset, drift):
+    """A sleeping MAC times its would-be ticks through ``to_true``."""
+    clock = NodeClock(Simulator(), offset_s=offset, drift_ppm=drift)
+    here = clock.to_true(timing.slot_start(index))
+    assert here < clock.to_true(timing.slot_start(index + 1))
+    assert clock.to_local(here) == pytest.approx(timing.slot_start(index), abs=1e-6)
 
 
 @given(
