@@ -5,22 +5,32 @@ sweep runs at its quick upper node count — the configuration whose wall
 time the spatial grid and the batched arrival scheduling are supposed to
 protect.  The run is also a liveness check on both: a mobile 300-node cell
 must actually cull each broadcast to a small candidate set and schedule
-its arrivals through the bulk push, not just tolerate them.
+its arrivals through the bulk push, not just tolerate them.  And its link
+rows must hold one entry per candidate, not one per member.
 """
 
 from repro.experiments.scale import QUICK_NODES, scale_config
-from repro.experiments.scenario import run_scenario
+from repro.experiments.scenario import Scenario
 
 
 def test_scale_quick_mobile_cell(one_shot):
     n = QUICK_NODES[-1]  # 300 nodes: the largest quick-sweep cell
     config = scale_config(n, sim_time_s=8.0, seed=1)
-    result = one_shot(run_scenario, config)
+    built = []
+
+    def run_cell():
+        scenario = Scenario(config)
+        built.append(scenario)
+        return scenario.run_steady_state()
+
+    result = one_shot(run_cell)
     perf = result.perf
     assert perf is not None
     assert perf.events > 0
     members = config.n_sensors + config.n_sinks
     mean_candidates = perf.mean_grid_candidates
+    kernel = built[0].channel.kernel
+    rows = kernel._rows.values()
     print(
         f"\nscale n={n}: {perf.events:,} events, "
         f"{perf.events_per_second:,.0f} ev/s, "
@@ -28,7 +38,16 @@ def test_scale_quick_mobile_cell(one_shot):
         f"{mean_candidates:,.1f} grid candidates/broadcast of {members - 1}, "
         f"{perf.bulk_pushes:,} bulk pushes ({perf.bulk_events:,} events)"
     )
+    print(
+        f"link state: {kernel.stored_entries:,} pair entries in {len(rows):,} rows, "
+        f"{kernel.link_state_bytes() / 1e6:.2f} MB"
+    )
     # The mobile cell must drive both mechanisms, not merely allow them.
     assert mean_candidates < (members - 1) / 2
     assert perf.bulk_pushes > 0
     assert perf.bulk_events >= perf.bulk_pushes
+    # Rows are sized to their candidates: the stored entries are exactly
+    # the candidate sets, so, like the candidate sets above, under half of
+    # what a full row per transmitter would hold.
+    assert kernel.stored_entries == sum(len(row.candidates) for row in rows)
+    assert 0 < kernel.stored_entries < members * members / 2

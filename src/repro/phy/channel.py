@@ -32,7 +32,7 @@ from ..des.events import PRIORITY_HIGH
 from ..des.simulator import Simulator
 from .frame import Frame
 from .modem import AcousticModem, Arrival
-from .vectorized import RowState, VectorLinkKernel
+from .vectorized import Link, VectorLinkKernel
 
 #: Paper Table 2 defaults.
 DEFAULT_BITRATE_BPS = 12_000.0
@@ -189,23 +189,18 @@ class AcousticChannel:
     def modem_of(self, node_id: int) -> AcousticModem:
         return self._members[node_id][0]
 
-    def _pair(self, a: int, b: int) -> Tuple[RowState, int]:
-        """Transmitter ``a``'s fresh row and ``b``'s index, entry validated."""
+    def _link(self, a: int, b: int) -> Link:
+        """The directed pair's link state, served by ``a``'s fresh row."""
         kernel = self.kernel
-        row = kernel.row(a)
-        j = kernel.index_of(b)
-        kernel.ensure_pair(row, j)
-        return row, j
+        return kernel.ensure_pair(kernel.row(a), kernel.index_of(b))
 
     def distance_m(self, a: int, b: int) -> float:
         """Current geometric distance between two registered nodes."""
-        row, j = self._pair(a, b)
-        return float(row.distance_m[j])
+        return self._link(a, b)[0]
 
     def propagation_delay_s(self, a: int, b: int) -> float:
         """Ground-truth propagation delay between two registered nodes."""
-        row, j = self._pair(a, b)
-        return float(row.delay_s[j])
+        return self._link(a, b)[1]
 
     def neighbors_of(self, node_id: int) -> Tuple[int, ...]:
         """Ground-truth one-hop neighbours (in decode range, alive) now."""

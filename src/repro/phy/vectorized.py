@@ -23,13 +23,13 @@ Node positions are binned into cubic cells of side ``reach_m`` (decode
 range x interference factor).  Any receiver within reach of a transmitter
 must then sit in the 3x3x3 cell neighborhood around the transmitter's
 cell, so :meth:`row` gathers only those **candidate** indices and
-computes/refreshes exactly them.  Non-candidates are provably out of reach
-— their masks stay ``False`` without ever touching their entries — and the
-candidate set is finished with an *exact* distance mask, so results stay
-bit-identical to the full scan.  Cell membership only changes when a node
-crosses a cell boundary (rare at drift speeds), and candidate gathers are
-reused until some node changes cell (``cells_epoch``).  A point query for a
-non-candidate pair recomputes that one entry on demand
+computes/refreshes exactly them.  Non-candidates are provably out of reach,
+so a row stores no entry for them at all, and the candidate set is
+finished with an *exact* distance mask, so results stay bit-identical to
+the full scan.  Cell membership only changes when a node crosses a cell
+boundary (rare at drift speeds), and candidate gathers are reused until
+some node changes cell (``cells_epoch``).  A point query for a
+non-candidate pair computes that one pair on demand and stores nothing
 (:meth:`ensure_pair`).
 
 Layout
@@ -42,15 +42,23 @@ member-dict iteration order of the full scan):
 * ``total_epoch`` — the sum of all bumps, used as an O(1) "did anything
   move since this row was refreshed?" check per broadcast;
 * a cell hash (``dict[(cx, cy, cz)] -> [indices]``) for reach culling;
-* per-transmitter :class:`RowState` rows holding the pair's distance,
-  delay, level, reach/decode masks and per-pair epoch **stamps**.
+* per-transmitter :class:`RowState` rows.
+
+A row's arrays — the pair's distance, delay, level, reach/decode masks and
+per-pair epoch **stamp** — are aligned with ``row.candidates``, the sorted
+member indices of the transmitter's 3x3x3 cell neighbourhood (the
+transmitter itself included): entry ``p`` describes the pair with member
+``candidates[p]``.  Sorted member indices are registration order, so the
+fan-out built from a row keeps the full scan's order.
 
 A pair's stamp records ``epoch[tx] + epoch[rx]`` at compute time.  Epochs
 are monotonic, so the stamp equals the current sum *iff neither endpoint
 moved* — a mobility tick therefore dirties exactly the moved rows/columns
 and a row refresh recomputes only its stale entries, vectorized over the
-candidate set.  A stamp of ``-1`` marks a pair never computed (or evicted
-from the candidate neighborhood before ever being computed).
+candidate set.  When a row re-gathers its candidates, each retained
+entry moves to its new position with its stamp, so it is not recomputed;
+an entrant gets the stamp ``-1`` (never computed) and a departed member's
+entry is dropped.
 
 Bit-identity
 ------------
@@ -66,10 +74,14 @@ computed value — it only skips computing entries whose masks are provably
 
 Memory
 ------
-Row storage is bounded: at most :data:`DEFAULT_ROW_BUDGET_ENTRIES` cached
-pair entries (~``budget * 34`` bytes).  Beyond that — thousand-node ``scale`` sweeps —
-rows are evicted least-recently-used; recomputing an evicted row is one
-vectorized pass over the candidate set, not a per-pair scalar walk.
+A row costs 42 bytes per candidate: 34 for its six arrays (an int64
+stamp, three float64 scalars, two bool masks) and 8 for the candidate
+index.  At the Table 2 density a row holds ~80-200 candidates whatever
+the network size, so link state grows as O(n·k), not O(n²).  The rows'
+stored entries, summed, are capped at :data:`DEFAULT_ROW_BUDGET_ENTRIES`
+(~170 MB of row arrays at the cap); past it rows are evicted
+least-recently-used, and an evicted row is rebuilt by one vectorized pass
+over its candidate set.
 """
 
 from __future__ import annotations
@@ -87,35 +99,43 @@ if TYPE_CHECKING:  # pragma: no cover
     from .channel import ChannelStats
     from .modem import AcousticModem
 
-#: Default cap on cached pair entries across all rows (~170 MB worst case).
+#: Default cap on the pair entries stored across all cached rows
+#: (summed ``len(row.candidates)``; 42 bytes each).
 DEFAULT_ROW_BUDGET_ENTRIES = 4_000_000
 
 #: Stamp value marking a pair entry that has never been computed.
 _NEVER = -1
 
+#: One directed pair's ``(distance_m, delay_s, level_db, in_reach,
+#: in_decode)`` as Python scalars, the answer to a point query.
+Link = Tuple[float, float, float, bool, bool]
+
 
 class RowState:
-    """One transmitter's link state against every registered receiver.
+    """One transmitter's link state against its candidate receivers.
+
+    Every array is aligned with :attr:`candidates`: entry ``p`` is the
+    pair with member index ``candidates[p]``.
 
     Attributes:
-        n: Member count the row was sized for (a membership change makes
-            the row unusable and it is rebuilt from scratch).
+        n: Member count the row was built for (the kernel drops every row
+            when a node registers).
         idx: The transmitter's member index.
         total_epoch: Kernel ``total_epoch`` at the last freshness check —
             when it still matches, nothing anywhere moved and the row is
             served without touching any array.
-        stamp: Per-pair epoch sums at compute time (staleness detector);
-            ``-1`` marks entries never computed (grid-culled).
-        distance_m / delay_s / level_db: Pair scalars, aligned with the
-            registration order (only candidate entries are kept fresh).
-        in_reach: Delivery reach mask (decode range × interference factor).
-        in_decode: Hard communication-range mask (neighbour relation).
         candidates: Sorted member indices in the transmitter's 3x3x3 cell
-            neighborhood.
+            neighborhood, the transmitter included.
+        self_pos: The transmitter's own position in :attr:`candidates`.
         cands_epoch: Kernel ``cells_epoch`` when ``candidates`` was
             gathered; a mismatch forces a re-gather.
         candidate_count: Candidates excluding self — the per-broadcast
             figure behind ``grid_candidates``.
+        stamp: Per-pair epoch sums at compute time (staleness detector);
+            ``-1`` marks entries never computed (fresh entrants).
+        distance_m / delay_s / level_db: Pair scalars.
+        in_reach: Delivery reach mask (decode range × interference factor).
+        in_decode: Hard communication-range mask (neighbour relation).
         deliveries: Lazily built broadcast fan-out list of
             ``(rx_id, modem, delay_s, level_db)`` for in-reach receivers,
             in registration order; invalidated by any refresh.
@@ -133,15 +153,16 @@ class RowState:
         "n",
         "idx",
         "total_epoch",
+        "candidates",
+        "self_pos",
+        "cands_epoch",
+        "candidate_count",
         "stamp",
         "distance_m",
         "delay_s",
         "level_db",
         "in_reach",
         "in_decode",
-        "candidates",
-        "cands_epoch",
-        "candidate_count",
         "deliveries",
         "skips",
         "decode_ids",
@@ -153,20 +174,37 @@ class RowState:
         self.n = n
         self.idx = idx
         self.total_epoch = -1
-        self.stamp = np.full(n, _NEVER, dtype=np.int64)
-        self.distance_m = np.empty(n, dtype=np.float64)
-        self.delay_s = np.empty(n, dtype=np.float64)
-        self.level_db = np.empty(n, dtype=np.float64)
-        self.in_reach = np.zeros(n, dtype=bool)
-        self.in_decode = np.zeros(n, dtype=bool)
-        self.candidates = np.empty(0, dtype=np.intp)
         self.cands_epoch = -1
-        self.candidate_count = 0
         self.deliveries: Optional[List[Tuple[int, "AcousticModem", float, float]]] = None
         self.skips = 0
         self.decode_ids: Optional[Tuple[int, ...]] = None
         self.delivery_delays: Optional[np.ndarray] = None
         self.delivery_callbacks: Optional[List[Callable]] = None
+
+    def set_candidates(self, candidates: np.ndarray, cells_epoch: int) -> None:
+        """Adopt a freshly gathered candidate set (the arrays are the caller's)."""
+        self.candidates = candidates
+        self.self_pos = int(np.searchsorted(candidates, self.idx))
+        self.cands_epoch = cells_epoch
+        self.candidate_count = len(candidates) - 1
+
+    def position(self, member_idx: int) -> int:
+        """``member_idx``'s entry position in this row, or -1 if it has none."""
+        cands = self.candidates
+        pos = int(np.searchsorted(cands, member_idx))
+        if pos < len(cands) and cands[pos] == member_idx:
+            return pos
+        return -1
+
+    def link_at(self, pos: int) -> Link:
+        """The stored entry at ``pos`` as Python scalars."""
+        return (
+            float(self.distance_m[pos]),
+            float(self.delay_s[pos]),
+            float(self.level_db[pos]),
+            bool(self.in_reach[pos]),
+            bool(self.in_decode[pos]),
+        )
 
     def drop_products(self) -> None:
         """Forget the mask-derived products after the masks may have changed."""
@@ -207,7 +245,8 @@ class VectorLinkKernel:
         "_n",
         "total_epoch",
         "_rows",
-        "_max_rows",
+        "_budget",
+        "stored_entries",
         "_lru_active",
         "_cell_m",
         "_cells",
@@ -242,7 +281,9 @@ class VectorLinkKernel:
         #: rows compare against it for the O(1) nothing-moved fast path.
         self.total_epoch = 0
         self._rows: "OrderedDict[int, RowState]" = OrderedDict()
-        self._max_rows = DEFAULT_ROW_BUDGET_ENTRIES
+        self._budget = DEFAULT_ROW_BUDGET_ENTRIES
+        #: Pair entries held by the cached rows: ``sum(len(row.candidates))``.
+        self.stored_entries = 0
         self._lru_active = False
         #: Cell side: one reach radius, so a 3x3x3 neighborhood is a strict
         #: superset of the in-reach ball from anywhere inside the center cell.
@@ -271,7 +312,7 @@ class VectorLinkKernel:
         """Register a node, growing the coordinate arrays.
 
         Bumps :attr:`total_epoch` so cached neighbour sets recompute, and
-        existing rows (sized for the old member count) rebuild on next use
+        drops every cached row (each was built for the old member count)
         — so a freshly registered modem is visible to the very next query.
         """
         if node_id in self._index:
@@ -293,8 +334,11 @@ class VectorLinkKernel:
         self._cells.setdefault(key, []).append(idx)
         self.cells_epoch += 1
         self._stats.grid_cells = len(self._cells)
-        self._max_rows = max(16, DEFAULT_ROW_BUDGET_ENTRIES // self._n)
-        self._lru_active = self._n > self._max_rows
+        self._rows.clear()
+        self.stored_entries = 0
+        # Rows store at most n entries each, so below n * n the cap cannot
+        # be reached and the LRU bookkeeping is skipped.
+        self._lru_active = self._n * self._n > self._budget
 
     def _grow(self) -> None:
         capacity = len(self._xs) * 2
@@ -354,30 +398,34 @@ class VectorLinkKernel:
         idx = self._index[node_id]
         rows = self._rows
         row = rows.get(idx)
-        n = self._n
-        stats = self._stats
-        if row is not None and row.n == n:
+        if row is not None:
             if self._lru_active:
                 rows.move_to_end(idx)
             if row.total_epoch == self.total_epoch:
-                stats.cache_hits += n - 1
+                self._stats.cache_hits += self._n - 1
                 return row
             self._refresh(idx, row)
-            return row
-        if row is not None:
-            del rows[idx]
-        row = self._build(idx)
-        rows[idx] = row
-        if self._lru_active and len(rows) > self._max_rows:
-            rows.popitem(last=False)
+        else:
+            row = self._build(idx)
+            rows[idx] = row
+        if self._lru_active and self.stored_entries > self._budget:
+            self._evict()
         return row
+
+    def _evict(self) -> None:
+        """Drop least-recently-used rows until the stored entries fit the
+        budget; the row just served (the most recent) always stays."""
+        rows = self._rows
+        while self.stored_entries > self._budget and len(rows) > 1:
+            _, evicted = rows.popitem(last=False)
+            self.stored_entries -= len(evicted.candidates)
 
     def _candidates_for(self, idx: int) -> np.ndarray:
         """Sorted member indices in the 3x3x3 neighborhood of ``idx``'s cell.
 
         A strict superset of every node within ``reach_m`` of the
         transmitter (cell side == reach), finished by the exact distance
-        mask in :meth:`_compute`; always contains ``idx`` itself.
+        mask in :meth:`_links`; always contains ``idx`` itself.
         """
         cx, cy, cz = self._cell_key[idx]
         out: List[int] = []
@@ -397,67 +445,111 @@ class VectorLinkKernel:
         cands.sort()
         return cands
 
-    def _compute(self, idx: int, row: RowState, targets: np.ndarray) -> None:
-        """Vectorized pass filling ``row`` at ``targets`` (member indices).
+    def _links(
+        self, idx: int, targets: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One vectorized pass from transmitter ``idx`` to member indices
+        ``targets``: ``(distance, delay, level, in_reach, in_decode, stamp)``.
 
-        Also stamps the computed pairs' epoch sums, so every compute path
-        (build, refresh, on-demand point query) maintains the staleness
-        detector identically.  The derived products are the caller's to
-        drop: a point query recomputes only pairs whose masks are provably
-        unchanged, so it keeps them.
+        Every compute path (build, refresh, point query) goes through
+        here, so each stored or served value comes from the same
+        element-wise expressions.
         """
         xs, ys, zs = self._xs, self._ys, self._zs
-        x0, y0, z0 = xs[idx], ys[idx], zs[idx]
-        dx = xs[targets] - x0
-        dy = ys[targets] - y0
-        dz = zs[targets] - z0
+        dx = xs[targets] - xs[idx]
+        dy = ys[targets] - ys[idx]
+        dz = zs[targets] - zs[idx]
         dist = np.sqrt(dx * dx + dy * dy + dz * dz)
-        row.distance_m[targets] = dist
-        # IEEE division rounds identically in NumPy and CPython, so each
-        # delay equals the scalar ``distance / speed``.
-        row.delay_s[targets] = dist / self._sound_speed_mps
-        row.level_db[targets] = LinkBudget.received_level_db_batch(dist)
-        row.in_reach[targets] = dist <= self._reach_m
-        row.in_decode[targets] = dist <= self._max_range_m
-        row.stamp[targets] = self._epoch[idx] + self._epoch[targets]
-        # The self pair is never delivered to and never queried.
-        row.in_reach[idx] = False
-        row.in_decode[idx] = False
         self._stats.vector_batches += 1
+        return (
+            dist,
+            # IEEE division rounds identically in NumPy and CPython, so
+            # each delay equals the scalar ``distance / speed``.
+            dist / self._sound_speed_mps,
+            LinkBudget.received_level_db_batch(dist),
+            dist <= self._reach_m,
+            dist <= self._max_range_m,
+            self._epoch[idx] + self._epoch[targets],
+        )
 
     def _build(self, idx: int) -> RowState:
         row = RowState(self._n, idx)
-        cands = self._candidates_for(idx)
-        row.candidates = cands
-        row.cands_epoch = self.cells_epoch
-        row.candidate_count = len(cands) - 1
-        self._compute(idx, row, cands)
-        self._stats.cache_misses += len(cands) - 1
+        row.set_candidates(self._candidates_for(idx), self.cells_epoch)
+        (
+            row.distance_m,
+            row.delay_s,
+            row.level_db,
+            row.in_reach,
+            row.in_decode,
+            row.stamp,
+        ) = self._links(idx, row.candidates)
+        # The self pair is never delivered to and never queried.
+        row.in_reach[row.self_pos] = False
+        row.in_decode[row.self_pos] = False
+        self._stats.cache_misses += row.candidate_count
+        self.stored_entries += len(row.candidates)
         row.total_epoch = self.total_epoch
         return row
+
+    def _compute(self, idx: int, row: RowState, pos: np.ndarray) -> None:
+        """Recompute ``row``'s entries at positions ``pos``.
+
+        The derived products are the caller's to drop: a point query
+        recomputes only the self pair, whose masks stay ``False``, so it
+        keeps them.
+        """
+        (
+            row.distance_m[pos],
+            row.delay_s[pos],
+            row.level_db[pos],
+            row.in_reach[pos],
+            row.in_decode[pos],
+            row.stamp[pos],
+        ) = self._links(idx, row.candidates[pos])
+        row.in_reach[row.self_pos] = False
+        row.in_decode[row.self_pos] = False
+
+    def _regather(self, idx: int, row: RowState) -> None:
+        """Move ``row`` onto a freshly gathered candidate set.
+
+        Retained entries keep their values and stamps at their new
+        positions; entrants are marked never-computed (the refresh that
+        follows computes them); departed members' entries are dropped —
+        they are provably out of reach.
+        """
+        old = row.candidates
+        cands = self._candidates_for(idx)
+        if len(cands) == len(old) and np.array_equal(cands, old):
+            row.cands_epoch = self.cells_epoch
+            return
+        at = np.searchsorted(old, cands)
+        at[at == len(old)] = 0
+        kept = old[at] == cands
+        src = at[kept]
+        k = len(cands)
+        stamp = np.full(k, _NEVER, dtype=np.int64)
+        stamp[kept] = row.stamp[src]
+        row.stamp = stamp
+        for name in ("distance_m", "delay_s", "level_db"):
+            values = np.empty(k, dtype=np.float64)
+            values[kept] = getattr(row, name)[src]
+            setattr(row, name, values)
+        for name in ("in_reach", "in_decode"):
+            mask = np.zeros(k, dtype=bool)
+            mask[kept] = getattr(row, name)[src]
+            setattr(row, name, mask)
+        row.set_candidates(cands, self.cells_epoch)
+        row.drop_products()
+        self.stored_entries += k - len(old)
 
     def _refresh(self, idx: int, row: RowState) -> None:
         n = self._n
         stats = self._stats
-        cands = row.candidates
         if row.cands_epoch != self.cells_epoch:
-            cands = self._candidates_for(idx)
-            departed = np.setdiff1d(row.candidates, cands, assume_unique=True)
-            if departed.size:
-                # A node that left the neighborhood is provably out of
-                # reach; clear its (possibly stale-True) masks and mark
-                # its entry never-computed so re-entry recomputes.
-                row.in_reach[departed] = False
-                row.in_decode[departed] = False
-                row.stamp[departed] = _NEVER
-                row.drop_products()
-            row.candidates = cands
-            row.cands_epoch = self.cells_epoch
-            row.candidate_count = len(cands) - 1
-        expected = self._epoch[idx] + self._epoch[cands]
-        stale = row.stamp[cands] != expected
-        stale[np.searchsorted(cands, idx)] = False
-        dirty = cands[stale]
+            self._regather(idx, row)
+        stale = row.stamp != self._epoch[idx] + self._epoch[row.candidates]
+        stale[row.self_pos] = False
+        dirty = np.flatnonzero(stale)
         if dirty.size:
             self._compute(idx, row, dirty)
             row.drop_products()
@@ -468,23 +560,34 @@ class VectorLinkKernel:
             stats.cache_hits += n - 1
         row.total_epoch = self.total_epoch
 
-    def ensure_pair(self, row: RowState, rx_idx: int) -> None:
-        """Validate one pair entry for a point query, recomputing on demand.
+    def ensure_pair(self, row: RowState, rx_idx: int) -> Link:
+        """Serve one pair for a point query, recomputing on demand.
 
-        Whole-row freshness (:meth:`row`) guarantees masks, but a grid-culled
-        pair's scalar fields (distance, delay, level) may be stale or never
-        computed.  Point queries (``distance_m``/``propagation_delay_s``)
-        call this to recompute exactly that entry — one single-element
-        vectorized pass, bit-identical with the batch path by construction.
-
-        Only rows fresh from :meth:`row` reach here, so a stale entry is
-        always a non-candidate: provably out of reach, its masks stay
-        ``False`` and the row's derived products survive the recompute.
+        Whole-row freshness (:meth:`row`) keeps every candidate entry but
+        the self pair fresh, so a stale candidate entry is the self pair:
+        it is recomputed in place, its masks stay ``False`` and the row's
+        derived products survive.  A non-candidate pair — provably out of
+        reach — gets a one-element pass through the same expressions and
+        nothing is stored.  Only rows fresh from :meth:`row` reach here.
         """
         tx_idx = row.idx
-        if row.stamp[rx_idx] != self._epoch[tx_idx] + self._epoch[rx_idx]:
-            self._compute(tx_idx, row, np.array([rx_idx], dtype=np.intp))
+        pos = row.position(rx_idx)
+        if pos < 0:
             self._stats.cache_misses += 1
+            dist, delay, level, in_reach, in_decode, _ = self._links(
+                tx_idx, np.array([rx_idx], dtype=np.intp)
+            )
+            return (
+                float(dist[0]),
+                float(delay[0]),
+                float(level[0]),
+                bool(in_reach[0]),
+                bool(in_decode[0]),
+            )
+        if row.stamp[pos] != self._epoch[tx_idx] + self._epoch[rx_idx]:
+            self._compute(tx_idx, row, np.array([pos], dtype=np.intp))
+            self._stats.cache_misses += 1
+        return row.link_at(pos)
 
     # ------------------------------------------------------------------
     # Derived per-row products
@@ -505,21 +608,22 @@ class VectorLinkKernel:
         built = row.deliveries
         if built is not None:
             return built
-        js = np.nonzero(row.in_reach)[0]
+        pos = np.flatnonzero(row.in_reach)
+        delays = row.delay_s[pos]
+        levels = row.level_db[pos]
         members = self._members
         ids = self._ids
-        delays = row.delay_s
-        levels = row.level_db
+        rx_ids = [ids[j] for j in row.candidates[pos].tolist()]
         built = [
-            (ids[j], members[ids[j]][0], float(delays[j]), float(levels[j]))
-            for j in js.tolist()
+            (rx, members[rx][0], delay, level)
+            for rx, delay, level in zip(rx_ids, delays.tolist(), levels.tolist())
         ]
         row.deliveries = built
         row.skips = row.n - 1 - len(built)
-        row.delivery_delays = delays[js]
+        row.delivery_delays = delays
         row.delivery_callbacks = [
             modem.begin_interferer if lost else modem.begin_arrival
-            for (_, modem, _, _), lost in zip(built, self._undecodable(levels[js]))
+            for (_, modem, _, _), lost in zip(built, self._undecodable(levels))
         ]
         return built
 
@@ -529,10 +633,23 @@ class VectorLinkKernel:
         if ids is None:
             members_ids = self._ids
             ids = tuple(
-                members_ids[j] for j in np.nonzero(row.in_decode)[0].tolist()
+                members_ids[j] for j in row.candidates[row.in_decode].tolist()
             )
             row.decode_ids = ids
         return ids
 
     def index_of(self, node_id: int) -> int:
         return self._index[node_id]
+
+    def link_state_bytes(self) -> int:
+        """Bytes held by the cached rows' arrays, candidate indices included."""
+        return sum(
+            row.candidates.nbytes
+            + row.stamp.nbytes
+            + row.distance_m.nbytes
+            + row.delay_s.nbytes
+            + row.level_db.nbytes
+            + row.in_reach.nbytes
+            + row.in_decode.nbytes
+            for row in self._rows.values()
+        )

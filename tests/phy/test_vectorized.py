@@ -13,7 +13,7 @@ import pytest
 from repro.acoustic.geometry import Position
 from repro.des.simulator import Simulator
 from repro.phy.channel import AcousticChannel
-from tests.reference_channel import ReferenceChannel
+from tests.reference_channel import ReferenceChannel, fan_out
 
 
 def build_channel(positions, channel_cls=AcousticChannel):
@@ -79,22 +79,17 @@ class TestPerNodeEpochs:
         ]
         _, channel, holder = build_channel(positions)
         row = channel.kernel.row(0)
-        before_dist = row.distance_m.copy()
-        before_delay = row.delay_s.copy()
-        before_level = row.level_db.copy()
+        before = {j: row.link_at(row.position(j)) for j in (1, 2, 3)}
 
         holder[2] = Position(100, 1300, 0)
         channel.note_position_change(2)
         row = channel.kernel.row(0)
 
         for j in (1, 3):  # pairs not touching the moved node: exact reuse
-            assert row.distance_m[j] == before_dist[j]
-            assert row.delay_s[j] == before_delay[j]
-            assert row.level_db[j] == before_level[j]
-        assert row.distance_m[2] != before_dist[2]
-        assert row.distance_m[2] == pytest.approx(
-            Position(0, 0, 0).distance_to(holder[2])
-        )
+            assert row.link_at(row.position(j)) == before[j]
+        moved = row.distance_m[row.position(2)]
+        assert moved != before[2][0]
+        assert moved == pytest.approx(Position(0, 0, 0).distance_to(holder[2]))
 
     def test_static_deployment_computes_each_pair_exactly_once(self):
         positions = [Position(0, 0, 0), Position(800, 0, 0), Position(0, 900, 100)]
@@ -172,5 +167,177 @@ class TestKernelGrowth:
         row = channel.kernel.row(0)
         targets = channel.kernel.deliveries(row)
         assert [t[0] for t in targets] == [1]
-        assert not row.in_reach[0]
-        assert not row.in_decode[0]
+        assert not row.in_reach[row.position(0)]
+        assert not row.in_decode[row.position(0)]
+
+
+def reference_for(channel):
+    """A scalar full-scan oracle reading ``channel``'s live positions."""
+    reference = ReferenceChannel(
+        Simulator(), interference_range_factor=channel.interference_range_factor
+    )
+    for node_id in channel._members:
+        reference.create_modem(node_id, lambda i=node_id: channel.position_of(i))
+    return reference
+
+
+def row_arrays(row):
+    return (
+        row.candidates,
+        row.stamp,
+        row.distance_m,
+        row.delay_s,
+        row.level_db,
+        row.in_reach,
+        row.in_decode,
+    )
+
+
+class TestCandidateLayout:
+    """Rows hold one entry per candidate (the 3x3x3 cell neighbourhood)."""
+
+    def test_departure_and_reentry_keep_retained_entries(self):
+        positions = [
+            Position(0, 0, 0),
+            Position(1000, 0, 0),
+            Position(0, 1000, 0),
+            Position(700, 700, 0),
+        ]
+        _, channel, holder = build_channel(positions)
+        kernel = channel.kernel
+        stats = channel.stats
+        reference = reference_for(channel)
+        row = kernel.row(0)
+        assert row.candidates.tolist() == [0, 1, 2, 3]
+        assert stats.cache_misses == 3
+
+        def retained():
+            return {
+                j: (row.link_at(row.position(j)), int(row.stamp[row.position(j)]))
+                for j in (1, 3)
+            }
+
+        before = retained()
+
+        # Node 2 leaves the neighbourhood: its entry drops out, nothing is
+        # recomputed and the retained entries move over untouched.
+        holder[2] = Position(20_000.0, 0, 0)
+        channel.note_position_change(2)
+        misses, hits = stats.cache_misses, stats.cache_hits
+        row = kernel.row(0)
+        assert row.candidates.tolist() == [0, 1, 3]
+        assert row.position(2) == -1
+        assert all(len(a) == 3 for a in row_arrays(row))
+        assert stats.cache_misses == misses
+        assert stats.cache_hits == hits + 3
+        assert retained() == before
+        assert kernel.stored_entries == 3
+        assert fan_out(channel, 0) == fan_out(reference, 0)
+
+        # It comes back: exactly its own entry is computed, from the
+        # never-computed mark, and the retained ones still are not.
+        holder[2] = Position(0, 1200.0, 0)
+        channel.note_position_change(2)
+        misses, hits = stats.cache_misses, stats.cache_hits
+        row = kernel.row(0)
+        assert row.candidates.tolist() == [0, 1, 2, 3]
+        assert stats.cache_misses == misses + 1
+        assert stats.cache_hits == hits + 2
+        assert retained() == before
+        pos = row.position(2)
+        assert int(row.stamp[pos]) == kernel._epoch[0] + kernel._epoch[2] == 2
+        assert row.link_at(pos) == reference.link(0, 2)
+        assert kernel.stored_entries == 4
+        assert fan_out(channel, 0) == fan_out(reference, 0)
+        assert channel.neighbors_of(0) == reference.neighbors_of(0) == (1, 2, 3)
+
+    def test_non_candidate_point_query_stores_nothing(self):
+        positions = [Position(0, 0, 0), Position(1000, 0, 0), Position(40_000.0, 0, 0)]
+        _, channel, _ = build_channel(positions)
+        kernel = channel.kernel
+        reference = reference_for(channel)
+        row = kernel.row(0)
+        built = kernel.deliveries(row)
+        assert row.position(2) == -1
+        before = [a.copy() for a in row_arrays(row)]
+        stored = kernel.stored_entries
+        for _ in range(2):
+            batches = channel.stats.vector_batches
+            misses = channel.stats.cache_misses
+            assert kernel.ensure_pair(kernel.row(0), 2) == reference.link(0, 2)
+            # One single-element pass per query: nothing is cached for it.
+            assert channel.stats.vector_batches == batches + 1
+            assert channel.stats.cache_misses == misses + 1
+        assert channel.distance_m(0, 2) == reference.distance_m(0, 2)
+        assert channel.propagation_delay_s(0, 2) == reference.propagation_delay_s(0, 2)
+        assert kernel.row(0) is row
+        for old, new in zip(before, row_arrays(row)):
+            np.testing.assert_array_equal(old, new)
+        assert kernel.stored_entries == stored
+        assert row.deliveries is built  # the fan-out survives the queries
+        assert fan_out(channel, 0) == fan_out(reference, 0)
+
+    def test_tiled_1000_node_rows_are_candidate_sized(self):
+        from repro.experiments.scale import scale_side_m
+        from repro.topology.deployment import DeploymentConfig, tiled_column_deployment
+
+        side = scale_side_m(1000)
+        deployment = tiled_column_deployment(
+            DeploymentConfig(
+                n_sensors=1000, n_sinks=17, side_x_m=side, side_y_m=side, depth_m=side,
+                seed=1,
+            )
+        )
+        _, channel, _ = build_channel(deployment.positions)
+        kernel = channel.kernel
+        n = len(deployment.positions)
+        warm_all_rows(channel)
+        rows = list(kernel._rows.values())
+        assert len(rows) == n
+        for row in rows:
+            k = len(row.candidates)
+            assert row.candidates[row.self_pos] == row.idx
+            assert all(len(a) == k for a in row_arrays(row))
+        total = sum(len(row.candidates) for row in rows)
+        assert kernel.stored_entries == total
+        # Link state is O(n·k): far below one n-entry row per transmitter.
+        assert total < n * n / 4
+        assert kernel.link_state_bytes() == 42 * total
+
+
+class TestRowBudget:
+    """The LRU cap counts stored entries, summed over the cached rows."""
+
+    def test_lru_evicts_and_rebuilds_bit_identically(self, monkeypatch):
+        from repro.phy import vectorized
+
+        monkeypatch.setattr(vectorized, "DEFAULT_ROW_BUDGET_ENTRIES", 40)
+        # 700 m spacing on a line: each row holds the ~7 members of its
+        # three 1500 m cells, so the budget keeps only a few rows.
+        positions = [Position(700.0 * i, 0, 0) for i in range(30)]
+        _, channel, holder = build_channel(positions)
+        kernel = channel.kernel
+        stats = channel.stats
+        reference = reference_for(channel)
+
+        def sweep():
+            for tx in range(len(holder)):
+                assert fan_out(channel, tx) == fan_out(reference, tx)
+                rows = kernel._rows.values()
+                assert kernel.stored_entries == sum(len(r.candidates) for r in rows)
+                assert kernel.stored_entries <= 40
+            assert 1 < len(kernel._rows) < len(holder)
+
+        sweep()
+        assert 0 not in kernel._rows  # evicted least-recently-used
+        misses, batches = stats.cache_misses, stats.vector_batches
+        row = kernel.row(0)  # rebuilt from scratch: one pass, every pair a miss
+        assert stats.cache_misses == misses + row.candidate_count
+        assert stats.vector_batches == batches + 1
+        assert fan_out(channel, 0) == fan_out(reference, 0)
+
+        # Moves that regather candidate sets keep the cap and the fan-out.
+        for i in range(0, len(holder), 3):
+            holder[i] = Position(holder[i].x + 900.0, 50.0, 0)
+            channel.note_position_change(i)
+        sweep()

@@ -20,9 +20,8 @@ from repro.des.events import PRIORITY_HIGH
 from repro.phy.channel import AcousticChannel
 from repro.phy.frame import Frame
 from repro.phy.modem import AcousticModem, Arrival
+from repro.phy.vectorized import Link
 
-#: ``(distance_m, delay_s, level_db, in_reach, in_decode_range)``.
-Link = Tuple[float, float, float, bool, bool]
 
 
 class ReferenceChannel(AcousticChannel):
@@ -98,18 +97,32 @@ class ReferenceChannel(AcousticChannel):
 
 
 def kernel_link(channel: AcousticChannel, a: int, b: int) -> Link:
-    """The directed pair's link state as the production kernel caches it."""
+    """The directed pair's link state as the production kernel serves it.
+
+    A candidate pair is read from the row's arrays at its candidate
+    position, and the point query must agree with that stored entry.  A
+    non-candidate pair has no entry: the point query computes it, and the
+    cull is only sound if it is out of reach.
+    """
     kernel = channel.kernel
     row = kernel.row(a)
     j = kernel.index_of(b)
-    kernel.ensure_pair(row, j)
-    return (
-        float(row.distance_m[j]),
-        float(row.delay_s[j]),
-        float(row.level_db[j]),
-        bool(row.in_reach[j]),
-        bool(row.in_decode[j]),
+    served = kernel.ensure_pair(row, j)
+    pos = row.position(j)
+    if pos < 0:
+        assert j not in row.candidates.tolist()
+        assert served[3] is False and served[4] is False
+        return served
+    assert row.candidates[pos] == j
+    stored = (
+        float(row.distance_m[pos]),
+        float(row.delay_s[pos]),
+        float(row.level_db[pos]),
+        bool(row.in_reach[pos]),
+        bool(row.in_decode[pos]),
     )
+    assert stored == served
+    return stored
 
 
 def fan_out(channel: AcousticChannel, tx_id: int) -> List[Tuple[int, float, float]]:
