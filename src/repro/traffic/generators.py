@@ -35,7 +35,7 @@ class TrafficStats:
 
     packets: int = 0
     bits: int = 0
-    undeliverable: int = 0  # arrivals at momentarily stranded sources
+    undeliverable: int = 0  # arrivals at dead or momentarily stranded sources
 
 
 def offered_load_to_rate(offered_load_kbps: float, packet_bits: int) -> float:
@@ -47,14 +47,36 @@ def offered_load_to_rate(offered_load_kbps: float, packet_bits: int) -> float:
     return offered_load_kbps * 1000.0 / packet_bits
 
 
+def _inject(
+    source: Node, routing: DepthRouting, packet_bits: int, stats: TrafficStats
+) -> None:
+    """Enqueue one drawn packet at ``source`` toward its current next hop.
+
+    A crashed source generates nothing and a stranded one (no next hop)
+    cannot report: either way the arrival counts as undeliverable.  The
+    source is drawn before this check, so a run without crashes draws
+    exactly the same sources.
+    """
+    if not source.alive:
+        stats.undeliverable += 1
+        return
+    next_hop = routing.next_hop(source.node_id)
+    if next_hop is None:
+        stats.undeliverable += 1
+        return
+    source.enqueue_data(next_hop, packet_bits)
+    stats.packets += 1
+    stats.bits += packet_bits
+
+
 class PoissonTraffic:
     """Network-wide Poisson arrivals at a fixed offered load.
 
     Each arrival picks a source sensor uniformly at random and enqueues one
-    packet toward that sensor's current next hop.  If the source has no
-    next hop at that instant (stranded by mobility), the arrival is counted
-    as undeliverable and skipped — matching a sensor that cannot currently
-    report anything.
+    packet toward that sensor's current next hop.  If the source is down
+    (crashed) or has no next hop at that instant (stranded by mobility),
+    the arrival is counted as undeliverable and skipped — matching a sensor
+    that cannot currently report anything.
     """
 
     def __init__(
@@ -92,17 +114,8 @@ class PoissonTraffic:
 
     def _arrival(self) -> None:
         source = self.sources[int(self._rng.integers(0, len(self.sources)))]
-        self._inject(source)
+        _inject(source, self.routing, self.packet_bits, self.stats)
         self._schedule_next()
-
-    def _inject(self, source: Node) -> None:
-        next_hop = self.routing.next_hop(source.node_id)
-        if next_hop is None:
-            self.stats.undeliverable += 1
-            return
-        source.enqueue_data(next_hop, self.packet_bits)
-        self.stats.packets += 1
-        self.stats.bits += self.packet_bits
 
 
 class BatchWorkload:
@@ -160,13 +173,7 @@ class BatchWorkload:
 
     def _inject_one(self) -> None:
         source = self.sources[int(self._rng.integers(0, len(self.sources)))]
-        next_hop = self.routing.next_hop(source.node_id)
-        if next_hop is None:
-            self.stats.undeliverable += 1
-            return
-        source.enqueue_data(next_hop, self.packet_bits)
-        self.stats.packets += 1
-        self.stats.bits += self.packet_bits
+        _inject(source, self.routing, self.packet_bits, self.stats)
 
     def sent_packets(self) -> int:
         return sum(s.app_stats.sent for s in self.sources)

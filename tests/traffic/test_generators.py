@@ -138,3 +138,45 @@ class TestBatch:
             BatchWorkload(sim, nodes, routing, n_packets=-1)
         with pytest.raises(ValueError):
             BatchWorkload(sim, nodes, routing, n_packets=1, inject_window_s=-1.0)
+
+
+class TestDeadSources:
+    """A crashed sensor generates nothing: arrivals drawn at it are skipped."""
+
+    def test_poisson_skips_dead_sources(self):
+        arrivals = {}
+        for crash in (False, True):
+            sim = Simulator(seed=2)
+            nodes, routing = build_network(sim)
+            dead = [n for n in nodes if not n.is_sink][::2] if crash else []
+            for node in dead:
+                node.fail()
+            traffic = PoissonTraffic(sim, nodes, routing, offered_load_kbps=1.0)
+            traffic.start()
+            sim.run(until=300.0)
+            stats = traffic.stats
+            arrivals[crash] = stats.packets + stats.undeliverable
+            for node in dead:
+                assert not node.queue
+                assert node.app_stats.generated == 0
+                node.recover()
+                assert not node.queue  # rejoins with an empty queue
+        # The source draws are unchanged: only their outcome differs.
+        assert arrivals[True] == arrivals[False]
+
+    def test_batch_skips_dead_sources(self):
+        sim = Simulator(seed=1)
+        nodes, routing = build_network(sim)
+        dead = [n for n in nodes if not n.is_sink][::2]
+        for node in dead:
+            node.fail()
+        batch = BatchWorkload(sim, nodes, routing, n_packets=40, inject_window_s=50.0)
+        batch.start()
+        sim.run(until=60.0)
+        assert batch.stats.packets + batch.stats.undeliverable == 40
+        assert 0 < batch.stats.packets < 40
+        assert sum(len(n.queue) for n in nodes) == batch.stats.packets
+        for node in dead:
+            assert not node.queue
+            node.recover()
+            assert not node.queue
