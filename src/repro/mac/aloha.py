@@ -8,6 +8,13 @@ reservation means data packets collide at rates that grow quickly with
 load, which is exactly why the literature (and the paper) builds on
 RTS/CTS handshakes; the benchmark suite includes ALOHA in the ablation
 sweeps to make that trade-off measurable.
+
+ALOHA is also the *perfectly synchronized* reference: only its first tick
+is placed by the node's clock (``SlottedMac.start``); every later tick
+re-arms at ``timing.slot_start(index + 1)`` on the global grid, so
+``clock_offset_std_s``, clock drift and clock faults move at most that
+first tick.  The other MACs keep following their node's clock, so in
+clock-skew and clock-fault cells ALOHA shows what slot alignment is worth.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ class SlottedAloha(SlottedMac):
     #: Persistence probability for a head-of-line packet each slot.
     p_tx = 0.5
 
-    def _slot_tick(self, index: int) -> None:  # noqa: D102 - engine override
+    def _slot_tick(self, index: int) -> None:
+        """One slot boundary; the next one is armed on the global grid."""
         self._slot_event = self.sim.schedule_at(
             self.timing.slot_start(index + 1), self._slot_tick, index + 1
         )

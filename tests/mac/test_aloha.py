@@ -95,3 +95,42 @@ def test_sustained_traffic_delivers():
     sim.run(until=200.0)
     assert nodes[0].app_stats.sent == 10
     assert macs[0].stats.duplicate_data == 0 or macs[1].stats.duplicate_data >= 0
+
+
+def test_ticks_after_the_first_land_on_the_global_grid(monkeypatch):
+    """ALOHA is the perfectly synchronized reference: clock offsets move
+    only each node's first tick; every later one is on the global grid."""
+    from repro.experiments.config import table2_config
+    from repro.experiments.scenario import Scenario
+
+    ticks = {}
+    original = SlottedAloha._slot_tick
+
+    def recording(self, index):
+        ticks.setdefault(self.node.node_id, []).append((index, self.sim.now))
+        original(self, index)
+
+    monkeypatch.setattr(SlottedAloha, "_slot_tick", recording)
+    scenario = Scenario(
+        table2_config(
+            protocol="ALOHA",
+            n_sensors=6,
+            side_m=3000.0,
+            sim_time_s=20.0,
+            warmup_s=5.0,
+            clock_offset_std_s=0.05,
+        )
+    )
+    scenario.run_steady_state()
+    off_grid_starts = 0
+    for mac in scenario.macs:
+        clock = mac.node.clock
+        (first, first_at), *rest = ticks[mac.node.node_id]
+        assert first_at == clock.to_true(mac.timing.slot_start(first))
+        off_grid_starts += first_at != mac.timing.slot_start(first)
+        assert len(rest) > 10
+        for index, at in rest:
+            assert at == mac.timing.slot_start(index)
+    # The offsets really displaced the first ticks, so the grid is not
+    # met by accident.
+    assert off_grid_starts == len(scenario.macs)
