@@ -2,9 +2,12 @@
 
 Exercises the leased-claim fault path end to end, deterministically:
 
-1. Boot the service with ``--chaos-kill-after 2 --lease-s 2``: the
-   process SIGKILLs **itself** on the second progress line of the first
-   job — no cleanup, no settle, a leased ``running`` row left behind.
+1. Boot the service with ``--chaos-kill-after 2 --lease-s 2`` and its
+   result cache in the smoke's temp workdir: the process SIGKILLs
+   **itself** on the second progress line of the first job — no cleanup,
+   no settle, a leased ``running`` row left behind.  Each progress line
+   is one finished cell, written after the cell is stored in the cache,
+   so exactly two cells survive the kill.
 2. Submit a quick Fig. 6 sweep and wait for the service to die mid-job.
    Assert the store still shows the job ``running`` under the dead
    process's lease (nothing reaped it yet).
@@ -12,8 +15,10 @@ Exercises the leased-claim fault path end to end, deterministically:
    lease is reaped (on open or by the heartbeat loop), the job requeues
    with its crash recorded in the error chain, and a worker re-runs it.
 4. Assert the recovered job is ``done`` on attempt 2, the error chain
-   names the expired lease, and the served figure is bit-identical to a
-   direct ``engine.run_request`` call in this process.
+   names the expired lease, the two cells finished before the kill are
+   cache hits (the cell is the unit of recovery), and the served figure
+   is bit-identical to a direct ``engine.run_request`` call in this
+   process.
 
 Run from the repo root (CI's crash-smoke job, or locally)::
 
@@ -74,7 +79,6 @@ def _boot(workdir: Path, env: dict, chaos: bool) -> subprocess.Popen:
         "--allow-shutdown",
         "--workers",
         "1",
-        "--no-cache",
         "--lease-s",
         str(LEASE_S),
     ]
@@ -121,6 +125,7 @@ def main() -> int:
     store_path = workdir / "jobs.sqlite"
     env = dict(os.environ)
     env["PYTHONPATH"] = str(repo / "src")
+    env["REPRO_CACHE_DIR"] = str(workdir / "cache")
 
     # ---- phase 1: the service kills itself mid-job -------------------
     victim = _boot(workdir, env, chaos=True)
@@ -162,13 +167,20 @@ def main() -> int:
 
         status, served = _http("GET", f"{base}/jobs/{key}/result")
         assert status == 200, f"result fetch: {status}"
+        result = served["result"]
+        hits, misses = result["cache_hits"], result["cache_misses"]
+        assert (hits, misses) == (2, result["cells_total"] - 2), (
+            f"expected the 2 cells finished before the kill as cache hits, "
+            f"got {hits} hit(s), {misses} miss(es) of {result['cells_total']}"
+        )
+        print(f"attempt 2 reused the {hits} cells finished before the kill")
 
         from repro.experiments.engine import SweepRequest, request_key, run_request
 
         request = SweepRequest.from_dict(REQUEST)
         assert request_key(request) == key, "request_key drifted from service"
         direct = run_request(request, workers=1, cache=None)
-        served_doc = json.dumps(served["result"]["figure"], sort_keys=True)
+        served_doc = json.dumps(result["figure"], sort_keys=True)
         direct_doc = json.dumps(direct.to_dict()["figure"], sort_keys=True)
         assert served_doc == direct_doc, "recovered result differs from direct run"
         print("recovered figure bit-identical to direct engine run")

@@ -7,7 +7,7 @@ in the working tree, and compares their stdout and stderr byte for byte:
 * ``repro-uasn all --quick --no-cache``
 * ``repro-uasn fig6 --quick --workers 2 --no-cache``
 * ``repro-uasn ablations --quick --no-cache``
-* ``repro-uasn chaos --quick --workers 2 --checkpoint-every 20 --no-cache``
+* ``repro-uasn chaos --quick --workers 2 --no-cache``
 * every ``examples/*.py`` of the working tree (mobile deployments, a
   batch drain, energy, the extra-communication trace)
 
@@ -45,10 +45,7 @@ COMMANDS: Tuple[Tuple[str, List[str]], ...] = (
     ("all", CLI + ["all", "--quick", "--no-cache"]),
     ("fig6", CLI + ["fig6", "--quick", "--workers", "2", "--no-cache"]),
     ("ablations", CLI + ["ablations", "--quick", "--no-cache"]),
-    (
-        "chaos",
-        CLI + ["chaos", "--quick", "--workers", "2", "--checkpoint-every", "20", "--no-cache"],
-    ),
+    ("chaos", CLI + ["chaos", "--quick", "--workers", "2", "--no-cache"]),
 ) + tuple(
     (example.stem, [f"examples/{example.name}"])
     for example in sorted((ROOT / "examples").glob("*.py"))

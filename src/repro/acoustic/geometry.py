@@ -27,18 +27,6 @@ class Position:
     y: float
     z: float
 
-    def __getstate__(self) -> Tuple[float, float, float]:
-        """Explicit pickle support: frozen + manual ``__slots__`` breaks the
-        default slot-state protocol (unpickling would route through the
-        frozen ``__setattr__``), and positions sit in every checkpointed
-        scenario graph."""
-        return (self.x, self.y, self.z)
-
-    def __setstate__(self, state: Tuple[float, float, float]) -> None:
-        object.__setattr__(self, "x", state[0])
-        object.__setattr__(self, "y", state[1])
-        object.__setattr__(self, "z", state[2])
-
     def distance_to(self, other: "Position") -> float:
         """Euclidean distance in metres.
 

@@ -5,9 +5,9 @@ out.  Like the figures (:mod:`~repro.experiments.figures`), every ablation
 is a declarative :class:`~repro.experiments.engine.FigurePlan` factory,
 ``*_plan(seeds, quick, overrides)``, run by
 :func:`~repro.experiments.engine.run_plan` — so ablations share the
-figures' result cache, process pool, cell timeout, checkpoints and
-failure model.  These are *our* experiments — the paper does not publish
-them — but each answers a question the paper's text raises:
+figures' result cache, process pool, cell timeout and failure model.
+These are *our* experiments — the paper does not publish them — but each
+answers a question the paper's text raises:
 
 * ``packet_size_plan`` — Sec. 2: "larger packets are more efficient than
   multiple small packets"; sweeps the Table 2 packet-size range.

@@ -83,19 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="wall-clock budget for each cell's first attempt, at any "
-        "--workers; a cell over budget is re-run in-process up to 3 more "
-        "times at twice the budget, then fails (a cell that raises fails "
-        "at once)",
-    )
-    parser.add_argument(
-        "--checkpoint-every",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="checkpoint each cell's simulation state every SECONDS of "
-        "simulated time, so interrupted/timed-out cells resume from the "
-        "last checkpoint instead of restarting (default: off; resumed "
-        "results are bit-identical to uninterrupted runs)",
+        "--workers; a cell over budget is re-run from zero in-process up "
+        "to 3 more times at twice the budget, then fails (a cell that "
+        "raises fails at once).  The cell is the unit of recovery: "
+        "finished cells are kept in the result cache (unless --no-cache), so "
+        "a rerun after an interruption recomputes only unfinished cells",
     )
     parser.add_argument(
         "--override",
@@ -211,7 +203,6 @@ def _run_kwargs(args: argparse.Namespace) -> Dict[str, object]:
         "workers": None if args.workers == 0 else args.workers,
         "cache": not args.no_cache,
         "cell_timeout_s": args.cell_timeout,
-        "checkpoint_every_s": args.checkpoint_every,
     }
 
 
@@ -225,7 +216,6 @@ def _reject_sweep_flags(args: argparse.Namespace) -> None:
     given = [
         ("--override", bool(args.override)),
         ("--cell-timeout", args.cell_timeout is not None),
-        ("--checkpoint-every", args.checkpoint_every is not None),
         ("--workers", args.workers != 1),
     ]
     for flag, present in given:
@@ -243,14 +233,9 @@ def _print_table2() -> None:
 
 
 def _finish_observed(stats, args: argparse.Namespace) -> int:
-    """Shared epilogue: cache/checkpoint accounting and the failure exit code."""
+    """Shared epilogue: cache accounting and the failure exit code."""
     if not args.no_cache:
         print(f"  {stats.cache_line()}")
-    if args.checkpoint_every is not None:
-        print(
-            f"  checkpoints: {stats.checkpoints_taken} taken, "
-            f"{stats.cells_resumed} cell(s) resumed"
-        )
     if stats.failures:
         for failure in stats.failures:
             print(

@@ -42,7 +42,7 @@ Three layers, lowest first:
 Observability is ambient rather than threaded through every signature:
 wrap engine calls in :func:`observe_sweeps` to sum every run's
 :class:`~repro.experiments.parallel.SweepStats` (cell failures, requeued
-cells, cache traffic, checkpoints) without changing any sweep call's
+cells, cache traffic) without changing any sweep call's
 signature.
 """
 
@@ -167,7 +167,6 @@ def run_sweep(
     workers: Optional[int] = 1,
     cache: object = None,
     cell_timeout_s: Optional[float] = None,
-    checkpoint_every_s: Optional[float] = None,
 ) -> GridResults:
     """Run every (x, protocol, seed) cell of a sweep.
 
@@ -189,18 +188,15 @@ def run_sweep(
             computed cells are reused instead of re-simulated.
         cell_timeout_s: Optional wall-clock budget for each cell's first
             attempt, at any ``workers``; a cell that exceeds it is re-run
-            in this process under a bounded retry budget, resuming from
-            its last checkpoint when checkpointing is on.
-        checkpoint_every_s: Simulated seconds between per-cell scenario
-            checkpoints (off by default; resumed cells are bit-identical,
-            see :mod:`~repro.experiments.checkpoint`).
+            from zero in this process under a bounded retry budget.  The
+            cell is the unit of recovery: only a finished cell is kept
+            (in ``cache``), never part of one.
     """
     runner = ParallelSweepRunner(
         workers=workers,
         cache=cache,
         cell_timeout_s=cell_timeout_s,
         progress=progress,
-        checkpoint_every_s=checkpoint_every_s,
     )
     grid = runner.run(spec, base, protocols=protocols, seeds=seeds)
     stats = _STATS.get()
@@ -299,7 +295,6 @@ def run_plan(
     workers: Optional[int] = 1,
     cache: object = None,
     cell_timeout_s: Optional[float] = None,
-    checkpoint_every_s: Optional[float] = None,
 ) -> FigureData:
     """Execute a plan's sweep and build its figure."""
     grid = run_sweep(
@@ -311,7 +306,6 @@ def run_plan(
         workers=workers,
         cache=cache,
         cell_timeout_s=cell_timeout_s,
-        checkpoint_every_s=checkpoint_every_s,
     )
     return plan.build(grid)
 
@@ -511,7 +505,6 @@ def run_request(
     workers: Optional[int] = 1,
     cache: object = None,
     cell_timeout_s: Optional[float] = None,
-    checkpoint_every_s: Optional[float] = None,
 ) -> SweepResult:
     """Execute a request end to end and return its :class:`SweepResult`.
 
@@ -530,7 +523,6 @@ def run_request(
             workers=workers,
             cache=cache,
             cell_timeout_s=cell_timeout_s,
-            checkpoint_every_s=checkpoint_every_s,
         )
     figure = plan.build(grid)
     summary = plan.summarize(grid) if plan.summarize is not None else []

@@ -29,34 +29,31 @@ Every uncached cell follows one failure rule, wherever it runs:
   cell's config and the source, so it becomes a :class:`CellFailure` on
   first sight.  This is the job store's rule (``fail()`` is final, a
   lost lease is retried under a budget) applied per cell.
-* **Checkpoint/resume** — with ``checkpoint_every_s`` set, each cell
-  periodically snapshots its scenario (:mod:`~repro.experiments.checkpoint`)
-  to a per-cell file; a retried cell restores from its last checkpoint
-  instead of rerunning from zero.  Resumed results are bit-identical to
-  uninterrupted ones, so recovery never changes a figure.
+* **The cell is the unit of recovery** — a retried cell reruns from zero
+  in a fresh :class:`Scenario`; nothing of an aborted attempt survives.
+  Cells are short and seeded, so a rerun costs at most one cell and
+  reproduces the uninterrupted result bit for bit.
 
 Results can be memoized through :class:`~repro.experiments.cache.ResultCache`;
 cache lookups happen in the parent before any work is dispatched, so a
-warm-cache rerun performs zero scenario executions.
+warm-cache rerun performs zero scenario executions, and a finished cell
+is stored as soon as it completes, so an interrupted sweep resumes from
+its finished cells.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import shutil
-import tempfile
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
-from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..des.errors import WallClockExceeded
 from .cache import ResultCache, cell_key, code_version, resolve_cache
-from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from .config import ScenarioConfig
 from .scenario import Scenario, ScenarioResult
 
@@ -125,7 +122,7 @@ class SweepCell:
 
 @dataclass
 class SweepStats:
-    """What one or more sweep runs did: failures, retries, cache, checkpoints."""
+    """What one or more sweep runs did: failures, retries, cache."""
 
     #: Cells that raised, or that ran out of retries.
     failures: List[CellFailure] = field(default_factory=list)
@@ -135,10 +132,6 @@ class SweepStats:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_stores: int = 0
-    #: Finished cells completed from a checkpoint instead of from scratch.
-    cells_resumed: int = 0
-    #: Checkpoints taken across all finished cells.
-    checkpoints_taken: int = 0
 
     def merge(self, other: "SweepStats") -> None:
         """Fold another record into this one: lists extend, counts add."""
@@ -179,81 +172,23 @@ def expand_cells(
     return cells
 
 
-def _restore_cell_checkpoint(
-    cell: SweepCell, checkpoint_path: Union[str, Path]
-) -> Optional[Scenario]:
-    """Restore a cell's checkpoint if one exists and is trustworthy.
-
-    Anything less than a perfect match — missing file, corrupt blob, a
-    snapshot from different source code, or (paranoia against key
-    collisions) a config that is not exactly this cell's config — means
-    "no checkpoint": the cell simply reruns from zero, which is always
-    correct, just slower.
-    """
-    if not os.path.exists(checkpoint_path):
-        return None
-    try:
-        scenario = read_checkpoint(checkpoint_path)
-    except CheckpointError:
-        return None
-    if scenario.config != cell.config:
-        return None
-    return scenario
-
-
-def execute_cell(
-    cell: SweepCell,
-    wall_budget_s: Optional[float] = None,
-    checkpoint_path: Union[str, Path, None] = None,
-    checkpoint_every_s: Optional[float] = None,
-) -> ScenarioResult:
-    """Run one cell to completion (steady-state or batch-drain).
-
-    With ``checkpoint_path`` set, the cell resumes from that checkpoint
-    when a valid one exists, and — if ``checkpoint_every_s`` is also set —
-    rewrites it every so many simulated seconds while running.  The file
-    is removed on success, so a later rerun of the same cell starts fresh.
-    """
-    scenario: Optional[Scenario] = None
-    if checkpoint_path is not None:
-        scenario = _restore_cell_checkpoint(cell, checkpoint_path)
-    resumed = scenario is not None
-    if scenario is None:
-        scenario = Scenario(cell.config)
+def execute_cell(cell: SweepCell, wall_budget_s: Optional[float] = None) -> ScenarioResult:
+    """Run one cell to completion (steady-state or batch-drain) from zero."""
+    scenario = Scenario(cell.config)
     if wall_budget_s is not None:
         scenario.sim.set_wall_deadline(wall_budget_s)
-    on_checkpoint = None
-    if checkpoint_path is not None and checkpoint_every_s:
-
-        def on_checkpoint(snap: Scenario) -> None:
-            write_checkpoint(checkpoint_path, snap)
-
-    if resumed:
-        result = scenario.resume(checkpoint_every_s, on_checkpoint)
-    elif cell.batch is not None:
+    if cell.batch is not None:
         n_packets, max_time_s = cell.batch
-        result = scenario.run_batch(
-            n_packets, max_time_s, checkpoint_every_s, on_checkpoint
-        )
-    else:
-        result = scenario.run_steady_state(checkpoint_every_s, on_checkpoint)
-    if checkpoint_path is not None:
-        try:
-            os.unlink(checkpoint_path)
-        except OSError:
-            pass
-    return result
+        return scenario.run_batch(n_packets, max_time_s)
+    return scenario.run_steady_state()
 
 
 def _pool_worker(
-    cell: SweepCell,
-    wall_budget_s: Optional[float],
-    checkpoint_path: Union[str, Path, None],
-    checkpoint_every_s: Optional[float],
+    cell: SweepCell, wall_budget_s: Optional[float]
 ) -> Tuple[int, float, ScenarioResult]:
     """Pool entry point: returns (cell index, wall-clock seconds, result)."""
     started = time.perf_counter()
-    result = execute_cell(cell, wall_budget_s, checkpoint_path, checkpoint_every_s)
+    result = execute_cell(cell, wall_budget_s)
     return cell.index, time.perf_counter() - started, result
 
 
@@ -267,18 +202,9 @@ class ParallelSweepRunner:
             path, or a :class:`ResultCache`.
         cell_timeout_s: Cooperative wall-clock budget for every cell's
             first attempt, in-process or pooled.  A cell that exceeds it
-            is requeued and re-run in the parent (resuming from its
-            checkpoint when checkpointing is on).
+            is requeued and re-run from zero in the parent.
         progress: Receives a line per cell with its wall-clock cost (or
             ``cached``), plus requeue and failure notices.
-        checkpoint_every_s: Simulated seconds between per-cell
-            checkpoints.  ``None`` (default) disables checkpointing
-            entirely — cells run exactly as before, zero hot-path cost.
-        checkpoint_dir: Where per-cell checkpoint files live.  ``None``
-            with checkpointing enabled uses a runner-owned temporary
-            directory, removed when :meth:`run_cells` finishes; passing a
-            path keeps checkpoints across runner instances (a crashed
-            *sweep* can then resume its in-flight cells too).
 
     Where a cell runs is a scheduling choice (in-process for
     ``workers <= 1`` or a single pending cell, pooled otherwise); its
@@ -295,16 +221,11 @@ class ParallelSweepRunner:
         cache: object = None,
         cell_timeout_s: Optional[float] = None,
         progress: Progress = None,
-        checkpoint_every_s: Optional[float] = None,
-        checkpoint_dir: Union[str, Path, None] = None,
     ) -> None:
         self.workers = workers if workers else (os.cpu_count() or 1)
         self.cache: Optional[ResultCache] = resolve_cache(cache)  # type: ignore[arg-type]
         self.cell_timeout_s = cell_timeout_s
         self.progress = progress
-        self.checkpoint_every_s = checkpoint_every_s
-        self._checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
-        self._owns_checkpoint_dir = False
         #: The last :meth:`run_cells` call's record.  A failed cell is
         #: lost (empty grid entry) instead of aborting the whole sweep.
         self.stats = SweepStats()
@@ -313,39 +234,6 @@ class ParallelSweepRunner:
     def _emit(self, message: str) -> None:
         if self.progress is not None:
             self.progress(message)
-
-    @property
-    def _checkpointing(self) -> bool:
-        return bool(self.checkpoint_every_s and self.checkpoint_every_s > 0)
-
-    def _checkpoint_path_for(self, cell: SweepCell, keys: Dict[int, str]) -> Optional[Path]:
-        """Per-cell checkpoint file, content-addressed by the cell key.
-
-        Keyed the same way as the result cache, so a persistent
-        ``checkpoint_dir`` can hand a crashed sweep's in-flight cells to
-        the rerun that picks them up — and a code edit (new digest, new
-        key) can never resume under changed simulation code.
-        """
-        if not self._checkpointing or self._checkpoint_dir is None:
-            return None
-        return self._checkpoint_dir / f"{keys[cell.index]}.ckpt"
-
-    def _setup_checkpoint_dir(self) -> None:
-        if not self._checkpointing:
-            return
-        if self._checkpoint_dir is None:
-            self._checkpoint_dir = Path(
-                tempfile.mkdtemp(prefix="repro-checkpoints-")
-            )
-            self._owns_checkpoint_dir = True
-        else:
-            self._checkpoint_dir.mkdir(parents=True, exist_ok=True)
-
-    def _teardown_checkpoint_dir(self) -> None:
-        if self._owns_checkpoint_dir and self._checkpoint_dir is not None:
-            shutil.rmtree(self._checkpoint_dir, ignore_errors=True)
-            self._checkpoint_dir = None
-            self._owns_checkpoint_dir = False
 
     def run(
         self,
@@ -377,7 +265,7 @@ class ParallelSweepRunner:
         results: List[Optional[ScenarioResult]] = [None] * len(cells)
         keys: Dict[int, str] = {}
         pending: List[SweepCell] = []
-        if self.cache is not None or self._checkpointing:
+        if self.cache is not None:
             version = code_version()
             for cell in cells:
                 keys[cell.index] = cell_key(cell.config, cell.batch, version)
@@ -393,20 +281,16 @@ class ParallelSweepRunner:
             pending.append(cell)
 
         if pending:
-            self._setup_checkpoint_dir()
-            try:
-                if self.workers <= 1 or len(pending) == 1:
-                    retry = [
-                        cell
-                        for cell in pending
-                        if self._attempt(cell, self.cell_timeout_s, results, keys)
-                    ]
-                else:
-                    retry = self._run_pool(pending, results, keys)
-                stats.requeued = sorted(retry, key=lambda c: c.index)
-                self._retry(stats.requeued, results, keys)
-            finally:
-                self._teardown_checkpoint_dir()
+            if self.workers <= 1 or len(pending) == 1:
+                retry = [
+                    cell
+                    for cell in pending
+                    if self._attempt(cell, self.cell_timeout_s, results, keys)
+                ]
+            else:
+                retry = self._run_pool(pending, results, keys)
+            stats.requeued = sorted(retry, key=lambda c: c.index)
+            self._retry(stats.requeued, results, keys)
 
         if stats.failures:
             labels = ", ".join(f.cell.label for f in stats.failures)
@@ -428,9 +312,6 @@ class ParallelSweepRunner:
         if self.cache is not None:
             self.cache.put(keys[cell.index], result)
             self.stats.cache_stores += 1
-        if result.perf.resumes > 0:
-            self.stats.cells_resumed += 1
-        self.stats.checkpoints_taken += result.perf.checkpoints_taken
         self._emit(f"{cell.label} done in {elapsed_s:.2f}s")
 
     def _failed_attempt(self, cell: SweepCell, exc: Exception, final: bool) -> bool:
@@ -464,12 +345,7 @@ class ParallelSweepRunner:
         """
         started = time.perf_counter()
         try:
-            result = execute_cell(
-                cell,
-                budget_s,
-                self._checkpoint_path_for(cell, keys),
-                self.checkpoint_every_s,
-            )
+            result = execute_cell(cell, budget_s)
         except Exception as exc:
             return self._failed_attempt(cell, exc, final)
         self._finish(cell, result, time.perf_counter() - started, results, keys)
@@ -486,8 +362,7 @@ class ParallelSweepRunner:
         Each retry gets ``2 * cell_timeout_s`` of wall clock and each cell
         at most :data:`MAX_SERIAL_ATTEMPTS` retries, so a truly wedged cell
         becomes a :class:`CellFailure` instead of blocking the sweep
-        forever.  With checkpointing on, every retry resumes from the
-        cell's last checkpoint, so bounded retries still make progress.
+        forever.  Every retry starts the cell from zero.
         """
         budget_s = None if self.cell_timeout_s is None else 2 * self.cell_timeout_s
         for cell in cells:
@@ -518,13 +393,7 @@ class ParallelSweepRunner:
         hung = False
         try:
             future_to_cell = {
-                pool.submit(
-                    _pool_worker,
-                    cell,
-                    self.cell_timeout_s,
-                    self._checkpoint_path_for(cell, keys),
-                    self.checkpoint_every_s,
-                ): cell
+                pool.submit(_pool_worker, cell, self.cell_timeout_s): cell
                 for cell in cells
             }
             waiting = set(future_to_cell)

@@ -11,7 +11,7 @@ or the batch-drain experiment (Fig. 8), and produces a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..core.ewmac.protocol import EwMac
 from ..des.rng import derive_seed
@@ -119,29 +119,6 @@ class ScenarioResult:
         return summary
 
 
-@dataclass
-class _RunPlan:
-    """Where an in-flight run is headed (pickled inside every checkpoint).
-
-    Both experiment kinds reduce to "advance the clock toward an absolute
-    simulation time, then collect": storing that target (rather than the
-    relative durations the public API takes) is what lets a restored
-    scenario finish the run without re-deriving anything.
-    """
-
-    mode: str  # "steady" | "batch"
-    #: Steady: absolute end of the measurement window.
-    end_s: float = 0.0
-    #: Steady: measurement duration passed to ``_collect``.
-    duration_s: float = 0.0
-    #: Batch: absolute drain deadline (sim time).
-    deadline_s: float = 0.0
-    #: Batch: the relative budget (reported as the drain time on timeout).
-    max_time_s: float = 0.0
-    #: Batch: drain-loop chunk size.
-    check_interval_s: float = 1.0
-
-
 class Scenario:
     """A fully wired simulation instance."""
 
@@ -240,16 +217,8 @@ class Scenario:
                 self.sim, self.nodes, self.channel, config.faults
             )
         self._started = False
-        self._plan: Optional[_RunPlan] = None
-        #: Fault-tolerance counters, surfaced through ``ScenarioResult.perf``.
-        self.checkpoints_taken = 0
-        self.resumes = 0
 
     # ------------------------------------------------------------------
-    def _count_mac_drops(self) -> int:
-        """Batch-workload drop counter (a named method so it pickles)."""
-        return sum(m.stats.drops for m in self.macs)
-
     def _forward(self, node: Node, src: int, size_bits: int) -> None:
         """Multi-hop relay: received data continues toward the surface."""
         if node.is_sink:
@@ -270,22 +239,8 @@ class Scenario:
             self.injector.arm()
 
     # ------------------------------------------------------------------
-    def run_steady_state(
-        self,
-        checkpoint_every_s: Optional[float] = None,
-        on_checkpoint: Optional[Callable[["Scenario"], None]] = None,
-    ) -> ScenarioResult:
-        """Poisson offered load over the Table 2 window (Figs. 6/7/9/10/11).
-
-        With ``checkpoint_every_s`` set, the run advances in windows of
-        that many simulated seconds and invokes ``on_checkpoint(self)``
-        between windows (typically to
-        :func:`~repro.experiments.checkpoint.snapshot_scenario` to disk).
-        Window boundaries are bit-neutral — the kernel pops the same
-        events in the same order either way — so checkpointing never
-        changes results.  Left at None (the default) the run is a single
-        ``sim.run`` call: zero hot-path cost.
-        """
+    def run_steady_state(self) -> ScenarioResult:
+        """Poisson offered load over the Table 2 window (Figs. 6/7/9/10/11)."""
         config = self.config
         self._start_common()
         self.traffic = PoissonTraffic(
@@ -297,27 +252,11 @@ class Scenario:
             rng=self.sim.streams.get("traffic"),
         )
         self.sim.schedule_at(config.warmup_s, self.traffic.start)
-        self._plan = _RunPlan(
-            mode="steady",
-            end_s=config.warmup_s + config.sim_time_s,
-            duration_s=config.sim_time_s,
-        )
-        return self.resume(checkpoint_every_s, on_checkpoint)
+        self.sim.run(until=config.warmup_s + config.sim_time_s)
+        return self._collect(duration_s=config.sim_time_s)
 
-    def run_batch(
-        self,
-        n_packets: int,
-        max_time_s: float,
-        checkpoint_every_s: Optional[float] = None,
-        on_checkpoint: Optional[Callable[["Scenario"], None]] = None,
-    ) -> ScenarioResult:
-        """Fixed batch drained to completion (Fig. 8 execution time).
-
-        Checkpoints (when enabled) are only ever taken on the drain
-        loop's chunk boundaries, so a resumed run walks the exact same
-        chunk sequence — and therefore reports the exact same
-        chunk-resolution drain time — as the uninterrupted run.
-        """
+    def run_batch(self, n_packets: int, max_time_s: float) -> ScenarioResult:
+        """Fixed batch drained to completion (Fig. 8 execution time)."""
         if max_time_s <= 0:
             raise ValueError("max_time_s must be positive")
         config = self.config
@@ -330,79 +269,14 @@ class Scenario:
             packet_bits=config.data_packet_bits,
             rng=self.sim.streams.get("traffic"),
         )
-        self.batch.attach_drop_counter(self._count_mac_drops)
+        self.batch.attach_drop_counter(lambda: sum(m.stats.drops for m in self.macs))
         self.sim.schedule_at(config.warmup_s, self.batch.start)
         self.sim.run(until=config.warmup_s + 1e-6)
-        self._plan = _RunPlan(
-            mode="batch",
-            deadline_s=self.sim.now + max_time_s,
-            max_time_s=max_time_s,
-        )
-        return self.resume(checkpoint_every_s, on_checkpoint)
-
-    def resume(
-        self,
-        checkpoint_every_s: Optional[float] = None,
-        on_checkpoint: Optional[Callable[["Scenario"], None]] = None,
-    ) -> ScenarioResult:
-        """Finish an in-flight run (fresh or restored from a checkpoint).
-
-        ``run_steady_state`` / ``run_batch`` record where the run is
-        headed in an absolute-time :class:`_RunPlan` before the first
-        measurement window, then delegate here; a scenario restored via
-        :func:`~repro.experiments.checkpoint.restore_scenario` calls this
-        directly to complete the run and collect the result.
-        """
-        plan = self._plan
-        if plan is None:
-            raise RuntimeError("no in-flight run to resume (scenario never started)")
-        if plan.mode == "steady":
-            self._run_windows(plan.end_s, checkpoint_every_s, on_checkpoint)
-            return self._collect(duration_s=plan.duration_s)
-        on_chunk = None
-        if checkpoint_every_s is not None and checkpoint_every_s > 0:
-            last_at = [self.sim.now]
-
-            def on_chunk() -> None:
-                if self.sim.now - last_at[0] >= checkpoint_every_s:
-                    last_at[0] = self.sim.now
-                    self._take_checkpoint(on_checkpoint)
-
-        execution = drain_toward_deadline(
-            self.sim,
-            self.batch,
-            deadline_s=plan.deadline_s,
-            max_time_s=plan.max_time_s,
-            check_interval_s=plan.check_interval_s,
-            on_chunk=on_chunk,
-        )
-        duration = max(execution.drain_time_s - self.config.warmup_s, 1e-6)
+        execution = drain_toward_deadline(self.sim, self.batch, max_time_s)
+        duration = max(execution.drain_time_s - config.warmup_s, 1e-6)
         result = self._collect(duration_s=duration)
         result.execution = execution
         return result
-
-    def _run_windows(
-        self,
-        end_s: float,
-        every_s: Optional[float],
-        on_checkpoint: Optional[Callable[["Scenario"], None]],
-    ) -> None:
-        """Advance to ``end_s``, checkpointing between windows if enabled."""
-        sim = self.sim
-        if every_s is None or every_s <= 0:
-            sim.run(until=end_s)
-            return
-        while sim.now < end_s:
-            sim.run(until=min(sim.now + every_s, end_s))
-            if sim.now < end_s:
-                self._take_checkpoint(on_checkpoint)
-
-    def _take_checkpoint(
-        self, on_checkpoint: Optional[Callable[["Scenario"], None]]
-    ) -> None:
-        self.checkpoints_taken += 1
-        if on_checkpoint is not None:
-            on_checkpoint(self)
 
     # ------------------------------------------------------------------
     def _collect(self, duration_s: float) -> ScenarioResult:
@@ -424,13 +298,7 @@ class Scenario:
             faults_report = self.injector.build_report(violations)
             if self.config.faults.strict_audit and violations:
                 raise FaultAuditError(violations)
-        perf = PerfReport.capture(
-            self.sim,
-            self.channel.stats,
-            duration_s,
-            checkpoints_taken=self.checkpoints_taken,
-            resumes=self.resumes,
-        )
+        perf = PerfReport.capture(self.sim, self.channel.stats, duration_s)
         GLOBAL_PERF.add(perf)
         return ScenarioResult(
             protocol=self.config.protocol,

@@ -9,7 +9,7 @@ sources (recorded by :class:`~repro.net.node.AppStats`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 from ..des.simulator import Simulator
 from ..net.node import Node
@@ -33,30 +33,21 @@ class ExecutionResult:
 def drain_toward_deadline(
     sim: Simulator,
     workload: BatchWorkload,
-    deadline_s: float,
     max_time_s: float,
     check_interval_s: float = 1.0,
-    on_chunk: Optional[Callable[[], None]] = None,
 ) -> ExecutionResult:
-    """Advance the simulation until the batch drains (or ``deadline_s``).
+    """Advance the simulation until the batch drains (or ``max_time_s`` passes).
 
-    The simulation is advanced in ``check_interval_s`` chunks.  The drain
-    time is the last successful completion when that is the terminal event,
-    otherwise the (chunk-resolution) instant the network went idle.
-
-    Takes the deadline as an *absolute* simulation time so a checkpointed
-    run can re-enter the loop mid-drain with the original deadline intact.
-    ``on_chunk`` fires between chunks (never mid-chunk), so a checkpoint
-    taken there lands exactly on a chunk boundary — the resumed loop then
-    advances through the same boundaries as the uninterrupted run, which
-    keeps the chunk-resolution drain-time estimate bit-identical.
+    The simulation is advanced in ``check_interval_s`` chunks, up to
+    ``max_time_s`` of simulated time from now.  The drain time is the last
+    successful completion when that is the terminal event, otherwise the
+    (chunk-resolution) instant the network went idle.
     """
+    deadline_s = sim.now + max_time_s
     while sim.now < deadline_s:
         if workload.all_drained():
             break
         sim.run(until=min(sim.now + check_interval_s, deadline_s))
-        if on_chunk is not None and sim.now < deadline_s and not workload.all_drained():
-            on_chunk()
     drained = workload.all_drained()
     last_sent = max(
         (n.app_stats.last_sent_at for n in workload.sources), default=0.0

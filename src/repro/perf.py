@@ -45,10 +45,6 @@ class PerfReport:
         bulk_events: Arrival events scheduled through those batches.
         grid_cells: Occupied spatial-hash cells at capture time (gauge;
             accumulated via max, not sum).
-        checkpoints_taken: Cooperative checkpoints taken during the run
-            (0 unless ``checkpoint_every_s`` was armed).
-        resumes: How many times this run was restored from a checkpoint
-            (0 for an uninterrupted run).
     """
 
     sim_time_s: float
@@ -65,8 +61,6 @@ class PerfReport:
     grid_cells: int = 0
     bulk_pushes: int = 0
     bulk_events: int = 0
-    checkpoints_taken: int = 0
-    resumes: int = 0
 
     @property
     def events_per_second(self) -> float:
@@ -100,8 +94,6 @@ class PerfReport:
         sim: "Simulator",
         channel_stats: "ChannelStats",
         sim_time_s: float,
-        checkpoints_taken: int = 0,
-        resumes: int = 0,
     ) -> "PerfReport":
         """Snapshot kernel + channel counters after a run.
 
@@ -112,8 +104,6 @@ class PerfReport:
             "sim_time_s": sim_time_s,
             "wall_time_s": sim.wall_time_s,
             "events": sim.events_processed,
-            "checkpoints_taken": checkpoints_taken,
-            "resumes": resumes,
         }
         return cls(
             **{
@@ -150,8 +140,6 @@ class PerfReport:
             f"{self.bulk_events:,} events "
             f"({self.bulk_events / self.bulk_pushes if self.bulk_pushes else 0.0:,.1f} "
             f"per push)",
-            f"fault tolerance: {self.checkpoints_taken:,} checkpoints taken, "
-            f"{self.resumes:,} resumes",
         ]
 
 

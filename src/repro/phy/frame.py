@@ -15,7 +15,6 @@ can schedule around the exchange.
 from __future__ import annotations
 
 import itertools
-import threading
 from enum import Enum
 from typing import Any, Dict, Optional
 
@@ -28,28 +27,6 @@ DEFAULT_DATA_PACKET_BITS = 2048
 BROADCAST = -1
 
 _uid_counter = itertools.count(1)
-_uid_lock = threading.Lock()
-
-
-def sample_frame_uid_floor() -> int:
-    """Consume and return one frame uid as a checkpoint floor.
-
-    Frame uids are tracing/dedup identifiers: only uniqueness within a
-    run matters, never the absolute value.  Checkpoints record this floor
-    so :func:`advance_frame_uids` can keep a resumed run's fresh frames
-    from colliding with pre-snapshot ones after the module counter
-    restarted in a new process.
-    """
-    with _uid_lock:
-        return next(_uid_counter)
-
-
-def advance_frame_uids(floor: int) -> None:
-    """Ensure future frame uids are strictly greater than ``floor``."""
-    global _uid_counter
-    with _uid_lock:
-        current = next(_uid_counter)
-        _uid_counter = itertools.count(max(current, int(floor)) + 1)
 
 
 class FrameType(Enum):

@@ -57,8 +57,10 @@ class WorkerPool:
             ``run_kwargs["workers"]`` process workers.
         run_kwargs: Extra keyword arguments for
             :func:`~repro.experiments.engine.run_request`
-            (``workers``, ``cache``, ``cell_timeout_s``,
-            ``checkpoint_every_s``).
+            (``workers``, ``cache``, ``cell_timeout_s``).  The cell is the
+            unit of recovery: a job reclaimed after a crash runs again
+            from the start, and with ``cache`` on every cell the lost
+            attempt finished is a cache hit.
         runner: Test seam replacing the engine call.
         poll_interval_s: Fallback re-claim cadence for an idle worker.
             Submissions, releases and lease requeues made through this

@@ -136,13 +136,7 @@ class TestPerfAccumulator:
         channel_stats = ChannelStats(
             **{f.name: values[f.name] for f in fields(ChannelStats)}
         )
-        report = PerfReport.capture(
-            sim,
-            channel_stats,
-            values["sim_time_s"],
-            checkpoints_taken=values["checkpoints_taken"],
-            resumes=values["resumes"],
-        )
+        report = PerfReport.capture(sim, channel_stats, values["sim_time_s"])
         acc = PerfAccumulator()
         acc.add(report)
         acc.add(report)

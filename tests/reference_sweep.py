@@ -2,10 +2,10 @@
 
 Production :func:`~repro.experiments.engine.run_sweep` always goes
 through :class:`~repro.experiments.parallel.ParallelSweepRunner` (cell
-expansion, result cache, process pool, checkpoints, recovery).
+expansion, result cache, process pool, recovery).
 :func:`reference_sweep` is the loop that fabric replaces: every
 (x, protocol, seed) cell is configured and run in order, right here,
-with nothing cached, pooled or resumed.  Whatever the runner does, its
+with nothing cached, pooled or retried.  Whatever the runner does, its
 grid must match this one bit for bit.
 """
 
