@@ -147,6 +147,32 @@ def test_disarmed_wall_deadline_lets_a_long_run_finish():
     assert sim.events_processed == 2 * Simulator._WALL_CHECK_EVERY
 
 
+def test_wall_deadline_counts_events_across_run_windows():
+    # A drain advanced in short windows (one event each here) must still
+    # reach a check: the count toward it carries over between run calls.
+    sim = Simulator()
+    for i in range(2 * Simulator._WALL_CHECK_EVERY):
+        sim.schedule(float(i), lambda: None)
+    sim.set_wall_deadline(0.0)
+    with pytest.raises(WallClockExceeded):
+        for i in range(2 * Simulator._WALL_CHECK_EVERY):
+            sim.run(until=float(i))
+    assert sim.events_processed == Simulator._WALL_CHECK_EVERY
+
+
+def test_arming_the_deadline_restarts_the_count():
+    sim = Simulator()
+    for i in range(3 * Simulator._WALL_CHECK_EVERY):
+        sim.schedule(float(i), lambda: None)
+    sim.run(until=float(Simulator._WALL_CHECK_EVERY // 2 - 1))
+    sim.set_wall_deadline(0.0)
+    with pytest.raises(WallClockExceeded):
+        sim.run()
+    assert sim.events_processed == (
+        Simulator._WALL_CHECK_EVERY // 2 + Simulator._WALL_CHECK_EVERY
+    )
+
+
 def test_deterministic_rng_streams():
     a = Simulator(seed=7).streams.get("traffic").random(5)
     b = Simulator(seed=7).streams.get("traffic").random(5)
