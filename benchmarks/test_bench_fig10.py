@@ -8,7 +8,7 @@ EW-MAC's overhead growing flattest with node count.
 from conftest import check_figure, emit
 
 from repro.experiments.engine import run_plan
-from repro.experiments.figures import fig10a_plan, fig10b_plan
+from repro.experiments.figures import ALL_PLANS
 
 
 def _check_ordering(data):
@@ -20,14 +20,14 @@ def _check_ordering(data):
 
 
 def test_fig10a_overhead_vs_node_count(one_shot):
-    data = one_shot(run_plan, fig10a_plan(quick=True))
+    data = one_shot(run_plan, ALL_PLANS["fig10a"](quick=True)).figure
     emit(data)
     check_figure(data, "fig10a")
     _check_ordering(data)
 
 
 def test_fig10b_overhead_vs_load(one_shot):
-    data = one_shot(run_plan, fig10b_plan(quick=True))
+    data = one_shot(run_plan, ALL_PLANS["fig10b"](quick=True)).figure
     emit(data)
     check_figure(data, "fig10b")
     _check_ordering(data)

@@ -7,11 +7,11 @@ power); the baseline is 1 by construction.
 from conftest import check_figure, emit
 
 from repro.experiments.engine import run_plan
-from repro.experiments.figures import fig11_plan
+from repro.experiments.figures import ALL_PLANS
 
 
 def test_fig11_efficiency_index(one_shot):
-    data = one_shot(run_plan, fig11_plan(quick=True))
+    data = one_shot(run_plan, ALL_PLANS["fig11"](quick=True)).figure
     emit(data)
     check_figure(data, "fig11")
     for i in range(len(data.x_values)):

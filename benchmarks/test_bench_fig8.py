@@ -8,11 +8,11 @@ insignificant below ~20 packets per 300 s.
 from conftest import check_figure, emit
 
 from repro.experiments.engine import run_plan
-from repro.experiments.figures import fig8_plan
+from repro.experiments.figures import ALL_PLANS
 
 
 def test_fig8_execution_time_vs_load(one_shot):
-    data = one_shot(run_plan, fig8_plan(quick=True))
+    data = one_shot(run_plan, ALL_PLANS["fig8"](quick=True)).figure
     emit(data)
     check_figure(data, "fig8")
     for protocol, series in data.series.items():

@@ -8,11 +8,11 @@ neighbour information, increasingly so as the network densifies.
 from conftest import check_figure, emit
 
 from repro.experiments.engine import run_plan
-from repro.experiments.figures import fig9a_plan, fig9b_plan
+from repro.experiments.figures import ALL_PLANS
 
 
 def test_fig9a_power_vs_load(one_shot):
-    data = one_shot(run_plan, fig9a_plan(quick=True))
+    data = one_shot(run_plan, ALL_PLANS["fig9a"](quick=True)).figure
     emit(data)
     check_figure(data, "fig9a")
     for protocol, series in data.series.items():
@@ -24,7 +24,7 @@ def test_fig9a_power_vs_load(one_shot):
 
 
 def test_fig9b_power_vs_node_count(one_shot):
-    data = one_shot(run_plan, fig9b_plan(quick=True))
+    data = one_shot(run_plan, ALL_PLANS["fig9b"](quick=True)).figure
     emit(data)
     check_figure(data, "fig9b")
     # power grows with node count for every protocol...

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import sqlite3
 import subprocess
@@ -196,6 +197,7 @@ def main() -> int:
             if proc is not None and proc.poll() is None:
                 proc.kill()
                 proc.wait()
+        shutil.rmtree(workdir, ignore_errors=True)
 
 
 if __name__ == "__main__":

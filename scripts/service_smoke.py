@@ -1,13 +1,17 @@
 """End-to-end smoke of ``repro-uasn serve`` over real HTTP.
 
-Boots the service as a subprocess, submits a quick Fig. 6 sweep over
-HTTP, polls it to completion, and asserts:
+Boots the service as a subprocess, submits a quick Fig. 6 sweep and a
+quick ablation (``abl-aloha``: the service serves every target of the
+engine's one registry) over HTTP, polls each to completion, and asserts:
 
-1. the HTTP-served result is bit-identical to a direct
+1. each HTTP-served result is bit-identical to a direct
    ``engine.run_request`` call in this process;
 2. an identical second submission is a dedupe hit — the job is served
    from the store with no second run (``attempts`` stays 1);
 3. ``POST /shutdown`` stops the service cleanly (exit code 0).
+
+The scratch directory holding the job store and the cache is removed on
+exit.
 
 Run from the repo root (CI's service-smoke job, or locally)::
 
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -33,6 +38,9 @@ REQUEST = {
     "seeds": [1],
     "overrides": {"n_sensors": 6, "sim_time_s": 3.0, "warmup_s": 2.0},
 }
+
+#: The same tiny request for an ablation target.
+ABLATION_REQUEST = dict(REQUEST, target="abl-aloha")
 
 BOOT_TIMEOUT_S = 30.0
 JOB_TIMEOUT_S = 300.0
@@ -63,6 +71,41 @@ def _wait_for_url(proc: subprocess.Popen) -> str:
         if line.startswith("listening on "):
             return line.split("listening on ", 1)[1].strip()
     raise SystemExit("service never printed its ready line")
+
+
+def _run_job(base: str, payload) -> None:
+    """Submit a fresh job, wait for it, and check it against a direct run."""
+    status, submitted = _http("POST", f"{base}/jobs", payload)
+    assert status == 202, f"first submit should queue (202), got {status}"
+    assert submitted["deduped"] is False
+    key = submitted["job"]["key"]
+    print(f"submitted {payload['target']} job {key[:16]}…")
+
+    deadline = time.monotonic() + JOB_TIMEOUT_S
+    job = submitted["job"]
+    while job["state"] not in ("done", "failed"):
+        if time.monotonic() > deadline:
+            raise SystemExit(f"job stuck in state {job['state']!r}")
+        status, polled = _http("GET", f"{base}/jobs/{key}?wait=10")
+        job = polled["job"]
+    assert job["state"] == "done", f"job failed: {job['error']}"
+    assert job["attempts"] == 1
+    print(f"job done after {job['finished_at'] - job['started_at']:.1f}s")
+
+    status, served = _http("GET", f"{base}/jobs/{key}/result")
+    assert status == 200, f"result fetch: {status}"
+
+    # The HTTP-served figure must be bit-identical to a direct engine
+    # run of the same request (fresh compute: cache disabled here).
+    from repro.experiments.engine import SweepRequest, request_key, run_request
+
+    request = SweepRequest.from_dict(payload)
+    assert request_key(request) == key, "request_key drifted from service"
+    direct = run_request(request, workers=2, cache=None)
+    served_doc = json.dumps(served["result"]["figure"], sort_keys=True)
+    direct_doc = json.dumps(direct.to_dict()["figure"], sort_keys=True)
+    assert served_doc == direct_doc, "HTTP result differs from direct engine run"
+    print(f"served {payload['target']} figure bit-identical to direct engine run")
 
 
 def main() -> int:
@@ -98,37 +141,8 @@ def main() -> int:
         assert status == 200 and health["ok"], f"healthz: {status} {health}"
         print(f"healthz ok, workers alive: {health['workers_alive']}")
 
-        status, submitted = _http("POST", f"{base}/jobs", REQUEST)
-        assert status == 202, f"first submit should queue (202), got {status}"
-        assert submitted["deduped"] is False
-        key = submitted["job"]["key"]
-        print(f"submitted job {key[:16]}…")
-
-        deadline = time.monotonic() + JOB_TIMEOUT_S
-        job = submitted["job"]
-        while job["state"] not in ("done", "failed"):
-            if time.monotonic() > deadline:
-                raise SystemExit(f"job stuck in state {job['state']!r}")
-            status, polled = _http("GET", f"{base}/jobs/{key}?wait=10")
-            job = polled["job"]
-        assert job["state"] == "done", f"job failed: {job['error']}"
-        assert job["attempts"] == 1
-        print(f"job done after {job['finished_at'] - job['started_at']:.1f}s")
-
-        status, served = _http("GET", f"{base}/jobs/{key}/result")
-        assert status == 200, f"result fetch: {status}"
-
-        # The HTTP-served figure must be bit-identical to a direct engine
-        # run of the same request (fresh compute: cache disabled here).
-        from repro.experiments.engine import SweepRequest, request_key, run_request
-
-        request = SweepRequest.from_dict(REQUEST)
-        assert request_key(request) == key, "request_key drifted from service"
-        direct = run_request(request, workers=2, cache=None)
-        served_doc = json.dumps(served["result"]["figure"], sort_keys=True)
-        direct_doc = json.dumps(direct.to_dict()["figure"], sort_keys=True)
-        assert served_doc == direct_doc, "HTTP result differs from direct engine run"
-        print("served figure bit-identical to direct engine run")
+        _run_job(base, REQUEST)
+        _run_job(base, ABLATION_REQUEST)
 
         # Identical resubmission: dedupe hit, no re-run scheduled.
         status, resubmitted = _http("POST", f"{base}/jobs", REQUEST)
@@ -149,6 +163,7 @@ def main() -> int:
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+        shutil.rmtree(workdir, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -2,11 +2,12 @@
 
 from ..faults import FaultPlan, FaultReport
 from .cache import ResultCache, cell_key, code_version
-from .chaos import CHAOS_PROTOCOLS, ChaosSummary, chaos_figure_plan, chaos_plan
+from .chaos import CHAOS, CHAOS_PROTOCOLS, ChaosSummary, chaos_plan
 from .engine import (
     PAPER_PROTOCOLS,
     EngineError,
     FigurePlan,
+    PlanOutcome,
     SweepRequest,
     SweepResult,
     SweepSpec,
@@ -20,9 +21,11 @@ from .engine import (
     run_request,
     run_sweep,
     service_targets,
+    target_groups,
+    targets,
 )
 from .config import TABLE2, ScenarioConfig, table2_config
-from .figures import ALL_PLANS, PAPER_EXPECTATIONS, FigureData
+from .figures import ALL_PLANS, PAPER_EXPECTATIONS, FigureData, PlanRow
 from .parallel import (
     CellFailure,
     ParallelSweepRunner,
@@ -43,6 +46,7 @@ from .timeline import (
 __all__ = [
     "ALL_ABLATIONS",
     "ALL_PLANS",
+    "CHAOS",
     "CHAOS_PROTOCOLS",
     "CellFailure",
     "ChaosSummary",
@@ -51,7 +55,6 @@ __all__ = [
     "FaultReport",
     "FigureData",
     "FigurePlan",
-    "chaos_figure_plan",
     "chaos_plan",
     "TimelineEntry",
     "extra_exploitation_summary",
@@ -60,6 +63,8 @@ __all__ = [
     "PAPER_EXPECTATIONS",
     "PAPER_PROTOCOLS",
     "ParallelSweepRunner",
+    "PlanOutcome",
+    "PlanRow",
     "ResultCache",
     "Scenario",
     "ScenarioConfig",
@@ -86,5 +91,7 @@ __all__ = [
     "run_sweep",
     "service_targets",
     "table2_config",
+    "target_groups",
+    "targets",
     "write_csv",
 ]

@@ -19,19 +19,12 @@ left wedged by a dead peer — the smoke job's assertion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..faults.plan import ClockFault, CrashWave, FaultPlan, ModemOutage, NoiseBurst
-from .config import ScenarioConfig, table2_config
-from .engine import (
-    PAPER_PROTOCOLS,
-    FigureData,
-    FigurePlan,
-    GridResults,
-    SweepSpec,
-    aggregate,
-    apply_overrides,
-)
+from .config import ScenarioConfig
+from .engine import PAPER_PROTOCOLS, GridResults
+from .figures import PlanRow
 from .scenario import ScenarioResult
 
 #: The chaos sweep adds the ALOHA floor to the paper's protocol set.
@@ -148,66 +141,28 @@ class ChaosSummary:
             f"mean time-to-recover: {self.mean_recovery_time_s:.1f} s",
         ]
 
+    def failure(self) -> Optional[str]:
+        """Why the sweep failed its audit, or ``None`` if it passed."""
+        if self.wedged_handshakes > 0:
+            return (
+                f"{self.wedged_handshakes} wedged handshake(s) survived the "
+                "post-run audit"
+            )
+        if self.faulted_cells > 0 and self.recoveries == 0:
+            return (
+                "faulted cells ran but no node ever recovered — the recovery "
+                "path is not being exercised"
+            )
+        return None
 
-def chaos_figure_plan(
-    seeds: Sequence[int] = (1, 2, 3),
-    quick: bool = False,
-    overrides: Optional[Mapping[str, object]] = None,
-) -> FigurePlan:
-    """Declarative plan for the chaos sweep (the engine's ``chaos`` target).
 
-    ``summarize`` carries the audit counters, so the job service and the
-    CLI report the same wedge/recovery lines from the same grid.
-    """
-    if quick:
-        fractions: Tuple[float, ...] = (0.0, 0.2)
-        base = table2_config(n_sensors=20, sim_time_s=60.0)
-        seeds = tuple(seeds)[:1]
-    else:
-        fractions = (0.0, 0.1, 0.2, 0.3)
-        base = table2_config()
-    base = apply_overrides(base, overrides)
-
-    def configure(
-        cfg: ScenarioConfig, x: float, protocol: str, seed: int
-    ) -> ScenarioConfig:
-        return cfg.with_(
-            protocol=protocol,
-            seed=seed,
-            faults=chaos_plan(x, cfg.warmup_s, cfg.sim_time_s, cfg.n_sensors),
-        )
-
-    def build(results: GridResults) -> FigureData:
-        series = aggregate(
-            results, fractions, CHAOS_PROTOCOLS, lambda r: r.delivery_ratio
-        )
-        return FigureData(
-            figure_id="chaos",
-            title="Delivery ratio under seeded fault injection",
-            x_label="Crashed fraction of sensors",
-            y_label="Delivery ratio (delivered bits / offered bits)",
-            x_values=list(fractions),
-            series=series,
-            notes=(
-                "Chaos sweep (not a paper figure): each faulted cell injects a "
-                "seeded crash wave with recovery, TX/RX modem outages, a clock "
-                "fault, and a +6 dB noise burst; x = 0 is the fault-free "
-                "baseline.  Post-run audits count wedged MACs; any makes the "
-                "chaos CLI exit nonzero."
-            ),
-        )
-
-    def summarize(results: GridResults) -> List[str]:
-        return summarize_grid(results).lines()
-
-    return FigurePlan(
-        figure_id="chaos",
-        spec=SweepSpec(x_values=fractions, configure=configure),
-        base=base,
-        protocols=CHAOS_PROTOCOLS,
-        seeds=tuple(int(s) for s in seeds),
-        build=build,
-        summarize=summarize,
+def _configure(
+    cfg: ScenarioConfig, x: float, protocol: str, seed: int
+) -> ScenarioConfig:
+    return cfg.with_(
+        protocol=protocol,
+        seed=seed,
+        faults=chaos_plan(x, cfg.warmup_s, cfg.sim_time_s, cfg.n_sensors),
     )
 
 
@@ -219,3 +174,28 @@ def summarize_grid(results: GridResults) -> ChaosSummary:
             summary.add(result)
     return summary
 
+
+#: The chaos sweep's row of the target table (the engine's ``chaos``
+#: target).  ``summarize`` returns the :class:`ChaosSummary`, so the job
+#: service and the CLI report the same wedge/recovery lines from the same
+#: grid, and the CLI's exit code reads its :meth:`~ChaosSummary.failure`.
+CHAOS = PlanRow(
+    "chaos",
+    "Delivery ratio under seeded fault injection",
+    "Crashed fraction of sensors",
+    "Delivery ratio (delivered bits / offered bits)",
+    quick_x=(0.0, 0.2),
+    full_x=(0.0, 0.1, 0.2, 0.3),
+    metric=lambda r: r.delivery_ratio,
+    quick_base={"n_sensors": 20, "sim_time_s": 60.0},
+    protocols=CHAOS_PROTOCOLS,
+    notes=(
+        "Chaos sweep (not a paper figure): each faulted cell injects a "
+        "seeded crash wave with recovery, TX/RX modem outages, a clock "
+        "fault, and a +6 dB noise burst; x = 0 is the fault-free "
+        "baseline.  Post-run audits count wedged MACs; any makes the "
+        "chaos CLI exit nonzero."
+    ),
+    configure=_configure,
+    summarize=summarize_grid,
+)

@@ -21,14 +21,9 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from .ablations import ALL_ABLATIONS
-from .chaos import chaos_figure_plan, summarize_grid
 from .config import TABLE2
-from .engine import EngineError, observe_sweeps, run_plan, run_sweep
-from .figures import ALL_PLANS
+from .engine import EngineError, observe_sweeps, run_plan, target_groups, targets
 from .report import format_figure, write_csv
-
-_PLANS = {**ALL_PLANS, **ALL_ABLATIONS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,8 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "target",
-        choices=sorted(_PLANS)
-        + ["all", "ablations", "chaos", "scale", "serve", "table2", "report"],
+        choices=sorted(set(targets()) | set(target_groups()))
+        + ["scale", "serve", "table2", "report"],
         help="figure or ablation to regenerate ('all' = paper figures, "
         "'ablations' = every ablation, 'chaos' = seeded fault-injection "
         "robustness sweep, 'scale' = wall-clock scaling sweep over node "
@@ -306,12 +301,9 @@ def _dispatch(args: argparse.Namespace) -> int:
             path = write_csv(data, Path(args.csv) / "scale.csv")
             print(f"  csv: {path}")
         return 0
-    if args.target == "all":
-        targets = sorted(ALL_PLANS)
-    elif args.target == "ablations":
-        targets = sorted(ALL_ABLATIONS)
-    else:
-        targets = [args.target]
+    rows = targets()
+    groups = target_groups()
+    run_ids = sorted(groups.get(args.target, [args.target]))
     overrides = parse_overrides(args.override) or None
     profiler = None
     if args.profile:
@@ -327,29 +319,16 @@ def _dispatch(args: argparse.Namespace) -> int:
         profiler = cProfile.Profile()
         profiler.enable()
     run_kwargs = _run_kwargs(args)
-    chaos_summary = None
+    summaries = []
     try:
         with observe_sweeps() as stats:
-            for target in targets:
-                if target == "chaos":
-                    # The raw grid, not just the figure: the exit code
-                    # depends on the audit counters.
-                    plan = chaos_figure_plan(seeds, args.quick, overrides)
-                    grid = run_sweep(
-                        plan.spec,
-                        plan.base,
-                        plan.protocols,
-                        plan.seeds,
-                        progress=progress,
-                        **run_kwargs,
-                    )
-                    data, chaos_summary = plan.build(grid), summarize_grid(grid)
-                else:
-                    plan = _PLANS[target](seeds, args.quick, overrides)
-                    data = run_plan(plan, progress=progress, **run_kwargs)
+            for target in run_ids:
+                plan = rows[target](seeds, args.quick, overrides)
+                data, summary = run_plan(plan, progress=progress, **run_kwargs)
                 print(format_figure(data))
-                if chaos_summary is not None:
-                    for line in chaos_summary.lines():
+                if summary is not None:
+                    summaries.append(summary)
+                    for line in summary.lines():
                         print(f"  {line}")
                 if args.chart:
                     from ..analysis.charts import figure_chart
@@ -363,22 +342,13 @@ def _dispatch(args: argparse.Namespace) -> int:
             profiler.disable()
             _print_profile(profiler)
     status = _finish_observed(stats, args)
-    if status or chaos_summary is None:
+    if status:
         return status
-    if chaos_summary.wedged_handshakes > 0:
-        print(
-            f"FAIL: {chaos_summary.wedged_handshakes} wedged handshake(s) "
-            "survived the post-run audit",
-            file=sys.stderr,
-        )
-        return 1
-    if chaos_summary.faulted_cells > 0 and chaos_summary.recoveries == 0:
-        print(
-            "FAIL: faulted cells ran but no node ever recovered — "
-            "the recovery path is not being exercised",
-            file=sys.stderr,
-        )
-        return 1
+    for summary in summaries:
+        failure = summary.failure()
+        if failure is not None:
+            print(f"FAIL: {failure}", file=sys.stderr)
+            return 1
     return 0
 
 

@@ -80,10 +80,6 @@ class ClaimCheck:
     detail: str = ""
 
 
-def _series_at_top(measured: MeasuredFigure, protocol: str) -> float:
-    return measured.series[protocol][-1]
-
-
 def check_claims(figure_id: str, measured: MeasuredFigure) -> List[ClaimCheck]:
     """Mechanically verify the ordering-style claims we can check."""
     checks: List[ClaimCheck] = []

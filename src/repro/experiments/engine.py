@@ -21,22 +21,25 @@ Three layers, lowest first:
     :mod:`~repro.experiments.cache`.
 
 ``run_plan``
-    Figure executor: a :class:`FigurePlan` bundles a sweep with its base
-    config, protocol set, seeds, and the aggregation that turns the raw
-    grid into a :class:`FigureData`.  The declarative plan factories live
-    in :mod:`~repro.experiments.figures`,
-    :mod:`~repro.experiments.ablations` and
-    :mod:`~repro.experiments.chaos`; they build plans, the engine runs
-    them.
+    The one plan executor: a :class:`FigurePlan` bundles a sweep with its
+    base config, protocol set, seeds, the aggregation that turns the raw
+    grid into a :class:`FigureData`, and an optional post-run summary
+    (the chaos audit counters); :func:`run_plan` returns both as a
+    :class:`PlanOutcome`.  Plans are built from the rows of one target
+    table (:class:`~repro.experiments.figures.PlanRow`: the figures, the
+    ablations and the chaos sweep), and :func:`targets` is the one
+    registry of those rows — the CLI's choices and groups and the
+    service's ``/targets`` derive from it.
 
 ``run_request``
     Job executor: a :class:`SweepRequest` is a *serializable* description
-    of a figure run (target id, quick flag, seeds, config overrides) —
+    of a target run (target id, quick flag, seeds, config overrides) —
     the unit of work the job service queues.  :func:`request_key` derives
     a content-addressed job key from the request's cell digests (reusing
     :func:`~repro.experiments.cache.cell_key`), so identical submissions
     dedupe to one run and any source edit re-keys every job.
-    :func:`run_request` returns a :class:`SweepResult` whose
+    :func:`run_request` runs the plan through :func:`run_plan` and packs
+    the outcome into a :class:`SweepResult` whose
     :meth:`~SweepResult.to_dict` is plain JSON.
 
 Observability is ambient rather than threaded through every signature:
@@ -54,11 +57,13 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -68,6 +73,9 @@ from .cache import cell_key, code_version
 from .config import ScenarioConfig
 from .parallel import ParallelSweepRunner, SweepStats, expand_cells
 from .scenario import ScenarioResult
+
+if TYPE_CHECKING:
+    from .figures import PlanRow
 
 #: The paper's protocol set, in its legend order.
 PAPER_PROTOCOLS: Tuple[str, ...] = ("S-FAMA", "ROPA", "CS-MAC", "EW-MAC")
@@ -265,13 +273,11 @@ def aggregate_relative(
 class FigurePlan:
     """A fully-resolved figure run: sweep, inputs, and aggregation.
 
-    Plan factories (``fig6_plan`` ... in
-    :mod:`~repro.experiments.figures`, ``packet_size_plan`` ... in
-    :mod:`~repro.experiments.ablations`, ``chaos_figure_plan`` in
-    :mod:`~repro.experiments.chaos`) are declarative — they decide axes,
-    base configs, and metrics but never execute anything, so the same
-    plan can be keyed (:func:`request_key`), run locally
-    (:func:`run_plan`), or queued by the job service.
+    Built by calling a row of the target table
+    (:class:`~repro.experiments.figures.PlanRow`), which decides axes,
+    base config and metric but never executes anything, so the same plan
+    can be keyed (:func:`request_key`), run (:func:`run_plan`), or queued
+    by the job service.
     """
 
     figure_id: str
@@ -281,12 +287,22 @@ class FigurePlan:
     seeds: Tuple[int, ...]
     #: Turns the raw grid into the figure (aggregation + labels).
     build: Callable[[GridResults], FigureData]
-    #: Optional post-run summary lines (the chaos audit counters).
-    summarize: Optional[Callable[[GridResults], List[str]]] = None
+    #: Optional post-run summary of the grid (the chaos sweep's
+    #: :class:`~repro.experiments.chaos.ChaosSummary`), an object whose
+    #: ``lines()`` the front ends print or serialize.
+    summarize: Optional[Callable[[GridResults], object]] = None
 
     @property
     def n_cells(self) -> int:
         return len(list(self.spec.x_values)) * len(self.protocols) * len(self.seeds)
+
+
+class PlanOutcome(NamedTuple):
+    """What :func:`run_plan` returns: the figure and the plan's summary."""
+
+    figure: FigureData
+    #: ``plan.summarize(grid)``, or ``None`` for a plan without one.
+    summary: object
 
 
 def run_plan(
@@ -295,8 +311,12 @@ def run_plan(
     workers: Optional[int] = 1,
     cache: object = None,
     cell_timeout_s: Optional[float] = None,
-) -> FigureData:
-    """Execute a plan's sweep and build its figure."""
+) -> PlanOutcome:
+    """Execute a plan's sweep; build its figure and its summary.
+
+    The one plan executor: the CLI, :func:`run_request` (the job
+    service) and the benchmarks all run plans through it.
+    """
     grid = run_sweep(
         plan.spec,
         plan.base,
@@ -307,7 +327,8 @@ def run_plan(
         cache=cache,
         cell_timeout_s=cell_timeout_s,
     )
-    return plan.build(grid)
+    summary = plan.summarize(grid) if plan.summarize is not None else None
+    return PlanOutcome(plan.build(grid), summary)
 
 
 def apply_overrides(
@@ -344,7 +365,7 @@ _SCALARS = (bool, int, float, str)
 
 @dataclass(frozen=True)
 class SweepRequest:
-    """A serializable description of one figure/chaos run.
+    """A serializable description of one target run.
 
     Hashable and JSON-round-trippable: the REST API accepts exactly this
     shape, and :func:`request_key` derives the job-store key from it.
@@ -415,17 +436,32 @@ class SweepRequest:
         }
 
 
-def _plan_factories() -> Dict[str, Callable[..., FigurePlan]]:
-    """Every servable target, by id (lazy: plans live in the front ends)."""
-    from .chaos import chaos_figure_plan
+def target_groups() -> Dict[str, Dict[str, "PlanRow"]]:
+    """The one target registry: every row of the target table, by group.
+
+    ``all`` is the paper's figures, ``ablations`` our ablations, and
+    ``chaos`` the fault-injection sweep.  The CLI's target choices and
+    its ``all``/``ablations`` groups, :func:`request_plan` and the
+    service's ``/targets`` all derive from it.  Lazy: the rows live
+    beside the modules that explain them.
+    """
+    from .ablations import ALL_ABLATIONS
+    from .chaos import CHAOS
     from .figures import ALL_PLANS
 
-    return {**ALL_PLANS, "chaos": chaos_figure_plan}
+    return {"all": ALL_PLANS, "ablations": ALL_ABLATIONS, "chaos": {"chaos": CHAOS}}
+
+
+def targets() -> Dict[str, "PlanRow"]:
+    """Every target row by id, across the groups of :func:`target_groups`."""
+    return {
+        target: row for group in target_groups().values() for target, row in group.items()
+    }
 
 
 def service_targets() -> Tuple[str, ...]:
     """Target ids :func:`run_request` accepts, sorted."""
-    return tuple(sorted(_plan_factories()))
+    return tuple(sorted(targets()))
 
 
 def request_plan(request: SweepRequest) -> FigurePlan:
@@ -434,14 +470,13 @@ def request_plan(request: SweepRequest) -> FigurePlan:
     Raises:
         EngineError: Unknown target or invalid config overrides.
     """
-    factories = _plan_factories()
-    factory = factories.get(request.target)
-    if factory is None:
+    rows = targets()
+    row = rows.get(request.target)
+    if row is None:
         raise EngineError(
-            f"unknown target {request.target!r}; known targets: "
-            f"{sorted(factories)}"
+            f"unknown target {request.target!r}; known targets: {sorted(rows)}"
         )
-    return factory(
+    return row(
         seeds=request.seeds,
         quick=request.quick,
         overrides=dict(request.overrides) or None,
@@ -508,28 +543,23 @@ def run_request(
 ) -> SweepResult:
     """Execute a request end to end and return its :class:`SweepResult`.
 
-    Deterministic for a given request and source tree: the figure dict is
-    bit-identical to :func:`run_plan` on the same plan (the CI
-    service smoke asserts this over HTTP).
+    :func:`run_plan` on the request's plan, plus the JSON packaging:
+    deterministic for a given request and source tree (the CI service
+    smoke asserts the HTTP result is bit-identical to a direct call).
     """
     plan = request_plan(request)
     with observe_sweeps() as stats:
-        grid = run_sweep(
-            plan.spec,
-            plan.base,
-            protocols=plan.protocols,
-            seeds=plan.seeds,
+        figure, summary = run_plan(
+            plan,
             progress=progress,
             workers=workers,
             cache=cache,
             cell_timeout_s=cell_timeout_s,
         )
-    figure = plan.build(grid)
-    summary = plan.summarize(grid) if plan.summarize is not None else []
     return SweepResult(
         request=request,
         figure=figure,
-        summary_lines=summary,
+        summary_lines=summary.lines() if summary is not None else [],
         failures=[
             {"cell": failure.cell.label, "error": failure.error}
             for failure in stats.failures

@@ -269,7 +269,6 @@ class Scenario:
             packet_bits=config.data_packet_bits,
             rng=self.sim.streams.get("traffic"),
         )
-        self.batch.attach_drop_counter(lambda: sum(m.stats.drops for m in self.macs))
         self.sim.schedule_at(config.warmup_s, self.batch.start)
         self.sim.run(until=config.warmup_s + 1e-6)
         execution = drain_toward_deadline(self.sim, self.batch, max_time_s)

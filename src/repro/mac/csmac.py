@@ -113,9 +113,6 @@ class CsMac(SlottedMac):
             if node_id >= 0:
                 self._busy_until[node_id] = max(self._busy_until.get(node_id, 0.0), until)
 
-    def _is_known_busy(self, node_id: int) -> bool:
-        return self._busy_until.get(node_id, 0.0) > self.sim.now
-
     def _maybe_steal(self, overheard: Frame) -> None:
         self.stats.computation_units += 8.0  # steal feasibility check
         if self._steal is not None or self.state is not MacState.IDLE:

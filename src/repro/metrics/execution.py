@@ -25,10 +25,6 @@ class ExecutionResult:
     drain_time_s: float
     timed_out: bool
 
-    @property
-    def all_completed(self) -> bool:
-        return self.completed >= self.injected and self.injected > 0
-
 
 def drain_toward_deadline(
     sim: Simulator,

@@ -154,12 +154,7 @@ class BatchWorkload:
         self.inject_window_s = inject_window_s
         self._rng = rng if rng is not None else sim.streams.get("traffic.batch")
         self.stats = TrafficStats()
-        self._drops_fn = None
         self._started_at: Optional[float] = None
-
-    def attach_drop_counter(self, drops_fn) -> None:
-        """Provide a callable returning the network's packet-drop count."""
-        self._drops_fn = drops_fn
 
     def start(self) -> None:
         """Schedule the staggered batch injections."""
@@ -177,9 +172,6 @@ class BatchWorkload:
 
     def sent_packets(self) -> int:
         return sum(s.app_stats.sent for s in self.sources)
-
-    def dropped_packets(self) -> int:
-        return int(self._drops_fn()) if self._drops_fn is not None else 0
 
     def all_injected(self) -> bool:
         """True once every scheduled injection has happened."""

@@ -107,7 +107,7 @@ class TestAblationRunners:
     @pytest.mark.slow
     @pytest.mark.parametrize("ablation_id", sorted(ALL_ABLATIONS))
     def test_quick_mode_runs(self, ablation_id):
-        data = run_plan(ALL_ABLATIONS[ablation_id](quick=True))
+        data = run_plan(ALL_ABLATIONS[ablation_id](quick=True)).figure
         assert data.figure_id == ablation_id
         assert data.x_values
         for name, series in data.series.items():

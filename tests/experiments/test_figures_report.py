@@ -110,7 +110,7 @@ class TestFigureRunners:
     @pytest.mark.slow
     @pytest.mark.parametrize("figure_id", sorted(ALL_PLANS))
     def test_quick_mode_produces_full_series(self, figure_id):
-        data = run_plan(ALL_PLANS[figure_id](quick=True))
+        data = run_plan(ALL_PLANS[figure_id](quick=True)).figure
         assert isinstance(data, FigureData)
         assert data.figure_id == figure_id
         assert set(data.series) == set(PAPER_PROTOCOLS)
