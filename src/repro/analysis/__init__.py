@@ -1,15 +1,11 @@
-"""Analysis tools: closed-form models, replication statistics, charts."""
+"""Analysis tools: closed-form models, replication statistics, charts.
+
+Nothing here is on the sweep engine's path: :mod:`.statistics` may load
+scipy, which a figure run never needs.
+"""
 
 from .charts import ascii_chart, figure_chart
-from .statistics import (
-    Estimate,
-    PairedComparison,
-    estimate,
-    mean,
-    paired_comparison,
-    replicate_until,
-    sample_std,
-)
+from .statistics import Estimate, estimate, mean, sample_std
 from .theory import (
     HandshakeModel,
     contention_domain_capacity_bps,
@@ -23,7 +19,6 @@ from .theory import (
 __all__ = [
     "Estimate",
     "HandshakeModel",
-    "PairedComparison",
     "ascii_chart",
     "contention_domain_capacity_bps",
     "contention_success_probability",
@@ -32,9 +27,7 @@ __all__ = [
     "figure_chart",
     "mean",
     "offered_load_saturation_point_kbps",
-    "paired_comparison",
     "propagation_limited_rtt_s",
-    "replicate_until",
     "sample_std",
     "slotted_aloha_peak_utilization",
 ]

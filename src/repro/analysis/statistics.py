@@ -1,16 +1,16 @@
 """Replication statistics for simulation experiments.
 
-Multi-seed experiment analysis: means, Student-t confidence intervals,
-paired protocol comparisons, and a sequential-replication helper that adds
-seeds until the confidence interval is tight enough.  Uses scipy when the
-exact t quantile matters; falls back to a normal approximation otherwise.
+Multi-seed experiment analysis: means and Student-t confidence
+intervals.  Uses scipy when the exact t quantile matters; falls back to a
+normal approximation otherwise.  Protocol orderings are not tested here
+but per seed, by the sign test of :mod:`repro.experiments.claims`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Sequence
 
 try:  # scipy is available in the reference environment, but optional
     from scipy import stats as _scipy_stats
@@ -61,13 +61,6 @@ class Estimate:
     def high(self) -> float:
         return self.mean + self.half_width
 
-    @property
-    def relative_half_width(self) -> float:
-        """CI half-width relative to |mean| (inf at mean 0)."""
-        if self.mean == 0:
-            return math.inf
-        return self.half_width / abs(self.mean)
-
     def overlaps(self, other: "Estimate") -> bool:
         return self.low <= other.high and other.low <= self.high
 
@@ -87,65 +80,3 @@ def estimate(values: Sequence[float], confidence: float = 0.95) -> Estimate:
         return Estimate(mean=mu, half_width=math.inf, n=n, confidence=confidence)
     half = _t_quantile(confidence, n - 1) * sample_std(values) / math.sqrt(n)
     return Estimate(mean=mu, half_width=half, n=n, confidence=confidence)
-
-
-@dataclass(frozen=True)
-class PairedComparison:
-    """Paired-seed comparison of a metric between two protocols."""
-
-    mean_difference: float
-    ci: Estimate
-    n: int
-
-    @property
-    def significant(self) -> bool:
-        """True when the CI of the difference excludes zero."""
-        return self.ci.low > 0.0 or self.ci.high < 0.0
-
-
-def paired_comparison(
-    a: Sequence[float], b: Sequence[float], confidence: float = 0.95
-) -> PairedComparison:
-    """Compare per-seed measurements of A vs B (positive = A larger).
-
-    Pairing by seed removes the (large) topology variance — the method
-    behind the protocol orderings this reproduction reports.
-    """
-    if len(a) != len(b):
-        raise ValueError("paired samples must have equal length")
-    diffs = [x - y for x, y in zip(a, b)]
-    est = estimate(diffs, confidence)
-    return PairedComparison(mean_difference=est.mean, ci=est, n=len(diffs))
-
-
-def replicate_until(
-    run: Callable[[int], float],
-    target_relative_half_width: float = 0.1,
-    min_seeds: int = 3,
-    max_seeds: int = 20,
-    confidence: float = 0.95,
-    first_seed: int = 1,
-) -> Tuple[Estimate, List[float]]:
-    """Add replications until the CI is tighter than the target.
-
-    Args:
-        run: Maps a seed to one measurement (runs one simulation).
-        target_relative_half_width: Stop when half-width / |mean| is below
-            this (default 10%).
-        min_seeds / max_seeds: Replication bounds.
-
-    Returns:
-        The final estimate and the raw per-seed values.
-    """
-    if min_seeds < 2:
-        raise ValueError("need at least two seeds for an interval")
-    values: List[float] = []
-    seed = first_seed
-    while len(values) < max_seeds:
-        values.append(run(seed))
-        seed += 1
-        if len(values) >= min_seeds:
-            est = estimate(values, confidence)
-            if est.relative_half_width <= target_relative_half_width:
-                return est, values
-    return estimate(values, confidence), values

@@ -25,7 +25,7 @@ from .engine import (
     targets,
 )
 from .config import TABLE2, ScenarioConfig, table2_config
-from .figures import ALL_PLANS, PAPER_EXPECTATIONS, FigureData, PlanRow
+from .figures import ALL_PLANS, FigureData, PlanRow
 from .parallel import (
     CellFailure,
     ParallelSweepRunner,
@@ -60,7 +60,6 @@ __all__ = [
     "extra_exploitation_summary",
     "extract_timeline",
     "format_timeline",
-    "PAPER_EXPECTATIONS",
     "PAPER_PROTOCOLS",
     "ParallelSweepRunner",
     "PlanOutcome",

@@ -166,7 +166,7 @@ def _configure(
     )
 
 
-def summarize_grid(results: GridResults) -> ChaosSummary:
+def summarize_grid(row: PlanRow, results: GridResults) -> ChaosSummary:
     """Aggregate every cell's fault report into one :class:`ChaosSummary`."""
     summary = ChaosSummary()
     for cell_results in results.values():

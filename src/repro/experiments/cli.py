@@ -2,9 +2,10 @@
 
 Examples::
 
-    repro-uasn fig6                  # full Fig. 6 sweep, 3 seeds
+    repro-uasn fig6                  # full Fig. 6 sweep at its own seeds
     repro-uasn fig8 --quick          # scaled-down Fig. 8
     repro-uasn all --quick --csv out # everything, CSVs into ./out
+    repro-uasn report --workers 2    # run 'all', rebuild EXPERIMENTS.md
     repro-uasn table2                # print the Table 2 defaults
     repro-uasn serve --port 8642     # REST job service over the engine
 
@@ -38,8 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="figure or ablation to regenerate ('all' = paper figures, "
         "'ablations' = every ablation, 'chaos' = seeded fault-injection "
         "robustness sweep, 'scale' = wall-clock scaling sweep over node "
-        "count, 'serve' = run the REST job service, 'report' = rebuild "
-        "EXPERIMENTS.md from the --csv directory)",
+        "count, 'serve' = run the REST job service, 'report' = run 'all' "
+        "and write the paper-vs-measured record to --out)",
     )
     parser.add_argument(
         "--out",
@@ -49,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output path for the 'report' target",
     )
     parser.add_argument(
-        "--seeds", type=int, default=3, help="number of replication seeds (default 3)"
+        "--seeds", type=int, default=None, help="run seeds 1..N (default: each target's own)"
     )
     parser.add_argument(
         "--quick", action="store_true", help="scaled-down run (coarse axis, 1 seed)"
@@ -279,23 +280,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
     if args.target == "serve":
         return _serve(args)
-    if args.target == "report":
-        if not args.csv:
-            print("report needs --csv DIR (where the figure CSVs live)", file=sys.stderr)
-            return 2
-        from .experiments_doc import build_experiments_md
-
-        text = build_experiments_md(Path(args.csv))
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
-        return 0
     progress = (lambda msg: print(f"  .. {msg}", file=sys.stderr)) if args.verbose else None
-    seeds = tuple(range(1, args.seeds + 1))
+    seeds = None if args.seeds is None else tuple(range(1, args.seeds + 1))
     if args.target == "scale":
         _reject_sweep_flags(args)
         from .scale import scale
 
-        data = scale(seeds=seeds, quick=args.quick, progress=progress)
+        data = scale(seeds=seeds or (1,), quick=args.quick, progress=progress)
         print(format_figure(data))
         if args.csv:
             path = write_csv(data, Path(args.csv) / "scale.csv")
@@ -303,7 +294,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
     rows = targets()
     groups = target_groups()
-    run_ids = sorted(groups.get(args.target, [args.target]))
+    group = "all" if args.target == "report" else args.target
+    run_ids = sorted(groups.get(group, [group]))
     overrides = parse_overrides(args.override) or None
     profiler = None
     if args.profile:
@@ -319,15 +311,15 @@ def _dispatch(args: argparse.Namespace) -> int:
         profiler = cProfile.Profile()
         profiler.enable()
     run_kwargs = _run_kwargs(args)
-    summaries = []
+    outcomes = []
     try:
         with observe_sweeps() as stats:
             for target in run_ids:
                 plan = rows[target](seeds, args.quick, overrides)
-                data, summary = run_plan(plan, progress=progress, **run_kwargs)
+                outcomes.append(run_plan(plan, progress=progress, **run_kwargs))
+                data, summary = outcomes[-1]
                 print(format_figure(data))
                 if summary is not None:
-                    summaries.append(summary)
                     for line in summary.lines():
                         print(f"  {line}")
                 if args.chart:
@@ -344,11 +336,16 @@ def _dispatch(args: argparse.Namespace) -> int:
     status = _finish_observed(stats, args)
     if status:
         return status
-    for summary in summaries:
-        failure = summary.failure()
+    for _, summary in outcomes:
+        failure = summary.failure() if summary is not None else None
         if failure is not None:
             print(f"FAIL: {failure}", file=sys.stderr)
             return 1
+    if args.target == "report":
+        from .experiments_doc import build_experiments_md
+
+        Path(args.out).write_text(build_experiments_md(outcomes))
+        print(f"wrote {args.out}")
     return 0
 
 

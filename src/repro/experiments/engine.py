@@ -24,9 +24,10 @@ Three layers, lowest first:
     The one plan executor: a :class:`FigurePlan` bundles a sweep with its
     base config, protocol set, seeds, the aggregation that turns the raw
     grid into a :class:`FigureData`, and an optional post-run summary
-    (the chaos audit counters); :func:`run_plan` returns both as a
-    :class:`PlanOutcome`.  Plans are built from the rows of one target
-    table (:class:`~repro.experiments.figures.PlanRow`: the figures, the
+    (a figure's paper-claim verdicts, the chaos audit counters);
+    :func:`run_plan` returns both as a :class:`PlanOutcome`.  Plans are
+    built from the rows of one target table
+    (:class:`~repro.experiments.figures.PlanRow`: the figures, the
     ablations and the chaos sweep), and :func:`targets` is the one
     registry of those rows — the CLI's choices and groups and the
     service's ``/targets`` derive from it.
@@ -287,9 +288,11 @@ class FigurePlan:
     seeds: Tuple[int, ...]
     #: Turns the raw grid into the figure (aggregation + labels).
     build: Callable[[GridResults], FigureData]
-    #: Optional post-run summary of the grid (the chaos sweep's
-    #: :class:`~repro.experiments.chaos.ChaosSummary`), an object whose
-    #: ``lines()`` the front ends print or serialize.
+    #: Optional post-run summary of the grid (a figure's
+    #: :class:`~repro.experiments.claims.Verdicts`, the chaos sweep's
+    #: :class:`~repro.experiments.chaos.ChaosSummary`): an object whose
+    #: ``lines()`` the front ends print or serialize and whose
+    #: ``failure()`` names an engine failure, or is ``None``.
     summarize: Optional[Callable[[GridResults], object]] = None
 
     @property
@@ -369,18 +372,20 @@ class SweepRequest:
 
     Hashable and JSON-round-trippable: the REST API accepts exactly this
     shape, and :func:`request_key` derives the job-store key from it.
-    ``overrides`` are ScenarioConfig field overrides applied on top of
-    the target's base config (sorted name/value pairs, so two requests
-    that differ only in override order are the same request).
+    ``seeds=None`` means the target row's own seeds.  ``overrides`` are
+    ScenarioConfig field overrides applied on top of the target's base
+    config (sorted name/value pairs, so two requests that differ only in
+    override order are the same request).
     """
 
     target: str
     quick: bool = False
-    seeds: Tuple[int, ...] = (1, 2, 3)
+    seeds: Optional[Tuple[int, ...]] = None
     overrides: Tuple[Tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        if self.seeds is not None:
+            object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(
             self, "overrides", tuple(sorted((str(k), v) for k, v in self.overrides))
         )
@@ -404,13 +409,13 @@ class SweepRequest:
         quick = payload.get("quick", False)
         if not isinstance(quick, bool):
             raise EngineError("'quick' must be a boolean")
-        seeds = payload.get("seeds", [1, 2, 3])
-        if (
+        seeds = payload.get("seeds")
+        if seeds is not None and (
             not isinstance(seeds, (list, tuple))
             or not seeds
             or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)
         ):
-            raise EngineError("'seeds' must be a non-empty list of integers")
+            raise EngineError("'seeds' must be a non-empty list of integers, or null")
         overrides = payload.get("overrides", {})
         if not isinstance(overrides, Mapping):
             raise EngineError("'overrides' must be an object of config fields")
@@ -423,7 +428,7 @@ class SweepRequest:
         return cls(
             target=target,
             quick=quick,
-            seeds=tuple(seeds),
+            seeds=seeds,
             overrides=tuple(overrides.items()),
         )
 
@@ -431,7 +436,7 @@ class SweepRequest:
         return {
             "target": self.target,
             "quick": self.quick,
-            "seeds": list(self.seeds),
+            "seeds": None if self.seeds is None else list(self.seeds),
             "overrides": dict(self.overrides),
         }
 

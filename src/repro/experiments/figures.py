@@ -13,21 +13,25 @@ without executing anything.  The engine runs plans
 registry (:func:`~repro.experiments.engine.targets`), so the same row is
 run by the CLI, keyed and queued by the job service, or benchmarked.
 
-``quick=True`` builds a scaled-down plan (shorter window, first seed,
-coarser axis) for the benchmark suite, ``seeds`` controls replication,
-and ``overrides`` applies ad-hoc base-config changes (the CLI's
-``--override`` and the service's request overrides).
+``quick=True`` builds a scaled-down plan (shorter window, the first
+``quick_seeds`` seeds, coarser axis) for the benchmark suite, ``seeds``
+(default: the row's own) controls replication, and ``overrides`` applies
+ad-hoc base-config changes (the CLI's ``--override`` and the service's
+request overrides).
 
-:data:`ALL_PLANS` holds the paper's figures; each row's notes record what
-the original figure shows (:data:`PAPER_EXPECTATIONS`), so the reports
-(and EXPERIMENTS.md) can place measured series next to the paper's claims.
+:data:`ALL_PLANS` holds the paper's figures.  Each row's notes say what
+the original figure shows, and its ``summarize`` is the figure's claims
+(:class:`~repro.experiments.claims.Claims`): every run of the figure
+sign-tests them per seed and reports one verdict line per claim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
+from .claims import Claim, Claims, above, ascending, growth, lead
 from .config import ScenarioConfig, table2_config
 from .engine import (
     PAPER_PROTOCOLS,
@@ -102,8 +106,9 @@ class PlanRow:
     configure: Optional[
         Callable[[ScenarioConfig, float, str, int], ScenarioConfig]
     ] = None
-    #: Post-run summary of the grid (the chaos audit counters).
-    summarize: Optional[Callable[[GridResults], object]] = None
+    #: Post-run summary of the grid, given this row: a figure's claims
+    #: or the chaos audit counters.
+    summarize: Optional[Callable[["PlanRow", GridResults], object]] = None
 
     def __call__(
         self,
@@ -153,7 +158,7 @@ class PlanRow:
             protocols=tuple(self.protocols),
             seeds=seeds[: self.quick_seeds] if quick else seeds,
             build=build,
-            summarize=self.summarize,
+            summarize=None if self.summarize is None else partial(self.summarize, self),
         )
 
     def _set_x(
@@ -196,9 +201,32 @@ _POWER = "Power consumption (mW, drain energy / 300 s)"
 _OVERHEAD = "Overhead (ratio to S-FAMA)"
 _LOADS = (0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
 _NODE_COUNTS = (60, 80, 100, 120, 140)
+_OPPORTUNISTIC = ("ROPA", "CS-MAC", "EW-MAC")
+
+
+def _spread(s, i: int) -> float:
+    """Best minus worst protocol at index ``i``."""
+    return max(v[i] for v in s.values()) - min(v[i] for v in s.values())
+
+
+#: Claims Figs. 9a and 9b share.
+_POWER_CLAIMS = (
+    Claim(
+        "two-hop protocols (ROPA, CS-MAC) draw more power than EW-MAC",
+        lambda s: min(s["ROPA"][-1], s["CS-MAC"][-1]) - s["EW-MAC"][-1],
+    ),
+    Claim("EW-MAC <= S-FAMA power", lambda s: above(s, "S-FAMA", "EW-MAC")),
+)
+
+#: Claim Figs. 10a and 10b share.
+_OVERHEAD_ORDER = Claim(
+    "ordering S-FAMA < ROPA < EW-MAC < CS-MAC at every x",
+    lambda s: ascending(s, ("S-FAMA", "ROPA", "EW-MAC", "CS-MAC")),
+)
 
 #: The paper's figures by id; each row's notes say what the original shows
-#: (orderings, crossovers, magnitudes).
+#: (orderings, crossovers, magnitudes), and its claims are the ones a
+#: per-seed sign test can settle.
 ALL_PLANS: Dict[str, PlanRow] = by_id(
     PlanRow(
         "fig6",
@@ -213,6 +241,12 @@ ALL_PLANS: Dict[str, PlanRow] = by_id(
             "Throughput rises with offered load and saturates ~0.29-0.37 kbps. "
             "EW-MAC highest at high load; CS-MAC competitive below ~0.6 kbps "
             "but degrades past ~0.8 kbps; ROPA > S-FAMA throughout."
+        ),
+        summarize=Claims(
+            Claim("EW-MAC >= S-FAMA at the highest load", lambda s: above(s, "EW-MAC", "S-FAMA")),
+            Claim("CS-MAC leads at mid loads", lambda s: lead(s, "CS-MAC", len(s["CS-MAC"]) // 2)),
+            Claim("EW-MAC leads at the highest load", lambda s: lead(s, "EW-MAC", -1)),
+            Claim("ROPA >= S-FAMA throughout", lambda s: ascending(s, ("S-FAMA", "ROPA"))),
         ),
     ),
     PlanRow(
@@ -230,6 +264,20 @@ ALL_PLANS: Dict[str, PlanRow] = by_id(
             "exploitable waiting time: EW-MAC/CS-MAC/ROPA decline toward the "
             "flat S-FAMA line; EW-MAC stays best, S-FAMA is density-invariant."
         ),
+        summarize=Claims(
+            Claim(
+                "protocol spread narrows (or stays bounded) as density rises",
+                lambda s: 2.0 * _spread(s, 0) - _spread(s, -1),
+            ),
+            Claim(
+                "the opportunistic protocols decline toward S-FAMA as density rises",
+                lambda s: min(growth(s, "S-FAMA") - growth(s, p) for p in _OPPORTUNISTIC),
+            ),
+            Claim(
+                "EW-MAC stays best across densities",
+                lambda s: min(lead(s, "EW-MAC", i) for i in range(len(s["EW-MAC"]))),
+            ),
+        ),
     ),
     # Fig. 8 — "time for successful transmission" of a fixed batch.
     PlanRow(
@@ -246,6 +294,20 @@ ALL_PLANS: Dict[str, PlanRow] = by_id(
             "Batch drain time grows with offered load; S-FAMA slowest, then "
             "ROPA, then CS-MAC, EW-MAC fastest; indistinguishable below ~20 "
             "packets per 300 s (0.136 kbps)."
+        ),
+        summarize=Claims(
+            Claim(
+                "drain time grows with load for every protocol",
+                lambda s: min(growth(s, p) for p in s),
+            ),
+            Claim(
+                "EW-MAC drains no slower than S-FAMA at the top load",
+                lambda s: above(s, "S-FAMA", "EW-MAC"),
+            ),
+            Claim(
+                "at the top load S-FAMA is slowest, then ROPA, CS-MAC, EW-MAC fastest",
+                lambda s: ascending(s, ("EW-MAC", "CS-MAC", "ROPA", "S-FAMA"), at=(-1,)),
+            ),
         ),
     ),
     # Fig. 9 compares "the power consumption of algorithms when they
@@ -267,6 +329,14 @@ ALL_PLANS: Dict[str, PlanRow] = by_id(
             "Average network power vs offered load (80 sensors): ROPA highest, "
             "then CS-MAC, then S-FAMA; EW-MAC lowest."
         ),
+        summarize=Claims(
+            *_POWER_CLAIMS,
+            Claim("power grows with offered load", lambda s: min(growth(s, p) for p in s)),
+            Claim(
+                "power at the highest load: ROPA > CS-MAC > S-FAMA > EW-MAC",
+                lambda s: ascending(s, ("EW-MAC", "S-FAMA", "CS-MAC", "ROPA"), at=(-1,)),
+            ),
+        ),
     ),
     PlanRow(
         "fig9b",
@@ -282,6 +352,15 @@ ALL_PLANS: Dict[str, PlanRow] = by_id(
         notes=(
             "Power vs node count (0.3 kbps): ROPA and CS-MAC grow steeply with "
             "density (two-hop upkeep); S-FAMA and EW-MAC grow slowly."
+        ),
+        summarize=Claims(
+            *_POWER_CLAIMS,
+            Claim(
+                "ROPA and CS-MAC power grows more steeply with node count than "
+                "S-FAMA and EW-MAC",
+                lambda s: min(growth(s, "ROPA"), growth(s, "CS-MAC"))
+                - max(growth(s, "S-FAMA"), growth(s, "EW-MAC")),
+            ),
         ),
     ),
     PlanRow(
@@ -300,6 +379,7 @@ ALL_PLANS: Dict[str, PlanRow] = by_id(
             "CS-MAC and EW-MAC 2-3x, with CS-MAC above EW-MAC and EW-MAC "
             "growing flattest with node count."
         ),
+        summarize=Claims(_OVERHEAD_ORDER),
     ),
     # Fig. 10b: the paper's dense deployment is 200 sensors; quick mode
     # uses 100 to bound benchmark time.
@@ -319,6 +399,13 @@ ALL_PLANS: Dict[str, PlanRow] = by_id(
             "Overhead ratio vs offered load (dense network): all ratios grow "
             "with load; ordering CS-MAC > EW-MAC > ROPA > S-FAMA(=1)."
         ),
+        summarize=Claims(
+            _OVERHEAD_ORDER,
+            Claim(
+                "overhead ratios grow with offered load",
+                lambda s: min(growth(s, p) for p in _OPPORTUNISTIC),
+            ),
+        ),
     ),
     # Fig. 11: the Eq. (4) efficiency index.
     PlanRow(
@@ -335,10 +422,12 @@ ALL_PLANS: Dict[str, PlanRow] = by_id(
             "Efficiency index (S-FAMA = 1): EW-MAC highest; CS-MAC and ROPA "
             "above 1 at moderate load; ROPA falls below 1 past ~0.8 kbps."
         ),
+        summarize=Claims(
+            Claim(
+                "EW-MAC has the best efficiency index at high load", lambda s: lead(s, "EW-MAC", -1)
+            ),
+            Claim("EW-MAC index above 1 at high load", lambda s: s["EW-MAC"][-1] - 1.0),
+            Claim("ROPA falls below 1 at the highest load", lambda s: 1.0 - s["ROPA"][-1]),
+        ),
     ),
 )
-
-#: What the paper's figures show, by figure id.
-PAPER_EXPECTATIONS: Dict[str, str] = {
-    figure_id: row.notes for figure_id, row in ALL_PLANS.items()
-}

@@ -3,178 +3,64 @@
 The paper ships no tables of results, only line plots; the values here
 are eyeball reconstructions from the published figures (Sensors 2016,
 16, 343, Figs. 6-11), accurate to roughly the marker size.  They exist so
-EXPERIMENTS.md can put paper-vs-measured numbers side by side and so the
-comparison report can check orderings mechanically.
+EXPERIMENTS.md can put paper-vs-measured numbers side by side.
 
-``None`` marks points the plot does not show.
+Each series is aligned with its figure row's full-size axis
+(``ALL_PLANS[figure_id].full_x``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Tuple
 
-#: Protocols in the paper's legend order.
-PROTOCOLS = ("S-FAMA", "ROPA", "CS-MAC", "EW-MAC")
-
-
-@dataclass(frozen=True)
-class PaperFigure:
-    """One published figure's approximate data."""
-
-    figure_id: str
-    x_label: str
-    y_label: str
-    x_values: Sequence[float]
-    series: Dict[str, Sequence[float]]
-    claims: Sequence[str]
-
-
-PAPER_FIGURES: Dict[str, PaperFigure] = {
-    "fig6": PaperFigure(
-        figure_id="fig6",
-        x_label="Offered load (kbps)",
-        y_label="Throughput (kbps)",
-        x_values=(0.1, 0.2, 0.4, 0.6, 0.8, 1.0),
-        series={
-            "S-FAMA": (0.05, 0.10, 0.19, 0.26, 0.29, 0.29),
-            "ROPA": (0.055, 0.11, 0.21, 0.28, 0.31, 0.315),
-            "CS-MAC": (0.06, 0.12, 0.24, 0.31, 0.33, 0.30),
-            "EW-MAC": (0.06, 0.115, 0.23, 0.30, 0.35, 0.365),
-        },
-        claims=(
-            "throughput rises with load and saturates",
-            "CS-MAC leads below ~0.6 kbps",
-            "CS-MAC declines past ~0.8 kbps",
-            "EW-MAC leads at >= 0.8 kbps",
-            "ROPA >= S-FAMA throughout",
-        ),
-    ),
-    "fig7": PaperFigure(
-        figure_id="fig7",
-        x_label="Number of nodes",
-        y_label="Throughput (kbps)",
-        x_values=(60, 80, 100, 120, 140),
-        series={
-            "S-FAMA": (0.295, 0.295, 0.295, 0.295, 0.295),
-            "ROPA": (0.33, 0.325, 0.315, 0.307, 0.30),
-            "CS-MAC": (0.36, 0.345, 0.33, 0.31, 0.295),
-            "EW-MAC": (0.37, 0.355, 0.345, 0.33, 0.315),
-        },
-        claims=(
-            "S-FAMA is density-invariant",
-            "the opportunistic protocols decline toward S-FAMA as density rises",
-            "EW-MAC stays best across densities",
-        ),
-    ),
-    "fig8": PaperFigure(
-        figure_id="fig8",
-        x_label="Offered load (kbps)",
-        y_label="Execution time (s)",
-        x_values=(0.01, 0.2, 0.4, 0.6, 0.8, 1.0),
-        series={
-            "S-FAMA": (2.0, 14.0, 28.0, 42.0, 55.0, 65.0),
-            "ROPA": (2.0, 12.0, 24.0, 36.0, 47.0, 55.0),
-            "CS-MAC": (2.0, 10.0, 20.0, 30.0, 39.0, 45.0),
-            "EW-MAC": (2.0, 8.0, 16.0, 24.0, 30.0, 35.0),
-        },
-        claims=(
-            "drain time grows with load",
-            "differences insignificant below ~0.136 kbps",
-            "ordering: S-FAMA slowest, then ROPA, CS-MAC, EW-MAC fastest",
-        ),
-    ),
-    "fig9a": PaperFigure(
-        figure_id="fig9a",
-        x_label="Offered load (kbps)",
-        y_label="Power consumption (mW)",
-        x_values=(0.01, 0.2, 0.4, 0.6, 0.8),
-        series={
-            "S-FAMA": (80.0, 140.0, 200.0, 255.0, 300.0),
-            "ROPA": (100.0, 200.0, 290.0, 380.0, 450.0),
-            "CS-MAC": (90.0, 170.0, 250.0, 320.0, 380.0),
-            "EW-MAC": (70.0, 120.0, 170.0, 215.0, 250.0),
-        },
-        claims=(
-            "power grows with offered load",
-            "ordering: ROPA > CS-MAC > S-FAMA > EW-MAC",
-        ),
-    ),
-    "fig9b": PaperFigure(
-        figure_id="fig9b",
-        x_label="Number of nodes",
-        y_label="Power consumption (mW)",
-        x_values=(60, 80, 100, 120),
-        series={
-            "S-FAMA": (100.0, 125.0, 155.0, 180.0),
-            "ROPA": (150.0, 215.0, 285.0, 350.0),
-            "CS-MAC": (140.0, 190.0, 245.0, 300.0),
-            "EW-MAC": (90.0, 112.0, 135.0, 160.0),
-        },
-        claims=(
-            "ROPA and CS-MAC power grows steeply with node count",
-            "S-FAMA and EW-MAC grow slowly",
-        ),
-    ),
-    "fig10a": PaperFigure(
-        figure_id="fig10a",
-        x_label="Number of nodes",
-        y_label="Overhead (ratio to S-FAMA)",
-        x_values=(60, 80, 100, 120, 140),
-        series={
-            "S-FAMA": (1.0, 1.0, 1.0, 1.0, 1.0),
-            "ROPA": (1.45, 1.5, 1.5, 1.55, 1.6),
-            "CS-MAC": (2.5, 2.7, 2.9, 3.05, 3.2),
-            "EW-MAC": (2.2, 2.3, 2.4, 2.5, 2.6),
-        },
-        claims=(
-            "ROPA ~1.5x of S-FAMA",
-            "CS-MAC and EW-MAC 2-3x, CS-MAC above EW-MAC",
-            "EW-MAC grows flattest with node count",
-        ),
-    ),
-    "fig10b": PaperFigure(
-        figure_id="fig10b",
-        x_label="Offered load (kbps)",
-        y_label="Overhead (ratio to S-FAMA)",
-        x_values=(0.4, 0.5, 0.6, 0.7, 0.8),
-        series={
-            "S-FAMA": (1.0, 1.0, 1.0, 1.0, 1.0),
-            "ROPA": (1.45, 1.5, 1.5, 1.55, 1.6),
-            "CS-MAC": (2.6, 2.7, 2.8, 2.9, 3.0),
-            "EW-MAC": (2.2, 2.3, 2.4, 2.55, 2.7),
-        },
-        claims=(
-            "overhead ratios grow with offered load",
-            "ordering: CS-MAC > EW-MAC > ROPA > S-FAMA",
-        ),
-    ),
-    "fig11": PaperFigure(
-        figure_id="fig11",
-        x_label="Offered load (kbps)",
-        y_label="Efficiency index (S-FAMA = 1)",
-        x_values=(0.1, 0.2, 0.4, 0.6, 0.8, 1.0),
-        series={
-            "S-FAMA": (1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
-            "ROPA": (1.05, 1.08, 1.12, 1.15, 1.05, 0.95),
-            "CS-MAC": (1.1, 1.15, 1.3, 1.35, 1.25, 1.2),
-            "EW-MAC": (1.2, 1.25, 1.35, 1.45, 1.5, 1.5),
-        },
-        claims=(
-            "EW-MAC has the highest efficiency index",
-            "ROPA falls below 1 past ~0.8 kbps",
-        ),
-    ),
+#: Published values by figure id, then protocol, one per full-size x.
+PAPER_SERIES: Dict[str, Dict[str, Tuple[float, ...]]] = {
+    "fig6": {
+        "S-FAMA": (0.05, 0.10, 0.19, 0.26, 0.29, 0.29),
+        "ROPA": (0.055, 0.11, 0.21, 0.28, 0.31, 0.315),
+        "CS-MAC": (0.06, 0.12, 0.24, 0.31, 0.33, 0.30),
+        "EW-MAC": (0.06, 0.115, 0.23, 0.30, 0.35, 0.365),
+    },
+    "fig7": {
+        "S-FAMA": (0.295, 0.295, 0.295, 0.295, 0.295),
+        "ROPA": (0.33, 0.325, 0.315, 0.307, 0.30),
+        "CS-MAC": (0.36, 0.345, 0.33, 0.31, 0.295),
+        "EW-MAC": (0.37, 0.355, 0.345, 0.33, 0.315),
+    },
+    "fig8": {
+        "S-FAMA": (2.0, 14.0, 28.0, 42.0, 55.0, 65.0),
+        "ROPA": (2.0, 12.0, 24.0, 36.0, 47.0, 55.0),
+        "CS-MAC": (2.0, 10.0, 20.0, 30.0, 39.0, 45.0),
+        "EW-MAC": (2.0, 8.0, 16.0, 24.0, 30.0, 35.0),
+    },
+    "fig9a": {
+        "S-FAMA": (80.0, 140.0, 200.0, 255.0, 300.0),
+        "ROPA": (100.0, 200.0, 290.0, 380.0, 450.0),
+        "CS-MAC": (90.0, 170.0, 250.0, 320.0, 380.0),
+        "EW-MAC": (70.0, 120.0, 170.0, 215.0, 250.0),
+    },
+    "fig9b": {
+        "S-FAMA": (100.0, 125.0, 155.0, 180.0),
+        "ROPA": (150.0, 215.0, 285.0, 350.0),
+        "CS-MAC": (140.0, 190.0, 245.0, 300.0),
+        "EW-MAC": (90.0, 112.0, 135.0, 160.0),
+    },
+    "fig10a": {
+        "S-FAMA": (1.0, 1.0, 1.0, 1.0, 1.0),
+        "ROPA": (1.45, 1.5, 1.5, 1.55, 1.6),
+        "CS-MAC": (2.5, 2.7, 2.9, 3.05, 3.2),
+        "EW-MAC": (2.2, 2.3, 2.4, 2.5, 2.6),
+    },
+    "fig10b": {
+        "S-FAMA": (1.0, 1.0, 1.0, 1.0, 1.0),
+        "ROPA": (1.45, 1.5, 1.5, 1.55, 1.6),
+        "CS-MAC": (2.6, 2.7, 2.8, 2.9, 3.0),
+        "EW-MAC": (2.2, 2.3, 2.4, 2.55, 2.7),
+    },
+    "fig11": {
+        "S-FAMA": (1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
+        "ROPA": (1.05, 1.08, 1.12, 1.15, 1.05, 0.95),
+        "CS-MAC": (1.1, 1.15, 1.3, 1.35, 1.25, 1.2),
+        "EW-MAC": (1.2, 1.25, 1.35, 1.45, 1.5, 1.5),
+    },
 }
-
-
-def paper_series(figure_id: str, protocol: str) -> Sequence[float]:
-    """Published values for one protocol in one figure."""
-    return PAPER_FIGURES[figure_id].series[protocol]
-
-
-def orderings_at(figure_id: str, x: float) -> List[str]:
-    """Protocols sorted by the paper's value at x (ascending)."""
-    figure = PAPER_FIGURES[figure_id]
-    index = list(figure.x_values).index(x)
-    return sorted(PROTOCOLS, key=lambda p: figure.series[p][index])

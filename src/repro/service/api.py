@@ -10,7 +10,8 @@ the simulator does.  Endpoints (all JSON unless noted):
     Servable figure targets (``fig6`` ... ``chaos``).
 ``POST /jobs``
     Submit a sweep request, e.g. ``{"target": "fig6", "quick": true,
-    "seeds": [1], "overrides": {"n_sensors": 20}}``.  Responds with the
+    "seeds": [1], "overrides": {"n_sensors": 20}}``; without ``seeds``
+    the target's own seeds run.  Responds with the
     job record and ``"deduped": true`` when an identical submission
     (same content-addressed key) already exists — no second run is
     scheduled.

@@ -9,8 +9,6 @@ from repro.analysis.statistics import (
     Estimate,
     estimate,
     mean,
-    paired_comparison,
-    replicate_until,
     sample_std,
 )
 from repro.experiments.figures import FigureData
@@ -60,46 +58,6 @@ class TestEstimate:
             estimate([])
         with pytest.raises(ValueError):
             estimate([1.0], confidence=1.5)
-
-
-class TestPaired:
-    def test_clear_difference_is_significant(self):
-        a = [10.0, 11.0, 10.5, 10.2, 10.8]
-        b = [5.0, 5.5, 5.2, 5.1, 5.4]
-        cmp = paired_comparison(a, b)
-        assert cmp.mean_difference > 0
-        assert cmp.significant
-
-    def test_noise_is_not_significant(self):
-        a = [1.0, 2.0, 3.0, 4.0]
-        b = [1.1, 1.9, 3.2, 3.7]
-        assert not paired_comparison(a, b).significant
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            paired_comparison([1.0], [1.0, 2.0])
-
-
-class TestReplicateUntil:
-    def test_stops_when_tight(self):
-        est, values = replicate_until(
-            lambda seed: 10.0 + 0.01 * seed, target_relative_half_width=0.05
-        )
-        assert est.relative_half_width <= 0.05
-        assert len(values) >= 3
-
-    def test_honours_max_seeds(self):
-        # wildly noisy: never converges, must stop at max
-        est, values = replicate_until(
-            lambda seed: (-100.0) ** seed,
-            target_relative_half_width=0.01,
-            max_seeds=5,
-        )
-        assert len(values) == 5
-
-    def test_min_seeds_validated(self):
-        with pytest.raises(ValueError):
-            replicate_until(lambda s: 1.0, min_seeds=1)
 
 
 class TestCharts:

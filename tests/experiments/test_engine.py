@@ -99,6 +99,52 @@ class TestSweepRequest:
             assert plan.n_cells > 0
 
 
+class TestSeedRule:
+    """An unset seed list means the target row's own seeds, everywhere."""
+
+    def test_request_without_seeds_uses_the_rows_seeds(self):
+        request = SweepRequest.from_dict({"target": "abl-exr-randomization"})
+        assert request.seeds is None
+        assert request_plan(request).seeds == (1, 2, 3, 4, 5)
+        assert SweepRequest.from_dict(request.to_dict()) == request
+        assert request_plan(SweepRequest("abl-exr-randomization")).seeds == (1, 2, 3, 4, 5)
+
+    def test_null_seeds_are_the_rows_seeds(self):
+        request = SweepRequest.from_dict({"target": "abl-exr-randomization", "seeds": None})
+        assert request_plan(request).seeds == (1, 2, 3, 4, 5)
+
+    def test_quick_keeps_the_rows_quick_seeds(self):
+        plan = request_plan(SweepRequest("abl-exr-randomization", quick=True))
+        assert plan.seeds == (1, 2)
+
+    def test_explicit_seeds_win(self):
+        request = SweepRequest.from_dict({"target": "abl-exr-randomization", "seeds": [2]})
+        assert request_plan(request).seeds == (2,)
+
+    @pytest.mark.parametrize(
+        "argv,seeds",
+        [
+            (["abl-exr-randomization"], (1, 2, 3, 4, 5)),
+            (["abl-exr-randomization", "--seeds", "2"], (1, 2)),
+            (["fig6"], (1, 2, 3)),
+        ],
+    )
+    def test_cli_plans_use_the_rows_seeds(self, monkeypatch, argv, seeds):
+        from repro.experiments import cli
+        from repro.experiments.engine import FigureData, PlanOutcome
+
+        planned = []
+
+        def fake_run_plan(plan, **kwargs):
+            planned.append(plan)
+            figure = FigureData(plan.figure_id, "", "x", "y", [1.0], {"P": [0.0]})
+            return PlanOutcome(figure, None)
+
+        monkeypatch.setattr(cli, "run_plan", fake_run_plan)
+        assert cli.main([*argv, "--no-cache"]) == 0
+        assert [plan.seeds for plan in planned] == [seeds]
+
+
 class TestRequestKey:
     def test_stable_under_override_ordering(self):
         a = SweepRequest.from_dict(
