@@ -6,7 +6,8 @@ time the spatial grid and the batched arrival scheduling are supposed to
 protect.  The run is also a liveness check on both: a mobile 300-node cell
 must actually cull each broadcast to a small candidate set and schedule
 its arrivals through the bulk push, not just tolerate them.  And its link
-rows must hold one entry per candidate, not one per member.
+rows must hold one entry per candidate, not one per member, with fan-out
+products of at most 24 bytes per entry.
 """
 
 from repro.experiments.scale import QUICK_NODES, scale_config
@@ -38,9 +39,11 @@ def test_scale_quick_mobile_cell(one_shot):
         f"{mean_candidates:,.1f} grid candidates/broadcast of {members - 1}, "
         f"{perf.bulk_pushes:,} bulk pushes ({perf.bulk_events:,} events)"
     )
+    products = sum(row.product_bytes() for row in rows)
     print(
         f"link state: {kernel.stored_entries:,} pair entries in {len(rows):,} rows, "
-        f"{kernel.link_state_bytes() / 1e6:.2f} MB"
+        f"{kernel.link_state_bytes() / 1e6:.2f} MB "
+        f"({products / 1e6:.2f} MB of fan-out products)"
     )
     # The mobile cell must drive both mechanisms, not merely allow them.
     assert mean_candidates < (members - 1) / 2
@@ -51,3 +54,6 @@ def test_scale_quick_mobile_cell(one_shot):
     # what a full row per transmitter would hold.
     assert kernel.stored_entries == sum(len(row.candidates) for row in rows)
     assert 0 < kernel.stored_entries < members * members / 2
+    # The fan-out products hold at most a delay, a level and a callback
+    # reference per stored entry, so the row budget bounds them too.
+    assert 0 < products <= 24 * kernel.stored_entries

@@ -1,7 +1,8 @@
 """Analysis tools: closed-form models, replication statistics, charts.
 
-Nothing here is on the sweep engine's path: :mod:`.statistics` may load
-scipy, which a figure run never needs.
+Nothing here is on the sweep engine's path.  :mod:`.statistics` loads
+scipy only when a confidence interval needs its t quantile, so importing
+this package (as ``--chart`` does) loads no scipy.
 """
 
 from .charts import ascii_chart, figure_chart

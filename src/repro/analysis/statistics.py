@@ -1,8 +1,8 @@
 """Replication statistics for simulation experiments.
 
 Multi-seed experiment analysis: means and Student-t confidence
-intervals.  Uses scipy when the exact t quantile matters; falls back to a
-normal approximation otherwise.  Protocol orderings are not tested here
+intervals.  Uses scipy, imported on first use, when the exact t quantile
+matters; falls back to a normal approximation otherwise.  Protocol orderings are not tested here
 but per seed, by the sign test of :mod:`repro.experiments.claims`.
 """
 
@@ -11,11 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-try:  # scipy is available in the reference environment, but optional
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover
-    _scipy_stats = None
 
 #: z quantiles for the normal-approximation fallback.
 _Z = {0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}
@@ -37,11 +32,15 @@ def sample_std(values: Sequence[float]) -> float:
 
 
 def _t_quantile(confidence: float, dof: int) -> float:
-    if _scipy_stats is not None:
-        return float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, dof))
-    base = _Z.get(round(confidence, 2), 1.96)
-    # crude dof correction for the fallback path
-    return base * (1.0 + 1.0 / max(dof, 1))
+    # scipy is imported here, not at module load: importing this module
+    # (the ``--chart`` path does, through the package) must not pay for it.
+    try:
+        from scipy import stats
+    except ImportError:  # pragma: no cover
+        base = _Z.get(round(confidence, 2), 1.96)
+        # crude dof correction for the fallback path
+        return base * (1.0 + 1.0 / max(dof, 1))
+    return float(stats.t.ppf(0.5 + confidence / 2.0, dof))
 
 
 @dataclass(frozen=True)

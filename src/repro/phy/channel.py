@@ -261,10 +261,11 @@ class AcousticChannel:
     def broadcast(self, tx_modem: AcousticModem, frame: Frame, duration_s: float) -> None:
         """Deliver ``frame`` to every modem in reach, after propagation.
 
-        The in-reach targets come from the kernel's cached per-row fan-out
-        list, in registration order.  Arrival times are one vectorized add
-        over the row's cached delay vector (IEEE-identical to a scalar
-        ``now + delay``), and the whole batch is heap-inserted by one
+        The in-reach receivers' callbacks come from the kernel's cached
+        per-row fan-out, in registration order, with the row's float64
+        delay and level vectors.  Arrival times are one vectorized add
+        over the delays (IEEE-identical to a scalar ``now + delay``), and
+        the whole batch is heap-inserted by one
         :meth:`Simulator.push_bulk` with sequence numbers in target order —
         so pop order, and every downstream RNG draw, matches one
         ``push_at`` per target.
@@ -274,25 +275,27 @@ class AcousticChannel:
         tx_id = tx_modem.node_id
         kernel = self.kernel
         row = kernel.row(tx_id)
-        targets = kernel.deliveries(row)
+        callbacks = kernel.deliveries(row)
         stats.out_of_range_skips += row.skips
         stats.grid_candidates += row.candidate_count
-        if not targets:
+        if not callbacks:
             return
-        now = self.sim.now
-        starts = now + row.delivery_delays
-        ends = starts + duration_s
+        delays = row.delivery_delays
+        starts = self.sim.now + delays
         starts_l = starts.tolist()
-        ends_l = ends.tolist()
         arrivals = [
             Arrival(frame, tx_id, start, end, level, delay)
-            for (_, _, delay, level), start, end in zip(targets, starts_l, ends_l)
+            for start, end, level, delay in zip(
+                starts_l,
+                (starts + duration_s).tolist(),
+                row.delivery_levels.tolist(),
+                delays.tolist(),
+            )
         ]
         # High priority so arrivals register before same-instant MAC logic;
         # zip(arrivals) builds the per-event 1-tuple args at C speed.
-        self.sim.push_bulk(
-            starts_l, row.delivery_callbacks, list(zip(arrivals)), PRIORITY_HIGH
-        )
-        stats.deliveries += len(targets)
+        self.sim.push_bulk(starts_l, callbacks, list(zip(arrivals)), PRIORITY_HIGH)
+        count = len(callbacks)
+        stats.deliveries += count
         stats.bulk_pushes += 1
-        stats.bulk_events += len(targets)
+        stats.bulk_events += count

@@ -76,10 +76,15 @@ Memory
 ------
 A row costs 42 bytes per candidate: 34 for its six arrays (an int64
 stamp, three float64 scalars, two bool masks) and 8 for the candidate
-index.  At the Table 2 density a row holds ~80-200 candidates whatever
-the network size, so link state grows as O(n·k), not O(n²).  The rows'
-stored entries, summed, are capped at :data:`DEFAULT_ROW_BUDGET_ENTRIES`
-(~170 MB of row arrays at the cap); past it rows are evicted
+index.  Its broadcast fan-out adds at most 24 more per candidate — one
+float64 delay, one float64 level and one 8-byte reference per in-reach
+entry — because the receive callbacks it references are bound once per
+member at registration, not once per entry.  At the Table 2 density a
+row holds ~80-200 candidates whatever the network size, so link state
+grows as O(n·k), not O(n²).  The rows' stored entries, summed, are
+capped at :data:`DEFAULT_ROW_BUDGET_ENTRIES`, which bounds what the
+rows hold to at most 42 + 24 bytes per stored entry (~264 MB at the
+cap, before fixed per-row object overhead); past it rows are evicted
 least-recently-used, and an evicted row is rebuilt by one vectorized pass
 over its candidate set.
 """
@@ -100,7 +105,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .modem import AcousticModem
 
 #: Default cap on the pair entries stored across all cached rows
-#: (summed ``len(row.candidates)``; 42 bytes each).
+#: (summed ``len(row.candidates)``): each costs 42 bytes of row arrays
+#: plus at most 24 of fan-out products, so rows hold <= ~264 MB at the cap.
 DEFAULT_ROW_BUDGET_ENTRIES = 4_000_000
 
 #: Stamp value marking a pair entry that has never been computed.
@@ -136,17 +142,18 @@ class RowState:
         distance_m / delay_s / level_db: Pair scalars.
         in_reach: Delivery reach mask (decode range × interference factor).
         in_decode: Hard communication-range mask (neighbour relation).
-        deliveries: Lazily built broadcast fan-out list of
-            ``(rx_id, modem, delay_s, level_db)`` for in-reach receivers,
-            in registration order; invalidated by any refresh.
         skips: Out-of-reach receiver count backing the channel's
-            ``out_of_range_skips`` counter (valid once ``deliveries`` is).
+            ``out_of_range_skips`` counter (valid once the fan-out is built).
         decode_ids: Lazily built tuple of in-decode-range node ids.
-        delivery_delays: The in-reach entries' delays as a contiguous
-            float64 vector, aligned with ``deliveries`` (bulk fan-out).
-        delivery_callbacks: The in-reach modems' bound ``begin_arrival``
-            (or, for a level that cannot decode alone, ``begin_interferer``)
-            methods, aligned with ``deliveries`` (bulk fan-out).
+        delivery_delays / delivery_levels: The in-reach entries' delays and
+            received levels as float64 vectors, in registration order
+            (the broadcast fan-out; built once per refresh, dropped by any
+            change to the masks).
+        delivery_callbacks: The in-reach receivers' receive callbacks,
+            aligned with ``delivery_delays``: references to the kernel's
+            shared per-member ``begin_arrival`` (or, for a level that
+            cannot decode alone, ``begin_interferer``) bound methods, so a
+            row makes no per-entry object.  ``None`` until built.
     """
 
     __slots__ = (
@@ -163,10 +170,10 @@ class RowState:
         "level_db",
         "in_reach",
         "in_decode",
-        "deliveries",
         "skips",
         "decode_ids",
         "delivery_delays",
+        "delivery_levels",
         "delivery_callbacks",
     )
 
@@ -175,10 +182,10 @@ class RowState:
         self.idx = idx
         self.total_epoch = -1
         self.cands_epoch = -1
-        self.deliveries: Optional[List[Tuple[int, "AcousticModem", float, float]]] = None
         self.skips = 0
         self.decode_ids: Optional[Tuple[int, ...]] = None
         self.delivery_delays: Optional[np.ndarray] = None
+        self.delivery_levels: Optional[np.ndarray] = None
         self.delivery_callbacks: Optional[List[Callable]] = None
 
     def set_candidates(self, candidates: np.ndarray, cells_epoch: int) -> None:
@@ -206,11 +213,19 @@ class RowState:
             bool(self.in_decode[pos]),
         )
 
+    def product_bytes(self) -> int:
+        """Bytes held by the fan-out products: 24 per in-reach entry (a
+        delay, a level and a callback reference), 0 until built."""
+        callbacks = self.delivery_callbacks
+        if callbacks is None:
+            return 0
+        return self.delivery_delays.nbytes + self.delivery_levels.nbytes + 8 * len(callbacks)
+
     def drop_products(self) -> None:
         """Forget the mask-derived products after the masks may have changed."""
-        self.deliveries = None
         self.decode_ids = None
         self.delivery_delays = None
+        self.delivery_levels = None
         self.delivery_callbacks = None
 
 
@@ -231,6 +246,7 @@ class VectorLinkKernel:
 
     __slots__ = (
         "_members",
+        "_receivers",
         "_undecodable",
         "_sound_speed_mps",
         "_max_range_m",
@@ -271,6 +287,9 @@ class VectorLinkKernel:
         self._stats = stats
         self._ids: List[int] = []
         self._index: Dict[int, int] = {}
+        #: Per member index, its modem's ``(begin_arrival,
+        #: begin_interferer)`` bound once; rows' fan-outs share them.
+        self._receivers: List[Tuple[Callable, Callable]] = []
         capacity = 64
         self._xs = np.empty(capacity, dtype=np.float64)
         self._ys = np.empty(capacity, dtype=np.float64)
@@ -320,13 +339,15 @@ class VectorLinkKernel:
         idx = self._n
         if idx == len(self._xs):
             self._grow()
-        pos = self._members[node_id][1]()
+        modem, position_fn = self._members[node_id]
+        pos = position_fn()
         self._xs[idx] = pos.x
         self._ys[idx] = pos.y
         self._zs[idx] = pos.z
         self._epoch[idx] = 0
         self._ids.append(node_id)
         self._index[node_id] = idx
+        self._receivers.append((modem.begin_arrival, modem.begin_interferer))
         self._n = idx + 1
         self.total_epoch += 1
         key = self._cell_of(pos.x, pos.y, pos.z)
@@ -592,39 +613,33 @@ class VectorLinkKernel:
     # ------------------------------------------------------------------
     # Derived per-row products
     # ------------------------------------------------------------------
-    def deliveries(
-        self, row: RowState
-    ) -> List[Tuple[int, "AcousticModem", float, float]]:
-        """Broadcast fan-out list for a fresh row (built once per refresh).
+    def deliveries(self, row: RowState) -> List[Callable]:
+        """Broadcast fan-out of a fresh row (built once per refresh).
 
-        Entries are ``(rx_id, modem, delay_s, level_db)`` python scalars in
-        registration order — exactly the values and order the full scan
-        produces — so the hot loop does no NumPy access per delivery.  The
-        in-reach delay vector and the bound receive callbacks are cached
-        alongside the list for the channel's batched fan-out: a receiver
-        whose level the ``undecodable`` classifier rules out gets
-        ``begin_interferer``, every other one ``begin_arrival``.
+        Returns the in-reach receivers' receive callbacks in registration
+        order — exactly the full scan's targets and order — and caches
+        them on the row with the in-reach delays and levels as float64
+        vectors (:attr:`RowState.delivery_delays`,
+        :attr:`RowState.delivery_levels`).  A receiver whose level the
+        ``undecodable`` classifier rules out gets its ``begin_interferer``,
+        every other one its ``begin_arrival``: references to the methods
+        bound once at :meth:`add_node`, so the products hold no
+        per-entry Python object.
         """
-        built = row.deliveries
+        built = row.delivery_callbacks
         if built is not None:
             return built
         pos = np.flatnonzero(row.in_reach)
-        delays = row.delay_s[pos]
         levels = row.level_db[pos]
-        members = self._members
-        ids = self._ids
-        rx_ids = [ids[j] for j in row.candidates[pos].tolist()]
+        receivers = self._receivers
         built = [
-            (rx, members[rx][0], delay, level)
-            for rx, delay, level in zip(rx_ids, delays.tolist(), levels.tolist())
+            receivers[j][lost]
+            for j, lost in zip(row.candidates[pos].tolist(), self._undecodable(levels))
         ]
-        row.deliveries = built
+        row.delivery_callbacks = built
+        row.delivery_delays = row.delay_s[pos]
+        row.delivery_levels = levels
         row.skips = row.n - 1 - len(built)
-        row.delivery_delays = delays
-        row.delivery_callbacks = [
-            modem.begin_interferer if lost else modem.begin_arrival
-            for (_, modem, _, _), lost in zip(built, self._undecodable(levels))
-        ]
         return built
 
     def decode_ids(self, row: RowState) -> Tuple[int, ...]:
@@ -642,7 +657,8 @@ class VectorLinkKernel:
         return self._index[node_id]
 
     def link_state_bytes(self) -> int:
-        """Bytes held by the cached rows' arrays, candidate indices included."""
+        """Bytes held by the cached rows' arrays, candidate indices and
+        fan-out products included (8 bytes per callback reference)."""
         return sum(
             row.candidates.nbytes
             + row.stamp.nbytes
@@ -651,5 +667,6 @@ class VectorLinkKernel:
             + row.level_db.nbytes
             + row.in_reach.nbytes
             + row.in_decode.nbytes
+            + row.product_bytes()
             for row in self._rows.values()
         )

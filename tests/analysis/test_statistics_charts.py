@@ -1,6 +1,10 @@
 """Unit tests for replication statistics and ASCII charts."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,8 @@ from repro.analysis.statistics import (
     sample_std,
 )
 from repro.experiments.figures import FigureData
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestBasics:
@@ -96,3 +102,19 @@ class TestCharts:
         )
         chart = figure_chart(data)
         assert "fig6" in chart and "S-FAMA" in chart
+
+
+@pytest.mark.parametrize("module", ["repro.analysis", "repro.analysis.charts"])
+def test_importing_analysis_loads_no_scipy(module, tmp_path):
+    """``--chart`` imports the charts module: that must not load scipy."""
+    code = (
+        "import importlib, sys\n"
+        f"importlib.import_module({module!r})\n"
+        "assert 'scipy' not in sys.modules, 'importing analysis loaded scipy'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -165,8 +165,8 @@ class TestKernelGrowth:
         positions = [Position(0, 0, 0), Position(100, 0, 0)]
         _, channel, _ = build_channel(positions)
         row = channel.kernel.row(0)
-        targets = channel.kernel.deliveries(row)
-        assert [t[0] for t in targets] == [1]
+        callbacks = channel.kernel.deliveries(row)
+        assert [c.__self__.node_id for c in callbacks] == [1]
         assert not row.in_reach[row.position(0)]
         assert not row.in_decode[row.position(0)]
 
@@ -274,7 +274,7 @@ class TestCandidateLayout:
         for old, new in zip(before, row_arrays(row)):
             np.testing.assert_array_equal(old, new)
         assert kernel.stored_entries == stored
-        assert row.deliveries is built  # the fan-out survives the queries
+        assert row.delivery_callbacks is built  # the fan-out survives the queries
         assert fan_out(channel, 0) == fan_out(reference, 0)
 
     def test_tiled_1000_node_rows_are_candidate_sized(self):
@@ -303,6 +303,101 @@ class TestCandidateLayout:
         # Link state is O(n·k): far below one n-entry row per transmitter.
         assert total < n * n / 4
         assert kernel.link_state_bytes() == 42 * total
+        # Built fan-outs add 24 bytes per in-reach entry and are counted.
+        for node_id in channel._members:
+            kernel.deliveries(kernel.row(node_id))
+        products = sum(row.product_bytes() for row in rows)
+        in_reach = sum(int(row.in_reach.sum()) for row in rows)
+        assert products == 24 * in_reach <= 24 * total
+        assert kernel.link_state_bytes() == 42 * total + products
+
+
+def wide_channel(positions):
+    """A channel delivering to twice the decode range, so a fan-out holds
+    both decodable arrivals and interferers."""
+    return build_channel(
+        positions, lambda sim: AcousticChannel(sim, interference_range_factor=2.0)
+    )
+
+
+class TestFanOutProducts:
+    """A row's fan-out is float64 delays and levels plus references to
+    callbacks bound once per member, cached until the masks change."""
+
+    def test_rows_share_each_receivers_callbacks(self):
+        positions = [Position(0, 0, 0), Position(1000, 0, 0), Position(2000, 0, 0)]
+        _, channel, _ = wide_channel(positions)
+        kernel = channel.kernel
+        from_0 = kernel.deliveries(kernel.row(0))
+        from_2 = kernel.deliveries(kernel.row(2))
+        middle = channel.modem_of(1)
+        # Node 1 decodes from both ends: both rows hold the one bound method.
+        assert from_0[0] is from_2[1] is kernel._receivers[1][0]
+        assert from_0[0] == middle.begin_arrival
+        # 2 km is past the decode range: each end is the other's interferer.
+        assert from_0[1] is kernel._receivers[2][1]
+        assert from_0[1] == channel.modem_of(2).begin_interferer
+        assert from_2[0] == channel.modem_of(0).begin_interferer
+
+    def test_products_are_aligned_and_match_reference(self):
+        rng = np.random.default_rng(3)
+        positions = [Position(*map(float, p)) for p in rng.uniform(0, 5000, (40, 3))]
+        _, channel, _ = wide_channel(positions)
+        reference = reference_for(channel)
+        kernel = channel.kernel
+        sinr_alone = channel.link_budget.sinr_db_from_levels
+        kinds = set()
+        for tx in range(len(positions)):
+            row = kernel.row(tx)
+            callbacks = kernel.deliveries(row)
+            assert row.delivery_delays.dtype == row.delivery_levels.dtype == np.float64
+            assert fan_out(channel, tx) == fan_out(reference, tx)
+            for callback, level in zip(callbacks, row.delivery_levels.tolist()):
+                lost = sinr_alone(level, ()) < channel.decode_threshold_db
+                modem = callback.__self__
+                assert callback == (modem.begin_interferer if lost else modem.begin_arrival)
+                kinds.add(lost)
+        assert kinds == {False, True}
+
+    def test_move_drops_and_rebuilds_products(self):
+        positions = [Position(0, 0, 0), Position(1000, 0, 0), Position(0, 900, 0)]
+        _, channel, holder = build_channel(positions)
+        kernel = channel.kernel
+        reference = reference_for(channel)
+        row = kernel.row(0)
+        built = kernel.deliveries(row)
+        delays = row.delivery_delays
+        holder[1] = Position(1200, 0, 0)
+        channel.note_position_change(1)
+        assert kernel.row(0) is row
+        assert row.delivery_callbacks is None
+        assert row.delivery_delays is None and row.delivery_levels is None
+        rebuilt = kernel.deliveries(row)
+        assert rebuilt is not built and rebuilt == built
+        assert row.delivery_delays[0] != delays[0]
+        assert fan_out(channel, 0) == fan_out(reference, 0)
+
+    def test_queries_keep_built_products(self):
+        positions = [Position(0, 0, 0), Position(1000, 0, 0), Position(0, 900, 0)]
+        _, channel, holder = build_channel(positions)
+        kernel = channel.kernel
+        # A refresh after the transmitter moves leaves its own (self) entry
+        # stale, so the self query below really recomputes.
+        kernel.row(0)
+        holder[0] = Position(10, 0, 0)
+        channel.note_position_change(0)
+        row = kernel.row(0)
+        built = kernel.deliveries(row)
+        products = (row.delivery_delays, row.delivery_levels)
+        batches = channel.stats.vector_batches
+        assert channel.distance_m(0, 0) == 0.0
+        assert channel.stats.vector_batches == batches + 1
+        assert channel.distance_m(0, 1) == 990.0
+        assert channel.propagation_delay_s(0, 2) == reference_for(channel).propagation_delay_s(0, 2)
+        assert channel.neighbors_of(0) == (1, 2)
+        assert kernel.row(0) is row
+        assert kernel.deliveries(row) is built
+        assert (row.delivery_delays, row.delivery_levels) == products
 
 
 class TestRowBudget:

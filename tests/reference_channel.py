@@ -127,10 +127,23 @@ def kernel_link(channel: AcousticChannel, a: int, b: int) -> Link:
 
 def fan_out(channel: AcousticChannel, tx_id: int) -> List[Tuple[int, float, float]]:
     """``(rx_id, delay_s, level_db)`` triples a broadcast from ``tx_id``
-    would schedule, from either channel."""
+    would schedule, from either channel.
+
+    On the production channel each receiver's id is read off its bound
+    receive callback (``callback.__self__`` is the receiving modem), so
+    the three fan-out products are checked to be aligned entry by entry.
+    """
     if isinstance(channel, ReferenceChannel):
         targets, _ = channel.targets(tx_id)
-    else:
-        kernel = channel.kernel
-        targets = kernel.deliveries(kernel.row(tx_id))
-    return [(rx, delay, level) for rx, _, delay, level in targets]
+        return [(rx, delay, level) for rx, _, delay, level in targets]
+    kernel = channel.kernel
+    row = kernel.row(tx_id)
+    callbacks = kernel.deliveries(row)
+    assert len(callbacks) == len(row.delivery_delays) == len(row.delivery_levels)
+    return list(
+        zip(
+            [callback.__self__.node_id for callback in callbacks],
+            row.delivery_delays.tolist(),
+            row.delivery_levels.tolist(),
+        )
+    )
