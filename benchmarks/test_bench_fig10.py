@@ -7,7 +7,7 @@ EW-MAC's overhead growing flattest with node count.
 
 from conftest import check_figure, emit
 
-from repro.experiments.engine import run_plan
+from repro.experiments.engine import run_plans
 from repro.experiments.figures import ALL_PLANS
 
 
@@ -20,14 +20,14 @@ def _check_ordering(data):
 
 
 def test_fig10a_overhead_vs_node_count(one_shot):
-    data = one_shot(run_plan, ALL_PLANS["fig10a"](quick=True)).figure
+    data = one_shot(run_plans, [ALL_PLANS["fig10a"](quick=True)])[0].figure
     emit(data)
     check_figure(data, "fig10a")
     _check_ordering(data)
 
 
 def test_fig10b_overhead_vs_load(one_shot):
-    data = one_shot(run_plan, ALL_PLANS["fig10b"](quick=True)).figure
+    data = one_shot(run_plans, [ALL_PLANS["fig10b"](quick=True)])[0].figure
     emit(data)
     check_figure(data, "fig10b")
     _check_ordering(data)

@@ -6,12 +6,12 @@ power); the baseline is 1 by construction.
 
 from conftest import check_figure, emit
 
-from repro.experiments.engine import run_plan
+from repro.experiments.engine import run_plans
 from repro.experiments.figures import ALL_PLANS
 
 
 def test_fig11_efficiency_index(one_shot):
-    data = one_shot(run_plan, ALL_PLANS["fig11"](quick=True)).figure
+    data = one_shot(run_plans, [ALL_PLANS["fig11"](quick=True)])[0].figure
     emit(data)
     check_figure(data, "fig11")
     for i in range(len(data.x_values)):

@@ -7,12 +7,12 @@ S-FAMA baseline once the network is loaded.
 
 from conftest import check_figure, emit
 
-from repro.experiments.engine import run_plan
+from repro.experiments.engine import run_plans
 from repro.experiments.figures import ALL_PLANS
 
 
 def test_fig6_throughput_vs_offered_load(one_shot, sweep_workers):
-    data = one_shot(run_plan, ALL_PLANS["fig6"](quick=True), workers=sweep_workers).figure
+    data = one_shot(run_plans, [ALL_PLANS["fig6"](quick=True)], workers=sweep_workers)[0].figure
     emit(data)
     check_figure(data, "fig6")
     # throughput does not shrink from the lightest to the heaviest load

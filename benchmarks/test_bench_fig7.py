@@ -7,12 +7,12 @@ exploitable waiting time — the opportunistic protocols decline toward the
 
 from conftest import check_figure, emit
 
-from repro.experiments.engine import run_plan
+from repro.experiments.engine import run_plans
 from repro.experiments.figures import ALL_PLANS
 
 
 def test_fig7_throughput_vs_density(one_shot):
-    data = one_shot(run_plan, ALL_PLANS["fig7"](quick=True)).figure
+    data = one_shot(run_plans, [ALL_PLANS["fig7"](quick=True)])[0].figure
     emit(data)
     check_figure(data, "fig7")
     # every series stays within the paper's qualitative band: positive

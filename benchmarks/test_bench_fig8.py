@@ -7,12 +7,12 @@ insignificant below ~20 packets per 300 s.
 
 from conftest import check_figure, emit
 
-from repro.experiments.engine import run_plan
+from repro.experiments.engine import run_plans
 from repro.experiments.figures import ALL_PLANS
 
 
 def test_fig8_execution_time_vs_load(one_shot):
-    data = one_shot(run_plan, ALL_PLANS["fig8"](quick=True)).figure
+    data = one_shot(run_plans, [ALL_PLANS["fig8"](quick=True)])[0].figure
     emit(data)
     check_figure(data, "fig8")
     for protocol, series in data.series.items():

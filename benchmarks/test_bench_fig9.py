@@ -7,12 +7,12 @@ neighbour information, increasingly so as the network densifies.
 
 from conftest import check_figure, emit
 
-from repro.experiments.engine import run_plan
+from repro.experiments.engine import run_plans
 from repro.experiments.figures import ALL_PLANS
 
 
 def test_fig9a_power_vs_load(one_shot):
-    data = one_shot(run_plan, ALL_PLANS["fig9a"](quick=True)).figure
+    data = one_shot(run_plans, [ALL_PLANS["fig9a"](quick=True)])[0].figure
     emit(data)
     check_figure(data, "fig9a")
     for protocol, series in data.series.items():
@@ -24,7 +24,7 @@ def test_fig9a_power_vs_load(one_shot):
 
 
 def test_fig9b_power_vs_node_count(one_shot):
-    data = one_shot(run_plan, ALL_PLANS["fig9b"](quick=True)).figure
+    data = one_shot(run_plans, [ALL_PLANS["fig9b"](quick=True)])[0].figure
     emit(data)
     check_figure(data, "fig9b")
     # power grows with node count for every protocol...

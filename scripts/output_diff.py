@@ -6,7 +6,8 @@ in the working tree, and compares their stdout and stderr byte for byte:
 
 * ``repro-uasn all --quick --no-cache``
 * ``repro-uasn fig6 --quick --workers 2 --no-cache``
-* ``repro-uasn ablations --quick --no-cache``
+* ``repro-uasn ablations --quick --workers 2 --no-cache`` (several plans
+  deduped into one pooled cell set)
 * ``repro-uasn chaos --quick --workers 2 --no-cache``
 * every ``examples/*.py`` of the working tree (mobile deployments, a
   batch drain, energy, the extra-communication trace)
@@ -44,7 +45,7 @@ CLI = ["-m", "repro.experiments.cli"]
 COMMANDS: Tuple[Tuple[str, List[str]], ...] = (
     ("all", CLI + ["all", "--quick", "--no-cache"]),
     ("fig6", CLI + ["fig6", "--quick", "--workers", "2", "--no-cache"]),
-    ("ablations", CLI + ["ablations", "--quick", "--no-cache"]),
+    ("ablations", CLI + ["ablations", "--quick", "--workers", "2", "--no-cache"]),
     ("chaos", CLI + ["chaos", "--quick", "--workers", "2", "--no-cache"]),
 ) + tuple(
     (example.stem, [f"examples/{example.name}"])

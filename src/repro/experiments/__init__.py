@@ -17,9 +17,8 @@ from .engine import (
     observe_sweeps,
     request_key,
     request_plan,
-    run_plan,
+    run_plans,
     run_request,
-    run_sweep,
     service_targets,
     target_groups,
     targets,
@@ -84,10 +83,9 @@ __all__ = [
     "observe_sweeps",
     "request_key",
     "request_plan",
-    "run_plan",
+    "run_plans",
     "run_request",
     "run_scenario",
-    "run_sweep",
     "service_targets",
     "table2_config",
     "target_groups",

@@ -4,7 +4,7 @@ Each ablation isolates one modelling or design choice that DESIGN.md calls
 out.  Like the figures (:mod:`~repro.experiments.figures`), every ablation
 is a :class:`~repro.experiments.figures.PlanRow` of the target table, built
 by the same builder and run by
-:func:`~repro.experiments.engine.run_plan` — so ablations share the
+:func:`~repro.experiments.engine.run_plans` — so ablations share the
 figures' result cache, process pool, cell timeout and failure model, and
 the job service serves them too.  These are *our* experiments — the paper
 does not publish them — but each answers a question the paper's text

@@ -134,18 +134,6 @@ class ResultCache:
                 pass
             raise
 
-    def clear(self) -> int:
-        """Delete every entry; return how many were removed."""
-        removed = 0
-        if self.root.exists():
-            for path in self.root.rglob("*.pkl"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
     def __len__(self) -> int:
         if not self.root.exists():
             return 0

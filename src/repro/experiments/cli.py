@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from .config import TABLE2
-from .engine import EngineError, observe_sweeps, run_plan, target_groups, targets
+from .engine import EngineError, observe_sweeps, run_plans, target_groups, targets
 from .report import format_figure, write_csv
 
 
@@ -292,11 +292,11 @@ def _dispatch(args: argparse.Namespace) -> int:
             path = write_csv(data, Path(args.csv) / "scale.csv")
             print(f"  csv: {path}")
         return 0
-    rows = targets()
-    groups = target_groups()
     group = "all" if args.target == "report" else args.target
-    run_ids = sorted(groups.get(group, [group]))
+    run_ids = sorted(target_groups().get(group, [group]))
     overrides = parse_overrides(args.override) or None
+    rows = targets()
+    plans = [rows[target](seeds, args.quick, overrides) for target in run_ids]
     profiler = None
     if args.profile:
         # Child processes would escape the profiler and the in-process perf
@@ -310,33 +310,36 @@ def _dispatch(args: argparse.Namespace) -> int:
 
         profiler = cProfile.Profile()
         profiler.enable()
-    run_kwargs = _run_kwargs(args)
-    outcomes = []
     try:
         with observe_sweeps() as stats:
-            for target in run_ids:
-                plan = rows[target](seeds, args.quick, overrides)
-                outcomes.append(run_plan(plan, progress=progress, **run_kwargs))
-                data, summary = outcomes[-1]
-                print(format_figure(data))
-                if summary is not None:
-                    for line in summary.lines():
-                        print(f"  {line}")
-                if args.chart:
-                    from ..analysis.charts import figure_chart
+            outcomes = run_plans(plans, progress=progress, **_run_kwargs(args))
+        for target, (data, summary, error) in zip(run_ids, outcomes):
+            if error is not None:
+                # One figure that cannot be built (a zero baseline) costs
+                # only that figure; the exit code still says so.
+                print(f"error: {target}: {type(error).__name__}: {error}", file=sys.stderr)
+                continue
+            print(format_figure(data))
+            if summary is not None:
+                for line in summary.lines():
+                    print(f"  {line}")
+            if args.chart:
+                from ..analysis.charts import figure_chart
 
-                    print(figure_chart(data))
-                if args.csv:
-                    path = write_csv(data, Path(args.csv) / f"{target}.csv")
-                    print(f"  csv: {path}\n")
+                print(figure_chart(data))
+            if args.csv:
+                path = write_csv(data, Path(args.csv) / f"{target}.csv")
+                print(f"  csv: {path}\n")
     finally:
         if profiler is not None:
             profiler.disable()
             _print_profile(profiler)
     status = _finish_observed(stats, args)
+    if any(outcome.error is not None for outcome in outcomes):
+        return 2
     if status:
         return status
-    for _, summary in outcomes:
+    for _, summary, _ in outcomes:
         failure = summary.failure() if summary is not None else None
         if failure is not None:
             print(f"FAIL: {failure}", file=sys.stderr)

@@ -10,22 +10,20 @@ The engine keeps a strict purity contract:
 * **running it writes nothing** unless the caller explicitly passes a
   cache — results come back as values, never as files.
 
-Three layers, lowest first:
+Two layers, lowest first:
 
-``run_sweep``
-    Grid executor: a :class:`SweepSpec` (x axis + config closure) is
-    expanded into (x, protocol, seed) cells and handed to the one cell
-    executor, :class:`~repro.experiments.parallel.ParallelSweepRunner`
-    (in-process for ``workers=1``, a spawn-safe process pool otherwise),
-    optionally memoized through the content-addressed
-    :mod:`~repro.experiments.cache`.
-
-``run_plan``
-    The one plan executor: a :class:`FigurePlan` bundles a sweep with its
-    base config, protocol set, seeds, the aggregation that turns the raw
-    grid into a :class:`FigureData`, and an optional post-run summary
-    (a figure's paper-claim verdicts, the chaos audit counters);
-    :func:`run_plan` returns both as a :class:`PlanOutcome`.  Plans are
+``run_plans``
+    The one executor: a :class:`FigurePlan` bundles a sweep (a
+    :class:`SweepSpec`: x axis plus config closure) with its base config,
+    protocol set, seeds, the aggregation that turns the raw grid into a
+    :class:`FigureData`, and an optional post-run summary (a figure's
+    paper-claim verdicts, the chaos audit counters).  :func:`run_plans`
+    takes every plan of one invocation, expands them into
+    (x, protocol, seed) cells, runs each unique cell once through
+    :class:`~repro.experiments.parallel.ParallelSweepRunner` (in-process
+    for ``workers=1``, one spawn-safe process pool otherwise), optionally
+    memoized through the content-addressed :mod:`~repro.experiments.cache`,
+    and returns a :class:`PlanOutcome` per plan.  Plans are
     built from the rows of one target table
     (:class:`~repro.experiments.figures.PlanRow`: the figures, the
     ablations and the chaos sweep), and :func:`targets` is the one
@@ -39,7 +37,7 @@ Three layers, lowest first:
     a content-addressed job key from the request's cell digests (reusing
     :func:`~repro.experiments.cache.cell_key`), so identical submissions
     dedupe to one run and any source edit re-keys every job.
-    :func:`run_request` runs the plan through :func:`run_plan` and packs
+    :func:`run_request` runs the plan through :func:`run_plans` and packs
     the outcome into a :class:`SweepResult` whose
     :meth:`~SweepResult.to_dict` is plain JSON.
 
@@ -72,7 +70,7 @@ from typing import (
 
 from .cache import cell_key, code_version
 from .config import ScenarioConfig
-from .parallel import ParallelSweepRunner, SweepStats, expand_cells
+from .parallel import ParallelSweepRunner, SweepCell, SweepStats, expand_cells
 from .scenario import ScenarioResult
 
 if TYPE_CHECKING:
@@ -165,55 +163,8 @@ def observe_sweeps() -> Iterator[SweepStats]:
 
 
 # ----------------------------------------------------------------------
-# Layer 1: grid execution
+# Aggregation: a plan's grid into its figure's series
 # ----------------------------------------------------------------------
-def run_sweep(
-    spec: SweepSpec,
-    base: ScenarioConfig,
-    protocols: Sequence[str] = PAPER_PROTOCOLS,
-    seeds: Sequence[int] = (1, 2, 3),
-    progress: Progress = None,
-    workers: Optional[int] = 1,
-    cache: object = None,
-    cell_timeout_s: Optional[float] = None,
-) -> GridResults:
-    """Run every (x, protocol, seed) cell of a sweep.
-
-    Every sweep goes through one
-    :class:`~repro.experiments.parallel.ParallelSweepRunner`, so every
-    front-end shares one failure model: a cell that raises becomes a
-    :class:`~repro.experiments.parallel.CellFailure` on first sight
-    (collected by :func:`observe_sweeps`), a cell that times out is
-    retried, and the rest of the grid still runs.
-
-    Args:
-        workers: ``1`` (default) runs the cells in this process, one after
-            another; ``N > 1`` (or ``None``/``0`` for the CPU count) fans
-            them out over a spawn-safe process pool.  Cell order, seed
-            pairing, and results are identical either way.
-        cache: ``None`` (off), ``True`` (default on-disk location), a
-            directory path, or a
-            :class:`~repro.experiments.cache.ResultCache` — previously
-            computed cells are reused instead of re-simulated.
-        cell_timeout_s: Optional wall-clock budget for each cell's first
-            attempt, at any ``workers``; a cell that exceeds it is re-run
-            from zero in this process under a bounded retry budget.  The
-            cell is the unit of recovery: only a finished cell is kept
-            (in ``cache``), never part of one.
-    """
-    runner = ParallelSweepRunner(
-        workers=workers,
-        cache=cache,
-        cell_timeout_s=cell_timeout_s,
-        progress=progress,
-    )
-    grid = runner.run(spec, base, protocols=protocols, seeds=seeds)
-    stats = _STATS.get()
-    if stats is not None:
-        stats.merge(runner.stats)
-    return grid
-
-
 def aggregate(
     results: GridResults,
     x_values: Sequence[float],
@@ -268,7 +219,7 @@ def aggregate_relative(
 
 
 # ----------------------------------------------------------------------
-# Layer 2: figure plans
+# Figure plans and the one executor
 # ----------------------------------------------------------------------
 @dataclass
 class FigurePlan:
@@ -277,7 +228,7 @@ class FigurePlan:
     Built by calling a row of the target table
     (:class:`~repro.experiments.figures.PlanRow`), which decides axes,
     base config and metric but never executes anything, so the same plan
-    can be keyed (:func:`request_key`), run (:func:`run_plan`), or queued
+    can be keyed (:func:`request_key`), run (:func:`run_plans`), or queued
     by the job service.
     """
 
@@ -301,37 +252,95 @@ class FigurePlan:
 
 
 class PlanOutcome(NamedTuple):
-    """What :func:`run_plan` returns: the figure and the plan's summary."""
+    """What :func:`run_plans` returns for one plan."""
 
-    figure: FigureData
+    #: ``plan.build(grid)``, or ``None`` when building raised ``error``.
+    figure: Optional[FigureData]
     #: ``plan.summarize(grid)``, or ``None`` for a plan without one.
     summary: object
+    #: The ``ValueError`` that building the figure or its summary raised
+    #: (a relative figure over a zero baseline), or ``None``.
+    error: Optional[Exception] = None
 
 
-def run_plan(
-    plan: FigurePlan,
+def run_plans(
+    plans: Sequence[FigurePlan],
     progress: Progress = None,
     workers: Optional[int] = 1,
     cache: object = None,
     cell_timeout_s: Optional[float] = None,
-) -> PlanOutcome:
-    """Execute a plan's sweep; build its figure and its summary.
+) -> List[PlanOutcome]:
+    """Run every plan's cells once, then build each plan from its own cells.
 
     The one plan executor: the CLI, :func:`run_request` (the job
-    service) and the benchmarks all run plans through it.
+    service) and the benchmarks all run plans through it.  The plans'
+    cells are deduped by ``(config, batch)``, the partition
+    :func:`~repro.experiments.cache.cell_key` gives, so a cell two plans
+    share (every Fig. 11 cell is a Fig. 6 cell) is looked up, simulated
+    and retried once.  The unique cells go through one
+    :meth:`~repro.experiments.parallel.ParallelSweepRunner.run_cells`
+    call, so one invocation has one pool and one failure model: a cell
+    that raises becomes a
+    :class:`~repro.experiments.parallel.CellFailure` on first sight
+    (collected by :func:`observe_sweeps`), a cell that times out is
+    retried, and the other cells still run.  Each plan's grid then holds
+    its own cells in serial order (plans that share a cell share its
+    result object, which builds and summaries only read), and a failed
+    cell leaves its (x, protocol) bucket short (empty if every seed
+    failed).  A plan whose figure or summary cannot be built gets the
+    error in its outcome; the other plans' outcomes are unaffected.
+
+    Args:
+        workers: ``1`` (default) runs the cells in this process, one after
+            another; ``N > 1`` (or ``None``/``0`` for the CPU count) fans
+            them out over a spawn-safe process pool.  Cell order, seed
+            pairing, and results are identical either way.
+        cache: ``None`` (off), ``True`` (default on-disk location), a
+            directory path, or a
+            :class:`~repro.experiments.cache.ResultCache` — previously
+            computed cells are reused instead of re-simulated.
+        cell_timeout_s: Optional wall-clock budget for each cell's first
+            attempt, at any ``workers``; a cell that exceeds it is re-run
+            from zero in this process under a bounded retry budget.  The
+            cell is the unit of recovery: only a finished cell is kept
+            (in ``cache``), never part of one.
     """
-    grid = run_sweep(
-        plan.spec,
-        plan.base,
-        protocols=plan.protocols,
-        seeds=plan.seeds,
-        progress=progress,
+    unique: Dict[Tuple[ScenarioConfig, Optional[Tuple[int, float]]], SweepCell] = {}
+    plan_slots = []
+    for plan in plans:
+        slots = []
+        for cell in expand_cells(plan.spec, plan.base, plan.protocols, plan.seeds):
+            key = (cell.config, cell.batch)
+            if key not in unique:
+                unique[key] = dataclasses.replace(cell, index=len(unique))
+            slots.append(((cell.x, cell.protocol), unique[key].index))
+        plan_slots.append(slots)
+    runner = ParallelSweepRunner(
         workers=workers,
         cache=cache,
         cell_timeout_s=cell_timeout_s,
+        progress=progress,
     )
-    summary = plan.summarize(grid) if plan.summarize is not None else None
-    return PlanOutcome(plan.build(grid), summary)
+    results = runner.run_cells(list(unique.values()))
+    stats = _STATS.get()
+    if stats is not None:
+        stats.merge(runner.stats)
+    outcomes = []
+    for plan, slots in zip(plans, plan_slots):
+        grid: GridResults = {}
+        for bucket_key, slot in slots:
+            # Every (x, protocol) pair gets its bucket even when all its
+            # cells failed, so aggregation can never KeyError: a lost cell
+            # shows up as a missing sample, not a crashed sweep.
+            bucket = grid.setdefault(bucket_key, [])
+            if results[slot] is not None:
+                bucket.append(results[slot])
+        try:
+            summary = plan.summarize(grid) if plan.summarize is not None else None
+            outcomes.append(PlanOutcome(plan.build(grid), summary))
+        except ValueError as exc:
+            outcomes.append(PlanOutcome(None, None, exc))
+    return outcomes
 
 
 def apply_overrides(
@@ -360,7 +369,7 @@ def apply_overrides(
 
 
 # ----------------------------------------------------------------------
-# Layer 3: serializable requests (the job service's unit of work)
+# Serializable requests (the job service's unit of work)
 # ----------------------------------------------------------------------
 #: Scalar types a request override may carry (JSON scalars).
 _SCALARS = (bool, int, float, str)
@@ -548,23 +557,26 @@ def run_request(
 ) -> SweepResult:
     """Execute a request end to end and return its :class:`SweepResult`.
 
-    :func:`run_plan` on the request's plan, plus the JSON packaging:
+    :func:`run_plans` on the request's plan, plus the JSON packaging:
     deterministic for a given request and source tree (the CI service
     smoke asserts the HTTP result is bit-identical to a direct call).
+    An error building the figure or its summary is raised.
     """
     plan = request_plan(request)
     with observe_sweeps() as stats:
-        figure, summary = run_plan(
-            plan,
+        [outcome] = run_plans(
+            [plan],
             progress=progress,
             workers=workers,
             cache=cache,
             cell_timeout_s=cell_timeout_s,
         )
+    if outcome.error is not None:
+        raise outcome.error
     return SweepResult(
         request=request,
-        figure=figure,
-        summary_lines=summary.lines() if summary is not None else [],
+        figure=outcome.figure,
+        summary_lines=outcome.summary.lines() if outcome.summary is not None else [],
         failures=[
             {"cell": failure.cell.label, "error": failure.error}
             for failure in stats.failures

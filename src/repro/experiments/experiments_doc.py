@@ -130,5 +130,5 @@ def build_experiments_md(outcomes: Sequence[PlanOutcome]) -> str:
     order = list(ALL_PLANS)
     outcomes = sorted(outcomes, key=lambda outcome: order.index(outcome.figure.figure_id))
     return _HEADER + "\n".join(
-        figure_section(figure, verdicts.lines()) for figure, verdicts in outcomes
+        figure_section(outcome.figure, outcome.summary.lines()) for outcome in outcomes
     )

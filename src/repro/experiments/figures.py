@@ -9,7 +9,7 @@ field, the quick and full axes, the base fields, the metric — and
 calling the row, ``row(seeds, quick, overrides)``, is the one plan
 builder: it returns a :class:`~repro.experiments.engine.FigurePlan`
 without executing anything.  The engine runs plans
-(:func:`~repro.experiments.engine.run_plan`) and keeps the one target
+(:func:`~repro.experiments.engine.run_plans`) and keeps the one target
 registry (:func:`~repro.experiments.engine.targets`), so the same row is
 run by the CLI, keyed and queued by the job service, or benchmarked.
 

@@ -2,16 +2,16 @@
 
 A figure sweep is a grid of (x, protocol, seed) cells, each an independent
 deterministic simulation — exactly the embarrassingly-parallel shape a
-process pool wants.  :class:`ParallelSweepRunner` expands a
+process pool wants.  :func:`expand_cells` turns a
 :class:`~repro.experiments.engine.SweepSpec` into picklable
 :class:`SweepCell` work items **in the parent** (so the spec's closures
-never cross a process boundary), fans the items over a spawn-safe worker
-pool, and reassembles results in the exact order the serial loop would
-have produced them — ``workers=4`` is bit-identical to ``workers=1``
+never cross a process boundary).  :meth:`ParallelSweepRunner.run_cells`
+fans a list of cells over one spawn-safe worker pool and returns their
+results in cell order — ``workers=4`` is bit-identical to ``workers=1``
 because every cell derives all randomness from its own config seed (see
 :mod:`repro.des.rng`).  It is the only code that runs sweep cells:
-:func:`~repro.experiments.engine.run_sweep` and every front-end above it
-go through it, ``workers=1`` included.
+:func:`~repro.experiments.engine.run_plans` hands it the unique cells of
+every plan of an invocation, at any ``workers``, ``1`` included.
 
 Every uncached cell follows one failure rule, wherever it runs:
 
@@ -58,7 +58,7 @@ from .config import ScenarioConfig
 from .scenario import Scenario, ScenarioResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
-    from .engine import GridResults, SweepSpec
+    from .engine import SweepSpec
 
 Progress = Optional[Callable[[str], None]]
 
@@ -193,7 +193,7 @@ def _pool_worker(
 
 
 class ParallelSweepRunner:
-    """Fan sweep cells over a process pool, with caching and recovery.
+    """Run sweep cells in one process pool, with caching and recovery.
 
     Args:
         workers: Pool size; ``None``/``0`` uses the CPU count, ``1`` runs
@@ -235,31 +235,11 @@ class ParallelSweepRunner:
         if self.progress is not None:
             self.progress(message)
 
-    def run(
-        self,
-        spec: "SweepSpec",
-        base: ScenarioConfig,
-        protocols: Sequence[str],
-        seeds: Sequence[int],
-    ) -> "GridResults":
-        """Run every cell and reassemble the serial-ordered grid."""
-        cells = expand_cells(spec, base, protocols, seeds)
-        results = self.run_cells(cells)
-        grid: Dict[Tuple[float, str], List[ScenarioResult]] = {}
-        for cell, result in zip(cells, results):
-            # Every (x, protocol) pair gets its grid entry even when all
-            # its cells failed, so aggregation can never KeyError — a lost
-            # cell shows up as a missing sample, not a crashed sweep.
-            bucket = grid.setdefault((cell.x, cell.protocol), [])
-            if result is not None:
-                bucket.append(result)
-        return grid
-
     def run_cells(self, cells: Sequence[SweepCell]) -> List[Optional[ScenarioResult]]:
         """Execute cells (cache, pool, retries) and return them in order.
 
-        Slots of cells that failed (recorded in ``stats.failures``) are
-        ``None``.
+        Each cell's ``index`` is its position in ``cells``.  Slots of
+        cells that failed (recorded in ``stats.failures``) are ``None``.
         """
         stats = self.stats = SweepStats()
         results: List[Optional[ScenarioResult]] = [None] * len(cells)

@@ -6,8 +6,8 @@ from repro.core.ewmac.protocol import EwMac
 from repro.experiments import Scenario, table2_config
 from repro.experiments.ablations import ALL_ABLATIONS
 from repro.experiments.cache import cell_key
-from repro.experiments.engine import run_plan, run_sweep
-from tests.reference_sweep import reference_sweep
+from repro.experiments.engine import run_plans
+from tests.reference_sweep import reference_sweep, run_grid
 
 #: Shrinks every ablation cell to a few milliseconds of simulation.
 TINY = {"n_sensors": 8, "sim_time_s": 10.0, "warmup_s": 2.0}
@@ -79,7 +79,7 @@ class TestAblationRunners:
     def test_grid_matches_reference_sweep(self, ablation_id):
         plan = ALL_ABLATIONS[ablation_id](quick=True, overrides=TINY)
         reference = reference_sweep(plan.spec, plan.base, plan.protocols, plan.seeds)
-        grid = run_sweep(plan.spec, plan.base, plan.protocols, plan.seeds)
+        grid = run_grid(plan.spec, plan.base, plan.protocols, plan.seeds)
         assert list(reference) == list(grid)
         assert _grid_dicts(reference) == _grid_dicts(grid)
         data = plan.build(grid)
@@ -107,7 +107,7 @@ class TestAblationRunners:
     @pytest.mark.slow
     @pytest.mark.parametrize("ablation_id", sorted(ALL_ABLATIONS))
     def test_quick_mode_runs(self, ablation_id):
-        data = run_plan(ALL_ABLATIONS[ablation_id](quick=True)).figure
+        data = run_plans([ALL_ABLATIONS[ablation_id](quick=True)])[0].figure
         assert data.figure_id == ablation_id
         assert data.x_values
         for name, series in data.series.items():

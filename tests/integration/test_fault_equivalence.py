@@ -11,9 +11,9 @@ from __future__ import annotations
 from repro.experiments.cache import ResultCache, cell_key
 from repro.experiments.config import table2_config
 from repro.experiments.scenario import Scenario, run_scenario
-from repro.experiments.engine import SweepSpec, run_sweep
+from repro.experiments.engine import SweepSpec
 from repro.faults.plan import CrashWave, FaultPlan, NoiseBurst
-from tests.reference_sweep import reference_sweep
+from tests.reference_sweep import reference_sweep, run_grid
 
 
 def quick_config(**overrides):
@@ -58,12 +58,8 @@ class TestEmptyPlanEquivalence:
         )
         base = quick_config()
         plain = reference_sweep(spec, base, ("EW-MAC",), (1,))
-        cached = run_sweep(
-            spec,
-            base,
-            protocols=("EW-MAC",),
-            seeds=(1,),
-            cache=ResultCache(tmp_path / "cache"),
+        cached = run_grid(
+            spec, base, ("EW-MAC",), (1,), cache=ResultCache(tmp_path / "cache")
         )
         assert [r.to_dict() for r in plain[(0.4, "EW-MAC")]] == [
             r.to_dict() for r in cached[(0.4, "EW-MAC")]

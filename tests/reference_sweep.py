@@ -1,12 +1,14 @@
-"""Plain in-process sweep loop: the oracle for the production sweep runner.
+"""Plain in-process sweep loop: the oracle for the production executor.
 
-Production :func:`~repro.experiments.engine.run_sweep` always goes
-through :class:`~repro.experiments.parallel.ParallelSweepRunner` (cell
-expansion, result cache, process pool, recovery).
+Production :func:`~repro.experiments.engine.run_plans` expands every
+plan into cells, dedupes them, and runs them through
+:class:`~repro.experiments.parallel.ParallelSweepRunner` (result cache,
+process pool, recovery) before it assembles each plan's grid.
 :func:`reference_sweep` is the loop that fabric replaces: every
 (x, protocol, seed) cell is configured and run in order, right here,
-with nothing cached, pooled or retried.  Whatever the runner does, its
-grid must match this one bit for bit.
+with nothing deduped, cached, pooled or retried.  Whatever the executor
+does, the grid it hands a plan (:func:`run_grid`) must match this one
+bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.engine import GridResults, SweepSpec
+from repro.experiments.engine import FigurePlan, GridResults, SweepSpec, run_plans
 from repro.experiments.scenario import Scenario, ScenarioResult
 
 
@@ -40,3 +42,20 @@ def reference_sweep(
                 cell.append(result)
             results[(x, protocol)] = cell
     return results
+
+
+def run_grid(
+    spec: SweepSpec,
+    base: ScenarioConfig,
+    protocols: Sequence[str],
+    seeds: Sequence[int],
+    **run_kwargs: object,
+) -> GridResults:
+    """The grid :func:`run_plans` builds for one sweep, ``run_kwargs`` passed on.
+
+    The sweep's plan builds its grid itself as its "figure", so the
+    executor's grid assembly can be compared with :func:`reference_sweep`.
+    """
+    plan = FigurePlan("grid", spec, base, tuple(protocols), tuple(seeds), build=lambda grid: grid)
+    [outcome] = run_plans([plan], **run_kwargs)
+    return outcome.figure
