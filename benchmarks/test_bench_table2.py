@@ -24,11 +24,12 @@ def test_table2_defaults_and_run(one_shot):
     # Table 2 row by row
     assert config.n_sensors == TABLE2["number_of_sensors"]
     assert (config.side_m / 1000.0) ** 3 == pytest.approx(TABLE2["deployment_area_km3"])
-    assert config.bitrate_bps == TABLE2["bandwidth_kbps"] * 1000.0
-    assert config.comm_range_m == TABLE2["communication_range_km"] * 1000.0
-    assert config.sound_speed_mps == TABLE2["acoustic_speed_km_s"] * 1000.0
+    channel = scenario.channel
+    assert channel.bitrate_bps == TABLE2["bandwidth_kbps"] * 1000.0
+    assert channel.max_range_m == TABLE2["communication_range_km"] * 1000.0
+    assert channel.sound_speed_mps == TABLE2["acoustic_speed_km_s"] * 1000.0
     assert config.sim_time_s == TABLE2["simulation_time_s"]
-    assert config.control_bits == TABLE2["control_packet_bits"]
+    assert scenario.timing.omega_s == TABLE2["control_packet_bits"] / channel.bitrate_bps
     lo, hi = TABLE2["data_packet_bits_range"]
     assert lo <= config.data_packet_bits <= hi
     # the run produced traffic under those parameters

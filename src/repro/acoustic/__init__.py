@@ -10,11 +10,10 @@ sound speed) and the threshold decode live on
 :class:`~repro.phy.channel.AcousticChannel`.
 """
 
-from .geometry import Position, bounding_box
+from .geometry import Position
 from .sinr import LinkBudget
 
 __all__ = [
     "LinkBudget",
     "Position",
-    "bounding_box",
 ]

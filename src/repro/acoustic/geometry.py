@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,6 @@ class Position:
         dz = self.z - other.z
         return math.sqrt(dx * dx + dy * dy + dz * dz)
 
-    def horizontal_distance_to(self, other: "Position") -> float:
-        """Distance ignoring depth (useful for mobility models)."""
-        return math.hypot(self.x - other.x, self.y - other.y)
-
     def midpoint(self, other: "Position") -> "Position":
         return Position(
             (self.x + other.x) / 2.0,
@@ -69,19 +65,3 @@ class Position:
             min(max(self.y, y_range[0]), y_range[1]),
             min(max(self.z, z_range[0]), z_range[1]),
         )
-
-    def as_tuple(self) -> Tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
-
-def bounding_box(
-    positions: Iterable[Position],
-) -> Tuple[Tuple[float, float], Tuple[float, float], Tuple[float, float]]:
-    """Axis-aligned bounding box of a non-empty collection of positions."""
-    pts = list(positions)
-    if not pts:
-        raise ValueError("bounding_box of empty collection")
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
-    zs = [p.z for p in pts]
-    return ((min(xs), max(xs)), (min(ys), max(ys)), (min(zs), max(zs)))

@@ -63,9 +63,6 @@ class NeighborScheduleTracker:
         if end < self._next_expiry:
             self._next_expiry = end
 
-    def windows_of(self, node_id: int) -> List[ProtectedInterval]:
-        return list(self._windows.get(node_id, []))
-
     def purge(self, now: float) -> None:
         """Drop windows that ended in the past.
 
@@ -146,9 +143,3 @@ class NeighborScheduleTracker:
                 if window.overlaps(arrive_start, arrive_end):
                     conflicts.append((node_id, window))
         return conflicts
-
-    def tracked_neighbors(self) -> List[int]:
-        return sorted(self._windows.keys())
-
-    def total_windows(self) -> int:
-        return sum(len(w) for w in self._windows.values())

@@ -10,7 +10,7 @@ paper's state graph, and the test suite can exhaustively verify the graph.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, List, Tuple
 
 
 class EwState(Enum):
@@ -85,16 +85,3 @@ class Fig3StateMachine:
 
     def can_transition(self, to: EwState) -> bool:
         return to is self.state or (self.state, to) in TRANSITIONS
-
-    @staticmethod
-    def reachable_states() -> FrozenSet[EwState]:
-        """All states reachable from Idle over the transition graph."""
-        reachable = {EwState.IDLE}
-        frontier = [EwState.IDLE]
-        while frontier:
-            current = frontier.pop()
-            for (src, dst) in TRANSITIONS:
-                if src is current and dst not in reachable:
-                    reachable.add(dst)
-                    frontier.append(dst)
-        return frozenset(reachable)

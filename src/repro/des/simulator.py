@@ -251,8 +251,3 @@ class Simulator:
         if entry is None:
             return (self.now, _math.inf, _math.inf)
         return entry[:3]
-
-    @property
-    def pending_events(self) -> int:
-        """Number of live (non-cancelled, unfired) events in the queue."""
-        return len(self._queue)

@@ -67,12 +67,6 @@ class EnergyReport:
         """Network total average power in mW (the paper's Fig. 9 y-axis)."""
         return self.total_j / self.duration_s * 1000.0
 
-    @property
-    def mean_node_power_mw(self) -> float:
-        if not self.per_node_j:
-            return 0.0
-        return (self.total_j / len(self.per_node_j)) / self.duration_s * 1000.0
-
 
 def network_energy(macs: Sequence[SlottedMac], duration_s: float) -> EnergyReport:
     """Aggregate :func:`node_energy_j` over every node's MAC."""

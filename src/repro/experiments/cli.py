@@ -324,7 +324,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 for line in summary.lines():
                     print(f"  {line}")
             if args.chart:
-                from ..analysis.charts import figure_chart
+                from .charts import figure_chart
 
                 print(figure_chart(data))
             if args.csv:

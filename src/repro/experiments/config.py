@@ -3,6 +3,14 @@
 :data:`TABLE2` holds the paper's published simulation parameters; a
 :class:`ScenarioConfig` starts from those defaults and lets each figure
 sweep override its own axis (offered load, node count, packet size, ...).
+The link itself is not configurable: the 12 kbps bitrate, 1.5 km range,
+1.5 km/s sound speed and 64-bit control packets are the constants
+:data:`~repro.phy.channel.DEFAULT_BITRATE_BPS`,
+:data:`~repro.phy.channel.DEFAULT_RANGE_M`,
+:data:`~repro.phy.channel.DEFAULT_SOUND_SPEED_MPS` and
+:data:`~repro.phy.frame.CONTROL_PACKET_BITS`, which
+:class:`~repro.experiments.scenario.Scenario` passes to the channel, the
+slot timing and the deployment.
 """
 
 from __future__ import annotations
@@ -44,10 +52,6 @@ class ScenarioConfig:
     sim_time_s: float = 300.0
     warmup_s: float = 10.0
     seed: int = 1
-    bitrate_bps: float = 12_000.0
-    comm_range_m: float = 1500.0
-    sound_speed_mps: float = 1500.0
-    control_bits: int = 64
     side_m: float = 10_000.0
     #: Deployment generator: ``"column"`` (paper Fig. 1 — one connected
     #: water column, densifying as n grows) or ``"tiled"`` (one column per
@@ -55,15 +59,9 @@ class ScenarioConfig:
     #: the region grow together; the scale sweep's shape).
     deployment: str = "column"
     mobility: bool = True
-    forwarding: bool = True
-    queue_limit: int = 1000
     interference_range_factor: float = 2.0
     max_retries: Optional[int] = None  # None = protocol default
     clock_offset_std_s: float = 0.0  # paper assumes perfect sync (= 0)
-    #: Std-dev of the per-node clock drift rate (ppm).  0 keeps every
-    #: clock drift-free; nonzero draws one rate per node from the same
-    #: seeded "clocks" stream the offsets use, so runs stay reproducible.
-    clock_drift_ppm_std: float = 0.0
     #: EW-MAC only: randomize each EXR send instant inside its feasible
     #: window (False sends at the earliest instant; the
     #: abl-exr-randomization ablation compares the two).
@@ -71,7 +69,6 @@ class ScenarioConfig:
     #: Declarative fault-injection plan.  The default (empty) plan arms
     #: nothing at all: no events, no RNG streams, bit-identical results.
     faults: FaultPlan = field(default_factory=FaultPlan)
-    trace: bool = False
 
     def __post_init__(self) -> None:
         if self.n_sensors <= 0:
@@ -83,7 +80,7 @@ class ScenarioConfig:
         # Checked here rather than only where each value is consumed, so a
         # bad override fails before any cell is queued: an infinite or NaN
         # window would otherwise never finish.
-        for name in ("sim_time_s", "bitrate_bps", "comm_range_m", "sound_speed_mps", "side_m"):
+        for name in ("sim_time_s", "side_m"):
             value = getattr(self, name)
             if not (_finite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")

@@ -283,7 +283,9 @@ def run_plans(
     that raises becomes a
     :class:`~repro.experiments.parallel.CellFailure` on first sight
     (collected by :func:`observe_sweeps`), a cell that times out is
-    retried, and the other cells still run.  Each plan's grid then holds
+    retried, and the other cells still run.  A cell that several plans
+    share is labelled with every ``(figure_id, x)`` it serves, in progress
+    lines and failures alike.  Each plan's grid then holds
     its own cells in serial order (plans that share a cell share its
     result object, which builds and summaries only read), and a failed
     cell leaves its (x, protocol) bucket short (empty if every seed
@@ -306,6 +308,7 @@ def run_plans(
             (in ``cache``), never part of one.
     """
     unique: Dict[Tuple[ScenarioConfig, Optional[Tuple[int, float]]], SweepCell] = {}
+    serves: List[List[Tuple[str, float]]] = []
     plan_slots = []
     for plan in plans:
         slots = []
@@ -313,7 +316,11 @@ def run_plans(
             key = (cell.config, cell.batch)
             if key not in unique:
                 unique[key] = dataclasses.replace(cell, index=len(unique))
-            slots.append(((cell.x, cell.protocol), unique[key].index))
+                serves.append([])
+            index = unique[key].index
+            if (plan.figure_id, cell.x) not in serves[index]:
+                serves[index].append((plan.figure_id, cell.x))
+            slots.append(((cell.x, cell.protocol), index))
         plan_slots.append(slots)
     runner = ParallelSweepRunner(
         workers=workers,
@@ -321,7 +328,11 @@ def run_plans(
         cell_timeout_s=cell_timeout_s,
         progress=progress,
     )
-    results = runner.run_cells(list(unique.values()))
+    cells = [
+        dataclasses.replace(cell, serves=tuple(serves[cell.index]))
+        for cell in unique.values()
+    ]
+    results = runner.run_cells(cells)
     stats = _STATS.get()
     if stats is not None:
         stats.merge(runner.stats)
@@ -348,6 +359,12 @@ def apply_overrides(
 ) -> ScenarioConfig:
     """Apply request/CLI config overrides on top of a plan's base config.
 
+    Each value must have the type of its field's default: a bool field
+    takes a bool, an int field an int that is not a bool, a float field an
+    int or a float (stored as a float, so ``3`` and ``3.0`` are one cell),
+    a str field a str, ``max_retries`` an int or None.  ``faults`` takes
+    no override.
+
     Raises:
         EngineError: On an unknown field or a value the config rejects —
             a clean, named failure instead of a traceback, so front-ends
@@ -355,24 +372,56 @@ def apply_overrides(
     """
     if not overrides:
         return base
-    valid = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    unknown = sorted(set(overrides) - valid)
+    fields = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
+    unknown = sorted(set(overrides) - set(fields))
     if unknown:
         raise EngineError(
             f"unknown config override field(s) {unknown}; valid fields: "
-            f"{sorted(valid)}"
+            f"{sorted(fields)}"
         )
+    typed = {name: _typed_override(fields[name], value) for name, value in overrides.items()}
     try:
-        return base.with_(**dict(overrides))
+        return base.with_(**typed)
     except (TypeError, ValueError) as exc:
         raise EngineError(f"bad config override: {exc}") from exc
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _typed_override(config_field: dataclasses.Field, value: object) -> object:
+    """``value`` checked against the type of the field's default."""
+    name, default = config_field.name, config_field.default
+    if name == "max_retries":  # None means the protocol's own default
+        valid, kind = value is None or _is_int(value), "an int or None"
+    elif isinstance(default, bool):
+        valid, kind = isinstance(value, bool), "a bool"
+    elif isinstance(default, int):
+        valid, kind = _is_int(value), "an int"
+    elif isinstance(default, float):
+        valid, kind = _is_int(value) or isinstance(value, float), "a number"
+    elif isinstance(default, str):
+        valid, kind = isinstance(value, str), "a str"
+    else:
+        raise EngineError(f"bad config override: {name} takes no override")
+    if not valid:
+        raise EngineError(f"bad config override: {name} must be {kind}, got {value!r}")
+    if isinstance(default, float):
+        try:
+            return float(value)  # type: ignore[arg-type]
+        except OverflowError:
+            raise EngineError(f"bad config override: {name} is out of range") from None
+    return value
 
 
 # ----------------------------------------------------------------------
 # Serializable requests (the job service's unit of work)
 # ----------------------------------------------------------------------
-#: Scalar types a request override may carry (JSON scalars).
-_SCALARS = (bool, int, float, str)
+#: Types a request override may carry: the JSON scalars, null included
+#: (``max_retries`` takes it).  :func:`apply_overrides` checks each value
+#: against its field.
+_SCALARS = (bool, int, float, str, type(None))
 
 
 @dataclass(frozen=True)
@@ -429,7 +478,7 @@ class SweepRequest:
         if not isinstance(overrides, Mapping):
             raise EngineError("'overrides' must be an object of config fields")
         for name, value in overrides.items():
-            if not isinstance(value, _SCALARS) or value is None:
+            if not isinstance(value, _SCALARS):
                 raise EngineError(
                     f"override {name!r} must be a JSON scalar, got "
                     f"{type(value).__name__}"

@@ -105,7 +105,8 @@ class SweepCell:
     ``config`` already has the (x, protocol, seed) overrides applied, and
     ``batch`` the evaluated batch parameters, so a worker needs nothing
     from the sweep spec (whose ``configure`` callable may be an
-    unpicklable closure).
+    unpicklable closure).  ``serves`` lists the ``(figure_id, x)`` points
+    of every plan the cell's result feeds, when several do.
     """
 
     index: int
@@ -114,10 +115,15 @@ class SweepCell:
     seed: int
     config: ScenarioConfig
     batch: Optional[Tuple[int, float]] = None
+    serves: Tuple[Tuple[str, float], ...] = ()
 
     @property
     def label(self) -> str:
-        return f"{self.protocol} x={self.x} seed={self.seed}"
+        """``protocol x=.. seed=..``, naming each plan's x for a shared cell."""
+        if len(self.serves) < 2:
+            return f"{self.protocol} x={self.x} seed={self.seed}"
+        axes = ", ".join(f"{figure_id} x={x}" for figure_id, x in self.serves)
+        return f"{self.protocol} {axes} seed={self.seed}"
 
 
 @dataclass

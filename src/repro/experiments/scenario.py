@@ -3,6 +3,10 @@
 :class:`Scenario` builds, from a :class:`ScenarioConfig`: the DES kernel,
 the acoustic channel, a connected water-column deployment, one node +
 modem + MAC per sensor, depth routing, mobility, and a traffic source.
+The link is Table 2's, fixed: the channel, the slot timing and the
+deployment all take the same bitrate, range, sound speed and control
+packet size constants from :mod:`repro.phy`.  Received data is always
+relayed toward the surface, and the simulator runs with its no-op tracer.
 It then runs either the Poisson steady-state experiment (Figs. 6/7/9/10/11)
 or the batch-drain experiment (Fig. 8), and produces a
 :class:`ScenarioResult` with every paper metric.
@@ -16,7 +20,6 @@ from typing import Dict, List, Optional
 from ..core.ewmac.protocol import EwMac
 from ..des.rng import derive_seed
 from ..des.simulator import Simulator
-from ..des.trace import Tracer
 from ..energy.model import EnergyReport, network_energy
 from ..mac.base import SlottedMac
 from ..mac.registry import get_protocol
@@ -35,7 +38,13 @@ from ..faults.injector import FaultInjector, FaultReport
 from ..net.clock import NodeClock
 from ..net.node import Node
 from ..perf import GLOBAL_PERF, PerfReport
-from ..phy.channel import AcousticChannel
+from ..phy.channel import (
+    DEFAULT_BITRATE_BPS,
+    DEFAULT_RANGE_M,
+    DEFAULT_SOUND_SPEED_MPS,
+    AcousticChannel,
+)
+from ..phy.frame import CONTROL_PACKET_BITS
 from ..topology.deployment import (
     DeploymentConfig,
     connected_column_deployment,
@@ -124,8 +133,7 @@ class Scenario:
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        tracer = Tracer() if config.trace else None
-        self.sim = Simulator(seed=config.seed, tracer=tracer)
+        self.sim = Simulator(seed=config.seed)
         deploy = (
             tiled_column_deployment
             if config.deployment == "tiled"
@@ -138,41 +146,35 @@ class Scenario:
                 side_x_m=config.side_m,
                 side_y_m=config.side_m,
                 depth_m=config.side_m,
-                comm_range_m=config.comm_range_m,
+                comm_range_m=DEFAULT_RANGE_M,
                 seed=derive_seed(config.seed, "deployment"),
             )
         )
         self.channel = AcousticChannel(
             self.sim,
-            bitrate_bps=config.bitrate_bps,
-            max_range_m=config.comm_range_m,
+            bitrate_bps=DEFAULT_BITRATE_BPS,
+            max_range_m=DEFAULT_RANGE_M,
             interference_range_factor=config.interference_range_factor,
-            sound_speed_mps=config.sound_speed_mps,
+            sound_speed_mps=DEFAULT_SOUND_SPEED_MPS,
         )
         self.timing = make_slot_timing(
-            bitrate_bps=config.bitrate_bps,
-            control_bits=config.control_bits,
-            max_range_m=config.comm_range_m,
-            speed_mps=config.sound_speed_mps,
+            bitrate_bps=DEFAULT_BITRATE_BPS,
+            control_bits=CONTROL_PACKET_BITS,
+            max_range_m=DEFAULT_RANGE_M,
+            speed_mps=DEFAULT_SOUND_SPEED_MPS,
         )
         sink_set = set(self.deployment.sink_ids)
         clock_rng = self.sim.streams.get("clocks")
 
         def _make_clock() -> NodeClock:
-            # Draw order (offset, then drift, per node) is part of the
-            # reproducibility contract; each draw happens only when its
-            # std is nonzero so legacy configs consume identical RNG.
+            # One draw per node, in node order, and only when the std is
+            # nonzero, so a synchronized run consumes no "clocks" RNG.
             offset = (
                 float(clock_rng.normal(0.0, config.clock_offset_std_s))
                 if config.clock_offset_std_s > 0
                 else 0.0
             )
-            drift = (
-                float(clock_rng.normal(0.0, config.clock_drift_ppm_std))
-                if config.clock_drift_ppm_std > 0
-                else 0.0
-            )
-            return NodeClock(self.sim, offset_s=offset, drift_ppm=drift)
+            return NodeClock(self.sim, offset_s=offset)
 
         self.nodes: List[Node] = [
             Node(
@@ -181,7 +183,6 @@ class Scenario:
                 position,
                 self.channel,
                 is_sink=node_id in sink_set,
-                queue_limit=config.queue_limit,
                 clock=_make_clock(),
             )
             for node_id, position in enumerate(self.deployment.positions)
@@ -200,9 +201,8 @@ class Scenario:
             for mac in self.macs:
                 mac.max_retries = config.max_retries
         self.routing = DepthRouting(self.channel, self.deployment.sink_ids)
-        if config.forwarding:
-            for mac in self.macs:
-                mac.on_data_delivered = self._forward
+        for mac in self.macs:
+            mac.on_data_delivered = self._forward
         self.mobility: Optional[MobilityManager] = None
         if config.mobility:
             self.mobility = MobilityManager(self.sim, self.nodes, self.deployment.config)
@@ -307,7 +307,7 @@ class Scenario:
             overhead=overhead,
             efficiency=efficiency_index(throughput, energy),
             utilization=network_utilization(
-                self.macs, duration_s, self.config.bitrate_bps
+                self.macs, duration_s, self.channel.bitrate_bps
             ),
             collisions=collisions,
             mean_delay_s=mean_delivery_delay_s(self.nodes),

@@ -9,7 +9,7 @@ the post-run invariant audit (:mod:`repro.faults.audit`) guarantees no MAC
 ends wedged by a peer that died mid-exchange.
 """
 
-from .audit import FaultAuditError, audit_mac, audit_macs
+from .audit import FaultAuditError, audit_macs
 from .injector import FaultEvent, FaultInjector, FaultReport
 from .plan import (
     ClockFault,
@@ -31,6 +31,5 @@ __all__ = [
     "ModemOutage",
     "NodeCrash",
     "NoiseBurst",
-    "audit_mac",
     "audit_macs",
 ]

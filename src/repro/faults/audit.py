@@ -35,11 +35,6 @@ class FaultAuditError(RuntimeError):
         )
 
 
-def audit_mac(mac: "SlottedMac") -> List[str]:
-    """Invariant violations for one MAC (empty list = clean)."""
-    return mac.audit_pending_state()
-
-
 def audit_macs(macs: Iterable["SlottedMac"]) -> List[str]:
     """Aggregate invariant violations across a whole scenario's MACs."""
     violations: List[str] = []

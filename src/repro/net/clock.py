@@ -29,10 +29,6 @@ class NodeClock:
         #: can settle them on the old timeline first.
         self.before_fault: Optional[Callable[[], None]] = None
 
-    @property
-    def perfect(self) -> bool:
-        return self.offset_s == 0.0 and self.drift_ppm == 0.0
-
     def now(self) -> float:
         """Current local time."""
         return self.to_local(self.sim.now)

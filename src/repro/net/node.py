@@ -175,10 +175,6 @@ class Node:
         """Head-of-line request without removing it."""
         return self.queue[0] if self.queue else None
 
-    def pop_request(self) -> DataRequest:
-        """Remove and return the head-of-line request."""
-        return self.queue.popleft()
-
     def pending_for(self, dst: int) -> Optional[DataRequest]:
         """First queued request destined to ``dst`` (ROPA reverse traffic)."""
         for request in self.queue:

@@ -186,9 +186,6 @@ class AcousticChannel:
         """Current position of a registered node."""
         return self._members[node_id][1]()
 
-    def modem_of(self, node_id: int) -> AcousticModem:
-        return self._members[node_id][0]
-
     def _link(self, a: int, b: int) -> Link:
         """The directed pair's link state, served by ``a``'s fresh row."""
         kernel = self.kernel

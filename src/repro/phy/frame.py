@@ -52,10 +52,6 @@ class FrameType(Enum):
         return self not in (FrameType.DATA, FrameType.EXDATA)
 
     @property
-    def is_data(self) -> bool:
-        return self in (FrameType.DATA, FrameType.EXDATA)
-
-    @property
     def is_extra(self) -> bool:
         """True for EW-MAC extra-communication frames (sent off slot start)."""
         return self in (FrameType.EXR, FrameType.EXC, FrameType.EXDATA, FrameType.EXACK)

@@ -34,10 +34,10 @@ from typing import List, Optional
 import numpy as np
 
 from ..acoustic.geometry import Position
+from ..phy.channel import DEFAULT_RANGE_M
 
 #: Paper Table 2: 1000 km^3 volume, modelled as a 10 x 10 x 10 km cube.
 DEFAULT_SIDE_M = 10_000.0
-DEFAULT_RANGE_M = 1500.0
 #: Reference node count for the density scaling (paper's default n).
 REFERENCE_NODE_COUNT = 60
 
@@ -63,9 +63,6 @@ class DeploymentConfig:
     comm_range_m: float = DEFAULT_RANGE_M
     seed: int = 0
 
-    def volume_km3(self) -> float:
-        return (self.side_x_m * self.side_y_m * self.depth_m) / 1e9
-
 
 @dataclass
 class Deployment:
@@ -77,10 +74,6 @@ class Deployment:
     config: DeploymentConfig
     positions: List[Position]
     sink_ids: List[int]
-
-    @property
-    def sensor_ids(self) -> List[int]:
-        return [i for i in range(len(self.positions)) if i not in set(self.sink_ids)]
 
     @property
     def n_nodes(self) -> int:
@@ -112,20 +105,6 @@ class Deployment:
                 if j > i:
                     distances.append(origin.distance_to(self.positions[j]))
         return float(np.mean(distances)) if distances else 0.0
-
-    def is_connected(self) -> bool:
-        """True if every sensor can reach some sink over in-range hops."""
-        if not self.sink_ids:
-            return False
-        reachable = set(self.sink_ids)
-        frontier = list(self.sink_ids)
-        while frontier:
-            current = frontier.pop()
-            for other in self.neighbors_of(current):
-                if other not in reachable:
-                    reachable.add(other)
-                    frontier.append(other)
-        return len(reachable) == self.n_nodes
 
 
 def _sink_positions(config: DeploymentConfig, rng: np.random.Generator) -> List[Position]:

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from repro.acoustic import sinr
-from repro.acoustic.geometry import Position, bounding_box
+from repro.acoustic.geometry import Position
 from repro.acoustic.sinr import LinkBudget
 from repro.des.simulator import Simulator
 from repro.phy.channel import AcousticChannel
 from repro.phy.frame import data_frame
 from repro.phy.modem import Arrival, RxOutcome
+from tests.helpers import modem_of
 
 
 class TestGeometry:
@@ -22,11 +23,6 @@ class TestGeometry:
         assert a.distance_to(b) == pytest.approx(5.0)
         assert a.distance_to(b) == b.distance_to(a)
 
-    def test_horizontal_distance_ignores_depth(self):
-        a = Position(0, 0, 0)
-        b = Position(3, 4, 1000)
-        assert a.horizontal_distance_to(b) == pytest.approx(5.0)
-
     def test_clamped(self):
         p = Position(-5, 50, 200).clamped((0, 10), (0, 10), (0, 100))
         assert (p.x, p.y, p.z) == (0, 10, 100)
@@ -34,16 +30,8 @@ class TestGeometry:
     def test_midpoint_and_translate(self):
         a = Position(0, 0, 0)
         b = Position(2, 4, 6)
-        assert a.midpoint(b).as_tuple() == (1, 2, 3)
+        assert dataclasses.astuple(a.midpoint(b)) == (1, 2, 3)
         assert a.translated(dz=5).z == 5
-
-    def test_bounding_box(self):
-        box = bounding_box([Position(0, 1, 2), Position(3, -1, 5)])
-        assert box == ((0, 3), (-1, 1), (2, 5))
-
-    def test_bounding_box_empty_raises(self):
-        with pytest.raises(ValueError):
-            bounding_box([])
 
 
 #: Exact floats of the fixed link budget, recorded before its inputs
@@ -181,7 +169,7 @@ def _channel_pair(distance_m, **channel_kwargs):
 def _decode_alone(sinr_db):
     """Decode one interference-free arrival received at ``sinr_db``."""
     sim, channel = _channel_pair(1000.0)
-    rx = channel.modem_of(1)
+    rx = modem_of(channel, 1)
     level = sinr_db + channel.link_budget.noise_level_db()
     outcomes = []
     rx.on_receive = lambda frame, arrival: outcomes.append(RxOutcome.OK)
@@ -220,11 +208,11 @@ class TestPerModels:
             sim, channel = _channel_pair(
                 distance_m, max_range_m=range_m, interference_range_factor=3.0
             )
-            rx = channel.modem_of(1)
+            rx = modem_of(channel, 1)
             outcomes = []
             rx.on_receive = lambda frame, arrival: outcomes.append("ok")
             rx.on_rx_failure = lambda arrival, outcome: outcomes.append(outcome)
-            sim.schedule(0.0, channel.modem_of(0).transmit, data_frame(0, 1, 0.0))
+            sim.schedule(0.0, modem_of(channel, 0).transmit, data_frame(0, 1, 0.0))
             sim.run()
             assert outcomes == [expected]
 

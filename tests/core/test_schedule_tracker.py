@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.ewmac.schedule import NeighborScheduleTracker, ProtectedInterval
+from tests.helpers import total_windows, tracked_neighbors, windows_of
 
 
 @pytest.fixture
@@ -12,22 +13,22 @@ def tracker():
 
 def test_protect_and_query(tracker):
     tracker.protect(1, 10.0, 12.0, "data-rx")
-    windows = tracker.windows_of(1)
+    windows = windows_of(tracker, 1)
     assert len(windows) == 1
     assert windows[0].reason == "data-rx"
-    assert tracker.tracked_neighbors() == [1]
-    assert tracker.total_windows() == 1
+    assert tracked_neighbors(tracker) == [1]
+    assert total_windows(tracker) == 1
 
 
 def test_own_windows_ignored(tracker):
     tracker.protect(0, 10.0, 12.0)
-    assert tracker.total_windows() == 0
+    assert total_windows(tracker) == 0
 
 
 def test_empty_or_inverted_interval_ignored(tracker):
     tracker.protect(1, 5.0, 5.0)
     tracker.protect(1, 6.0, 4.0)
-    assert tracker.total_windows() == 0
+    assert total_windows(tracker) == 0
 
 
 def test_send_hitting_window_is_unsafe(tracker):
@@ -85,8 +86,8 @@ def test_purge_drops_past_windows(tracker):
     tracker.protect(1, 30.0, 31.0)
     tracker.protect(2, 5.0, 6.0)
     tracker.purge(now=20.0)
-    assert tracker.tracked_neighbors() == [1]
-    assert tracker.total_windows() == 1
+    assert tracked_neighbors(tracker) == [1]
+    assert total_windows(tracker) == 1
 
 
 def test_negative_duration_rejected(tracker):

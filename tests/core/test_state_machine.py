@@ -8,6 +8,7 @@ from repro.core.ewmac.states import (
     Fig3StateMachine,
     InvalidTransition,
 )
+from tests.helpers import reachable_states
 
 
 def test_all_nine_states_exist():
@@ -15,7 +16,7 @@ def test_all_nine_states_exist():
 
 
 def test_all_states_reachable_from_idle():
-    assert Fig3StateMachine.reachable_states() == frozenset(EwState)
+    assert reachable_states() == frozenset(EwState)
 
 
 def test_initial_state_is_idle():

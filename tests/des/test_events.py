@@ -5,6 +5,7 @@ import pytest
 from repro.des.errors import EventStateError
 from repro.des.events import PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL
 from repro.des.simulator import Simulator
+from tests.helpers import pending_events
 
 
 def test_pop_orders_by_time():
@@ -51,12 +52,12 @@ def test_cancel_fired_event_raises():
 def test_len_tracks_live_events():
     sim = Simulator()
     events = [sim.schedule_at(float(i), lambda: None) for i in range(10)]
-    assert sim.pending_events == 10
+    assert pending_events(sim) == 10
     for event in events[:4]:
         sim.cancel(event)
-    assert sim.pending_events == 6
+    assert pending_events(sim) == 6
     sim.run(until=4.0)
-    assert sim.pending_events == 5
+    assert pending_events(sim) == 5
 
 
 def test_compaction_keeps_pending_events():
@@ -69,7 +70,7 @@ def test_compaction_keeps_pending_events():
         victims = [sim.schedule_at(float(i), lambda: None) for i in range(50)]
         for v in victims:
             sim.cancel(v)
-    assert sim.pending_events == 10
+    assert pending_events(sim) == 10
     sim.run()
     assert times == sorted(e.time for e in keepers)
 
@@ -135,8 +136,8 @@ class TestPushBulk:
     def test_live_count_and_empty_batch(self):
         sim = Simulator()
         sim.push_bulk([], [], [])
-        assert sim.pending_events == 0
+        assert pending_events(sim) == 0
         sim.push_bulk([1.0, 2.0, 3.0], [lambda x: None] * 3, [(0,), (1,), (2,)])
-        assert sim.pending_events == 3
+        assert pending_events(sim) == 3
         sim.run(until=1.0)
-        assert sim.pending_events == 2
+        assert pending_events(sim) == 2

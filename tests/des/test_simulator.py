@@ -6,6 +6,7 @@ import pytest
 
 from repro.des.errors import SchedulingError, WallClockExceeded
 from repro.des.simulator import Simulator
+from tests.helpers import pending_events
 
 
 def test_run_advances_clock_in_event_order():
@@ -72,7 +73,7 @@ def test_cancel_via_simulator_prevents_firing():
     sim.cancel(None)  # no-op
     sim.run()
     assert fired == []
-    assert sim.pending_events == 0
+    assert pending_events(sim) == 0
 
 
 def test_heap_compaction_mid_run_keeps_later_events():
@@ -89,7 +90,7 @@ def test_heap_compaction_mid_run_keeps_later_events():
     sim.run()
     assert fired == ["after"]
     assert sim.now == 2.0
-    assert sim.pending_events == 0
+    assert pending_events(sim) == 0
 
 
 def test_cancelled_head_event_neither_fires_nor_counts():
@@ -99,7 +100,7 @@ def test_cancelled_head_event_neither_fires_nor_counts():
     sim.schedule(2.0, seen.append, 2)
     sim.cancel(first)
     sim.run(until=1.5)
-    assert seen == [] and sim.pending_events == 1
+    assert seen == [] and pending_events(sim) == 1
     assert sim.run() == 2.0
     assert seen == [2]
     assert sim.events_processed == 1
@@ -219,4 +220,4 @@ def test_take_seq_reserves_a_queue_position_without_an_event():
     reserved = sim.take_seq()
     second = sim.schedule(1.0, lambda: None)
     assert first.seq < reserved < second.seq
-    assert sim.pending_events == 2
+    assert pending_events(sim) == 2

@@ -9,7 +9,6 @@ from repro.energy.model import (
     IDLE_W,
     RX_W,
     TX_W,
-    EnergyReport,
     network_energy,
     node_energy_j,
 )
@@ -110,10 +109,4 @@ def test_network_energy_aggregates():
     assert report.total_j == pytest.approx(3 * IDLE_W * 50)
     assert report.per_node_j == [node_energy_j(mac, 50.0) for mac in macs]
     assert report.average_power_mw == pytest.approx(3 * IDLE_W * 1000.0)
-    assert report.mean_node_power_mw == pytest.approx(IDLE_W * 1000.0)
     assert len(report.per_node_j) == 3
-
-
-def test_empty_report_mean():
-    report = EnergyReport(total_j=0.0, duration_s=10.0, per_node_j=[])
-    assert report.mean_node_power_mw == 0.0

@@ -20,7 +20,7 @@ def _grid_dicts(grid):
 class TestClockSkewInjection:
     def test_zero_skew_gives_perfect_clocks(self):
         scenario = Scenario(table2_config(n_sensors=10, sim_time_s=10.0))
-        assert all(n.clock.perfect for n in scenario.nodes)
+        assert all((n.clock.offset_s, n.clock.drift_ppm) == (0.0, 0.0) for n in scenario.nodes)
 
     def test_skew_offsets_are_injected(self):
         scenario = Scenario(

@@ -61,6 +61,24 @@ def test_unknown_override_field_exits_2(tmp_path):
     assert "unknown config override" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        # An int field given a float: every cell would fail to build.
+        ("n_sensors=6.5", "n_sensors must be an int, got 6.5"),
+        # The fault plan is data, not a scalar: no override reaches it.
+        ("faults=x", "faults takes no override"),
+        # A truthy string would have run *with* mobility.
+        ("mobility=no", "mobility must be a bool, got 'no'"),
+    ],
+)
+def test_override_of_the_wrong_type_exits_2(tmp_path, pair, message):
+    result = _run_cli("fig6", "--quick", "--no-cache", "--override", pair, cwd=tmp_path)
+    assert result.returncode == 2
+    assert f"bad config override: {message}" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_malformed_override_exits_2(tmp_path):
     result = _run_cli("fig6", "--quick", "--override", "oops", cwd=tmp_path)
     assert result.returncode == 2

@@ -6,17 +6,20 @@ import pytest
 
 from repro.experiments.config import TABLE2, ScenarioConfig, table2_config
 from repro.experiments.scenario import Scenario, run_scenario
+from repro.phy.frame import CONTROL_PACKET_BITS
+from tests.helpers import is_connected, unforwarded_scenario
 
 
 class TestConfig:
     def test_defaults_match_table2(self):
         config = table2_config()
+        channel = Scenario(config).channel
         assert config.n_sensors == TABLE2["number_of_sensors"] == 60
-        assert config.bitrate_bps == TABLE2["bandwidth_kbps"] * 1000
-        assert config.comm_range_m == TABLE2["communication_range_km"] * 1000
-        assert config.sound_speed_mps == TABLE2["acoustic_speed_km_s"] * 1000
+        assert channel.bitrate_bps == TABLE2["bandwidth_kbps"] * 1000
+        assert channel.max_range_m == TABLE2["communication_range_km"] * 1000
+        assert channel.sound_speed_mps == TABLE2["acoustic_speed_km_s"] * 1000
         assert config.sim_time_s == TABLE2["simulation_time_s"]
-        assert config.control_bits == TABLE2["control_packet_bits"]
+        assert CONTROL_PACKET_BITS == TABLE2["control_packet_bits"]
         assert config.data_packet_bits == TABLE2["data_packet_bits_default"]
         lo, hi = TABLE2["data_packet_bits_range"]
         assert lo <= config.data_packet_bits <= hi
@@ -31,19 +34,20 @@ class TestConfig:
         assert timing.omega_s == pytest.approx(64 / 12_000)
         assert timing.slot_s == pytest.approx(1.0 + 64 / 12_000)
 
-    def test_slot_parameters_follow_the_config(self):
-        config = table2_config(bitrate_bps=6000.0, comm_range_m=3000.0)
-        timing = Scenario(config).timing
-        assert timing.omega_s == 64 / 6000.0
-        assert timing.tau_max_s == 3000.0 / 1500.0
+    def test_slots_channel_and_deployment_share_the_link(self):
+        scenario = Scenario(table2_config(n_sensors=20))
+        channel, timing = scenario.channel, scenario.timing
+        assert timing.omega_s == CONTROL_PACKET_BITS / channel.bitrate_bps
+        assert timing.tau_max_s == channel.max_range_m / channel.sound_speed_mps
+        assert scenario.deployment.config.comm_range_m == channel.max_range_m
 
-    def test_arrivals_travel_at_the_configured_sound_speed(self):
-        # Slots are sized for the configured speed; the channel must
+    def test_arrivals_travel_at_the_slot_sound_speed(self):
+        # Slots are sized for the channel's speed; the channel must
         # propagate at that same speed, or a neighbour's delay can exceed
         # the tau_max every slot is built from.
-        scenario = Scenario(table2_config(sound_speed_mps=1000.0))
+        scenario = Scenario(table2_config())
         channel, timing = scenario.channel, scenario.timing
-        assert timing.tau_max_s == 1.5
+        assert timing.tau_max_s == 1.0
         pairs = [
             (node.node_id, other)
             for node in scenario.nodes
@@ -51,7 +55,7 @@ class TestConfig:
         ]
         assert pairs
         for a, b in pairs:
-            assert channel.propagation_delay_s(a, b) == channel.distance_m(a, b) / 1000.0
+            assert channel.propagation_delay_s(a, b) == channel.distance_m(a, b) / 1500.0
             assert channel.propagation_delay_s(a, b) <= timing.tau_max_s
 
     def test_with_overrides(self):
@@ -80,7 +84,7 @@ class TestScenario:
         assert len(scenario.nodes) == 16  # 15 sensors + 1 sink
         assert len(scenario.macs) == 16
         assert scenario.nodes[0].is_sink
-        assert scenario.deployment.is_connected()
+        assert is_connected(scenario.deployment)
 
     @pytest.mark.parametrize("protocol", ["S-FAMA", "ROPA", "CS-MAC", "EW-MAC"])
     def test_every_protocol_runs_and_carries_traffic(self, protocol):
@@ -117,9 +121,9 @@ class TestScenario:
         scenario_sink_delivered = result.throughput.total_bits
         assert scenario_sink_delivered > 0
 
-    def test_forwarding_can_be_disabled(self):
-        with_fw = run_scenario(self._quick(sim_time_s=80.0, forwarding=True))
-        without_fw = run_scenario(self._quick(sim_time_s=80.0, forwarding=False))
+    def test_forwarding_adds_receptions(self):
+        with_fw = run_scenario(self._quick(sim_time_s=80.0))
+        without_fw = unforwarded_scenario(self._quick(sim_time_s=80.0)).run_steady_state()
         # multi-hop relaying multiplies MAC-level receptions (Eq. 2)
         assert with_fw.throughput.total_bits >= without_fw.throughput.total_bits
 

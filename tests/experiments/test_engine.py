@@ -184,10 +184,62 @@ def test_apply_overrides_validates_fields():
     assert apply_overrides(base, None) is base
     small = apply_overrides(base, {"n_sensors": 6})
     assert small.n_sensors == 6
-    with pytest.raises(EngineError, match="unknown config override"):
-        apply_overrides(base, {"bogus_field": 1})
     with pytest.raises(EngineError, match="bad config override"):
         apply_overrides(base, {"n_sensors": -5})
+
+
+# The link constants, Node's queue default and the test-side oracles
+# (forwarding, tracing, clock drift) are not config fields.
+@pytest.mark.parametrize(
+    "name",
+    [
+        "bogus_field", "bitrate_bps", "comm_range_m", "sound_speed_mps", "control_bits",
+        "queue_limit", "forwarding", "trace", "clock_drift_ppm_std",
+    ],
+)
+def test_apply_overrides_rejects_unknown_fields(name):
+    from repro.experiments.config import table2_config
+
+    with pytest.raises(EngineError, match="unknown config override"):
+        apply_overrides(table2_config(), {name: 1})
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("n_sensors", 6.5),
+        ("n_sensors", True),
+        ("seed", "1"),
+        ("mobility", "no"),
+        ("mobility", 1),
+        ("sim_time_s", "3"),
+        ("sim_time_s", False),
+        ("protocol", 3),
+        ("max_retries", 2.0),
+        ("faults", "x"),
+        ("faults", None),
+    ],
+)
+def test_apply_overrides_checks_the_default_type(name, value):
+    from repro.experiments.config import table2_config
+
+    with pytest.raises(EngineError, match=f"bad config override: {name} "):
+        apply_overrides(table2_config(), {name: value})
+
+
+def test_apply_overrides_widens_ints_to_float_fields():
+    from repro.experiments.config import table2_config
+
+    base = table2_config()
+    config = apply_overrides(base, {"sim_time_s": 3, "max_retries": None, "seed": 4})
+    assert config.sim_time_s == 3.0 and type(config.sim_time_s) is float
+    assert config.max_retries is None and config.seed == 4
+    assert apply_overrides(base, {"max_retries": 2}).max_retries == 2
+    unset = SweepRequest.from_dict({"target": "fig6", "overrides": {"max_retries": None}})
+    assert request_key(unset) == request_key(SweepRequest("fig6"))
+    ints = SweepRequest.from_dict({"target": "fig6", "overrides": {"sim_time_s": 3}})
+    floats = SweepRequest.from_dict({"target": "fig6", "overrides": {"sim_time_s": 3.0}})
+    assert request_key(ints) == request_key(floats)
 
 
 @pytest.mark.parametrize(
@@ -196,26 +248,27 @@ def test_apply_overrides_validates_fields():
         ("sim_time_s", float("inf")),
         ("sim_time_s", float("nan")),
         ("sim_time_s", 0.0),
-        ("bitrate_bps", 0),
-        ("bitrate_bps", float("inf")),
-        ("comm_range_m", -1),
-        ("comm_range_m", float("nan")),
-        ("sound_speed_mps", 0.0),
-        ("sound_speed_mps", float("inf")),
+        ("sim_time_s", -1),
+        ("side_m", 0),
+        ("side_m", float("nan")),
         ("side_m", -10.0),
         ("side_m", float("inf")),
         ("warmup_s", -1.0),
         ("warmup_s", float("inf")),
+        ("warmup_s", float("nan")),
+        ("offered_load_kbps", float("inf")),
         ("offered_load_kbps", -0.1),
         ("offered_load_kbps", float("nan")),
         ("interference_range_factor", 0.5),
         ("interference_range_factor", float("inf")),
         ("interference_range_factor", float("nan")),
+        ("interference_range_factor", -1),
+        pytest.param("sim_time_s", 10**400, id="sim_time_s-int_past_float"),
     ],
 )
 def test_apply_overrides_rejects_values_that_break_a_run(name, value):
-    # An infinite or NaN window never finishes, and channel-level values
-    # would only fail once each queued cell builds its channel.
+    # An infinite or NaN window never finishes, and a bad geometry or load
+    # would only fail once each queued cell builds its scenario.
     from repro.experiments.config import table2_config
 
     with pytest.raises(EngineError, match=f"bad config override: {name}"):

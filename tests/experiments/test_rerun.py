@@ -59,15 +59,15 @@ class TestBitIdentity:
         assert result.to_dict() == plain.to_dict()
         assert result.perf.events == plain.perf.events
 
-    @pytest.mark.parametrize("speed", [1500.0, 1000.0])
-    def test_rerun_of_a_table2_cell_is_bit_identical(self, speed):
+    @pytest.mark.parametrize("factor", [2.0, 3.0])
+    def test_rerun_of_a_table2_cell_is_bit_identical(self, factor):
         # A full 60-node cell, cut 70% of the way through its events: the
-        # rerun's channel propagates at the configured speed again.
-        config = table2_config(sim_time_s=40.0, seed=3, sound_speed_mps=speed)
+        # rerun's channel reaches the configured interference range again.
+        config = table2_config(sim_time_s=40.0, seed=3, interference_range_factor=factor)
         clean = Scenario(config).run_steady_state()
         abort_attempt(config, clean.perf.events * 7 // 10)
         rerun = Scenario(config)
-        assert rerun.channel.sound_speed_mps == speed
+        assert rerun.channel.interference_range_factor == factor
         assert rerun.run_steady_state().to_dict() == clean.to_dict()
 
     def test_rerun_after_abort_with_unsettled_arrivals_is_bit_identical(self):

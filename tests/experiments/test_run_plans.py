@@ -8,11 +8,18 @@ one pool, and hand each plan the grid it would have had on its own.
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 
 import repro.experiments.parallel as parallel_mod
-from repro.experiments.engine import SweepRequest, observe_sweeps, run_plans, run_request
+from repro.experiments.engine import (
+    PAPER_PROTOCOLS,
+    SweepRequest,
+    observe_sweeps,
+    run_plans,
+    run_request,
+)
 from repro.experiments.figures import ALL_PLANS
 from repro.experiments.parallel import execute_cell, expand_cells
 from repro.experiments.scenario import Scenario
@@ -99,11 +106,42 @@ def test_failing_shared_cell_fails_once_and_empties_both_buckets(monkeypatch):
     ]
     with observe_sweeps() as observer:
         outcomes = run_plans(grid_plans)
-    assert [f.cell.label for f in observer.failures] == ["EW-MAC x=0.6 seed=1"]
+    assert [f.cell.label for f in observer.failures] == [
+        "EW-MAC fig6 x=0.6, fig11 x=0.6 seed=1"
+    ]
     for outcome in outcomes:
         grid = outcome.figure
         assert grid[(0.6, "EW-MAC")] == []
         assert all(len(bucket) == 1 for key, bucket in grid.items() if key != (0.6, "EW-MAC"))
+
+
+def test_shared_cell_names_every_plan_it_serves(monkeypatch):
+    """Quick Fig. 7's n=100 cells are Fig. 10b's 0.8 kbps cells.
+
+    Each such cell's progress lines and failure name both plans' points;
+    every other cell keeps its one-plan ``protocol x=.. seed=..`` label.
+    """
+
+    def failing(cell, *args):
+        raise RuntimeError("cell blew up")
+
+    monkeypatch.setattr(parallel_mod, "execute_cell", failing)
+    plans = [
+        dataclasses.replace(ALL_PLANS[target](quick=True), build=lambda grid: grid, summarize=None)
+        for target in ("fig7", "fig10b")
+    ]
+    lines = []
+    with observe_sweeps() as observer:
+        run_plans(plans, progress=lines.append)
+    labels = [failure.cell.label for failure in observer.failures]
+    assert len(labels) == len(_cell_set(plans)) < sum(plan.n_cells for plan in plans)
+    shared = [label for label in labels if ", " in label]
+    assert shared == [
+        f"{protocol} fig7 x=100, fig10b x=0.8 seed=1" for protocol in PAPER_PROTOCOLS
+    ]
+    assert all(re.fullmatch(r"\S+ x=\S+ seed=\d+", label) for label in labels if label not in shared)
+    for label in shared:
+        assert f"{label} failed permanently (RuntimeError: cell blew up); continuing" in lines
 
 
 def test_build_error_stays_in_its_plans_outcome():

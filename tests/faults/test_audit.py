@@ -15,7 +15,7 @@ import pytest
 from repro.experiments.chaos import CHAOS_PROTOCOLS, chaos_plan
 from repro.experiments.config import table2_config
 from repro.experiments.scenario import run_scenario
-from repro.faults.audit import FaultAuditError, audit_mac, audit_macs
+from repro.faults.audit import FaultAuditError, audit_macs
 from repro.faults.plan import CrashWave, FaultPlan
 from repro.mac.base import MacState
 from repro.mac.registry import get_protocol
@@ -48,12 +48,12 @@ class TestAuditMechanics:
     def test_unstarted_mac_is_exempt(self):
         _, mac = build_mac()
         mac.state = MacState.WAIT_CTS  # never started: frozen state is fine
-        assert audit_mac(mac) == []
+        assert mac.audit_pending_state() == []
 
     def test_dead_mac_is_exempt(self):
         _, mac = build_mac()
         mac.node.fail()
-        assert audit_mac(mac) == []
+        assert mac.audit_pending_state() == []
 
     def test_dead_slot_engine_reported_first(self):
         sim, mac = build_mac()
@@ -62,7 +62,7 @@ class TestAuditMechanics:
         sim.run(until=10.0)
         assert mac._sleep is None
         mac.sim.cancel(mac._slot_event)
-        violations = audit_mac(mac)
+        violations = mac.audit_pending_state()
         assert violations == [f"{mac.name} node 0: slot engine not running"]
 
     @pytest.mark.parametrize("protocol", ["S-FAMA", "EW-MAC", "ROPA", "CS-MAC"])
@@ -73,7 +73,7 @@ class TestAuditMechanics:
         assert mac._sleep is not None
         # A protocol with maintenance sleeps with its maintenance tick armed.
         assert (mac._slot_event is not None) == (mac.maintenance_period_s is not None)
-        assert audit_mac(mac) == []
+        assert mac.audit_pending_state() == []
 
     @pytest.mark.parametrize("protocol", ["ROPA", "CS-MAC"])
     def test_sleep_without_a_maintenance_wake_reported(self, protocol):
@@ -81,7 +81,7 @@ class TestAuditMechanics:
         mac.start()
         sim.run(until=10.0)
         mac.sim.cancel(mac._slot_event)
-        assert audit_mac(mac) == [
+        assert mac.audit_pending_state() == [
             f"{mac.name} node 0: asleep without a maintenance wake"
         ]
 
@@ -90,7 +90,7 @@ class TestAuditMechanics:
         mac.start()
         sim.run(until=10.0)
         mac.node.queue.append(DataRequest(1, 1024, sim.now))  # no wake-up call
-        assert audit_mac(mac) == [f"{mac.name} node 0: asleep with slot work due"]
+        assert mac.audit_pending_state() == [f"{mac.name} node 0: asleep with slot work due"]
 
     @pytest.mark.parametrize(
         "state, expect",
@@ -106,7 +106,7 @@ class TestAuditMechanics:
         mac.start()
         sim.run(until=10.0)
         mac.state = state  # wedge it: no escape event was scheduled
-        violations = audit_mac(mac)
+        violations = mac.audit_pending_state()
         assert len(violations) == 1
         assert expect in violations[0]
 
@@ -116,7 +116,7 @@ class TestAuditMechanics:
         sim.run(until=10.0)
         mac.state = MacState.WAIT_CTS
         mac._cts_timeout = sim.schedule(5.0, lambda: None)
-        assert audit_mac(mac) == []
+        assert mac.audit_pending_state() == []
 
     def test_audit_macs_aggregates(self):
         sim, mac = build_mac()
@@ -142,7 +142,7 @@ class TestRestartCleansState:
         mac.restart()  # ...then the crash/recover path
         sim.run(until=20.0)
         assert mac.state is MacState.IDLE
-        assert audit_mac(mac) == []
+        assert mac.audit_pending_state() == []
 
 
 class TestAcceptanceScenario:

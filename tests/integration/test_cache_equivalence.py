@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+import repro.experiments.scenario as scenario_module
 from repro.acoustic.geometry import Position
 from repro.des.simulator import Simulator
 from repro.experiments.chaos import chaos_plan
@@ -19,6 +20,7 @@ from repro.experiments.config import table2_config
 from repro.experiments.scenario import Scenario, run_scenario
 from repro.phy.channel import AcousticChannel
 from repro.phy.frame import FrameType, control_frame
+from tests.helpers import modem_of
 from tests.reference_channel import ReferenceChannel
 
 
@@ -89,15 +91,16 @@ class TestVariantEquivalence:
         assert _flat(cached) == _flat(uncached)
 
     @pytest.mark.parametrize("speed", [1000.0, 1700.0])
-    def test_sound_speed_identical(self, run_pair, speed):
-        # The kernel divides every cached distance by the configured speed;
-        # the scalar scan divides each pair's fresh distance by it.
+    def test_sound_speed_identical(self, run_pair, monkeypatch, speed):
+        # The kernel divides every cached distance by the channel's speed;
+        # the scalar scan divides each pair's fresh distance by it.  The
+        # speed is a constant of the scenario, swapped here for another.
+        monkeypatch.setattr(scenario_module, "DEFAULT_SOUND_SPEED_MPS", speed)
         config = table2_config(
             sim_time_s=30.0,
             offered_load_kbps=0.8,
             seed=13,
             mobility=True,
-            sound_speed_mps=speed,
         )
         cached, uncached = run_pair(config)
         assert _flat(cached) == _flat(uncached)
@@ -160,7 +163,7 @@ class TestChannelLevelEquivalence:
                 for tx in (0, 1, 2):
                     sim.schedule(
                         t + 3.0 * tx,
-                        channel.modem_of(tx).transmit,
+                        modem_of(channel, tx).transmit,
                         control_frame(FrameType.RTS, tx, (tx + 1) % 4, timestamp=t),
                     )
                 sim.schedule(t + 9.0, move, position)

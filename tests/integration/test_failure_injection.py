@@ -8,6 +8,7 @@ timeouts clean up exchanges that died with a peer.
 import pytest
 
 from repro.experiments import Scenario, table2_config
+from tests.helpers import sensor_ids
 
 
 def build(protocol="EW-MAC", **kw):
@@ -83,7 +84,7 @@ def test_routing_recovers_alternative_path():
     scenario = build()
     # find a node with at least two shallower neighbours
     routing = scenario.routing
-    for node_id in scenario.deployment.sensor_ids:
+    for node_id in sensor_ids(scenario.deployment):
         first = routing.next_hop(node_id)
         if first is None or first == scenario.deployment.sink_ids[0]:
             continue
@@ -99,7 +100,7 @@ def test_routing_recovers_alternative_path():
 def test_mass_failure_degrades_gracefully():
     """Half the sensors die at once; the simulation must not wedge."""
     scenario = build(n_sensors=30)
-    victims = [scenario.nodes[i] for i in scenario.deployment.sensor_ids[::2]]
+    victims = [scenario.nodes[i] for i in sensor_ids(scenario.deployment)[::2]]
 
     def massacre():
         for victim in victims:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import Scenario, table2_config
+from tests.helpers import pending_events, unforwarded_scenario
 
 
 def small(protocol, **kw):
@@ -17,7 +18,7 @@ def small(protocol, **kw):
 class TestProtocolInvariants:
     def test_conservation_of_packets(self, protocol):
         """acked + dropped + still-queued + in-flight == generated."""
-        scenario = Scenario(small(protocol, forwarding=False))
+        scenario = unforwarded_scenario(small(protocol))
         scenario.run_steady_state()
         generated = sum(n.app_stats.generated for n in scenario.nodes)
         acked = sum(n.app_stats.sent for n in scenario.nodes)
@@ -41,7 +42,7 @@ class TestProtocolInvariants:
 
     def test_acked_packets_were_received(self, protocol):
         """A sender's acked count never exceeds receivers' receptions."""
-        scenario = Scenario(small(protocol, forwarding=False))
+        scenario = unforwarded_scenario(small(protocol))
         scenario.run_steady_state()
         acked = sum(n.app_stats.sent for n in scenario.nodes)
         received = sum(
@@ -63,7 +64,7 @@ class TestProtocolInvariants:
         scenario = Scenario(small(protocol))
         scenario.run_steady_state()
         # the event queue must not accumulate unbounded garbage
-        assert scenario.sim.pending_events < 5000
+        assert pending_events(scenario.sim) < 5000
 
 
 class TestCrossProtocolComparisons:

@@ -20,6 +20,7 @@ from repro.experiments.scale import QUICK_NODES, scale_config
 from repro.experiments.scenario import run_scenario
 from repro.phy.channel import AcousticChannel
 from repro.phy.frame import FrameType, control_frame
+from tests.helpers import modem_of
 from tests.reference_channel import ReferenceChannel
 
 #: Production/reference result pairs by config: the grid and the bulk
@@ -173,7 +174,7 @@ class TestChannelLevelEquivalence:
             for t, tx in ((0.0, 0), (3.0, 1), (6.5, 2)):
                 sim.schedule(
                     t,
-                    channel.modem_of(tx).transmit,
+                    modem_of(channel, tx).transmit,
                     control_frame(FrameType.RTS, tx, (tx + 1) % 4, timestamp=t),
                 )
             if mobile:

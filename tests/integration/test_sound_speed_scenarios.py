@@ -1,19 +1,27 @@
-"""Integration: the configured sound speed drives full protocol runs.
+"""Integration: the scenario's one sound speed drives full protocol runs.
 
-Every MAC sizes its slots for ``ScenarioConfig.sound_speed_mps``
-(``tau_max = range / speed``), so the channel must propagate at that same
-speed.  Each MAC then learns, from the timestamps of the frames it
-decodes (paper Sec. 4.3), the delays of that speed.
+A scenario sizes its slots for its sound speed (``tau_max = range /
+speed``), and the channel must propagate at that same speed.  Each MAC
+then learns, from the timestamps of the frames it decodes (paper Sec.
+4.3), the delays of that speed.  The runs here swap the scenario's speed
+constant for a slower one, so a layer stuck at the nominal 1.5 km/s
+would show up in every learned delay.
 """
 
 import pytest
 
+import repro.experiments.scenario as scenario_module
 from repro.experiments.config import table2_config
 from repro.experiments.scenario import Scenario
 
-#: Slower than the paper's 1.5 km/s, so a channel stuck at the nominal
-#: speed would show up in every learned delay.
+#: Slower than the paper's 1.5 km/s.
 SLOW_WATER_MPS = 1000.0
+
+
+@pytest.fixture(autouse=True)
+def slow_water(monkeypatch):
+    """Build every scenario of this module at :data:`SLOW_WATER_MPS`."""
+    monkeypatch.setattr(scenario_module, "DEFAULT_SOUND_SPEED_MPS", SLOW_WATER_MPS)
 
 
 @pytest.mark.parametrize("protocol", ["S-FAMA", "ROPA", "CS-MAC", "EW-MAC", "ALOHA"])
@@ -24,13 +32,14 @@ def test_static_network_learns_the_configured_speed(protocol):
         sim_time_s=60.0,
         offered_load_kbps=0.8,
         mobility=False,
-        sound_speed_mps=SLOW_WATER_MPS,
         seed=5,
     )
     scenario = Scenario(config)
     result = scenario.run_steady_state()
     assert result.throughput.total_bits > 0
     channel = scenario.channel
+    assert channel.sound_speed_mps == SLOW_WATER_MPS
+    assert scenario.timing.tau_max_s == channel.max_range_m / SLOW_WATER_MPS
     checked = 0
     for node in scenario.nodes:
         for neighbor in node.neighbors.neighbors():
@@ -52,7 +61,6 @@ def test_two_hop_announcements_carry_the_configured_speed(protocol):
         sim_time_s=120.0,
         offered_load_kbps=0.4,
         mobility=False,
-        sound_speed_mps=SLOW_WATER_MPS,
         seed=5,
     )
     scenario = Scenario(config)
@@ -76,7 +84,6 @@ def test_ewmac_extras_fire_in_slow_water():
         n_sensors=30,
         sim_time_s=120.0,
         offered_load_kbps=0.8,
-        sound_speed_mps=SLOW_WATER_MPS,
         seed=3,
     )
     assert Scenario(config).run_steady_state().extra_completed > 0

@@ -9,7 +9,7 @@ from repro.net.clock import NodeClock
 def test_perfect_clock_tracks_simulator():
     sim = Simulator()
     clock = NodeClock(sim)
-    assert clock.perfect
+    assert (clock.offset_s, clock.drift_ppm) == (0.0, 0.0)
     sim.schedule(5.0, lambda: None)
     sim.run()
     assert clock.now() == sim.now == 5.0
@@ -18,7 +18,7 @@ def test_perfect_clock_tracks_simulator():
 def test_offset_shifts_local_time():
     sim = Simulator()
     clock = NodeClock(sim, offset_s=0.25)
-    assert not clock.perfect
+    assert clock.offset_s == 0.25
     assert clock.now() == pytest.approx(0.25)
     assert clock.to_true(0.25) == pytest.approx(0.0)
 

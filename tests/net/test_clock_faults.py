@@ -1,14 +1,16 @@
-"""Clock faults and the seeded per-node drift distribution (robustness).
+"""Clock faults, the scenario's seeded clock offsets, and drifted runs.
 
-Covers :meth:`NodeClock.apply_fault` and the ``clock_drift_ppm_std``
-scenario wiring: per-node drifts come from the same seeded ``"clocks"``
-stream as the offsets, the draw order (offset, then drift, per node) is a
-reproducibility contract, and the shipped distributions keep worst-case
-slot skew inside the grid's guard allowance.
+Covers :meth:`NodeClock.apply_fault` and the scenario's clock wiring:
+per-node offsets are drawn in node order from the seeded ``"clocks"``
+stream, and a zero std draws nothing.  Drift is not a scenario setting;
+the drifted-run tests give each built node's clock a seeded drift rate
+here, and check that worst-case slot skew stays inside the grid's guard
+allowance.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.des.simulator import Simulator
@@ -62,63 +64,73 @@ class TestApplyFault:
         assert clock.drift_ppm == 25.0
 
 
-def drift_config(**overrides):
+def clock_config(**overrides):
     defaults = dict(
         n_sensors=10,
         sim_time_s=20.0,
         side_m=3000.0,
         clock_offset_std_s=0.0005,
-        clock_drift_ppm_std=3.0,
     )
     defaults.update(overrides)
     return table2_config(**defaults)
 
 
-class TestScenarioDriftWiring:
-    def test_nonzero_std_draws_distinct_per_node_drifts(self):
-        scenario = Scenario(drift_config())
-        drifts = [node.clock.drift_ppm for node in scenario.nodes]
-        assert any(d != 0.0 for d in drifts)
-        assert len(set(drifts)) > 1  # per-node, not a single shared value
+def drifted_scenario(drift_ppm_std=3.0, **overrides):
+    """A clock-offset scenario whose nodes also drift, seeded per config."""
+    config = clock_config(**overrides)
+    scenario = Scenario(config)
+    rng = np.random.default_rng(config.seed)
+    for node in scenario.nodes:
+        node.clock.drift_ppm = float(rng.normal(0.0, drift_ppm_std))
+    return scenario
 
-    def test_same_seed_reproduces_the_clock_population(self):
-        first = Scenario(drift_config(seed=5))
-        second = Scenario(drift_config(seed=5))
-        assert [n.clock.drift_ppm for n in first.nodes] == [
-            n.clock.drift_ppm for n in second.nodes
-        ]
+
+class TestScenarioClockWiring:
+    def test_same_seed_reproduces_the_clock_offsets(self):
+        first = Scenario(clock_config(seed=5))
+        second = Scenario(clock_config(seed=5))
         assert [n.clock.offset_s for n in first.nodes] == [
             n.clock.offset_s for n in second.nodes
         ]
 
-    def test_zero_std_keeps_clocks_perfect(self):
-        scenario = Scenario(drift_config(clock_offset_std_s=0.0, clock_drift_ppm_std=0.0))
-        assert all(node.clock.perfect for node in scenario.nodes)
+    def test_zero_std_keeps_clocks_synchronized(self):
+        scenario = Scenario(clock_config(clock_offset_std_s=0.0))
+        assert all(
+            (node.clock.offset_s, node.clock.drift_ppm) == (0.0, 0.0)
+            for node in scenario.nodes
+        )
 
     def test_draw_order_contract(self):
-        """Offset draws first per node; a zero std consumes no RNG at all.
+        """One offset draw per node, in node order; a zero std draws none.
 
-        Draws interleave per node (offset_0, drift_0, offset_1, ...), so
-        the first node's offset must be identical whether or not drift is
-        enabled, and a drift-free config leaves every drift exactly 0.0
-        (no draw) — legacy configs consume the same stream as before the
-        drift field existed.
+        The scenario's clock offsets are the first draws of its seeded
+        ``"clocks"`` stream, and a synchronized config leaves that stream
+        untouched, so its next draw equals a fresh stream's first.
         """
-        without = Scenario(drift_config(clock_drift_ppm_std=0.0))
-        with_drift = Scenario(drift_config())
-        assert without.nodes[0].clock.offset_s == with_drift.nodes[0].clock.offset_s
-        assert all(n.clock.drift_ppm == 0.0 for n in without.nodes)
+        config = clock_config()
+        scenario = Scenario(config)
+        rng = Simulator(seed=config.seed).streams.get("clocks")
+        expected = [float(rng.normal(0.0, config.clock_offset_std_s)) for _ in scenario.nodes]
+        assert [n.clock.offset_s for n in scenario.nodes] == expected
+        assert all(n.clock.drift_ppm == 0.0 for n in scenario.nodes)
 
+        synced = Scenario(clock_config(clock_offset_std_s=0.0))
+        fresh = Simulator(seed=synced.config.seed).streams.get("clocks")
+        assert synced.sim.streams.get("clocks").random() == fresh.random()
+
+
+class TestDriftedScenario:
     def test_guard_time_accounting_holds_with_drift(self):
         """Worst-case slot skew over the horizon stays under omega.
 
         The slotted grid tolerates clock disagreement up to roughly the
         control-packet time omega before negotiated frames start missing
-        their slots entirely; the shipped drift/offset distributions must
+        their slots entirely; a 0.5 ms offset and 3 ppm drift spread must
         keep every node's |local - true| below that through the whole run.
         """
-        config = drift_config()
-        scenario = Scenario(config)
+        scenario = drifted_scenario()
+        assert any(node.clock.drift_ppm != 0.0 for node in scenario.nodes)
+        config = scenario.config
         horizon = config.warmup_s + config.sim_time_s
         worst = max(
             abs(node.clock.to_local(horizon) - horizon) for node in scenario.nodes
@@ -126,5 +138,5 @@ class TestScenarioDriftWiring:
         assert worst < scenario.timing.omega_s
 
     def test_drifted_scenario_runs_and_delivers(self):
-        result = Scenario(drift_config(sim_time_s=30.0)).run_steady_state()
+        result = drifted_scenario(sim_time_s=30.0).run_steady_state()
         assert result.throughput.total_bits > 0

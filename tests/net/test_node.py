@@ -19,7 +19,7 @@ def test_enqueue_and_pop(node):
     assert node.has_pending_data
     request = node.peek_request()
     assert request.dst == 1 and request.size_bits == 2048
-    assert node.pop_request() is request
+    assert node.queue.popleft() is request
     assert not node.has_pending_data
 
 
@@ -69,7 +69,7 @@ def test_remove_request_specific(node):
 
 def test_note_sent_updates_stats(sim, node):
     node.enqueue_data(1, 512)
-    request = node.pop_request()
+    request = node.queue.popleft()
     sim.schedule(4.0, lambda: None)
     sim.run()
     node.note_sent(request)

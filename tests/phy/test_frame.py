@@ -26,7 +26,7 @@ def test_data_frame_flags_extra():
     extra = data_frame(1, 2, 0.0, extra=True)
     assert normal.ftype is FrameType.DATA
     assert extra.ftype is FrameType.EXDATA
-    assert extra.ftype.is_extra and extra.ftype.is_data
+    assert extra.ftype.is_extra and not extra.ftype.is_control
 
 
 def test_data_frame_size_positive():
@@ -53,8 +53,8 @@ def test_describe_broadcast():
 
 
 def test_frame_type_classification():
-    assert FrameType.RTS.is_control and not FrameType.RTS.is_data
-    assert FrameType.EXDATA.is_data and FrameType.EXDATA.is_extra
-    assert FrameType.DATA.is_data and not FrameType.DATA.is_extra
+    assert FrameType.RTS.is_control
+    assert not FrameType.EXDATA.is_control and FrameType.EXDATA.is_extra
+    assert not FrameType.DATA.is_control and not FrameType.DATA.is_extra
     assert FrameType.EXR.is_control and FrameType.EXR.is_extra
     assert FrameType.NEIGH.is_control

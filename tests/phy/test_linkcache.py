@@ -8,6 +8,7 @@ from repro.net.node import Node
 from repro.perf import PerfReport
 from repro.phy.channel import AcousticChannel
 from repro.phy.frame import FrameType, control_frame
+from tests.helpers import modem_of
 from tests.reference_channel import ReferenceChannel
 
 
@@ -97,11 +98,11 @@ class TestNeighborSemantics:
         )
         assert channel.neighbors_of(0) == (1, 2)
         epoch = channel.kernel.total_epoch
-        channel.modem_of(1).enabled = False
+        modem_of(channel, 1).enabled = False
         # Liveness is read fresh: no invalidation needed, no stale neighbour.
         assert channel.kernel.total_epoch == epoch
         assert channel.neighbors_of(0) == (2,)
-        channel.modem_of(1).enabled = True
+        modem_of(channel, 1).enabled = True
         assert channel.neighbors_of(0) == (1, 2)
 
     def test_matches_uncached_neighbor_set(self):
@@ -124,11 +125,11 @@ class TestBroadcastThroughCache:
         for flag, channel_cls in ((True, AcousticChannel), (False, ReferenceChannel)):
             sim, channel, _ = build_channel(positions, channel_cls)
             seen = []
-            channel.modem_of(1).on_receive = lambda f, arr: seen.append(
+            modem_of(channel, 1).on_receive = lambda f, arr: seen.append(
                 (arr.start, arr.end, arr.level_db, arr.delay_s)
             )
             frame = control_frame(FrameType.RTS, 0, 1, timestamp=0.0)
-            sim.schedule(0.0, channel.modem_of(0).transmit, frame)
+            sim.schedule(0.0, modem_of(channel, 0).transmit, frame)
             sim.run()
             arrivals[flag] = (seen, channel.stats.deliveries, channel.stats.out_of_range_skips)
         assert arrivals[True] == arrivals[False]
@@ -137,7 +138,7 @@ class TestBroadcastThroughCache:
         sim, channel, _ = build_channel([Position(0, 0, 0), Position(1000, 0, 0)])
         for t in (0.0, 5.0):
             sim.schedule(
-                t, channel.modem_of(0).transmit,
+                t, modem_of(channel, 0).transmit,
                 control_frame(FrameType.RTS, 0, 1, timestamp=t),
             )
         sim.run()

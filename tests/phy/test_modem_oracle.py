@@ -15,10 +15,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.des.simulator as simulator_module
 import repro.phy.channel as channel_module
 from repro.acoustic.geometry import Position
 from repro.acoustic.sinr import LinkBudget
 from repro.des.simulator import Simulator
+from repro.des.trace import Tracer
 from repro.experiments.config import table2_config
 from repro.experiments.scenario import Scenario
 from repro.faults.injector import FaultInjector
@@ -56,9 +58,10 @@ CELLS = {
         dict(protocol="ALOHA", offered_load_kbps=1.5, mobility=True, seed=29),
         True,
     ),
-    # Slower water: delays, overlaps and slots at a non-nominal speed.
-    "sfama-slow-water": (
-        dict(protocol="S-FAMA", offered_load_kbps=1.0, sound_speed_mps=1000.0, seed=23),
+    # A wider interference reach: more distant interferers overlap each
+    # decode than at the default factor of 2.
+    "sfama-far-interference": (
+        dict(protocol="S-FAMA", offered_load_kbps=1.0, interference_range_factor=3.0, seed=23),
         False,
     ),
     # ROPA, so that every MAC runs through the oracle.
@@ -71,12 +74,17 @@ CELLS = {
         dict(protocol="EW-MAC", offered_load_kbps=1.0, seed=11, faults=CHAOS),
         False,
     ),
-    # Tracing on: settled failures are traced late, with their end time.
+    # Tracing on (see TRACED): settled failures are traced late, with
+    # their end time.
     "ewmac-traced": (
-        dict(protocol="EW-MAC", offered_load_kbps=0.8, seed=7, trace=True),
+        dict(protocol="EW-MAC", offered_load_kbps=0.8, seed=7),
         False,
     ),
 }
+
+#: Cells run with a recording :class:`Tracer` in place of the simulator's
+#: no-op tracer.
+TRACED = {"ewmac-traced"}
 
 OUTCOMES = ("rx_ok", "rx_ok_bits", "rx_half_duplex", "rx_collision", "rx_noise", "rx_outage")
 
@@ -116,6 +124,8 @@ def _run(config, patch, modem_cls):
 def test_production_matches_unpruned_reference(monkeypatch, cell):
     overrides, dense = CELLS[cell]
     config = table2_config(sim_time_s=30.0, **overrides)
+    if cell in TRACED:
+        monkeypatch.setattr(simulator_module, "NullTracer", Tracer)
     with monkeypatch.context() as patch:
         production, result, counts, decodes = _run(config, patch, AcousticModem)
     with monkeypatch.context() as patch:
@@ -137,7 +147,7 @@ def test_production_matches_unpruned_reference(monkeypatch, cell):
     assert len(decodes) < len(oracle_decodes)  # the shortcut was taken
     assert counts == oracle_counts
     assert result == oracle
-    if config.trace:
+    if cell in TRACED:
         by_why = {}
         for record in production.sim.trace.select("phy.rx_fail"):
             by_why[record.detail["why"]] = by_why.get(record.detail["why"], 0) + 1

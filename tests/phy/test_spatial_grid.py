@@ -14,6 +14,7 @@ import pytest
 from repro.acoustic.geometry import Position
 from repro.des.simulator import Simulator
 from repro.phy.channel import AcousticChannel
+from tests.helpers import modem_of
 from tests.reference_channel import ReferenceChannel, fan_out, kernel_link
 
 
@@ -143,7 +144,7 @@ class TestGridCounters:
         positions = [Position(0, 0, 0), Position(1000, 0, 0), Position(40_000, 0, 0)]
         sim, channel, _ = build_channel(positions)
         sim.schedule(
-            0.0, channel.modem_of(0).transmit, control_frame(FrameType.RTS, 0, 1, timestamp=0.0)
+            0.0, modem_of(channel, 0).transmit, control_frame(FrameType.RTS, 0, 1, timestamp=0.0)
         )
         sim.run()
         # Node 2 is far outside the 3x3x3 neighborhood of node 0's cell:

@@ -13,6 +13,7 @@ import pytest
 from repro.acoustic.geometry import Position
 from repro.des.simulator import Simulator
 from repro.phy.channel import AcousticChannel
+from tests.helpers import modem_of
 from tests.reference_channel import ReferenceChannel, fan_out
 
 
@@ -330,14 +331,14 @@ class TestFanOutProducts:
         kernel = channel.kernel
         from_0 = kernel.deliveries(kernel.row(0))
         from_2 = kernel.deliveries(kernel.row(2))
-        middle = channel.modem_of(1)
+        middle = modem_of(channel, 1)
         # Node 1 decodes from both ends: both rows hold the one bound method.
         assert from_0[0] is from_2[1] is kernel._receivers[1][0]
         assert from_0[0] == middle.begin_arrival
         # 2 km is past the decode range: each end is the other's interferer.
         assert from_0[1] is kernel._receivers[2][1]
-        assert from_0[1] == channel.modem_of(2).begin_interferer
-        assert from_2[0] == channel.modem_of(0).begin_interferer
+        assert from_0[1] == modem_of(channel, 2).begin_interferer
+        assert from_2[0] == modem_of(channel, 0).begin_interferer
 
     def test_products_are_aligned_and_match_reference(self):
         rng = np.random.default_rng(3)

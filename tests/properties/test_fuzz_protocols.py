@@ -22,6 +22,7 @@ from repro.net.node import Node
 from repro.phy.channel import AcousticChannel
 from repro.phy.frame import Frame, FrameType
 from repro.phy.modem import Arrival
+from tests.helpers import tracked_neighbors, windows_of
 
 PROTOCOL_CLASSES = [SFama, Ropa, CsMac, EwMac, SlottedAloha]
 
@@ -108,6 +109,6 @@ def test_ewmac_tracker_survives_arbitrary_overhearing(frame_list):
         frame.timestamp = min(frame.timestamp, sim.now)
         mac._update_tracker(frame)
     # tracker state stays well-formed
-    for node_id in mac.tracker.tracked_neighbors():
-        for window in mac.tracker.windows_of(node_id):
+    for node_id in tracked_neighbors(mac.tracker):
+        for window in windows_of(mac.tracker, node_id):
             assert window.end > window.start

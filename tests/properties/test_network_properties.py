@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from repro.net.neighbors import NeighborTable
 from repro.topology.deployment import DeploymentConfig, connected_column_deployment
+from tests.helpers import is_connected
 
 
 @given(
@@ -14,7 +15,7 @@ from repro.topology.deployment import DeploymentConfig, connected_column_deploym
 @settings(max_examples=25, deadline=None)
 def test_connected_deployment_always_connected(n_sensors, seed):
     dep = connected_column_deployment(DeploymentConfig(n_sensors=n_sensors, seed=seed))
-    assert dep.is_connected()
+    assert is_connected(dep)
     assert dep.n_nodes == n_sensors + 1
     for pos in dep.positions:
         assert 0.0 <= pos.z <= dep.config.depth_m

@@ -224,6 +224,25 @@ def test_non_finite_override_is_400(service):
         assert "sim_time_s" in body["error"]
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"n_sensors": 6.5}, "n_sensors must be an int"),
+        ({"faults": "x"}, "faults takes no override"),
+        ({"mobility": "no"}, "mobility must be a bool"),
+    ],
+)
+def test_override_of_the_wrong_type_is_400(service, overrides, message):
+    # Each used to be accepted (202) and then fail every cell, or run
+    # with mobility on under a job key of its own.
+    base, store, _ = service
+    payload = {"target": "fig6", "quick": True, "seeds": [1], "overrides": overrides}
+    status, body = _post(f"{base}/jobs", payload)
+    assert status == 400, overrides
+    assert message in body["error"]
+    assert sum(store.counts().values()) == 0
+
+
 def test_worker_crash_surfaces_error_via_api(service):
     base, _, holder = service
     holder["runner"] = _crashing_runner

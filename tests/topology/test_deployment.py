@@ -7,19 +7,20 @@ from repro.topology.deployment import (
     connected_column_deployment,
     density_link_scale,
 )
+from tests.helpers import is_connected, sensor_ids
 
 
 def test_connected_deployment_is_connected():
     for seed in range(5):
         dep = connected_column_deployment(DeploymentConfig(n_sensors=60, seed=seed))
-        assert dep.is_connected(), f"seed {seed} produced a disconnected deployment"
+        assert is_connected(dep), f"seed {seed} produced a disconnected deployment"
 
 
 def test_connected_deployment_links_within_range():
     config = DeploymentConfig(n_sensors=80, seed=3)
     dep = connected_column_deployment(config)
     # every sensor has at least one in-range neighbour (its parent)
-    for node_id in dep.sensor_ids:
+    for node_id in sensor_ids(dep):
         assert dep.neighbors_of(node_id), f"node {node_id} isolated"
 
 
@@ -45,8 +46,4 @@ def test_mean_degree_grows_with_density():
 def test_deterministic_per_seed():
     a = connected_column_deployment(DeploymentConfig(n_sensors=30, seed=11))
     b = connected_column_deployment(DeploymentConfig(n_sensors=30, seed=11))
-    assert [p.as_tuple() for p in a.positions] == [p.as_tuple() for p in b.positions]
-
-
-def test_volume_km3():
-    assert DeploymentConfig().volume_km3() == pytest.approx(1000.0)
+    assert a.positions == b.positions

@@ -1,5 +1,7 @@
 """Unit tests for mobility models and depth routing."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.topology.mobility import (
     VerticalOscillationModel,
 )
 from repro.topology.routing import DepthRouting
+from tests.helpers import sensor_ids
 
 
 class TestModels:
@@ -38,7 +41,7 @@ class TestModels:
         p = Position(0, 0, 500)
         moved = model.step(p, 10.0)
         assert moved.z == 500
-        assert p.horizontal_distance_to(moved) == pytest.approx(10.0 * DEFAULT_DRIFT_SPEED_MPS)
+        assert math.hypot(p.x - moved.x, p.y - moved.y) == pytest.approx(10.0 * DEFAULT_DRIFT_SPEED_MPS)
 
     def test_vertical_keeps_xy_and_is_bounded(self):
         rng = np.random.default_rng(0)
@@ -119,7 +122,7 @@ class TestRouting:
     def test_next_hop_is_shallower(self):
         channel, dep = self._build()
         routing = DepthRouting(channel, dep.sink_ids)
-        for node_id in dep.sensor_ids:
+        for node_id in sensor_ids(dep):
             nxt = routing.next_hop(node_id)
             if nxt is None:
                 continue
@@ -130,7 +133,7 @@ class TestRouting:
         channel, dep = self._build(seed=1)
         routing = DepthRouting(channel, dep.sink_ids)
         reached = 0
-        for node_id in dep.sensor_ids:
+        for node_id in sensor_ids(dep):
             hop = node_id
             for _ in range(len(dep.positions)):  # depth strictly decreases
                 hop = routing.next_hop(hop)
@@ -138,7 +141,7 @@ class TestRouting:
                     break
             if hop in dep.sink_ids:
                 reached += 1
-        assert reached >= len(dep.sensor_ids) * 0.9
+        assert reached >= len(sensor_ids(dep)) * 0.9
 
     def test_no_shallower_neighbour_means_no_next_hop(self):
         sim = Simulator()
@@ -158,7 +161,7 @@ class TestRouting:
     def test_sink_in_range_preferred(self):
         channel, dep = self._build(seed=2)
         routing = DepthRouting(channel, dep.sink_ids)
-        for node_id in dep.sensor_ids:
+        for node_id in sensor_ids(dep):
             neighbors = channel.neighbors_of(node_id)
             in_range_sinks = [s for s in dep.sink_ids if s in neighbors]
             if in_range_sinks:

@@ -128,7 +128,7 @@ class TestBatch:
         assert not batch.all_drained()  # queued packets remain
         for node in nodes:
             while node.queue:
-                node.note_sent(node.pop_request())
+                node.note_sent(node.queue.popleft())
         assert batch.all_drained()
 
     def test_negative_count_rejected(self):
